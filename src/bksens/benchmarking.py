@@ -6,6 +6,14 @@ leave-one-out parameters convert exactly to the natural sensitivity
 parameters given observed moments, so worst-case estimates and t statistics
 are global minimizations over a small box, sharing the optimizer and the
 common-random-numbers bootstrap with the robustness-value machinery.
+
+The search is batched: the conversion and both estimators take k candidates
+against stacks with a leading resample axis (B=1 for the full sample) and
+return (k, B) arrays, so each optimizer sweep costs one objective call. The
+per-resample stacks are built once per covariate by
+``prepare_benchmark_stacks`` and passed to ``benchmark_worst`` and
+``critical_delta``; the full-sample stack is built once per
+``benchmark_worst`` call.
 """
 
 from __future__ import annotations
@@ -88,62 +96,87 @@ def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
     )
 
 
-def _convert_leave_j(r_a_cj, r_m_cj, r_y_cj, mix, r_a_lj, r_m_lj, r_y_lj):
+@dataclass(frozen=True)
+class _Anchors:
+    """One covariate's anchors over a leading resample axis (B=1 for the full
+    sample), with the conversion's anchor-only denominators."""
+
+    a: np.ndarray             # (B,)
+    m: np.ndarray             # (B, q)
+    y: np.ndarray             # (B,)
+    mix: np.ndarray           # (B, q, q)
+    den_a2: np.ndarray        # (B,) 1 - r_a_cj^2
+    nm_cj2: np.ndarray        # (B,) |r_m_cj|^2
+    den_y2: np.ndarray        # (B,) 1 - r_y_cj^2
+
+
+def _anchors(bms) -> _Anchors:
+    """Stack the anchors of ``bms``; raises DegenerateAnchor once here rather
+    than on every conversion."""
+    a = np.array([b.r_a_cj for b in bms])
+    m = np.vstack([b.r_m_cj for b in bms])
+    y = np.array([b.r_y_cj for b in bms])
+    den_a2 = 1.0 - a ** 2
+    nm_cj2 = (m * m).sum(axis=-1)
+    den_y2 = 1.0 - y ** 2
+    if (den_a2 <= ANCHOR_TOL).any() or (1.0 - nm_cj2 <= ANCHOR_TOL).any() \
+            or (den_y2 <= ANCHOR_TOL).any():
+        raise DegenerateAnchor("an observed anchor is numerically on the unit sphere")
+    return _Anchors(a=a, m=m, y=y, mix=np.stack([b.mix_leave_j for b in bms]),
+                    den_a2=den_a2, nm_cj2=nm_cj2, den_y2=den_y2)
+
+
+def _convert_leave_j(anc: _Anchors, r_a_lj, r_m_lj, r_y_lj):
     """Leave-one-covariate-out parameters -> natural parameters.
 
-    All anchor arguments may carry a leading resample axis; returns
-    (r_y, r_m, r_a) with matching shapes, or None when any intermediate
-    quantity leaves its open ball.
+    Takes k candidates of shapes (k,), (k, q), (k,) and returns (r_y, r_m,
+    r_a) of shapes (k, B), (k, B, q), (k, B) plus a (k,) feasibility mask. A
+    candidate is infeasible when, on any resample, an intermediate quantity
+    leaves its open ball; a NaN passes these tests. Infeasible rows hold
+    unspecified values, so call under ``np.errstate``.
     """
-    den_a2 = 1.0 - r_a_cj ** 2
-    nm_cj2 = np.sum(r_m_cj * r_m_cj, axis=-1)
-    den_y2 = 1.0 - r_y_cj ** 2
-    if np.any(den_a2 <= ANCHOR_TOL) or np.any(1.0 - nm_cj2 <= ANCHOR_TOL) \
-            or np.any(den_y2 <= ANCHOR_TOL):
-        raise DegenerateAnchor("an observed anchor is numerically on the unit sphere")
-
-    if abs(r_a_lj) >= 1.0 or abs(r_y_lj) >= 1.0 or np.linalg.norm(r_m_lj) >= 1.0:
-        return None
-    r_cj_u_ac = -(r_a_cj * r_a_lj) / np.sqrt((1.0 - r_a_lj ** 2) * den_a2)
-    if np.any(np.abs(r_cj_u_ac) >= R_CLAMP):
-        return None
-    r_a_nat = r_a_lj / np.sqrt(den_a2)
-    if np.any(np.abs(r_a_nat) >= R_CLAMP):
-        return None
-
-    num_m = r_m_lj - r_m_cj * r_cj_u_ac[..., None]
-    r_m_nat = np.einsum("...ij,...j->...i", mix, num_m) \
+    nm_lj2 = np.matmul(r_m_lj[:, None, :], r_m_lj[:, :, None])[:, 0, 0]
+    ra = r_a_lj[:, None]
+    r_cj_u_ac = -(anc.a * ra) / np.sqrt((1.0 - ra ** 2) * anc.den_a2)
+    r_a_nat = ra / np.sqrt(anc.den_a2)
+    num_m = r_m_lj[:, None, :] - anc.m * r_cj_u_ac[..., None]
+    r_m_nat = np.einsum("bij,kbj->kbi", anc.mix, num_m) \
         / np.sqrt(1.0 - r_cj_u_ac ** 2)[..., None]
-    if np.any(np.sum(r_m_nat * r_m_nat, axis=-1) >= R_CLAMP ** 2):
-        return None
+    r_cj_u_amc = (r_cj_u_ac - np.matmul(anc.m, r_m_lj[:, :, None])[..., 0]) \
+        / np.sqrt((1.0 - anc.nm_cj2) * (1.0 - nm_lj2[:, None]))
+    r_y_nat = (r_y_lj[:, None] - anc.y * r_cj_u_amc) / np.sqrt(
+        anc.den_y2 * (1.0 - r_cj_u_amc ** 2))
+    outside = ((np.abs(r_cj_u_ac) >= R_CLAMP) | (np.abs(r_a_nat) >= R_CLAMP)
+               | ((r_m_nat * r_m_nat).sum(axis=-1) >= R_CLAMP ** 2)
+               | (np.abs(r_cj_u_amc) >= R_CLAMP) | (np.abs(r_y_nat) >= R_CLAMP))
+    ok = ~(outside.any(axis=-1) | (np.abs(r_a_lj) >= 1.0)
+           | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
+    return r_y_nat, r_m_nat, r_a_nat, ok
 
-    nm_lj2 = float(r_m_lj @ r_m_lj)
-    r_cj_u_amc = (r_cj_u_ac - r_m_cj @ r_m_lj) / np.sqrt(
-        (1.0 - nm_cj2) * (1.0 - nm_lj2))
-    if np.any(np.abs(r_cj_u_amc) >= R_CLAMP):
-        return None
-    r_y_nat = (r_y_lj - r_y_cj * r_cj_u_amc) / np.sqrt(
-        den_y2 * (1.0 - r_cj_u_amc ** 2))
-    if np.any(np.abs(r_y_nat) >= R_CLAMP):
-        return None
-    return r_y_nat, r_m_nat, r_a_nat
+
+def _as_batch(triples):
+    """(r_a, r_m, r_y) leave-j triples -> (k,), (k, q), (k,) arrays."""
+    return (np.array([t[0] for t in triples], dtype=float),
+            np.stack([np.atleast_1d(np.asarray(t[1], dtype=float)) for t in triples]),
+            np.array([t[2] for t in triples], dtype=float))
+
+
+def _natural(anc: _Anchors, params) -> NaturalSensitivity:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r_y, r_m, r_a, ok = _convert_leave_j(anc, *_as_batch([params]))
+    if not ok[0]:
+        raise BoundaryR("leave-one-out parameters map outside the feasible region")
+    return NaturalSensitivity(r_y=float(r_y[0, 0]), r_m=r_m[0, 0], r_a=float(r_a[0, 0]))
 
 
 def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
                            r_m_leave_j, r_y_leave_j: float) -> NaturalSensitivity:
     """Map prescribed leave-one-out parameters to the natural triple."""
-    r_m_leave_j = np.atleast_1d(np.asarray(r_m_leave_j, dtype=float))
-    out = _convert_leave_j(bm.r_a_cj, bm.r_m_cj, bm.r_y_cj, bm.mix_leave_j,
-                           float(r_a_leave_j), r_m_leave_j, float(r_y_leave_j))
-    if out is None:
-        raise BoundaryR("leave-one-out parameters map outside the feasible region")
-    r_y, r_m, r_a = out
-    return NaturalSensitivity(r_y=float(r_y), r_m=np.asarray(r_m, dtype=float),
-                              r_a=float(r_a))
+    return _natural(_anchors([bm]), (r_a_leave_j, r_m_leave_j, r_y_leave_j))
 
 
 # ---------------------------------------------------------------------------
-# Vectorized natural-parameter estimators over resamples.
+# Natural-parameter estimators, batched over candidates and resamples.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -160,54 +193,65 @@ class _ResampleStacks:
     cmac_inv_sqrt: np.ndarray  # (B, q, q)
     sd_ac: np.ndarray         # (B,)
     sd_y_amc: np.ndarray      # (B,)
-    anchor_a: np.ndarray      # (B,)
-    anchor_m: np.ndarray      # (B, q)
-    anchor_y: np.ndarray      # (B,)
-    anchor_mix: np.ndarray    # (B, q, q)
+    anchors: _Anchors
 
 
-def _stack_for(data: MediationData, j: int, moments, indices) -> _ResampleStacks:
-    rows = []
-    for mm, idx in zip(moments, indices):
-        sub = data.subset(idx) if idx is not None else data
-        bm = benchmark_moments(sub, j)
-        rows.append((mm, bm))
+def _stack_for(moments, bms) -> _ResampleStacks:
+    """Stack paired observed fits and benchmark anchors (one pair per
+    resample, or the single full-sample pair)."""
     return _ResampleStacks(
-        theta1=np.array([m.theta1_obs for m, _ in rows]),
+        theta1=np.array([m.theta1_obs for m in moments]),
         scale_direct=np.array([np.sqrt(m.var_y_res_amc / m.var_a_res_mc)
-                               for m, _ in rows]),
-        rhat=np.vstack([m.r_m_a_c for m, _ in rows]),
-        mix_c_ac=np.stack([m.mix_c_ac for m, _ in rows]),
-        beta1=np.vstack([m.beta1_obs for m, _ in rows]),
-        theta3=np.vstack([m.theta3_obs for m, _ in rows]),
-        cmac_sqrt=np.stack([m.cov_m_res_ac_sqrt for m, _ in rows]),
-        cmac_inv_sqrt=np.stack([m.cov_m_res_ac_inv_sqrt for m, _ in rows]),
-        sd_ac=np.array([np.sqrt(m.var_a_res_c) for m, _ in rows]),
-        sd_y_amc=np.array([np.sqrt(m.var_y_res_amc) for m, _ in rows]),
-        anchor_a=np.array([b.r_a_cj for _, b in rows]),
-        anchor_m=np.vstack([b.r_m_cj for _, b in rows]),
-        anchor_y=np.array([b.r_y_cj for _, b in rows]),
-        anchor_mix=np.stack([b.mix_leave_j for _, b in rows]),
+                               for m in moments]),
+        rhat=np.vstack([m.r_m_a_c for m in moments]),
+        mix_c_ac=np.stack([m.mix_c_ac for m in moments]),
+        beta1=np.vstack([m.beta1_obs for m in moments]),
+        theta3=np.vstack([m.theta3_obs for m in moments]),
+        cmac_sqrt=np.stack([m.cov_m_res_ac_sqrt for m in moments]),
+        cmac_inv_sqrt=np.stack([m.cov_m_res_ac_inv_sqrt for m in moments]),
+        sd_ac=np.array([np.sqrt(m.var_a_res_c) for m in moments]),
+        sd_y_amc=np.array([np.sqrt(m.var_y_res_amc) for m in moments]),
+        anchors=_anchors(bms),
     )
 
 
 def _direct_estimates(st: _ResampleStacks, r_y, r_m, r_a) -> np.ndarray:
-    nr_hat2 = np.sum(st.rhat * st.rhat, axis=-1)
-    nrm2 = np.sum(r_m * r_m, axis=-1)
+    """(k, B) direct effects at natural parameters of shapes (k, B),
+    (k, B, q), (k, B)."""
+    nr_hat2 = (st.rhat * st.rhat).sum(axis=-1)
+    nrm2 = (r_m * r_m).sum(axis=-1)
     term1 = r_a * np.sqrt(1.0 - nr_hat2) / np.sqrt((1.0 - r_a ** 2) * (1.0 - nrm2))
-    inner = np.einsum("bi,bij,bj->b", st.rhat, st.mix_c_ac, r_m)
+    inner = np.einsum("bi,bij,kbj->kb", st.rhat, st.mix_c_ac, r_m)
     term2 = inner / np.sqrt((1.0 - nr_hat2) * (1.0 - nrm2))
     return st.theta1 - r_y * (term1 - term2) * st.scale_direct
 
 
 def _indirect_estimates(st: _ResampleStacks, r_y, r_m, r_a) -> np.ndarray:
-    nrm2 = np.sum(r_m * r_m, axis=-1)
+    """(k, B) indirect effects, shapes as in ``_direct_estimates``."""
+    nrm2 = (r_m * r_m).sum(axis=-1)
     odds_a = r_a / np.sqrt(1.0 - r_a ** 2)
-    beta_u = st.beta1 - odds_a[:, None] * np.einsum(
-        "bij,bj->bi", st.cmac_sqrt, r_m) / st.sd_ac[:, None]
-    theta_u = st.theta3 - (r_y * st.sd_y_amc / np.sqrt(1.0 - nrm2))[:, None] \
-        * np.einsum("bij,bj->bi", st.cmac_inv_sqrt, r_m)
-    return np.einsum("bi,bi->b", theta_u, beta_u)
+    beta_u = st.beta1 - odds_a[..., None] * np.einsum(
+        "bij,kbj->kbi", st.cmac_sqrt, r_m) / st.sd_ac[:, None]
+    theta_u = st.theta3 - (r_y * st.sd_y_amc / np.sqrt(1.0 - nrm2))[..., None] \
+        * np.einsum("bij,kbj->kbi", st.cmac_inv_sqrt, r_m)
+    return np.einsum("kbi,kbi->kb", theta_u, beta_u)
+
+
+def _values_fn(full: _ResampleStacks, stacks: _ResampleStacks | None,
+               estimates, flip: float):
+    """Batched search objective over k leave-j candidates: flip * estimate,
+    or flip * t when resample stacks are given; ``inf`` where infeasible."""
+    def values(r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            *conv, ok = _convert_leave_j(full.anchors, r_a_lj, r_m_lj, r_y_lj)
+            vals = flip * estimates(full, *conv)[:, 0]
+            if stacks is not None:
+                *conv, ok_b = _convert_leave_j(stacks.anchors, r_a_lj, r_m_lj,
+                                               r_y_lj)
+                vals = vals / estimates(stacks, *conv).std(axis=-1, ddof=1)
+                ok &= ok_b
+        return np.where(ok, vals, np.inf)
+    return values
 
 
 @dataclass(frozen=True)
@@ -235,29 +279,11 @@ def _radii(bm: BenchmarkMoments, spec: BenchmarkSpec) -> tuple[float, float, flo
     return ra, rm, ry
 
 
-def _worst_search(data, mm, bm, spec, effect_kind, stacks, flip, budget):
-    """Minimize flip * estimate (or t when stacks carry resamples) over the
-    capped leave-one-out box; returns (value, argmin leave-j triple)."""
-    q = mm.q
+def _worst_search(values, bm: BenchmarkMoments, spec: BenchmarkSpec, q: int,
+                  budget: int):
+    """Minimize the batched ``values`` over the capped leave-one-out box;
+    returns (value, argmin leave-j triple)."""
     ra_rad, rm_rad, ry_rad = _radii(bm, spec)
-    full_stack = _stack_for(data, spec.j, [mm], [None])
-    estimates = _direct_estimates if effect_kind == "direct" else _indirect_estimates
-
-    def value_of(r_a_lj, r_m_lj, r_y_lj):
-        conv0 = _convert_leave_j(full_stack.anchor_a, full_stack.anchor_m,
-                                 full_stack.anchor_y, full_stack.anchor_mix,
-                                 r_a_lj, r_m_lj, r_y_lj)
-        if conv0 is None:
-            return np.inf
-        e0 = float(estimates(full_stack, *conv0)[0])
-        if stacks is None:
-            return flip * e0
-        conv = _convert_leave_j(stacks.anchor_a, stacks.anchor_m, stacks.anchor_y,
-                                stacks.anchor_mix, r_a_lj, r_m_lj, r_y_lj)
-        if conv is None:
-            return np.inf
-        se = float(estimates(stacks, *conv).std(ddof=1))
-        return flip * e0 / se
 
     # box: scalar leave-j parameters plus a ball for the mediator block
     lo, hi = [], []
@@ -275,35 +301,30 @@ def _worst_search(data, mm, bm, spec, effect_kind, stacks, flip, budget):
         lo.append(-ry_rad); hi.append(ry_rad)
 
     def unpack(x):
+        """(k, d) box points -> (k,), (k, q), (k,) leave-j candidates."""
+        k = x.shape[0]
         col = 0
-        r_a_lj = 0.0
+        r_a_lj, r_m_lj, r_y_lj = np.zeros(k), np.zeros((k, q)), np.zeros(k)
         if has_a:
-            r_a_lj = float(x[col]); col += 1
-        r_m_lj = np.zeros(q)
+            r_a_lj = x[:, col]; col += 1
         if has_m:
             if q == 1:
-                r_m_lj = np.array([x[col]]); col += 1
+                r_m_lj = x[:, col:col + 1]; col += 1
             else:
-                radius = x[col]; col += 1
-                direction = _sphere_from_angles(np.asarray(x[col:col + q - 1])[None, :])[0]
-                r_m_lj = radius * direction
-                col += q - 1
-        r_y_lj = 0.0
+                r_m_lj = x[:, col, None] * _sphere_from_angles(x[:, col + 1:col + q])
+                col += q
         if has_y:
-            r_y_lj = float(x[col]); col += 1
+            r_y_lj = x[:, col]
         return r_a_lj, r_m_lj, r_y_lj
 
-    best_val, best_params = value_of(0.0, np.zeros(q), 0.0), (0.0, np.zeros(q), 0.0)
+    # candidates in order: zero, the DIRECT optimum, then a deterministic
+    # corner sweep over the scalar channels; the first strict minimum wins
+    cands = [(0.0, np.zeros(q), 0.0)]
     if lo:
-        def objective(x):
-            return value_of(*unpack(x))
-
-        res = direct_optimize(objective, np.array(lo), np.array(hi), budget=budget)
-        params = unpack(res.x)
-        val = value_of(*params)
-        if val < best_val:
-            best_val, best_params = val, params
-        # deterministic corner sweep over the scalar channels
+        res = direct_optimize(lambda x: values(*unpack(x)), np.array(lo),
+                              np.array(hi), budget=budget, vectorized=True)
+        r_a_lj, r_m_lj, r_y_lj = unpack(res.x[None, :])
+        cands.append((float(r_a_lj[0]), r_m_lj[0], float(r_y_lj[0])))
         m_dirs = [np.zeros(q)]
         if has_m:
             nv = np.linalg.norm(bm.r_m_cj)
@@ -312,10 +333,13 @@ def _worst_search(data, mm, bm, spec, effect_kind, stacks, flip, budget):
         for sa in ((-ra_rad, 0.0, ra_rad) if has_a else (0.0,)):
             for sy in ((-ry_rad, 0.0, ry_rad) if has_y else (0.0,)):
                 for dm in m_dirs:
-                    val = value_of(sa, dm, sy)
-                    if val < best_val:
-                        best_val, best_params = val, (sa, dm.copy(), sy)
-    return best_val, best_params
+                    cands.append((sa, dm, sy))
+    vals = values(*_as_batch(cands))
+    best = 0
+    for i in range(1, len(cands)):
+        if vals[i] < vals[best]:
+            best = i
+    return float(vals[best]), cands[best]
 
 
 def _k_ratios(bm: BenchmarkMoments, params) -> dict:
@@ -335,7 +359,8 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
                              plan: BootstrapPlan) -> _ResampleStacks:
     """Per-resample anchors and moments for covariate ``j``; reusable across
     worst-case searches on the same plan (delta sweeps in particular)."""
-    return _stack_for(data, j, plan.moments, plan.indices)
+    return _stack_for(plan.moments,
+                      [benchmark_moments(data.subset(idx), j) for idx in plan.indices])
 
 
 def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
@@ -343,44 +368,41 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
                     effect_kind: str = "direct",
                     budget: int = 1500, stacks=None) -> BenchmarkResult:
     """Worst point estimate (and worst t, when a plan is given) under the
-    benchmark caps for one covariate."""
+    benchmark caps for one covariate; ``stacks`` from
+    ``prepare_benchmark_stacks`` on the same plan skip rebuilding them."""
     if effect_kind not in ("direct", "indirect"):
         raise ValueError(f"unknown effect_kind {effect_kind!r}")
     mm = fit_observed(data)
     bm = benchmark_moments(data, spec.j)
+    full = _stack_for([mm], [bm])
+    estimates = _direct_estimates if effect_kind == "direct" else _indirect_estimates
     observed = mm.theta1_obs if effect_kind == "direct" else observed_indirect(mm)
     flip = -1.0 if observed < 0 else 1.0
 
-    val_e, params_e = _worst_search(data, mm, bm, spec, effect_kind, None, flip,
-                                    budget)
-    worst_est = WorstCase(
-        value=flip * val_e, t_stat=None, natural=natural_from_benchmark(bm, params_e[0], params_e[1], params_e[2]),
-        leave_j={"r_a": params_e[0], "r_m": params_e[1].tolist(), "r_y": params_e[2]},
-        k_ratios=_k_ratios(bm, params_e))
+    def worst_case(params, value, t_stat):
+        return WorstCase(
+            value=value, t_stat=t_stat, natural=_natural(full.anchors, params),
+            leave_j={"r_a": params[0], "r_m": params[1].tolist(), "r_y": params[2]},
+            k_ratios=_k_ratios(bm, params))
+
+    values_e = _values_fn(full, None, estimates, flip)
+    val_e, params_e = _worst_search(values_e, bm, spec, mm.q, budget)
+    worst_est = worst_case(params_e, flip * val_e, None)
 
     worst_t = None
     observed_t = None
     if plan is not None:
         if stacks is None:
             stacks = prepare_benchmark_stacks(data, spec.j, plan)
-        estimates = _direct_estimates if effect_kind == "direct" else _indirect_estimates
-        zeros = (np.zeros(plan.n_resamples), np.zeros((plan.n_resamples, mm.q)),
-                 np.zeros(plan.n_resamples))
-        se0 = float(estimates(stacks, *zeros).std(ddof=1))
+        b = plan.n_resamples
+        se0 = float(estimates(stacks, np.zeros((1, b)), np.zeros((1, b, mm.q)),
+                              np.zeros((1, b)))[0].std(ddof=1))
         observed_t = observed / se0
-        val_t, params_t = _worst_search(data, mm, bm, spec, effect_kind, stacks,
-                                        flip, budget)
-        nat_t = natural_from_benchmark(bm, params_t[0], params_t[1], params_t[2])
-        full_stack = _stack_for(data, spec.j, [mm], [None])
-        conv = _convert_leave_j(full_stack.anchor_a, full_stack.anchor_m,
-                                full_stack.anchor_y, full_stack.anchor_mix,
-                                *params_t)
-        est_at_t = float(estimates(full_stack, *conv)[0])
-        worst_t = WorstCase(
-            value=est_at_t, t_stat=flip * val_t, natural=nat_t,
-            leave_j={"r_a": params_t[0], "r_m": params_t[1].tolist(),
-                     "r_y": params_t[2]},
-            k_ratios=_k_ratios(bm, params_t))
+        val_t, params_t = _worst_search(_values_fn(full, stacks, estimates, flip),
+                                        bm, spec, mm.q, budget)
+        # values_e is flip * estimate, and flip is +-1
+        est_at_t = flip * float(values_e(*_as_batch([params_t]))[0])
+        worst_t = worst_case(params_t, est_at_t, flip * val_t)
     return BenchmarkResult(worst_estimate=worst_est, worst_t=worst_t,
                            observed_estimate=observed, observed_t=observed_t,
                            spec=spec)
@@ -389,13 +411,14 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
 def critical_delta(data: MediationData, j: int, effect_kind: str,
                    threshold: float, delta_grid, k_a_bound: float = 0.0,
                    plan: BootstrapPlan | None = None,
-                   budget: int = 1200):
+                   budget: int = 1200, stacks=None):
     """Smallest multiplier on the covariate's strength that drags the effect
     past the threshold (0 for the estimate, 1.96 for the CI).
 
     Returns (delta, curve) where curve lists (delta, worst value); delta is
     ``math.inf`` when no grid point attains the threshold. The mediator and
     outcome caps scale with delta; the exposure cap stays at ``k_a_bound``.
+    ``stacks`` from ``prepare_benchmark_stacks`` on ``plan`` are reused.
     """
     grid = [float(d) for d in delta_grid]
     if any(d <= 0 for d in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -406,7 +429,8 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     mm = fit_observed(data)
     observed = mm.theta1_obs if effect_kind == "direct" else observed_indirect(mm)
     flip = -1.0 if observed < 0 else 1.0
-    stacks = prepare_benchmark_stacks(data, j, plan) if use_t else None
+    if use_t and stacks is None:
+        stacks = prepare_benchmark_stacks(data, j, plan)
     if use_t:
         zero_spec = BenchmarkSpec(j=j, k_a_bound=0.0, k_m_bound=0.0, k_y_bound=0.0)
         res0 = benchmark_worst(data, zero_spec, plan=plan,

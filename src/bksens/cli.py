@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,13 @@ SCHEMA_VERSION = 1
 
 class InputError(Exception):
     """Invalid file contents or option combination (exit code 2)."""
+
+
+class NonFiniteOutput(BkSensError):
+    """A report value is NaN or infinite, which strict JSON cannot hold."""
+
+
+MIN_BOOTSTRAP = 2  # the bootstrap SE needs two resamples
 
 
 def load_csv_columns(path: str) -> dict[str, np.ndarray]:
@@ -84,6 +92,9 @@ def _split_names(value: str | None) -> list[str]:
 
 
 def build_data(args) -> tuple[MediationData, list[str]]:
+    if args.bootstrap < MIN_BOOTSTRAP:
+        raise InputError(f"--bootstrap must be at least {MIN_BOOTSTRAP}, "
+                         f"got {args.bootstrap}")
     columns = load_csv_columns(args.data)
     mediators = _split_names(args.mediators)
     covariates = _split_names(args.covariates)
@@ -114,7 +125,10 @@ def _parse_grid(spec: str, name: str) -> list[float]:
     if step <= 0 or hi < lo:
         raise InputError(f"{name}: need step > 0 and hi >= lo")
     count = int(round((hi - lo) / step)) + 1
-    return [round(lo + k * step, 10) for k in range(count)]
+    grid = [round(lo + k * step, 10) for k in range(count)]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError(f"{name}: step too small for 10-decimal grid points")
+    return grid
 
 
 def _parse_numbers(value: str | None, flag: str, cast=float) -> list:
@@ -159,11 +173,18 @@ def _config_echo(args, extra=None) -> dict:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"the report holds a non-finite number: {exc}") from None
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _sidecar_path(out: str | None, default: str, suffix: str) -> Path:
@@ -195,11 +216,13 @@ def cmd_effects(args) -> int:
 
 
 def cmd_rv(args) -> int:
+    grid = _parse_grid(args.rho_grid, "--rho-grid") if args.rho_grid \
+        else list(DEFAULT_RHO_GRID)
+    if not 0.0 < grid[0] <= grid[-1] < 1.0:
+        raise InputError("--rho-grid must lie strictly inside (0, 1)")
     data, _ = build_data(args)
     mm = fit_observed(data)
     plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
-    grid = _parse_grid(args.rho_grid, "--rho-grid") if args.rho_grid \
-        else list(DEFAULT_RHO_GRID)
     mode = "vector_u" if args.vector_u else "scalar_u"
     estimators = {
         "direct": lambda m: m.theta1_obs,
@@ -255,6 +278,12 @@ def cmd_rv(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    for flag, value in (("--ka", args.ka), ("--km", args.km), ("--ky", args.ky)):
+        if not value >= 0.0:
+            raise InputError(f"{flag} must be nonnegative, got {value}")
+    grid = _parse_grid(args.delta_grid, "--delta-grid") if args.delta_grid else None
+    if grid is not None and grid[0] <= 0.0:
+        raise InputError("--delta-grid must be positive")
     data, covariates = build_data(args)
     if not covariates:
         raise InputError("benchmarking needs at least one covariate")
@@ -262,16 +291,17 @@ def cmd_benchmark(args) -> int:
     k_a = 0.0 if args.randomized else args.ka
     rows = []
     targets = covariates if args.j is None else [args.j]
+    stacks = {}
     for name in targets:
         if name not in covariates:
             raise InputError(f"--j '{name}' is not one of the covariates")
         j = covariates.index(name)
         spec = BenchmarkSpec(j=j, k_a_bound=k_a, k_m_bound=args.km,
                              k_y_bound=args.ky)
-        stacks = prepare_benchmark_stacks(data, j, plan)
+        stacks[name] = prepare_benchmark_stacks(data, j, plan)
         for kind in ("direct", "indirect"):
             res = benchmark_worst(data, spec, plan=plan, effect_kind=kind,
-                                  stacks=stacks)
+                                  stacks=stacks[name])
             rows.append({
                 "covariate": name,
                 "effect_kind": kind,
@@ -296,8 +326,7 @@ def cmd_benchmark(args) -> int:
             writer.writerow([row["covariate"], row["effect_kind"],
                              repr(row["worst_estimate"]), repr(row["worst_t"])])
 
-    if args.j is not None and args.delta_grid:
-        grid = _parse_grid(args.delta_grid, "--delta-grid")
+    if args.j is not None and grid is not None:
         j = covariates.index(args.j)
         deltas = {}
         delta_curves = {}
@@ -306,9 +335,10 @@ def cmd_benchmark(args) -> int:
                 data, j, kind, threshold=0.0, delta_grid=grid, k_a_bound=k_a)
             d_ci, _ = critical_delta(
                 data, j, kind, threshold=1.96, delta_grid=grid, k_a_bound=k_a,
-                plan=plan)
-            deltas[kind] = {"critical_delta_estimate": d_est,
-                            "critical_delta_ci": d_ci}
+                plan=plan, stacks=stacks[args.j])
+            # null: no grid point attains the threshold
+            deltas[kind] = {"critical_delta_estimate": _finite_or_none(d_est),
+                            "critical_delta_ci": _finite_or_none(d_ci)}
             delta_curves[kind] = dict(curve_est)
         payload["critical_delta"] = deltas
         delta_file = _sidecar_path(args.out, "benchmark_delta.csv", "delta")
@@ -329,6 +359,8 @@ def cmd_benchmark(args) -> int:
 
 def cmd_simulate(args) -> int:
     dims = _parse_numbers(args.dim_m, "--dim-m", int) or [2]
+    if min(dims) < 2:
+        raise InputError("--dim-m: the simulation design needs at least two mediators")
     r2_ams = _parse_numbers(args.r2_am, "--r2-am") or [0.3]
     r2_yms = _parse_numbers(args.r2_ym, "--r2-ym") or [0.3]
     designs = [S4Design(dim_m=d, r2_am=ram, r2_ym=rym, n=args.n)

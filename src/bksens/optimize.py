@@ -8,7 +8,9 @@ insertion order and rectangle classes are keyed by exact level multisets.
 
 The objective may be flagged as vectorized, in which case it is called with
 an (k, d) array of points and must return (k,) values; new points from one
-sweep are evaluated in a single call.
+sweep are evaluated in a single call. An unflagged objective is called once
+per point, on the same points in the same order, so a row-wise objective
+gives the same search either way.
 """
 
 from __future__ import annotations
@@ -138,23 +140,36 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
         chosen = _potentially_optimal(minima, best_f)
         if not chosen:
             break
-        progressed = False
+        # Which rectangles fit the remaining budget depends on costs alone,
+        # so the whole sweep's new points are gathered and evaluated at once.
+        batch = []
+        planned = n_evals
         for idx in chosen:
             levels = pile.levels[idx]
             min_level = levels.min()
             dims = np.flatnonzero(levels == min_level)
             cost = 2 * dims.size
-            if n_evals + cost > budget:
+            if planned + cost > budget:
                 continue
-            progressed = True
             c = pile.centers[idx]
             delta = 3.0 ** -(min_level + 1)
             pts = np.repeat(c[None, :], cost, axis=0)
             for k, dim in enumerate(dims):
                 pts[2 * k, dim] += delta
                 pts[2 * k + 1, dim] -= delta
-            vals = evaluate(pts)
-            n_evals += cost
+            batch.append((idx, dims, pts))
+            planned += cost
+            if planned >= budget:
+                break
+        if not batch:
+            break
+        all_vals = evaluate(np.concatenate([pts for _, _, pts in batch]))
+        n_evals = planned
+
+        start = 0
+        for idx, dims, pts in batch:
+            vals = all_vals[start:start + len(pts)]
+            start += len(pts)
             imin = int(np.argmin(vals))
             if vals[imin] < best_f:
                 best_f = float(vals[imin])
@@ -163,7 +178,7 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
             w = np.minimum(vals[0::2], vals[1::2])
             order = dims[np.argsort(w, kind="stable")]
             done = []
-            new_levels = levels.copy()
+            new_levels = pile.levels[idx]
             for dim in order:
                 new_levels = new_levels.copy()
                 new_levels[dim] += 1
@@ -171,12 +186,8 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
                 done.append((pts[2 * k], new_levels, float(vals[2 * k])))
                 done.append((pts[2 * k + 1], new_levels, float(vals[2 * k + 1])))
             pile.kill(idx)
-            pile.add(c, new_levels, pile.fvals[idx])
+            pile.add(pile.centers[idx], new_levels, pile.fvals[idx])
             for point, lev, val in done:
                 pile.add(point, lev, val)
-            if n_evals >= budget:
-                break
-        if not progressed:
-            break
 
     return OptimizeResult(x=lower + best_x * span, fun=best_f, n_evals=n_evals)

@@ -1,18 +1,30 @@
 import numpy as np
 import pytest
 
+from bksens import benchmarking, cli
 from bksens.benchmarking import (
     BenchmarkSpec,
+    _convert_leave_j,
+    _direct_estimates,
+    _indirect_estimates,
+    _stack_for,
+    _values_fn,
     benchmark_moments,
     benchmark_worst,
     critical_delta,
     natural_from_benchmark,
+    prepare_benchmark_stacks,
 )
 from bksens.confounders import ConfounderTarget, construct_confounder
-from bksens.errors import RankDeficient
+from bksens.errors import BoundaryR, RankDeficient
 from bksens.inference import bootstrap_moments
 from bksens.linalg import r_matrix
-from bksens.mediation import MediationData, direct_adjusted, fit_observed
+from bksens.mediation import (
+    MediationData,
+    direct_adjusted,
+    fit_observed,
+    indirect_adjusted_product,
+)
 
 from conftest import make_data
 
@@ -181,3 +193,101 @@ def test_randomized_cap_pins_exposure_channel(rng):
                           budget=1200)
     assert res.worst_estimate.leave_j["r_a"] == 0.0
     assert res.worst_estimate.k_ratios["k_a"] == 0.0
+
+
+def _leave_j_candidates(local, k, q):
+    """Random leave-j candidates, some outside the unit balls and many
+    mapping outside the feasible region."""
+    r_a = local.uniform(-1.05, 1.05, size=k)
+    r_y = local.uniform(-1.05, 1.05, size=k)
+    d = local.normal(size=(k, q))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return r_a, local.uniform(0.0, 1.05, size=(k, 1)) * d, r_y
+
+
+def test_batched_conversion_matches_scalar_adjusters():
+    n_feasible = n_in_ball_infeasible = 0
+    for trial in range(6):
+        local = np.random.default_rng(9300 + trial)
+        q = 1 + trial % 2
+        data = make_data(local, n=150, p=2, q=q)
+        mm = fit_observed(data)
+        bm = benchmark_moments(data, j=trial % 2)
+        full = _stack_for([mm], [bm])
+        r_a, r_m, r_y = _leave_j_candidates(local, 80, q)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            nat_y, nat_m, nat_a, ok = _convert_leave_j(full.anchors, r_a, r_m, r_y)
+            direct = _direct_estimates(full, nat_y, nat_m, nat_a)[:, 0]
+            indirect = _indirect_estimates(full, nat_y, nat_m, nat_a)[:, 0]
+        values = _values_fn(full, None, _direct_estimates, -1.0)(r_a, r_m, r_y)
+        for i in range(len(r_a)):
+            try:
+                s = natural_from_benchmark(bm, r_a[i], r_m[i], r_y[i])
+            except BoundaryR:
+                assert not ok[i]
+                assert values[i] == np.inf
+                n_in_ball_infeasible += max(abs(r_a[i]), abs(r_y[i]),
+                                            np.linalg.norm(r_m[i])) < 1.0
+                continue
+            n_feasible += 1
+            assert ok[i]
+            assert nat_y[i, 0] == pytest.approx(s.r_y, rel=1e-12, abs=1e-12)
+            assert nat_a[i, 0] == pytest.approx(s.r_a, rel=1e-12, abs=1e-12)
+            assert np.allclose(nat_m[i, 0], s.r_m, rtol=1e-12, atol=1e-12)
+            assert direct[i] == pytest.approx(direct_adjusted(mm, s),
+                                              rel=1e-12, abs=1e-12)
+            assert indirect[i] == pytest.approx(indirect_adjusted_product(mm, s),
+                                                rel=1e-12, abs=1e-12)
+            assert values[i] == -direct[i]
+    assert n_feasible > 50 and n_in_ball_infeasible > 20
+
+
+def test_batched_t_objective_matches_per_resample_oracle():
+    local = np.random.default_rng(9400)
+    data = make_data(local, n=120, p=2, q=2)
+    mm = fit_observed(data)
+    bm = benchmark_moments(data, j=1)
+    plan = bootstrap_moments(data, n_resamples=25, seed=5)
+    stacks = prepare_benchmark_stacks(data, 1, plan)
+    bms = [benchmark_moments(data.subset(idx), 1) for idx in plan.indices]
+    values = _values_fn(_stack_for([mm], [bm]), stacks, _indirect_estimates, 1.0)
+    r_a, r_m, r_y = _leave_j_candidates(local, 40, 2)
+    batch = values(r_a, r_m, r_y)
+    n_inf = 0
+    for i in range(len(r_a)):
+        params = (r_a[i], r_m[i], r_y[i])
+        try:
+            s0 = natural_from_benchmark(bm, *params)
+            boot = [indirect_adjusted_product(m, natural_from_benchmark(b, *params))
+                    for m, b in zip(plan.moments, bms)]
+        except BoundaryR:
+            # infeasible on the full sample or on any one resample
+            assert batch[i] == np.inf
+            n_inf += 1
+            continue
+        expected = indirect_adjusted_product(mm, s0) / np.std(boot, ddof=1)
+        assert batch[i] == pytest.approx(expected, rel=1e-12)
+    assert 0 < n_inf < len(r_a)
+
+
+def test_cli_delta_grid_builds_stacks_once(tmp_path, monkeypatch):
+    from test_cli import write_csv
+
+    data = make_data(np.random.default_rng(9500), n=90, p=2, q=1)
+    path = tmp_path / "data.csv"
+    write_csv(path, data)
+    calls = {"n": 0}
+    build = benchmarking.prepare_benchmark_stacks
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(benchmarking, "prepare_benchmark_stacks", counting)
+    monkeypatch.setattr(cli, "prepare_benchmark_stacks", counting)
+    code = cli.main(["benchmark", "--data", str(path), "--outcome", "y",
+                     "--exposure", "a", "--mediators", "m1",
+                     "--covariates", "c1,c2", "--j", "c1", "--bootstrap", "30",
+                     "--delta-grid", "0.5:1:0.5", "--out", str(tmp_path / "b.json")])
+    assert code == 0
+    assert calls["n"] == 1

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bksens
 from bksens.cli import main
 from bksens.inference import bootstrap_moments
 from bksens.mediation import (
@@ -244,3 +249,61 @@ def test_malformed_numeric_flags_exit_2(csv_file, capsys):
     assert "oops" in capsys.readouterr().err
     code = main(["simulate", "--dim-m", "two"])
     assert code == 2
+
+
+def _run_cli(args):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ)
+    src = str(Path(bksens.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "bksens.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("benchmark", ["--km", "-1"]),
+    ("benchmark", ["--ka", "-1"]),
+    ("benchmark", ["--ky", "-0.5"]),
+    ("effects", ["--bootstrap", "0"]),
+    ("effects", ["--bootstrap", "1"]),
+    ("rv", ["--rho-grid", "0:1:0.25"]),
+    ("benchmark", ["--j", "c1", "--delta-grid", "0:1:0.5"]),
+    ("simulate", ["--dim-m", "1"]),
+])
+def test_invalid_option_values_exit_2(csv_file, tmp_path, command, flags):
+    path, _ = csv_file
+    data_args = [] if command == "simulate" else [*base_args(path), "--bootstrap", "20"]
+    proc = _run_cli([command, *data_args, *flags, "--out", str(tmp_path / "r.json")])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_unattained_critical_delta_is_null(tmp_path):
+    data = make_data(np.random.default_rng(11), n=100, p=2, q=2)
+    path = tmp_path / "data.csv"
+    write_csv(path, data)
+    out = tmp_path / "bench.json"
+    code = main(["benchmark", *base_args(path), "--j", "c1", "--bootstrap", "40",
+                 "--delta-grid", "0.1:0.2:0.1", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    values = [v for kind in payload["critical_delta"].values() for v in kind.values()]
+    assert None in values
+    assert all(v is None or v in (0.0, 0.1, 0.2) for v in values)
+
+
+def test_non_finite_report_exits_3(csv_file, monkeypatch, capsys):
+    import bksens.cli as cli
+
+    path, _ = csv_file
+    monkeypatch.setattr(cli, "observed_indirect", lambda mm: float("inf"))
+    code = main(["effects", *base_args(path), "--bootstrap", "20"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bksens import optimize
 from bksens.errors import BudgetTooSmall, DimensionMismatch
 from bksens.optimize import direct_optimize
 
@@ -41,17 +42,38 @@ def test_deterministic():
     assert r1.fun == r2.fun and r1.n_evals == r2.n_evals
 
 
-def test_vectorized_objective_agrees():
+def test_vectorized_objective_agrees(monkeypatch):
+    scalar_points, batch_points, batch_sizes = [], [], []
+
     def f_scalar(x):
+        scalar_points.append(x.copy())
         return float((x[0] - 0.2) ** 2 + (x[1] + 0.4) ** 2)
 
     def f_batch(points):
+        batch_points.extend(points.copy())
+        batch_sizes.append(len(points))
         return (points[:, 0] - 0.2) ** 2 + (points[:, 1] + 0.4) ** 2
 
+    trisected = {"n": 0}
+    kill = optimize._Pile.kill
+
+    def counting_kill(self, idx):
+        trisected["n"] += 1
+        kill(self, idx)
+
+    monkeypatch.setattr(optimize._Pile, "kill", counting_kill)
     r1 = direct_optimize(f_scalar, [-1, -1], [1, 1], budget=600)
+    trisected_scalar, trisected["n"] = trisected["n"], 0
     r2 = direct_optimize(f_batch, [-1, -1], [1, 1], budget=600, vectorized=True)
     assert np.array_equal(r1.x, r2.x)
     assert r1.fun == r2.fun
+    assert r1.n_evals == r2.n_evals == len(scalar_points)
+    # the same points, evaluated in the same order
+    assert np.array_equal(np.array(scalar_points), np.array(batch_points))
+    # one call for the initial center, then one per sweep
+    assert trisected["n"] == trisected_scalar
+    assert batch_sizes[0] == 1 and sum(batch_sizes) == r2.n_evals
+    assert len(batch_sizes) - 1 < trisected["n"]
 
 
 def test_rescaled_box():
