@@ -7,13 +7,22 @@ parameters given observed moments, so worst-case estimates and t statistics
 are global minimizations over a small box, sharing the optimizer and the
 common-random-numbers bootstrap with the robustness-value machinery.
 
+The anchors come from residual covariances of (c, a, m, y) on leave-j
+blocks, with the covariates standardized, so they do not depend on the
+covariates' location or scale. ``benchmark_moments`` computes them by least
+squares on the data; ``prepare_benchmark_stacks`` takes them as Schur
+complements of the Gram matrix the bootstrap plan stores for each resample,
+and falls back to ``benchmark_moments`` on the resample's rows wherever the
+plan fitted the resample exactly or an anchor check does not clear its
+threshold by GRAM_MARGIN, so a resample raises exactly when
+``benchmark_moments`` would. Both feed the same anchor algebra.
+
 The search is batched: the conversion and both estimators take k candidates
 against stacks with a leading resample axis (B=1 for the full sample) and
 return (k, B) arrays, so each optimizer sweep costs one objective call. The
-per-resample stacks are built once per covariate by
-``prepare_benchmark_stacks`` and passed to ``benchmark_worst`` and
-``critical_delta``; the full-sample stack is built once per
-``benchmark_worst`` call.
+per-resample stacks, the full-sample fit, anchors and B=1 stack are built
+once per covariate by ``prepare_benchmark_stacks`` and passed to
+``benchmark_worst`` and ``critical_delta``.
 """
 
 from __future__ import annotations
@@ -23,10 +32,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryR, DegenerateAnchor, DimensionMismatch, RankDeficient
-from .inference import BootstrapPlan
-from .linalg import r_matrix, sym_inv_sqrt, sym_sqrt, residualize, sample_cov
-from .mediation import MediationData, NaturalSensitivity, fit_observed, observed_indirect
+from .errors import (
+    BoundaryR,
+    DegenerateAnchor,
+    DimensionMismatch,
+    NegativeEigenvalue,
+    SingularCovariance,
+)
+from .inference import GRAM_MARGIN, BootstrapPlan
+from .linalg import (
+    add_intercept,
+    r_from_cov,
+    residualize,
+    sample_cov,
+    schur,
+    standardized,
+    sym_inv_sqrt,
+    sym_sqrt,
+)
+from .mediation import (
+    MediationData,
+    MediationMoments,
+    NaturalSensitivity,
+    fit_observed,
+    observed_indirect,
+)
 from .optimize import direct_optimize
 from .robustness import _angle_bounds, _sphere_from_angles
 
@@ -61,31 +91,26 @@ class BenchmarkMoments:
     reference_r2: dict
 
 
-def _leave_j_design(data: MediationData, j: int):
-    if not 0 <= j < data.p_user:
-        raise DimensionMismatch(f"covariate index {j} out of range (p={data.p_user})")
-    cj = data.c[:, j + 1]
-    c_minus = np.delete(data.c, j + 1, axis=1)  # keeps the intercept
-    return cj, c_minus
+def _leave_j_anchors(resid_cov, j: int, p: int, q: int,
+                     margin: float = 0.0) -> BenchmarkMoments:
+    """Anchors for covariate ``j`` from residual covariances on leave-j
+    blocks: ``resid_cov(keep, given)`` is the covariance of columns ``keep``
+    of (c, a, m, y) after regressing out columns ``given`` (and the
+    intercept).
 
-
-def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
-    """Observed anchors for covariate ``j`` computed from the data."""
-    design = np.column_stack([data.a, data.m, data.c])
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise RankDeficient("the (exposure, mediators, covariates) design is "
-                            "rank deficient; drop redundant covariates first")
-    cj, c_minus = _leave_j_design(data, j)
-    ac_minus = np.column_stack([data.a, c_minus])
-    amc_minus = np.column_stack([data.a, data.m, c_minus])
-    r_a_cj = float(r_matrix(data.a, cj, c_minus)[0, 0])
-    r_m_cj = r_matrix(data.m, cj, ac_minus)[:, 0]
-    r_y_cj = float(r_matrix(data.y, cj, amc_minus)[0, 0])
-    ac_full = np.column_stack([data.a, data.c])
-    cov_m_ac = sample_cov(residualize(data.m, ac_full))
-    cov_m_ac_minus = sample_cov(residualize(data.m, ac_minus))
-    mix = sym_inv_sqrt(cov_m_ac) @ sym_sqrt(cov_m_ac_minus)
+    Raises SingularCovariance (or NegativeEigenvalue) where a block is
+    numerically singular; a positive ``margin`` raises every eigenvalue
+    threshold by ``margin`` times the largest eigenvalue involved.
+    """
+    cj, a, y = [j], [p], [p + q + 1]
+    m = list(range(p + 1, p + q + 1))
+    c_minus = [i for i in range(p) if i != j]
+    r_a_cj = float(r_from_cov(resid_cov(a + cj, c_minus), 1, margin)[0, 0])
+    t_m = resid_cov(m + cj, a + c_minus)
+    r_m_cj = r_from_cov(t_m, q, margin)[:, 0]
+    r_y_cj = float(r_from_cov(resid_cov(y + cj, a + m + c_minus), 1, margin)[0, 0])
+    cov_m_ac = resid_cov(m, a + list(range(p)))
+    mix = sym_inv_sqrt(cov_m_ac, margin) @ sym_sqrt(t_m[:q, :q], margin)
     return BenchmarkMoments(
         j=j, r_a_cj=r_a_cj, r_m_cj=r_m_cj, r_y_cj=r_y_cj, mix_leave_j=mix,
         reference_r2={
@@ -94,6 +119,30 @@ def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
             "r2_y_cj": r_y_cj ** 2,
         },
     )
+
+
+def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
+    """Observed anchors for covariate ``j`` computed from the data.
+
+    The covariates enter centred and scaled to unit variance, and every
+    regressor is standardized, so neither the anchors nor the rank checks
+    depend on the covariates' location or scale.
+    """
+    p, q = data.p_user, data.q
+    if not 0 <= j < p:
+        raise DimensionMismatch(f"covariate index {j} out of range (p={p})")
+    z = standardized(np.column_stack([data.a, data.m, data.c_user]),
+                     "the (exposure, mediators, covariates) design")
+    z_c = z[:, q + 1:]
+    cols = np.column_stack([z_c, data.a, data.m, data.y])
+    regressors = np.column_stack([z_c, z[:, :q + 1]])
+
+    def resid_cov(keep, given):
+        design = add_intercept(regressors[:, given], n=data.n) if given \
+            else np.ones((data.n, 1))
+        return sample_cov(residualize(cols[:, keep], design))
+
+    return _leave_j_anchors(resid_cov, j, p, q)
 
 
 @dataclass(frozen=True)
@@ -194,6 +243,25 @@ class _ResampleStacks:
     sd_ac: np.ndarray         # (B,)
     sd_y_amc: np.ndarray      # (B,)
     anchors: _Anchors
+    full_sample: "_FullSample | None" = None
+
+
+@dataclass(frozen=True)
+class _FullSample:
+    """Full-sample fit, anchors and B=1 stack for one covariate."""
+
+    mm: MediationMoments
+    bm: BenchmarkMoments
+    stack: _ResampleStacks
+
+
+def _full_sample(data: MediationData, j: int) -> _ResampleStacks:
+    """The B=1 full-sample stack, carrying its own ``full_sample``."""
+    mm = fit_observed(data)
+    bm = benchmark_moments(data, j)
+    stack = _stack_for([mm], [bm])
+    stack.full_sample = _FullSample(mm=mm, bm=bm, stack=stack)
+    return stack
 
 
 def _stack_for(moments, bms) -> _ResampleStacks:
@@ -357,10 +425,31 @@ def _k_ratios(bm: BenchmarkMoments, params) -> dict:
 
 def prepare_benchmark_stacks(data: MediationData, j: int,
                              plan: BootstrapPlan) -> _ResampleStacks:
-    """Per-resample anchors and moments for covariate ``j``; reusable across
-    worst-case searches on the same plan (delta sweeps in particular)."""
-    return _stack_for(plan.moments,
-                      [benchmark_moments(data.subset(idx), j) for idx in plan.indices])
+    """Per-resample anchors and moments for covariate ``j``, with the
+    full-sample fit, anchors and stack attached; reusable across worst-case
+    searches on the same plan (delta sweeps in particular).
+
+    Each resample's residual covariances are Schur complements of the
+    covariance its plan Gram gives. Resamples the plan fitted exactly, and
+    any whose anchor checks do not clear their thresholds by GRAM_MARGIN,
+    take ``benchmark_moments`` on their rows instead.
+    """
+    full_sample = _full_sample(data, j).full_sample
+    cov = None if plan.exact.all() else plan.basis.covariances(plan.grams)[0]
+    bms = []
+    for i, idx in enumerate(plan.indices):
+        bm = None
+        if not plan.exact[i]:
+            cov_i = cov[i]
+            try:
+                bm = _leave_j_anchors(lambda keep, given: schur(cov_i, keep, given),
+                                      j, data.p_user, data.q, margin=GRAM_MARGIN)
+            except (SingularCovariance, NegativeEigenvalue):
+                pass
+        bms.append(benchmark_moments(data.subset(idx), j) if bm is None else bm)
+    stacks = _stack_for(plan.moments, bms)
+    stacks.full_sample = full_sample
+    return stacks
 
 
 def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
@@ -368,13 +457,17 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
                     effect_kind: str = "direct",
                     budget: int = 1500, stacks=None) -> BenchmarkResult:
     """Worst point estimate (and worst t, when a plan is given) under the
-    benchmark caps for one covariate; ``stacks`` from
-    ``prepare_benchmark_stacks`` on the same plan skip rebuilding them."""
+    benchmark caps for one covariate.
+
+    ``stacks`` from ``prepare_benchmark_stacks`` on the same plan skip
+    rebuilding the resample stacks and refitting the full sample.
+    """
     if effect_kind not in ("direct", "indirect"):
         raise ValueError(f"unknown effect_kind {effect_kind!r}")
-    mm = fit_observed(data)
-    bm = benchmark_moments(data, spec.j)
-    full = _stack_for([mm], [bm])
+    if plan is not None and stacks is None:
+        stacks = prepare_benchmark_stacks(data, spec.j, plan)
+    fs = (_full_sample(data, spec.j) if stacks is None else stacks).full_sample
+    mm, bm, full = fs.mm, fs.bm, fs.stack
     estimates = _direct_estimates if effect_kind == "direct" else _indirect_estimates
     observed = mm.theta1_obs if effect_kind == "direct" else observed_indirect(mm)
     flip = -1.0 if observed < 0 else 1.0
@@ -392,8 +485,6 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
     worst_t = None
     observed_t = None
     if plan is not None:
-        if stacks is None:
-            stacks = prepare_benchmark_stacks(data, spec.j, plan)
         b = plan.n_resamples
         se0 = float(estimates(stacks, np.zeros((1, b)), np.zeros((1, b, mm.q)),
                               np.zeros((1, b)))[0].std(ddof=1))
@@ -418,7 +509,9 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     Returns (delta, curve) where curve lists (delta, worst value); delta is
     ``math.inf`` when no grid point attains the threshold. The mediator and
     outcome caps scale with delta; the exposure cap stays at ``k_a_bound``.
-    ``stacks`` from ``prepare_benchmark_stacks`` on ``plan`` are reused.
+    ``stacks`` from ``prepare_benchmark_stacks`` (on ``plan``, for a t-based
+    threshold) are reused, the full-sample fit included; without them the
+    full sample is fitted once per sweep.
     """
     grid = [float(d) for d in delta_grid]
     if any(d <= 0 for d in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -426,11 +519,12 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     use_t = threshold > 0
     if use_t and plan is None:
         raise ValueError("a bootstrap plan is required for a t-based threshold")
-    mm = fit_observed(data)
+    if stacks is None:
+        stacks = prepare_benchmark_stacks(data, j, plan) if use_t \
+            else _full_sample(data, j)
+    mm = stacks.full_sample.mm
     observed = mm.theta1_obs if effect_kind == "direct" else observed_indirect(mm)
     flip = -1.0 if observed < 0 else 1.0
-    if use_t and stacks is None:
-        stacks = prepare_benchmark_stacks(data, j, plan)
     if use_t:
         zero_spec = BenchmarkSpec(j=j, k_a_bound=0.0, k_m_bound=0.0, k_y_bound=0.0)
         res0 = benchmark_worst(data, zero_spec, plan=plan,

@@ -332,7 +332,8 @@ def cmd_benchmark(args) -> int:
         delta_curves = {}
         for kind in ("direct", "indirect"):
             d_est, curve_est = critical_delta(
-                data, j, kind, threshold=0.0, delta_grid=grid, k_a_bound=k_a)
+                data, j, kind, threshold=0.0, delta_grid=grid, k_a_bound=k_a,
+                stacks=stacks[args.j])
             d_ci, _ = critical_delta(
                 data, j, kind, threshold=1.96, delta_grid=grid, k_a_bound=k_a,
                 plan=plan, stacks=stacks[args.j])

@@ -1,11 +1,29 @@
 """Nonparametric bootstrap over mediation moments.
 
 Rows are resampled with replacement (case resampling, so heteroskedasticity
-and misspecification are covered) and the full observed fit is recomputed per
-resample. Resample i is a pure function of (seed, i): every estimator
-evaluated against the plan sees the same resamples, which keeps robustness
-searches and benchmark curves on common random numbers, and results do not
-depend on the worker count.
+and misspecification are covered). Resample i is a pure function of
+(seed, i): every estimator evaluated against the plan sees the same
+resamples, which keeps robustness searches and benchmark curves on common
+random numbers.
+
+A resample is its vector of row counts w, and everything the estimators
+read from it is a Schur complement of its joint Gram matrix Z' diag(w) Z,
+where Z = (1, c, a, m, y) is centred and scaled once with full-sample
+statistics. The Grams of a fixed-size chunk of resamples come from one
+matrix product, the residual covariance of (y, a, m) given c is a batched
+Schur complement, and ``moments_from_cov`` (the algebra ``fit_observed``
+runs after its least squares) turns it into moments.
+
+The Gram path is used only where it is certified to agree with the exact
+per-resample fit: every column keeps at least GRAM_COND of its Gram
+diagonal as within-resample variance (and clears the constant-column test by
+that much), the columns' correlation matrix has its smallest eigenvalue at
+least GRAM_COND times its largest, and every eigenvalue check of the fit
+clears its threshold by GRAM_MARGIN times the largest eigenvalue involved.
+Any other resample goes through ``fit_observed`` on its rows, so errors,
+redraws of singular resamples and ``TooManySingularResamples`` happen
+exactly as there; ``n_exact`` counts those resamples. ``n_workers`` only
+spreads the fixed chunks across threads, so results do not depend on it.
 """
 
 from __future__ import annotations
@@ -15,17 +33,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimatorFailed, SingularCovariance, TooManySingularResamples
+from .errors import (
+    EstimatorFailed,
+    NegativeEigenvalue,
+    SingularCovariance,
+    TooManySingularResamples,
+)
+from .linalg import RANK_RTOL, schur
 from .mediation import (
     DEFAULT_CI_MULTIPLIER,
     EffectReport,
     MediationData,
     MediationMoments,
     fit_observed,
+    moments_from_cov,
 )
 
 DEFAULT_RESAMPLES = 1000
 MAX_REDRAWS = 10
+CHUNK = 32          # resamples per Gram product
+ROW_BLOCK = 4096    # rows of column products formed at once
+# The Gram path runs only on resamples whose columns keep this share of their
+# Gram diagonal as variance and whose correlation matrix has eigenvalues
+# within this ratio, so its Schur complements lose at most about six digits
+# to cancellation and conditioning.
+GRAM_COND = 1e-6
+# Clearance every eigenvalue check must keep from its threshold, in units of
+# the largest eigenvalue involved: five orders of magnitude above the
+# rounding of the check itself (about 1e-15 of that eigenvalue).
+GRAM_MARGIN = 1e-10
 
 
 def resample_rng(seed: int, i: int) -> np.random.Generator:
@@ -33,12 +69,73 @@ def resample_rng(seed: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
 
 
+@dataclass(frozen=True)
+class GramBasis:
+    """The columns (1, c, a, m, y) of one dataset, centred and scaled with
+    full-sample statistics (the intercept stays a column of ones)."""
+
+    z: np.ndarray = field(repr=False)  # (n, d)
+    center: np.ndarray                 # (d-1,) means of (c, a, m, y)
+    scale: np.ndarray                  # (d-1,) standard deviations, 1 if zero
+    p: int
+
+    @classmethod
+    def of(cls, data: MediationData) -> "GramBasis":
+        x = np.column_stack([data.c[:, 1:], data.a, data.m, data.y])
+        center = x.mean(axis=0)
+        scale = x.std(axis=0, ddof=1)
+        scale = np.where(scale > 0, scale, 1.0)
+        return cls(z=np.column_stack([np.ones(data.n), (x - center) / scale]),
+                   center=center, scale=scale, p=data.p_user)
+
+    def grams(self, counts: np.ndarray) -> np.ndarray:
+        """(b, d, d) Grams Z' diag(w) Z for the (b, n) row counts."""
+        d = self.z.shape[1]
+        iu, ju = np.triu_indices(d)
+        flat = np.zeros((counts.shape[0], iu.size))
+        for r0 in range(0, self.z.shape[0], ROW_BLOCK):
+            zb = self.z[r0:r0 + ROW_BLOCK]
+            flat += counts[:, r0:r0 + ROW_BLOCK] @ (zb[:, iu] * zb[:, ju])
+        g = np.empty((counts.shape[0], d, d))
+        g[:, iu, ju] = flat
+        g[:, ju, iu] = flat
+        return g
+
+    def covariances(self, grams: np.ndarray):
+        """Per resample, the sample covariance of (c, a, m, y) in the units
+        of the exact path (covariates scaled to unit variance within the
+        resample, the rest in data units), and whether the Gram certifies
+        it (see the module docstring). Uncertified rows hold the identity."""
+        n = grams[:, :1, :1]
+        sums, cross = grams[:, 0, 1:], grams[:, 1:, 1:]
+        ss = cross - sums[:, :, None] * sums[:, None, :] / n
+        var = np.diagonal(ss, axis1=1, axis2=2)
+        norm2 = np.diagonal(cross, axis1=1, axis2=2)
+        # the constant-column test of ``standardized``: squared raw column
+        # norms, in squared scale units
+        loc = self.center / self.scale
+        raw2 = norm2 + 2.0 * loc * sums + n[:, 0] * loc ** 2
+        ok = np.all(var - RANK_RTOL ** 2 * raw2 > GRAM_COND * norm2, axis=1)
+        sd = np.sqrt(np.where(ok[:, None], var, 1.0))
+        eye = np.eye(var.shape[1])
+        corr = np.where(ok[:, None, None], ss / (sd[:, :, None] * sd[:, None, :]), eye)
+        w = np.linalg.eigvalsh(corr)
+        ok &= w[:, 0] >= GRAM_COND * w[:, -1]
+        units = np.where(np.arange(var.shape[1]) < self.p,
+                         np.sqrt(n[:, 0] - 1.0) / sd, self.scale)
+        cov = ss / (n - 1.0) * units[:, :, None] * units[:, None, :]
+        return np.where(ok[:, None, None], cov, eye), ok
+
+
 @dataclass
 class BootstrapPlan:
     """Materialized bootstrap resamples of one dataset.
 
-    moments[i] is the observed fit on rows indices[i]; both are fully
-    determined by (seed, i).
+    moments[i] is the observed fit on rows indices[i], and grams[i] the
+    joint Gram of the resample's first draw in ``basis``; all are fully
+    determined by (seed, i). exact[i] marks the resamples fitted by
+    ``fit_observed`` on their rows (every resample of a plan built from
+    given indices, which has no Grams).
     """
 
     data: MediationData
@@ -47,6 +144,10 @@ class BootstrapPlan:
     moments: list[MediationMoments] = field(repr=False)
     indices: np.ndarray = field(repr=False)  # (B, n)
     n_redraws: int = 0
+    n_exact: int = 0
+    basis: GramBasis | None = field(repr=False, default=None)
+    grams: np.ndarray | None = field(repr=False, default=None)  # (B, d, d)
+    exact: np.ndarray | None = field(repr=False, default=None)  # (B,) bool
 
     @property
     def n(self) -> int:
@@ -73,26 +174,59 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
     """Draw resamples and fit their moments.
 
     ``indices`` overrides the drawn row indices (a (B, n) integer array);
-    it exists for tests that force specific resamples.
+    it exists for tests that force specific resamples, which are fitted by
+    ``fit_observed`` on their rows, without redraws.
     """
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
     if indices is not None:
-        indices = np.asarray(indices)
-        results = [(indices[i], fit_observed(data.subset(indices[i])), 0)
-                   for i in range(indices.shape[0])]
-        n_resamples = indices.shape[0]
-    elif n_workers > 1:
+        indices = np.array(indices)
+        b = indices.shape[0]
+        return BootstrapPlan(
+            data=data, n_resamples=b, seed=seed,
+            moments=[fit_observed(data.subset(idx)) for idx in indices],
+            indices=indices, n_exact=b, exact=np.ones(b, dtype=bool))
+    indices = np.empty((n_resamples, data.n), dtype=np.int64)
+    basis = GramBasis.of(data)
+    p, q = data.p_user, data.q
+    response = [p + q + 1, p, *range(p + 1, p + q + 1)]  # (y, a, m) in (c, a, m, y)
+    d = basis.z.shape[1]
+    grams = np.empty((n_resamples, d, d))
+    exact = np.zeros(n_resamples, dtype=bool)
+    redraws = np.zeros(n_resamples, dtype=np.int64)
+    moments: list = [None] * n_resamples
+
+    def run_chunk(start: int) -> None:
+        stop = min(start + CHUNK, n_resamples)
+        counts = np.empty((stop - start, data.n))
+        for k, i in enumerate(range(start, stop)):
+            indices[i] = resample_rng(seed, i).integers(0, data.n, size=data.n)
+            counts[k] = np.bincount(indices[i], minlength=data.n)
+        grams[start:stop] = basis.grams(counts)
+        cov, ok = basis.covariances(grams[start:stop])
+        s = schur(cov, response, range(p))
+        for k, i in enumerate(range(start, stop)):
+            if ok[k]:
+                try:
+                    moments[i] = moments_from_cov(s[k], data.n, p, q,
+                                                  margin=GRAM_MARGIN)
+                    continue
+                except (SingularCovariance, NegativeEigenvalue):
+                    pass
+            exact[i] = True
+            indices[i], moments[i], redraws[i] = _draw_one(data, seed, i)
+
+    starts = range(0, n_resamples, CHUNK)
+    if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda i: _draw_one(data, seed, i),
-                                    range(n_resamples)))
+            list(pool.map(run_chunk, starts))
     else:
-        results = [_draw_one(data, seed, i) for i in range(n_resamples)]
+        for start in starts:
+            run_chunk(start)
     return BootstrapPlan(
-        data=data, n_resamples=n_resamples, seed=seed,
-        moments=[r[1] for r in results],
-        indices=np.vstack([r[0] for r in results]),
-        n_redraws=sum(r[2] for r in results),
+        data=data, n_resamples=n_resamples, seed=seed, moments=moments,
+        indices=indices, n_redraws=int(redraws.sum()), n_exact=int(exact.sum()),
+        basis=basis, grams=grams, exact=exact,
     )
 
 

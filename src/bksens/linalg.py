@@ -60,6 +60,37 @@ def _check_full_rank(design: np.ndarray, what: str = "design") -> None:
                             f"(smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e})")
 
 
+def standardized(x, what: str = "design") -> np.ndarray:
+    """Columns of ``x`` centred and scaled to unit sample variance.
+
+    This is the rank check that does not depend on column location or
+    scale: a column whose centred norm is at most RANK_RTOL of its raw norm
+    counts as constant, and the standardized columns must have singular
+    values within RANK_RTOL of each other. Raises RankDeficient otherwise.
+    """
+    x = as_matrix(x)
+    xc = x - x.mean(axis=0)
+    ss_c = (xc * xc).sum(axis=0)
+    if np.any(ss_c <= RANK_RTOL ** 2 * (x * x).sum(axis=0)):
+        raise RankDeficient(f"{what} has a constant column")
+    z = xc / np.sqrt(ss_c / (x.shape[0] - 1))
+    _check_full_rank(z, what)
+    return z
+
+
+def schur(s: np.ndarray, keep, given) -> np.ndarray:
+    """Schur complement ``s[keep, keep] - s[keep, given] s[given, given]^-1
+    s[given, keep]`` over any leading axes: the residual covariance of the
+    ``keep`` columns after regressing out the ``given`` ones."""
+    keep, given = list(keep), list(given)
+    out = s[..., keep, :][..., keep]
+    if not given:
+        return out
+    cross = s[..., given, :][..., keep]
+    return out - np.swapaxes(cross, -1, -2) @ np.linalg.solve(
+        s[..., given, :][..., given], cross)
+
+
 def ols_fit(response, design) -> LsFit:
     """Least squares of ``response`` on ``design`` (no intercept added here).
 
@@ -105,39 +136,49 @@ def _check_symmetric(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def sym_sqrt(s) -> np.ndarray:
+def sym_sqrt(s, margin: float = 0.0) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues in [-PSD_TOL*scale, 0) are clamped to 0; anything more
-    negative raises NegativeEigenvalue.
+    negative raises NegativeEigenvalue. A positive ``margin`` raises the
+    threshold by ``margin`` times the largest eigenvalue.
     """
     s = _check_symmetric(s)
     w, v = np.linalg.eigh(s)
     scale = max(abs(w[-1]), 1.0)
-    if w[0] < -PSD_TOL * scale:
+    if w[0] < -PSD_TOL * scale + margin * abs(w[-1]):
         raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below tolerance")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)
 
 
-def sym_inv_sqrt(s) -> np.ndarray:
-    """Inverse symmetric square root of a positive definite matrix."""
+def sym_inv_sqrt(s, margin: float = 0.0) -> np.ndarray:
+    """Inverse symmetric square root of a positive definite matrix; the
+    smallest eigenvalue must exceed (PSD_TOL + margin) times the largest."""
     s = _check_symmetric(s)
     w, v = np.linalg.eigh(s)
     scale = max(abs(w[-1]), 0.0)
-    if scale == 0.0 or w[0] <= PSD_TOL * scale:
+    if scale == 0.0 or w[0] <= (PSD_TOL + margin) * scale:
         raise SingularCovariance(f"matrix not positive definite (eigenvalues in "
                                  f"[{w[0]:.3e}, {w[-1]:.3e}])")
     inv_root = (v / np.sqrt(w)) @ v.T
     return 0.5 * (inv_root + inv_root.T)
 
 
-def _check_joint_pd(cov_yy, cov_yx, cov_xx) -> None:
-    joint = np.block([[cov_yy, cov_yx], [cov_yx.T, cov_xx]])
+def r_from_cov(joint: np.ndarray, ny: int, margin: float = 0.0) -> np.ndarray:
+    """Partial-correlation matrix cov_yy^{-1/2} cov_yx cov_xx^{-1/2} from the
+    joint residual covariance of (y, x), whose first ``ny`` columns are y.
+
+    Raises SingularCovariance unless the joint covariance is positive
+    definite with smallest eigenvalue above (PSD_TOL + margin) times the
+    largest.
+    """
     w = np.linalg.eigvalsh(0.5 * (joint + joint.T))
-    if w[0] <= PSD_TOL * max(abs(w[-1]), 0.0) or w[-1] <= 0.0:
+    if w[0] <= (PSD_TOL + margin) * max(abs(w[-1]), 0.0) or w[-1] <= 0.0:
         raise SingularCovariance("joint residual covariance is not positive definite")
+    return (sym_inv_sqrt(joint[:ny, :ny], margin) @ joint[:ny, ny:]
+            @ sym_inv_sqrt(joint[ny:, ny:], margin))
 
 
 def r_matrix(y_cols, x_cols, z_cols) -> np.ndarray:
@@ -150,11 +191,9 @@ def r_matrix(y_cols, x_cols, z_cols) -> np.ndarray:
     """
     ry = residualize(y_cols, z_cols)
     rx = residualize(x_cols, z_cols)
-    cov_yy = sample_cov(ry)
-    cov_xx = sample_cov(rx)
     cov_yx = sample_cov(ry, rx)
-    _check_joint_pd(cov_yy, cov_yx, cov_xx)
-    return sym_inv_sqrt(cov_yy) @ cov_yx @ sym_inv_sqrt(cov_xx)
+    joint = np.block([[sample_cov(ry), cov_yx], [cov_yx.T, sample_cov(rx)]])
+    return r_from_cov(joint, ry.shape[1])
 
 
 def partial_r2(y, x_cols, z_cols) -> float:

@@ -1,11 +1,14 @@
 """Baron-Kenny fitting and bias-adjusted direct/indirect effects.
 
 The observed fit residualizes (y, a, m) on the covariates once and reduces
-every regression to Schur complements of the joint residual covariance, so a
-bootstrap pass costs one multi-response least squares per resample. All
-adjusted estimators consume :class:`MediationMoments`; with sample moments
-the adjustment formulas are exact, so appending a confounder column that
-realizes the stated parameters reproduces them to rounding error.
+every regression to Schur complements of the joint residual covariance;
+``moments_from_cov`` is that reduction, shared with the bootstrap, which
+gets each resample's residual covariance from its Gram matrix instead of a
+least squares (see ``inference``). The covariates enter centred and scaled,
+so neither the fit nor its rank check depends on their location or scale.
+All adjusted estimators consume :class:`MediationMoments`; with sample
+moments the adjustment formulas are exact, so appending a confounder column
+that realizes the stated parameters reproduces them to rounding error.
 """
 
 from __future__ import annotations
@@ -19,10 +22,16 @@ from .errors import (
     DegenerateObservedR,
     DimensionMismatch,
     InsufficientSamples,
-    RankDeficient,
     SingularCovariance,
 )
-from .linalg import add_intercept, as_matrix, sample_cov, sym_inv_sqrt, sym_sqrt
+from .linalg import (
+    add_intercept,
+    as_matrix,
+    sample_cov,
+    standardized,
+    sym_inv_sqrt,
+    sym_sqrt,
+)
 
 BOUNDARY_TOL = 1e-12
 DEFAULT_CI_MULTIPLIER = 1.96
@@ -139,19 +148,30 @@ class MediationMoments:
 
 def fit_observed(data: MediationData) -> MediationMoments:
     """Observed Baron-Kenny fit reduced to residual-covariance algebra."""
-    c = data.c
-    sv = np.linalg.svd(c, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise RankDeficient("covariate block (with intercept) is rank deficient")
+    design = np.ones((data.n, 1))
+    if data.p_user:
+        design = add_intercept(standardized(data.c_user, "covariate block"))
     resp = np.column_stack([data.y, data.a, data.m])
-    coef, *_ = np.linalg.lstsq(c, resp, rcond=None)
-    resid = resp - c @ coef
-    s = sample_cov(resid)  # joint covariance of (y, a, m) residualized on c
+    coef, *_ = np.linalg.lstsq(design, resp, rcond=None)
+    # joint covariance of (y, a, m) residualized on c
+    return moments_from_cov(sample_cov(resp - design @ coef), data.n,
+                            data.p_user, data.q)
+
+
+def moments_from_cov(s: np.ndarray, n: int, p_user: int, q: int,
+                     margin: float = 0.0) -> MediationMoments:
+    """The fit's moments from the joint residual covariance ``s`` of
+    (y, a, m) given the covariates.
+
+    Raises SingularCovariance when ``s`` is numerically singular. A positive
+    ``margin`` raises every eigenvalue threshold by ``margin`` times the
+    largest eigenvalue involved, which certifies that the unmargined checks
+    pass on any matrix within rounding of ``s``.
+    """
     w = np.linalg.eigvalsh(s)
-    if w[0] <= 1e-12 * max(abs(w[-1]), 1.0):
+    if w[0] <= 1e-12 * max(abs(w[-1]), 1.0) + margin * abs(w[-1]):
         raise SingularCovariance("joint residual covariance of (y, a, m) given c is singular")
 
-    q = data.q
     im = slice(2, 2 + q)
     s_yy, s_ya, s_aa = s[0, 0], s[0, 1], s[1, 1]
     s_am = s[1, im]
@@ -174,15 +194,15 @@ def fit_observed(data: MediationData) -> MediationMoments:
     if var_y_amc <= 0 or var_a_mc <= 0 or var_y_ac <= 0:
         raise SingularCovariance("a residual variance collapsed to zero")
 
-    cmc_inv_sqrt = sym_inv_sqrt(s_mm)
-    cmac_sqrt = sym_sqrt(cov_m_ac)
-    cmac_inv_sqrt = sym_inv_sqrt(cov_m_ac)
+    cmc_inv_sqrt = sym_inv_sqrt(s_mm, margin)
+    cmac_sqrt = sym_sqrt(cov_m_ac, margin)
+    cmac_inv_sqrt = sym_inv_sqrt(cov_m_ac, margin)
     r_m_a_c = cmc_inv_sqrt @ s_am / np.sqrt(s_aa)
     cov_y_m_ac = s_ym - s_ya * s_am / s_aa
     r_y_m_ac = cov_y_m_ac @ cmac_inv_sqrt / np.sqrt(var_y_ac)
 
     return MediationMoments(
-        n=data.n, p_user=data.p_user, q=q,
+        n=n, p_user=p_user, q=q,
         beta1_obs=beta1, theta1_obs=float(theta1), theta3_obs=theta3,
         gamma1_obs=float(gamma1),
         var_y_res_amc=float(var_y_amc), var_a_res_mc=float(var_a_mc),

@@ -137,6 +137,20 @@ def test_singular_resample_redraw_and_exhaustion(rng):
             plan = bootstrap_moments(fragile, n_resamples=4, seed=seed)
             assert plan.n_redraws >= 1
             assert len(plan.moments) == 4
+            # the singular resamples took the exact path, which redrew each
+            # until its draw held the special row
+            assert plan.n_exact >= 1
+            expected_redraws = 0
+            for i in range(4):
+                gen = np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+                while 0 not in gen.integers(0, n, size=n):
+                    expected_redraws += 1
+            assert plan.n_redraws == expected_redraws
             break
     else:
         pytest.fail("no seed produced a resample missing the special row")
+
+    # a well-conditioned design never leaves the Gram path
+    plan = bootstrap_moments(make_data(rng, n=80, p=2, q=2), n_resamples=64, seed=1)
+    assert plan.n_exact == 0 and plan.n_redraws == 0
