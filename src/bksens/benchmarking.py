@@ -17,12 +17,15 @@ plan fitted the resample exactly or an anchor check does not clear its
 threshold by GRAM_MARGIN, so a resample raises exactly when
 ``benchmark_moments`` would. Both feed the same anchor algebra.
 
-The search is batched: the conversion and both estimators take k candidates
-against stacks with a leading resample axis (B=1 for the full sample) and
-return (k, B) arrays, so each optimizer sweep costs one objective call. The
-per-resample stacks, the full-sample fit, anchors and B=1 stack are built
-once per covariate by ``prepare_benchmark_stacks`` and passed to
-``benchmark_worst`` and ``critical_delta``.
+The search is batched: the conversion takes k candidates against anchors
+with a leading resample axis (B=1 for the full sample) and returns (k, B)
+natural parameters, which map to the phi pair of the effect's coefficient
+form in ``robustness`` and are evaluated there by the function the
+robustness values use, so each optimizer sweep costs one objective call.
+The full-sample fit and anchors, the per-resample anchors and both effects'
+coefficient stacks are built once per covariate by
+``prepare_benchmark_stacks`` and passed to ``benchmark_worst`` and
+``critical_delta``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .errors import (
 )
 from .inference import GRAM_MARGIN, BootstrapPlan
 from .linalg import (
+    _require_kept,
     add_intercept,
     r_from_cov,
     residualize,
@@ -51,16 +55,15 @@ from .linalg import (
     sym_sqrt,
 )
 from .mediation import (
+    BOUNDARY_TOL,
     MediationData,
     MediationMoments,
     NaturalSensitivity,
     fit_observed,
-    observed_indirect,
 )
 from .optimize import direct_optimize
-from .robustness import _angle_bounds, _sphere_from_angles
+from .robustness import EffectObjective, _Box
 
-ANCHOR_TOL = 1e-12
 R_CLAMP = 1.0 - 1e-9
 
 
@@ -140,7 +143,9 @@ def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
     def resid_cov(keep, given):
         design = add_intercept(regressors[:, given], n=data.n) if given \
             else np.ones((data.n, 1))
-        return sample_cov(residualize(cols[:, keep], design))
+        s = sample_cov(residualize(cols[:, keep], design))
+        _require_kept(s, cols[:, keep], "a leave-j block")
+        return s
 
     return _leave_j_anchors(resid_cov, j, p, q)
 
@@ -168,8 +173,8 @@ def _anchors(bms) -> _Anchors:
     den_a2 = 1.0 - a ** 2
     nm_cj2 = (m * m).sum(axis=-1)
     den_y2 = 1.0 - y ** 2
-    if (den_a2 <= ANCHOR_TOL).any() or (1.0 - nm_cj2 <= ANCHOR_TOL).any() \
-            or (den_y2 <= ANCHOR_TOL).any():
+    if (den_a2 <= BOUNDARY_TOL).any() or (1.0 - nm_cj2 <= BOUNDARY_TOL).any() \
+            or (den_y2 <= BOUNDARY_TOL).any():
         raise DegenerateAnchor("an observed anchor is numerically on the unit sphere")
     return _Anchors(a=a, m=m, y=y, mix=np.stack([b.mix_leave_j for b in bms]),
                     den_a2=den_a2, nm_cj2=nm_cj2, den_y2=den_y2)
@@ -225,98 +230,45 @@ def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
 
 
 # ---------------------------------------------------------------------------
-# Natural-parameter estimators, batched over candidates and resamples.
+# The search objective: natural parameters -> phi pairs -> the coefficient
+# form of ``robustness``, batched over candidates and resamples.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ResampleStacks:
-    """Per-resample moments and anchors used inside the worst-case search."""
-
-    theta1: np.ndarray        # (B,)
-    scale_direct: np.ndarray  # (B,)
-    rhat: np.ndarray          # (B, q)
-    mix_c_ac: np.ndarray      # (B, q, q)
-    beta1: np.ndarray         # (B, q)
-    theta3: np.ndarray        # (B, q)
-    cmac_sqrt: np.ndarray     # (B, q, q)
-    cmac_inv_sqrt: np.ndarray  # (B, q, q)
-    sd_ac: np.ndarray         # (B,)
-    sd_y_amc: np.ndarray      # (B,)
-    anchors: _Anchors
-    full_sample: "_FullSample | None" = None
+def _phis(kind: str, r_y, r_m, r_a):
+    """Natural parameters of shapes (k, B), (k, B, q), (k, B) -> the effect's
+    (phi_a, phi_b) pair, of shapes (k, B, 1 or q) and (k, B, q)."""
+    root_m = np.sqrt(1.0 - (r_m * r_m).sum(axis=-1))
+    root_a = np.sqrt(1.0 - r_a ** 2)
+    phi_b = (r_y / root_m)[..., None] * r_m
+    if kind == "direct":
+        return (r_y * r_a / (root_a * root_m))[..., None], phi_b
+    return (r_a / root_a)[..., None] * r_m, phi_b
 
 
 @dataclass(frozen=True)
-class _FullSample:
-    """Full-sample fit, anchors and B=1 stack for one covariate."""
+class _Stacks:
+    """What the worst-case searches for one covariate read: the full-sample
+    fit and anchors, the per-resample anchors (None without a plan) and each
+    effect's objective (its coefficient stacks)."""
 
     mm: MediationMoments
     bm: BenchmarkMoments
-    stack: _ResampleStacks
+    full_anchors: _Anchors
+    anchors: _Anchors | None
+    objectives: dict          # effect kind -> EffectObjective
 
 
-def _full_sample(data: MediationData, j: int) -> _ResampleStacks:
-    """The B=1 full-sample stack, carrying its own ``full_sample``."""
-    mm = fit_observed(data)
-    bm = benchmark_moments(data, j)
-    stack = _stack_for([mm], [bm])
-    stack.full_sample = _FullSample(mm=mm, bm=bm, stack=stack)
-    return stack
-
-
-def _stack_for(moments, bms) -> _ResampleStacks:
-    """Stack paired observed fits and benchmark anchors (one pair per
-    resample, or the single full-sample pair)."""
-    return _ResampleStacks(
-        theta1=np.array([m.theta1_obs for m in moments]),
-        scale_direct=np.array([np.sqrt(m.var_y_res_amc / m.var_a_res_mc)
-                               for m in moments]),
-        rhat=np.vstack([m.r_m_a_c for m in moments]),
-        mix_c_ac=np.stack([m.mix_c_ac for m in moments]),
-        beta1=np.vstack([m.beta1_obs for m in moments]),
-        theta3=np.vstack([m.theta3_obs for m in moments]),
-        cmac_sqrt=np.stack([m.cov_m_res_ac_sqrt for m in moments]),
-        cmac_inv_sqrt=np.stack([m.cov_m_res_ac_inv_sqrt for m in moments]),
-        sd_ac=np.array([np.sqrt(m.var_a_res_c) for m in moments]),
-        sd_y_amc=np.array([np.sqrt(m.var_y_res_amc) for m in moments]),
-        anchors=_anchors(bms),
-    )
-
-
-def _direct_estimates(st: _ResampleStacks, r_y, r_m, r_a) -> np.ndarray:
-    """(k, B) direct effects at natural parameters of shapes (k, B),
-    (k, B, q), (k, B)."""
-    nr_hat2 = (st.rhat * st.rhat).sum(axis=-1)
-    nrm2 = (r_m * r_m).sum(axis=-1)
-    term1 = r_a * np.sqrt(1.0 - nr_hat2) / np.sqrt((1.0 - r_a ** 2) * (1.0 - nrm2))
-    inner = np.einsum("bi,bij,kbj->kb", st.rhat, st.mix_c_ac, r_m)
-    term2 = inner / np.sqrt((1.0 - nr_hat2) * (1.0 - nrm2))
-    return st.theta1 - r_y * (term1 - term2) * st.scale_direct
-
-
-def _indirect_estimates(st: _ResampleStacks, r_y, r_m, r_a) -> np.ndarray:
-    """(k, B) indirect effects, shapes as in ``_direct_estimates``."""
-    nrm2 = (r_m * r_m).sum(axis=-1)
-    odds_a = r_a / np.sqrt(1.0 - r_a ** 2)
-    beta_u = st.beta1 - odds_a[..., None] * np.einsum(
-        "bij,kbj->kbi", st.cmac_sqrt, r_m) / st.sd_ac[:, None]
-    theta_u = st.theta3 - (r_y * st.sd_y_amc / np.sqrt(1.0 - nrm2))[..., None] \
-        * np.einsum("bij,kbj->kbi", st.cmac_inv_sqrt, r_m)
-    return np.einsum("kbi,kbi->kb", theta_u, beta_u)
-
-
-def _values_fn(full: _ResampleStacks, stacks: _ResampleStacks | None,
-               estimates, flip: float):
+def _values_fn(st: _Stacks, obj: EffectObjective, with_t: bool):
     """Batched search objective over k leave-j candidates: flip * estimate,
-    or flip * t when resample stacks are given; ``inf`` where infeasible."""
+    or flip * t when ``with_t``; ``inf`` where infeasible."""
     def values(r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
-            *conv, ok = _convert_leave_j(full.anchors, r_a_lj, r_m_lj, r_y_lj)
-            vals = flip * estimates(full, *conv)[:, 0]
-            if stacks is not None:
-                *conv, ok_b = _convert_leave_j(stacks.anchors, r_a_lj, r_m_lj,
-                                               r_y_lj)
-                vals = vals / estimates(stacks, *conv).std(axis=-1, ddof=1)
+            *nat, ok = _convert_leave_j(st.full_anchors, r_a_lj, r_m_lj, r_y_lj)
+            vals = obj.flip * obj.point_estimates(*_phis(obj.kind, *nat))
+            if with_t:
+                *nat, ok_b = _convert_leave_j(st.anchors, r_a_lj, r_m_lj, r_y_lj)
+                vals = vals / obj.boot_matrix(*_phis(obj.kind, *nat)).std(
+                    axis=-1, ddof=1)
                 ok &= ok_b
         return np.where(ok, vals, np.inf)
     return values
@@ -352,54 +304,30 @@ def _worst_search(values, bm: BenchmarkMoments, spec: BenchmarkSpec, q: int,
     """Minimize the batched ``values`` over the capped leave-one-out box;
     returns (value, argmin leave-j triple)."""
     ra_rad, rm_rad, ry_rad = _radii(bm, spec)
-
-    # box: scalar leave-j parameters plus a ball for the mediator block
-    lo, hi = [], []
-    has_a, has_m, has_y = ra_rad > 0, rm_rad > 0, ry_rad > 0
-    if has_a:
-        lo.append(-ra_rad); hi.append(ra_rad)
-    if has_m:
-        if q == 1:
-            lo.append(-rm_rad); hi.append(rm_rad)
-        else:
-            lo.append(0.0); hi.append(rm_rad)
-            alo, ahi = _angle_bounds(q)
-            lo += alo; hi += ahi
-    if has_y:
-        lo.append(-ry_rad); hi.append(ry_rad)
+    box = _Box().interval(-ra_rad, ra_rad, present=ra_rad > 0) \
+        .ball(q, rm_rad, present=rm_rad > 0) \
+        .interval(-ry_rad, ry_rad, present=ry_rad > 0)
 
     def unpack(x):
         """(k, d) box points -> (k,), (k, q), (k,) leave-j candidates."""
-        k = x.shape[0]
-        col = 0
-        r_a_lj, r_m_lj, r_y_lj = np.zeros(k), np.zeros((k, q)), np.zeros(k)
-        if has_a:
-            r_a_lj = x[:, col]; col += 1
-        if has_m:
-            if q == 1:
-                r_m_lj = x[:, col:col + 1]; col += 1
-            else:
-                r_m_lj = x[:, col, None] * _sphere_from_angles(x[:, col + 1:col + q])
-                col += q
-        if has_y:
-            r_y_lj = x[:, col]
-        return r_a_lj, r_m_lj, r_y_lj
+        r_a_lj, (radius, direction), r_y_lj = box.split(x)
+        return r_a_lj, radius[:, None] * direction, r_y_lj
 
     # candidates in order: zero, the DIRECT optimum, then a deterministic
     # corner sweep over the scalar channels; the first strict minimum wins
     cands = [(0.0, np.zeros(q), 0.0)]
-    if lo:
-        res = direct_optimize(lambda x: values(*unpack(x)), np.array(lo),
-                              np.array(hi), budget=budget, vectorized=True)
+    if box.lower:
+        res = direct_optimize(lambda x: values(*unpack(x)), np.array(box.lower),
+                              np.array(box.upper), budget=budget, vectorized=True)
         r_a_lj, r_m_lj, r_y_lj = unpack(res.x[None, :])
         cands.append((float(r_a_lj[0]), r_m_lj[0], float(r_y_lj[0])))
         m_dirs = [np.zeros(q)]
-        if has_m:
+        if rm_rad > 0:
             nv = np.linalg.norm(bm.r_m_cj)
             base_dir = bm.r_m_cj / nv if nv > 0 else np.eye(q)[0]
             m_dirs += [rm_rad * base_dir, -rm_rad * base_dir]
-        for sa in ((-ra_rad, 0.0, ra_rad) if has_a else (0.0,)):
-            for sy in ((-ry_rad, 0.0, ry_rad) if has_y else (0.0,)):
+        for sa in ((-ra_rad, 0.0, ra_rad) if ra_rad > 0 else (0.0,)):
+            for sy in ((-ry_rad, 0.0, ry_rad) if ry_rad > 0 else (0.0,)):
                 for dm in m_dirs:
                     cands.append((sa, dm, sy))
     vals = values(*_as_batch(cands))
@@ -424,32 +352,38 @@ def _k_ratios(bm: BenchmarkMoments, params) -> dict:
 
 
 def prepare_benchmark_stacks(data: MediationData, j: int,
-                             plan: BootstrapPlan) -> _ResampleStacks:
-    """Per-resample anchors and moments for covariate ``j``, with the
-    full-sample fit, anchors and stack attached; reusable across worst-case
-    searches on the same plan (delta sweeps in particular).
+                             plan: BootstrapPlan | None) -> _Stacks:
+    """The full-sample fit and anchors for covariate ``j``, its anchors on
+    every resample of ``plan`` (if given) and both effects' objectives;
+    reusable across worst-case searches on the same plan (delta sweeps in
+    particular).
 
     Each resample's residual covariances are Schur complements of the
     covariance its plan Gram gives. Resamples the plan fitted exactly, and
     any whose anchor checks do not clear their thresholds by GRAM_MARGIN,
     take ``benchmark_moments`` on their rows instead.
     """
-    full_sample = _full_sample(data, j).full_sample
-    cov = None if plan.exact.all() else plan.basis.covariances(plan.grams)[0]
-    bms = []
-    for i, idx in enumerate(plan.indices):
-        bm = None
-        if not plan.exact[i]:
-            cov_i = cov[i]
-            try:
-                bm = _leave_j_anchors(lambda keep, given: schur(cov_i, keep, given),
-                                      j, data.p_user, data.q, margin=GRAM_MARGIN)
-            except (SingularCovariance, NegativeEigenvalue):
-                pass
-        bms.append(benchmark_moments(data.subset(idx), j) if bm is None else bm)
-    stacks = _stack_for(plan.moments, bms)
-    stacks.full_sample = full_sample
-    return stacks
+    mm = fit_observed(data)
+    bm = benchmark_moments(data, j)
+    anchors = None
+    if plan is not None:
+        cov = None if plan.exact.all() else plan.basis.covariances(plan.grams)[0]
+        bms = []
+        for i, idx in enumerate(plan.indices):
+            bm_i = None
+            if not plan.exact[i]:
+                cov_i = cov[i]
+                try:
+                    bm_i = _leave_j_anchors(
+                        lambda keep, given: schur(cov_i, keep, given),
+                        j, data.p_user, data.q, margin=GRAM_MARGIN)
+                except (SingularCovariance, NegativeEigenvalue):
+                    pass
+            bms.append(benchmark_moments(data.subset(idx), j) if bm_i is None else bm_i)
+        anchors = _anchors(bms)
+    return _Stacks(mm=mm, bm=bm, full_anchors=_anchors([bm]), anchors=anchors,
+                   objectives={"direct": EffectObjective.for_direct(mm, plan),
+                               "indirect": EffectObjective.for_indirect(mm, plan)})
 
 
 def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
@@ -460,42 +394,36 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
     benchmark caps for one covariate.
 
     ``stacks`` from ``prepare_benchmark_stacks`` on the same plan skip
-    rebuilding the resample stacks and refitting the full sample.
+    rebuilding the resample anchors and refitting the full sample.
     """
     if effect_kind not in ("direct", "indirect"):
         raise ValueError(f"unknown effect_kind {effect_kind!r}")
-    if plan is not None and stacks is None:
+    if stacks is None:
         stacks = prepare_benchmark_stacks(data, spec.j, plan)
-    fs = (_full_sample(data, spec.j) if stacks is None else stacks).full_sample
-    mm, bm, full = fs.mm, fs.bm, fs.stack
-    estimates = _direct_estimates if effect_kind == "direct" else _indirect_estimates
-    observed = mm.theta1_obs if effect_kind == "direct" else observed_indirect(mm)
-    flip = -1.0 if observed < 0 else 1.0
+    mm, bm = stacks.mm, stacks.bm
+    obj = stacks.objectives[effect_kind]
 
     def worst_case(params, value, t_stat):
         return WorstCase(
-            value=value, t_stat=t_stat, natural=_natural(full.anchors, params),
+            value=value, t_stat=t_stat,
+            natural=_natural(stacks.full_anchors, params),
             leave_j={"r_a": params[0], "r_m": params[1].tolist(), "r_y": params[2]},
             k_ratios=_k_ratios(bm, params))
 
-    values_e = _values_fn(full, None, estimates, flip)
+    values_e = _values_fn(stacks, obj, with_t=False)
     val_e, params_e = _worst_search(values_e, bm, spec, mm.q, budget)
-    worst_est = worst_case(params_e, flip * val_e, None)
+    worst_est = worst_case(params_e, obj.flip * val_e, None)
 
     worst_t = None
     observed_t = None
     if plan is not None:
-        b = plan.n_resamples
-        se0 = float(estimates(stacks, np.zeros((1, b)), np.zeros((1, b, mm.q)),
-                              np.zeros((1, b)))[0].std(ddof=1))
-        observed_t = observed / se0
-        val_t, params_t = _worst_search(_values_fn(full, stacks, estimates, flip),
+        observed_t = obj.flip * obj.observed_t()
+        val_t, params_t = _worst_search(_values_fn(stacks, obj, with_t=True),
                                         bm, spec, mm.q, budget)
-        # values_e is flip * estimate, and flip is +-1
-        est_at_t = flip * float(values_e(*_as_batch([params_t]))[0])
-        worst_t = worst_case(params_t, est_at_t, flip * val_t)
+        est_at_t = obj.flip * float(values_e(*_as_batch([params_t]))[0])
+        worst_t = worst_case(params_t, est_at_t, obj.flip * val_t)
     return BenchmarkResult(worst_estimate=worst_est, worst_t=worst_t,
-                           observed_estimate=observed, observed_t=observed_t,
+                           observed_estimate=obj.observed, observed_t=observed_t,
                            spec=spec)
 
 
@@ -520,20 +448,17 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     if use_t and plan is None:
         raise ValueError("a bootstrap plan is required for a t-based threshold")
     if stacks is None:
-        stacks = prepare_benchmark_stacks(data, j, plan) if use_t \
-            else _full_sample(data, j)
-    mm = stacks.full_sample.mm
-    observed = mm.theta1_obs if effect_kind == "direct" else observed_indirect(mm)
-    flip = -1.0 if observed < 0 else 1.0
+        stacks = prepare_benchmark_stacks(data, j, plan if use_t else None)
+    obj = stacks.objectives[effect_kind]
     if use_t:
         zero_spec = BenchmarkSpec(j=j, k_a_bound=0.0, k_m_bound=0.0, k_y_bound=0.0)
         res0 = benchmark_worst(data, zero_spec, plan=plan,
                                effect_kind=effect_kind, budget=budget,
                                stacks=stacks)
-        if flip * res0.observed_t <= threshold:
+        if obj.flip * res0.observed_t <= threshold:
             return 0.0, [(0.0, res0.observed_t)]
-    elif flip * observed <= threshold:
-        return 0.0, [(0.0, observed)]
+    elif obj.flip * obj.observed <= threshold:
+        return 0.0, [(0.0, obj.observed)]
 
     curve = []
     hit = math.inf
@@ -546,7 +471,7 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
         if use_t:
             value = res.worst_t.t_stat
         else:
-            value = flip * res.worst_estimate.value
+            value = obj.flip * res.worst_estimate.value
         curve.append((delta, value))
         if value <= threshold:
             hit = delta

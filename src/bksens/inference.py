@@ -18,7 +18,9 @@ The Gram path is used only where it is certified to agree with the exact
 per-resample fit: every column keeps at least GRAM_COND of its Gram
 diagonal as within-resample variance (and clears the constant-column test by
 that much), the columns' correlation matrix has its smallest eigenvalue at
-least GRAM_COND times its largest, and every eigenvalue check of the fit
+least GRAM_COND times its largest (so no column's variance given any
+others falls below GRAM_COND of its variance, far above the 1e-12 at which
+the exact path calls it collapsed), and every eigenvalue check of the fit
 clears its threshold by GRAM_MARGIN times the largest eigenvalue involved.
 Any other resample goes through ``fit_observed`` on its rows, so errors,
 redraws of singular resamples and ``TooManySingularResamples`` happen

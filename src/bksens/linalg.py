@@ -166,17 +166,41 @@ def sym_inv_sqrt(s, margin: float = 0.0) -> np.ndarray:
     return 0.5 * (inv_root + inv_root.T)
 
 
+def _require_pd(s: np.ndarray, rtol: float, what: str) -> None:
+    """Raise SingularCovariance unless the correlation-scaled copy
+    D^-1/2 s D^-1/2 (D the diagonal of ``s``) has its smallest eigenvalue
+    above ``rtol`` times its largest: a test that does not depend on the
+    units of the variables."""
+    sd = np.sqrt(np.diagonal(s))
+    if not np.all(sd > 0.0):
+        raise SingularCovariance(f"{what} has a variance that is not positive")
+    w = np.linalg.eigvalsh(s / np.outer(sd, sd))
+    if w[0] <= rtol * w[-1]:
+        raise SingularCovariance(f"{what} is numerically singular")
+
+
+def _require_kept(s: np.ndarray, x, what: str) -> None:
+    """Raise SingularCovariance unless each diagonal entry of the residual
+    covariance ``s`` keeps more than 1e-12 of the centred variance of the
+    matching column of ``x``, the columns before regression. A column that
+    is numerically a linear combination of the regressors leaves rounding
+    noise, which the test of ``_require_pd`` would take for a variable."""
+    if np.any(np.diagonal(s) <= 1e-12 * np.var(as_matrix(x), axis=0, ddof=1)):
+        raise SingularCovariance(f"{what} has a residual variance that collapsed to zero")
+
+
 def r_from_cov(joint: np.ndarray, ny: int, margin: float = 0.0) -> np.ndarray:
     """Partial-correlation matrix cov_yy^{-1/2} cov_yx cov_xx^{-1/2} from the
     joint residual covariance of (y, x), whose first ``ny`` columns are y.
 
-    Raises SingularCovariance unless the joint covariance is positive
-    definite with smallest eigenvalue above (PSD_TOL + margin) times the
-    largest.
+    Raises SingularCovariance unless the joint covariance, scaled to unit
+    diagonal, is positive definite with smallest eigenvalue above
+    (PSD_TOL + margin) times the largest. The scaling hides a residual that
+    is rounding noise, so the caller checks that no variance collapsed
+    (``_require_kept``).
     """
-    w = np.linalg.eigvalsh(0.5 * (joint + joint.T))
-    if w[0] <= (PSD_TOL + margin) * max(abs(w[-1]), 0.0) or w[-1] <= 0.0:
-        raise SingularCovariance("joint residual covariance is not positive definite")
+    _require_pd(0.5 * (joint + joint.T), PSD_TOL + margin,
+               "joint residual covariance")
     return (sym_inv_sqrt(joint[:ny, :ny], margin) @ joint[:ny, ny:]
             @ sym_inv_sqrt(joint[ny:, ny:], margin))
 
@@ -193,6 +217,8 @@ def r_matrix(y_cols, x_cols, z_cols) -> np.ndarray:
     rx = residualize(x_cols, z_cols)
     cov_yx = sample_cov(ry, rx)
     joint = np.block([[sample_cov(ry), cov_yx], [cov_yx.T, sample_cov(rx)]])
+    _require_kept(joint, np.column_stack([as_matrix(y_cols), as_matrix(x_cols)]),
+                  "the (y, x) block given z")
     return r_from_cov(joint, ry.shape[1])
 
 

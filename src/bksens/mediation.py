@@ -25,6 +25,8 @@ from .errors import (
     SingularCovariance,
 )
 from .linalg import (
+    _require_kept,
+    _require_pd,
     add_intercept,
     as_matrix,
     sample_cov,
@@ -154,8 +156,9 @@ def fit_observed(data: MediationData) -> MediationMoments:
     resp = np.column_stack([data.y, data.a, data.m])
     coef, *_ = np.linalg.lstsq(design, resp, rcond=None)
     # joint covariance of (y, a, m) residualized on c
-    return moments_from_cov(sample_cov(resp - design @ coef), data.n,
-                            data.p_user, data.q)
+    s = sample_cov(resp - design @ coef)
+    _require_kept(s, resp, "(y, a, m) given c")
+    return moments_from_cov(s, data.n, data.p_user, data.q)
 
 
 def moments_from_cov(s: np.ndarray, n: int, p_user: int, q: int,
@@ -163,14 +166,16 @@ def moments_from_cov(s: np.ndarray, n: int, p_user: int, q: int,
     """The fit's moments from the joint residual covariance ``s`` of
     (y, a, m) given the covariates.
 
-    Raises SingularCovariance when ``s`` is numerically singular. A positive
-    ``margin`` raises every eigenvalue threshold by ``margin`` times the
-    largest eigenvalue involved, which certifies that the unmargined checks
-    pass on any matrix within rounding of ``s``.
+    Raises SingularCovariance when ``s`` is numerically singular, judged on
+    ``s`` scaled to unit diagonal so that the units of y, a and m do not
+    matter; that test cannot tell a residual of rounding noise from a
+    variable, so the caller first checks that no variance collapsed
+    (``fit_observed`` with ``linalg._require_kept``, the bootstrap's Gram
+    path with its certificate). A positive ``margin`` raises every eigenvalue threshold by
+    ``margin`` times the largest eigenvalue involved, which certifies that
+    the unmargined checks pass on any matrix within rounding of ``s``.
     """
-    w = np.linalg.eigvalsh(s)
-    if w[0] <= 1e-12 * max(abs(w[-1]), 1.0) + margin * abs(w[-1]):
-        raise SingularCovariance("joint residual covariance of (y, a, m) given c is singular")
+    _require_pd(s, 1e-12 + margin, "joint residual covariance of (y, a, m) given c")
 
     im = slice(2, 2 + q)
     s_yy, s_ya, s_aa = s[0, 0], s[0, 1], s[1, 1]

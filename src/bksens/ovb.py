@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import BoundaryR, ConfounderCovarianceDegenerate, DimensionMismatch
 from .linalg import PSD_TOL, add_intercept, as_matrix, ols_fit, residualize, sample_cov, sym_inv_sqrt, sym_sqrt
-
-BOUNDARY_TOL = 1e-12
+from .mediation import BOUNDARY_TOL
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,17 @@ recomputed per candidate from per-resample moments on common random numbers,
 so one objective evaluation costs a few vector operations per resample and
 no new regressions.
 
+The coefficients of that form are stacked with one column per resample
+(B=1 for the full sample), and one function evaluates them at phi pairs
+that are either shared by every resample or given per resample; formal
+benchmarking evaluates its search through the same function.
+
 The direct-effect range does not depend on whether the confounder is scalar
 or vector, so both modes share one code path. The indirect-effect range does:
 scalar mode ties the two phi vectors to a shared direction, vector mode
-searches two independent balls.
+searches two independent balls. Every search box, the benchmarking one
+included, is built by ``_Box`` from intervals, balls (a signed radius when
+q = 1, otherwise a radius and q-1 angles) and spheres (angles alone).
 """
 
 from __future__ import annotations
@@ -35,47 +42,139 @@ RV_NOT_ATTAINED = 1.0
 def _sphere_from_angles(angles: np.ndarray) -> np.ndarray:
     """Map (k, q-1) spherical angles to (k, q) unit vectors."""
     k, qm1 = angles.shape
-    out = np.empty((k, qm1 + 1))
-    sin_prod = np.ones(k)
-    for i in range(qm1):
-        out[:, i] = sin_prod * np.cos(angles[:, i])
-        sin_prod = sin_prod * np.sin(angles[:, i])
-    out[:, qm1] = sin_prod
+    out = np.ones((k, qm1 + 1))
+    if qm1:
+        sin_prod = np.sin(angles)
+        if qm1 > 1:
+            sin_prod = np.cumprod(sin_prod, axis=1)
+            out[:, 1:qm1] = sin_prod[:, :-1]
+        out[:, :qm1] *= np.cos(angles)
+        out[:, qm1] = sin_prod[:, -1]
     return out
 
 
-def _angle_bounds(q: int) -> tuple[list[float], list[float]]:
-    lo = [0.0] * (q - 1)
-    hi = [np.pi] * max(q - 2, 0) + ([2.0 * np.pi] if q >= 2 else [])
-    return lo, hi
+class _Box:
+    """A search box built block by block, each block with its caller's bounds.
+
+    - ``interval(lo, hi)``: one column in [lo, hi];
+    - ``ball(q, r)``: a point of the radius-r ball of R^q, as a signed radius
+      in [-r, r] when q = 1 and otherwise a radius in [0, r] followed by q-1
+      spherical angles;
+    - ``sphere(q)``: a unit vector of R^q, as its q-1 angles.
+
+    ``split`` maps (k, dims) box points to each block's columns: an interval's
+    (k,) values, a ball's ((k,) radius, (k, q) direction), a sphere's (k, q)
+    direction. An absent block (``present=False``) takes no columns and
+    splits to zeros; an absent ball has radius 0 along the first axis.
+    """
+
+    def __init__(self):
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self._blocks: list[tuple] = []   # (kind, first column or None, q)
+
+    def _add(self, kind, q, present, lo, hi) -> "_Box":
+        self._blocks.append((kind, len(self.lower) if present else None, q))
+        if present:
+            self.lower += lo
+            self.upper += hi
+        return self
+
+    @staticmethod
+    def _angles(q: int) -> tuple[list[float], list[float]]:
+        lo = [0.0] * (q - 1)
+        hi = [np.pi] * max(q - 2, 0) + ([2.0 * np.pi] if q >= 2 else [])
+        return lo, hi
+
+    def interval(self, lo: float, hi: float, present: bool = True) -> "_Box":
+        return self._add("interval", 1, present, [lo], [hi])
+
+    def ball(self, q: int, r: float, present: bool = True) -> "_Box":
+        if q == 1:
+            return self._add("ball", q, present, [-r], [r])
+        alo, ahi = self._angles(q)
+        return self._add("ball", q, present, [0.0] + alo, [r] + ahi)
+
+    def sphere(self, q: int) -> "_Box":
+        return self._add("sphere", q, True, *self._angles(q))
+
+    def split(self, x: np.ndarray) -> list:
+        x = np.atleast_2d(x)
+        k = x.shape[0]
+        out = []
+        for kind, col, q in self._blocks:
+            if kind == "interval":
+                out.append(np.zeros(k) if col is None else x[:, col])
+            elif col is None:
+                direction = np.zeros((k, q))
+                direction[:, 0] = 1.0
+                out.append((np.zeros(k), direction))
+            else:
+                first = col + (kind == "ball" and q > 1)
+                direction = _sphere_from_angles(x[:, first:first + q - 1])
+                out.append(direction if kind == "sphere" else (x[:, col], direction))
+        return out
 
 
 # ---------------------------------------------------------------------------
-# Per-resample arrays: estimates are affine (direct) or bilinear (indirect)
-# in the phi parameters with data-dependent coefficients.
+# Coefficient form: each effect is affine (direct) or bilinear (indirect) in
+# a pair of phi vectors, with one column of coefficients per resample (B=1
+# for the full sample).
 # ---------------------------------------------------------------------------
 
-def _direct_coeffs(m: MediationMoments):
-    nr2 = float(m.r_m_a_c @ m.r_m_a_c)
-    scale = np.sqrt(m.var_y_res_amc / m.var_a_res_mc)
-    t1 = -np.sqrt(1.0 - nr2) * scale
-    t2 = scale * (m.mix_c_ac.T @ m.r_m_a_c) / np.sqrt(1.0 - nr2)
-    return m.theta1_obs, t1, t2
+def _stacked(rows) -> tuple:
+    """Per-resample coefficient rows -> arrays with resamples on the last axis."""
+    return tuple(np.ascontiguousarray(np.array(col).T) for col in zip(*rows))
 
 
-def _indirect_coeffs(m: MediationMoments):
-    v1 = -(m.cov_m_res_ac_sqrt @ m.theta3_obs) / np.sqrt(m.var_a_res_c)
-    v2 = -np.sqrt(m.var_y_res_amc) * (m.cov_m_res_ac_inv_sqrt @ m.beta1_obs)
-    cross = np.sqrt(m.var_y_res_amc / m.var_a_res_c)
-    return observed_indirect(m), v1, v2, cross
+def _direct_coeffs(moments) -> tuple:
+    """(s0, w_a, w_b, None) with the direct effect s0 + phi_1 w_a + phi_2 w_b,
+    of shapes (B,), (1, B), (q, B)."""
+    rows = []
+    for m in moments:
+        nr2 = float(m.r_m_a_c @ m.r_m_a_c)
+        scale = np.sqrt(m.var_y_res_amc / m.var_a_res_mc)
+        rows.append((m.theta1_obs, [-np.sqrt(1.0 - nr2) * scale],
+                     scale * (m.mix_c_ac.T @ m.r_m_a_c) / np.sqrt(1.0 - nr2)))
+    return (*_stacked(rows), None)
+
+
+def _indirect_coeffs(moments) -> tuple:
+    """(s0, w_a, w_b, cross) with the indirect effect
+    s0 + phi_a w_a + phi_b w_b + cross (phi_a . phi_b), of shapes (B,),
+    (q, B), (q, B), (B,)."""
+    return _stacked(
+        (observed_indirect(m),
+         -(m.cov_m_res_ac_sqrt @ m.theta3_obs) / np.sqrt(m.var_a_res_c),
+         -np.sqrt(m.var_y_res_amc) * (m.cov_m_res_ac_inv_sqrt @ m.beta1_obs),
+         np.sqrt(m.var_y_res_amc / m.var_a_res_c))
+        for m in moments)
+
+
+def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
+    """(k, B) effects against B resamples' coefficients, at phi pairs of
+    shapes (k, .) (one pair for every resample) or (k, B, .) (one pair per
+    resample)."""
+    s0, w_a, w_b, cross = coeffs
+    if phi_a.ndim == 2:
+        vals = s0 + phi_a.dot(w_a) + phi_b.dot(w_b)
+        if cross is not None:
+            vals = vals + np.einsum("ki,ki->k", phi_a, phi_b)[:, None] * cross
+        return vals
+    vals = s0 + np.einsum("kbi,ib->kb", phi_a, w_a) \
+        + np.einsum("kbi,ib->kb", phi_b, w_b)
+    if cross is not None:
+        vals = vals + np.einsum("kbi,kbi->kb", phi_a, phi_b) * cross
+    return vals
 
 
 @dataclass
 class EffectObjective:
     """Worst-case t (or estimate) evaluator for one effect on one plan.
 
-    ``phis`` arguments are (k, .) candidate batches; estimates come from the
-    full-sample coefficients and standard errors from the per-resample ones.
+    ``phis`` arguments are (k, .) candidate batches, or (k, B, .) with one
+    pair per resample; estimates come from the full-sample coefficients and
+    standard errors from the per-resample ones.
     """
 
     kind: str                      # "direct" | "indirect"
@@ -86,46 +185,22 @@ class EffectObjective:
 
     @classmethod
     def for_direct(cls, mm: MediationMoments, plan: BootstrapPlan | None):
-        full = _direct_coeffs(mm)
-        boot = None
-        if plan is not None:
-            parts = [_direct_coeffs(m) for m in plan.moments]
-            boot = (np.array([p[0] for p in parts]),
-                    np.array([p[1] for p in parts]),
-                    np.vstack([p[2] for p in parts]))
         flip = -1.0 if mm.theta1_obs < 0 else 1.0
-        return cls(kind="direct", q=mm.q, flip=flip, full=full, boot=boot)
+        return cls(kind="direct", q=mm.q, flip=flip, full=_direct_coeffs([mm]),
+                   boot=None if plan is None else _direct_coeffs(plan.moments))
 
     @classmethod
     def for_indirect(cls, mm: MediationMoments, plan: BootstrapPlan | None):
-        full = _indirect_coeffs(mm)
-        boot = None
-        if plan is not None:
-            parts = [_indirect_coeffs(m) for m in plan.moments]
-            boot = (np.array([p[0] for p in parts]),
-                    np.vstack([p[1] for p in parts]),
-                    np.vstack([p[2] for p in parts]),
-                    np.array([p[3] for p in parts]))
         flip = -1.0 if observed_indirect(mm) < 0 else 1.0
-        return cls(kind="indirect", q=mm.q, flip=flip, full=full, boot=boot)
+        return cls(kind="indirect", q=mm.q, flip=flip, full=_indirect_coeffs([mm]),
+                   boot=None if plan is None else _indirect_coeffs(plan.moments))
 
     def point_estimates(self, phi_a, phi_b) -> np.ndarray:
-        if self.kind == "direct":
-            base, t1, t2 = self.full
-            return base + phi_a[:, 0] * t1 + phi_b @ t2
-        s0, v1, v2, cross = self.full
-        return (s0 + phi_a @ v1 + phi_b @ v2
-                + np.einsum("ki,ki->k", phi_a, phi_b) * cross)
+        return _effect_values(self.full, phi_a, phi_b)[:, 0]
 
     def boot_matrix(self, phi_a, phi_b) -> np.ndarray:
         """(k, B) estimates across resamples."""
-        if self.kind == "direct":
-            base, t1, t2 = self.boot
-            return base[None, :] + phi_a[:, [0]] * t1[None, :] + phi_b @ t2.T
-        s0, v1, v2, cross = self.boot
-        inner = np.einsum("ki,ki->k", phi_a, phi_b)
-        return (s0[None, :] + phi_a @ v1.T + phi_b @ v2.T
-                + inner[:, None] * cross[None, :])
+        return _effect_values(self.boot, phi_a, phi_b)
 
     def t_values(self, phi_a, phi_b) -> np.ndarray:
         if self.boot is None:
@@ -137,7 +212,13 @@ class EffectObjective:
     def estimate_values(self, phi_a, phi_b) -> np.ndarray:
         return self.flip * self.point_estimates(phi_a, phi_b)
 
+    @property
+    def observed(self) -> float:
+        """The full-sample estimate with no confounding, not flipped."""
+        return float(self.full[0][0])
+
     def observed_t(self) -> float:
+        """The full-sample t with no confounding, times flip."""
         zero = np.zeros((1, 1 if self.kind == "direct" else self.q))
         zq = np.zeros((1, self.q))
         return float(self.t_values(zero, zq)[0])
@@ -149,14 +230,9 @@ class EffectObjective:
 
 @dataclass
 class _PhiBox:
-    lower: np.ndarray
-    upper: np.ndarray
-    to_phi: callable = None       # X (k, dims) -> (phi_a (k, da), phi_b (k, q))
-    corner_phis: list = field(default_factory=list)
-
-    @property
-    def dims(self) -> int:
-        return self.lower.size
+    space: _Box
+    to_phi: callable              # X (k, dims) -> (phi_a (k, da), phi_b (k, q))
+    corner_phis: list
 
 
 def _direct_box(q: int, rho_y: float, rho_m: float, rho_a: float,
@@ -168,38 +244,17 @@ def _direct_box(q: int, rho_y: float, rho_m: float, rho_a: float,
         return None
     r1 = np.sqrt(rho_y * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
     t3max = np.arctan(np.sqrt(rho_m / (1.0 - rho_m))) if rho_m > 0 else 0.0
-
-    lo, hi, kinds = [], [], []
-    if rho_a > 0:
-        lo.append(-1.0); hi.append(1.0); kinds.append("t1")
-    if rho_m > 0:
-        if q == 1:
-            lo.append(-t3max); hi.append(t3max); kinds.append("t3")
-        else:
-            lo.append(0.0); hi.append(t3max); kinds.append("t3")
-            alo, ahi = _angle_bounds(q)
-            lo += alo; hi += ahi; kinds += ["ang"] * (q - 1)
+    box = _Box().interval(-1.0, 1.0, present=rho_a > 0) \
+        .ball(q, t3max, present=rho_m > 0)
 
     def to_phi(x: np.ndarray):
-        x = np.atleast_2d(x)
-        k = x.shape[0]
-        col = 0
-        t1 = np.zeros(k)
-        if "t1" in kinds:
-            t1 = x[:, col]; col += 1
-        t3 = np.zeros(k)
-        t2 = np.zeros((k, q))
-        t2[:, 0] = 1.0
-        if "t3" in kinds:
-            t3 = x[:, col]; col += 1
-            if q > 1:
-                t2 = _sphere_from_angles(x[:, col:col + q - 1])
+        t1, (t3, t2) = box.split(x)
         phi1 = (r1 * t1 / np.cos(t3))[:, None]
         phi2 = np.sqrt(rho_y) * np.tan(t3)[:, None] * t2
         return phi1, phi2
 
     # deterministic corner candidates: estimate-minimizing directions
-    _, t1c, t2c = full_coeffs
+    t2c = full_coeffs[2][:, 0]
     corners = []
     d2 = t2c / np.linalg.norm(t2c) if np.linalg.norm(t2c) > 0 else None
     for s1 in (-1.0, 0.0, 1.0):
@@ -210,8 +265,7 @@ def _direct_box(q: int, rho_y: float, rho_m: float, rho_a: float,
                 corners.append((phi1, phi2))
         corners.append((np.array([[s1 * r1]]) if rho_a > 0 else np.zeros((1, 1)),
                         np.zeros((1, q))))
-    return _PhiBox(lower=np.array(lo), upper=np.array(hi), to_phi=to_phi,
-                   corner_phis=corners)
+    return _PhiBox(box, to_phi, corners)
 
 
 def _indirect_box(q: int, rho_y: float, rho_m: float, rho_a: float,
@@ -226,72 +280,27 @@ def _indirect_box(q: int, rho_y: float, rho_m: float, rho_a: float,
     if r3 == 0.0 and r4 == 0.0:
         return None
 
-    lo, hi = [], []
     if confounder_mode == "scalar_u":
-        has_t2 = r3 > 0
-        has_t3 = r4 > 0
-        if has_t2:
-            lo.append(-1.0); hi.append(1.0)
-        if has_t3:
-            lo.append(-1.0); hi.append(1.0)
-        n_ang = q - 1
-        alo, ahi = _angle_bounds(q)
-        lo += alo; hi += ahi
+        # one shared direction, a signed length along it for each phi
+        box = _Box().interval(-1.0, 1.0, present=r3 > 0) \
+            .interval(-1.0, 1.0, present=r4 > 0).sphere(q)
 
         def to_phi(x: np.ndarray):
-            x = np.atleast_2d(x)
-            k = x.shape[0]
-            col = 0
-            t2 = np.zeros(k)
-            t3 = np.zeros(k)
-            if has_t2:
-                t2 = x[:, col]; col += 1
-            if has_t3:
-                t3 = x[:, col]; col += 1
-            if q == 1:
-                t1 = np.ones((k, 1))
-            else:
-                t1 = _sphere_from_angles(x[:, col:col + n_ang])
+            t2, t3, t1 = box.split(x)
             return r3 * t2[:, None] * t1, r4 * t3[:, None] * t1
     elif confounder_mode == "vector_u":
-        def ball_cols(r):
-            if r <= 0:
-                return 0
-            return 1 if q == 1 else q
-
-        n3, n4 = ball_cols(r3), ball_cols(r4)
-        if q == 1:
-            lo += [-1.0] * n3 + [-1.0] * n4
-            hi += [1.0] * n3 + [1.0] * n4
-        else:
-            for present in (r3 > 0, r4 > 0):
-                if present:
-                    lo.append(0.0); hi.append(1.0)
-                    alo, ahi = _angle_bounds(q)
-                    lo += alo; hi += ahi
-
-        def ball(x, r):
-            k = x.shape[0]
-            if r <= 0:
-                return np.zeros((k, q)), 0
-            if q == 1:
-                return r * x[:, :1], 1
-            radius = x[:, 0]
-            direction = _sphere_from_angles(x[:, 1:q])
-            return r * radius[:, None] * direction, q
+        # two independent unit balls, scaled by r3 and r4
+        box = _Box().ball(q, 1.0, present=r3 > 0).ball(q, 1.0, present=r4 > 0)
 
         def to_phi(x: np.ndarray):
-            x = np.atleast_2d(x)
-            phi3, used = ball(x, r3)
-            phi4, _ = ball(x[:, used:], r4)
-            return phi3, phi4
+            (rad3, dir3), (rad4, dir4) = box.split(x)
+            return r3 * rad3[:, None] * dir3, r4 * rad4[:, None] * dir4
     else:
         raise ValueError(f"unknown confounder_mode {confounder_mode!r}")
 
     # shared-direction corner candidates (feasible in both modes)
-    _, v1, v2, _ = full_coeffs
     dirs = []
-    for v in (v1, v2):
+    for v in (full_coeffs[1][:, 0], full_coeffs[2][:, 0]):
         nv = np.linalg.norm(v)
         if nv > 0:
             dirs.append(v / nv)
@@ -302,8 +311,7 @@ def _indirect_box(q: int, rho_y: float, rho_m: float, rho_a: float,
         for s3 in (-1.0, 0.0, 1.0):
             for s4 in (-1.0, 0.0, 1.0):
                 corners.append((s3 * r3 * d[None, :], s4 * r4 * d[None, :]))
-    return _PhiBox(lower=np.array(lo), upper=np.array(hi), to_phi=to_phi,
-                   corner_phis=corners)
+    return _PhiBox(box, to_phi, corners)
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +329,14 @@ def _minimize_over_box(box: _PhiBox | None, value_fn, q: int, kind: str,
 
     best_val = np.inf
     best_phi = zero
-    if box is not None and box.dims > 0:
+    if box is not None and box.space.lower:
+        lower, upper = np.array(box.space.lower), np.array(box.space.upper)
+
         def objective(x):
             phi_a, phi_b = box.to_phi(x)
             return value_fn(phi_a, phi_b)
 
-        res = direct_optimize(objective, box.lower, box.upper, budget=budget,
+        res = direct_optimize(objective, lower, upper, budget=budget,
                               vectorized=True)
         x_best = res.x
         if polish:
@@ -334,11 +344,11 @@ def _minimize_over_box(box: _PhiBox | None, value_fn, q: int, kind: str,
                 return float(objective(x[None, :])[0])
 
             pol = minimize(scalar_obj, x_best, method="Nelder-Mead",
-                           bounds=Bounds(box.lower, box.upper),
-                           options={"maxfev": 150 * box.dims, "xatol": 1e-7,
+                           bounds=Bounds(lower, upper),
+                           options={"maxfev": 150 * lower.size, "xatol": 1e-7,
                                     "fatol": 1e-12})
             if pol.fun < res.fun:
-                x_best = np.clip(pol.x, box.lower, box.upper)
+                x_best = np.clip(pol.x, lower, upper)
         phi_a, phi_b = box.to_phi(x_best[None, :])
         val = float(value_fn(phi_a, phi_b)[0])
         best_val, best_phi = val, (phi_a, phi_b)

@@ -5,9 +5,7 @@ from bksens import benchmarking, cli
 from bksens.benchmarking import (
     BenchmarkSpec,
     _convert_leave_j,
-    _direct_estimates,
-    _indirect_estimates,
-    _stack_for,
+    _phis,
     _values_fn,
     benchmark_moments,
     benchmark_worst,
@@ -213,13 +211,14 @@ def test_batched_conversion_matches_scalar_adjusters():
         data = make_data(local, n=150, p=2, q=q)
         mm = fit_observed(data)
         bm = benchmark_moments(data, j=trial % 2)
-        full = _stack_for([mm], [bm])
+        full = prepare_benchmark_stacks(data, trial % 2, None)
+        obj_d, obj_i = full.objectives["direct"], full.objectives["indirect"]
         r_a, r_m, r_y = _leave_j_candidates(local, 80, q)
         with np.errstate(invalid="ignore", divide="ignore"):
-            nat_y, nat_m, nat_a, ok = _convert_leave_j(full.anchors, r_a, r_m, r_y)
-            direct = _direct_estimates(full, nat_y, nat_m, nat_a)[:, 0]
-            indirect = _indirect_estimates(full, nat_y, nat_m, nat_a)[:, 0]
-        values = _values_fn(full, None, _direct_estimates, -1.0)(r_a, r_m, r_y)
+            nat_y, nat_m, nat_a, ok = _convert_leave_j(full.full_anchors, r_a, r_m, r_y)
+            direct = obj_d.point_estimates(*_phis("direct", nat_y, nat_m, nat_a))
+            indirect = obj_i.point_estimates(*_phis("indirect", nat_y, nat_m, nat_a))
+        values = _values_fn(full, obj_d, with_t=False)(r_a, r_m, r_y)
         for i in range(len(r_a)):
             try:
                 s = natural_from_benchmark(bm, r_a[i], r_m[i], r_y[i])
@@ -238,7 +237,7 @@ def test_batched_conversion_matches_scalar_adjusters():
                                               rel=1e-12, abs=1e-12)
             assert indirect[i] == pytest.approx(indirect_adjusted_product(mm, s),
                                                 rel=1e-12, abs=1e-12)
-            assert values[i] == -direct[i]
+            assert values[i] == obj_d.flip * direct[i]
     assert n_feasible > 50 and n_in_ball_infeasible > 20
 
 
@@ -250,7 +249,8 @@ def test_batched_t_objective_matches_per_resample_oracle():
     plan = bootstrap_moments(data, n_resamples=25, seed=5)
     stacks = prepare_benchmark_stacks(data, 1, plan)
     bms = [benchmark_moments(data.subset(idx), 1) for idx in plan.indices]
-    values = _values_fn(_stack_for([mm], [bm]), stacks, _indirect_estimates, 1.0)
+    obj = stacks.objectives["indirect"]
+    values = _values_fn(stacks, obj, with_t=True)
     r_a, r_m, r_y = _leave_j_candidates(local, 40, 2)
     batch = values(r_a, r_m, r_y)
     n_inf = 0
@@ -265,7 +265,7 @@ def test_batched_t_objective_matches_per_resample_oracle():
             assert batch[i] == np.inf
             n_inf += 1
             continue
-        expected = indirect_adjusted_product(mm, s0) / np.std(boot, ddof=1)
+        expected = obj.flip * indirect_adjusted_product(mm, s0) / np.std(boot, ddof=1)
         assert batch[i] == pytest.approx(expected, rel=1e-12)
     assert 0 < n_inf < len(r_a)
 

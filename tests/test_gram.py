@@ -13,9 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bksens.benchmarking import benchmark_moments, prepare_benchmark_stacks
-from bksens.errors import RankDeficient
+from bksens.errors import RankDeficient, SingularCovariance, TooManySingularResamples
 from bksens.inference import bootstrap_moments, resample_rng
-from bksens.mediation import MediationData, MediationMoments, fit_observed
+from bksens.linalg import add_intercept, r_matrix
+from bksens.mediation import (
+    MediationData,
+    MediationMoments,
+    fit_observed,
+    observed_indirect,
+)
 
 from conftest import make_data
 
@@ -93,26 +99,68 @@ def test_constant_covariate_in_a_resample_raises_rank_deficient(rng):
 def test_shifted_rescaled_covariate_reproduces_effects_and_anchors(rng):
     base = make_data(rng, n=200, p=2, q=2)
     shifted_col = 1e6 + 1e-3 * base.c_user[:, 0]
-    shifted = MediationData.from_arrays(
-        y=base.y, a=base.a, m=base.m,
-        c=np.column_stack([shifted_col, base.c_user[:, 1]]))
     # the unshifted column carrying exactly the information of the stored one
     # (the subtraction is exact), so only invariance is tested
     unshifted = MediationData.from_arrays(
         y=base.y, a=base.a, m=base.m,
         c=np.column_stack([(shifted_col - 1e6) * 1e3, base.c_user[:, 1]]))
-    ref, got = fit_observed(unshifted), fit_observed(shifted)
-    for f in fields(MediationMoments):
-        assert _rel_err(getattr(got, f.name), getattr(ref, f.name)) < 1e-8, f.name
-    for j in range(2):
-        bm_ref, bm = benchmark_moments(unshifted, j), benchmark_moments(shifted, j)
-        assert _rel_err(_anchor_vector(bm.r_a_cj, bm.r_m_cj, bm.r_y_cj),
-                        _anchor_vector(bm_ref.r_a_cj, bm_ref.r_m_cj,
-                                       bm_ref.r_y_cj)) < 1e-8
-        assert _rel_err(bm.mix_leave_j, bm_ref.mix_leave_j) < 1e-8
+    ref = fit_observed(unshifted)
+    bms_ref = [benchmark_moments(unshifted, j) for j in range(2)]
     plan_ref = bootstrap_moments(unshifted, n_resamples=30, seed=4)
-    plan = bootstrap_moments(shifted, n_resamples=30, seed=4)
-    assert plan.n_exact == plan_ref.n_exact == 0
-    for mm, mm_ref in zip(plan.moments, plan_ref.moments):
-        assert _rel_err(mm.theta1_obs, mm_ref.theta1_obs) < 1e-8
-        assert _rel_err(mm.beta1_obs, mm_ref.beta1_obs) < 1e-8
+    assert plan_ref.n_exact == 0
+    ancs_ref = [prepare_benchmark_stacks(unshifted, j, plan_ref).anchors
+                for j in range(2)]
+    # the outcome and the exposure in other units as well: the effects scale
+    # by s_y / s_a, the anchors and the certified resamples do not change
+    for s_y, s_a in ((1.0, 1.0), (1e6, 1.0), (1e-6, 1.0), (1.0, 1e-6), (1.0, 1e5)):
+        shifted = MediationData.from_arrays(
+            y=s_y * base.y, a=s_a * base.a, m=base.m,
+            c=np.column_stack([shifted_col, base.c_user[:, 1]]))
+        got = fit_observed(shifted)
+        if s_y == s_a == 1.0:
+            for f in fields(MediationMoments):
+                assert _rel_err(getattr(got, f.name), getattr(ref, f.name)) < 1e-8, f.name
+        ratio = s_y / s_a
+        assert _rel_err(got.theta1_obs, ratio * ref.theta1_obs) < 1e-8
+        assert _rel_err(observed_indirect(got), ratio * observed_indirect(ref)) < 1e-8
+        plan = bootstrap_moments(shifted, n_resamples=30, seed=4)
+        assert plan.n_exact == 0, (s_y, s_a)
+        for mm, mm_ref in zip(plan.moments, plan_ref.moments):
+            assert _rel_err(mm.theta1_obs, ratio * mm_ref.theta1_obs) < 1e-8
+            assert _rel_err(mm.beta1_obs, mm_ref.beta1_obs / s_a) < 1e-8
+        for j in range(2):
+            bm, bm_ref = benchmark_moments(shifted, j), bms_ref[j]
+            assert _rel_err(_anchor_vector(bm.r_a_cj, bm.r_m_cj, bm.r_y_cj),
+                            _anchor_vector(bm_ref.r_a_cj, bm_ref.r_m_cj,
+                                           bm_ref.r_y_cj)) < 1e-8
+            assert _rel_err(bm.mix_leave_j, bm_ref.mix_leave_j) < 1e-8
+            anc = prepare_benchmark_stacks(shifted, j, plan).anchors
+            for name in ("a", "m", "y", "mix"):
+                assert _rel_err(getattr(anc, name), getattr(ancs_ref[j], name)) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["a = c_0", "a = 5 + 1e6 c_0", "y = c b", "y = 3 c_0"])
+def test_response_in_the_covariate_span_raises_singular_covariance(rng, case):
+    # an exposure or outcome that is a linear combination of the covariates
+    # leaves only rounding noise once they are regressed out; the unit-free
+    # singularity checks must not take that noise for a variable
+    base = make_data(rng, n=200, p=2, q=2)
+    c = base.c_user
+    y, a = {
+        "a = c_0": (base.y, c[:, 0]),
+        "a = 5 + 1e6 c_0": (base.y, 5.0 + 1e6 * c[:, 0]),
+        "y = c b": (c @ np.array([1.0, 2.0]), base.a),
+        "y = 3 c_0": (3.0 * c[:, 0], base.a),
+    }[case]
+    data = MediationData.from_arrays(y=y, a=a, m=base.m, c=c)
+    with pytest.raises(SingularCovariance):
+        fit_observed(data)
+    with pytest.raises(TooManySingularResamples):
+        bootstrap_moments(data, n_resamples=2, seed=1)
+    for j in range(2):
+        # an exposure in the covariates' span makes the anchors' design
+        # rank deficient before any covariance is formed
+        with pytest.raises(RankDeficient if case.startswith("a") else SingularCovariance):
+            benchmark_moments(data, j)
+    with pytest.raises(SingularCovariance):
+        r_matrix(y, a, add_intercept(c))

@@ -356,3 +356,36 @@ def test_vector_mode_indirect_region_is_attainable(rng):
         beta1 = lstsq_coef(data.m, np.column_stack([data.a, data.c, u]))[0]
         ref = float(coef_y[1:1 + q] @ beta1)
         assert abs(pred - ref) < 1e-8
+
+
+def test_box_blocks_bounds_and_split():
+    from bksens.robustness import _Box, _sphere_from_angles
+
+    def sphere_loop(angles):
+        # reference: the running product of sines, one angle at a time
+        out = np.empty((angles.shape[0], angles.shape[1] + 1))
+        sin_prod = np.ones(angles.shape[0])
+        for i in range(angles.shape[1]):
+            out[:, i] = sin_prod * np.cos(angles[:, i])
+            sin_prod = sin_prod * np.sin(angles[:, i])
+        out[:, -1] = sin_prod
+        return out
+
+    local = np.random.default_rng(61)
+    for q in range(1, 7):
+        angles = local.uniform(0.0, 2.0 * np.pi, size=(5, q - 1))
+        assert np.array_equal(_sphere_from_angles(angles), sphere_loop(angles))
+
+    box = _Box().interval(-0.3, 0.3).ball(1, 0.5).ball(3, 0.7) \
+        .interval(-1.0, 1.0, present=False).ball(2, 1.0, present=False).sphere(3)
+    assert box.lower == [-0.3, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert box.upper == [0.3, 0.5, 0.7, np.pi, 2 * np.pi, np.pi, 2 * np.pi]
+    x = local.uniform(box.lower, box.upper, size=(4, 7))
+    a, (r1, d1), (r3, d3), absent, (r0, d0), d = box.split(x)
+    assert np.array_equal(a, x[:, 0]) and np.array_equal(r1, x[:, 1])
+    assert np.array_equal(d1, np.ones((4, 1)))
+    assert np.array_equal(r3, x[:, 2])
+    assert np.array_equal(d3, _sphere_from_angles(x[:, 3:5]))
+    assert not absent.any() and not r0.any()
+    assert np.array_equal(d0, np.tile([1.0, 0.0], (4, 1)))
+    assert np.array_equal(d, _sphere_from_angles(x[:, 5:7]))
