@@ -22,10 +22,14 @@ with a leading resample axis (B=1 for the full sample) and returns (k, B)
 natural parameters, which map to the phi pair of the effect's coefficient
 form in ``robustness`` and are evaluated there by the function the
 robustness values use, so each optimizer sweep costs one objective call.
-The full-sample fit and anchors, the per-resample anchors and both effects'
-coefficient stacks are built once per covariate by
-``prepare_benchmark_stacks`` and passed to ``benchmark_worst`` and
-``critical_delta``.
+The search itself is ``robustness._minimize_over_box`` over the capped
+leave-one-out box, without the Nelder-Mead polish. The full-sample fit and
+anchors, the per-resample anchors and both effects' coefficient stacks are
+built once per covariate by ``prepare_benchmark_stacks`` and passed to
+``benchmark_worst`` and ``critical_delta``. ``critical_delta`` runs one
+search per grid point, of the t statistic or of the estimate as its
+threshold asks, compares the sign-flipped worst value with the threshold
+and reports its curve in the data's sign.
 """
 
 from __future__ import annotations
@@ -57,12 +61,10 @@ from .linalg import (
 from .mediation import (
     BOUNDARY_TOL,
     MediationData,
-    MediationMoments,
     NaturalSensitivity,
     fit_observed,
 )
-from .optimize import direct_optimize
-from .robustness import EffectObjective, _Box
+from .robustness import EffectObjective, _Box, _SearchBox, _minimize_over_box
 
 R_CLAMP = 1.0 - 1e-9
 
@@ -248,10 +250,9 @@ def _phis(kind: str, r_y, r_m, r_a):
 @dataclass(frozen=True)
 class _Stacks:
     """What the worst-case searches for one covariate read: the full-sample
-    fit and anchors, the per-resample anchors (None without a plan) and each
+    anchors, the per-resample anchors (None without a plan) and each
     effect's objective (its coefficient stacks)."""
 
-    mm: MediationMoments
     bm: BenchmarkMoments
     full_anchors: _Anchors
     anchors: _Anchors | None
@@ -299,43 +300,30 @@ def _radii(bm: BenchmarkMoments, spec: BenchmarkSpec) -> tuple[float, float, flo
     return ra, rm, ry
 
 
-def _worst_search(values, bm: BenchmarkMoments, spec: BenchmarkSpec, q: int,
-                  budget: int):
-    """Minimize the batched ``values`` over the capped leave-one-out box;
-    returns (value, argmin leave-j triple)."""
+def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int) -> _SearchBox:
+    """The capped leave-one-out box, its map to (r_a (k,), r_m (k, q),
+    r_y (k,)) leave-j candidates, and its candidates: zero, then a
+    deterministic corner sweep over the scalar channels."""
     ra_rad, rm_rad, ry_rad = _radii(bm, spec)
     box = _Box().interval(-ra_rad, ra_rad, present=ra_rad > 0) \
         .ball(q, rm_rad, present=rm_rad > 0) \
         .interval(-ry_rad, ry_rad, present=ry_rad > 0)
 
     def unpack(x):
-        """(k, d) box points -> (k,), (k, q), (k,) leave-j candidates."""
         r_a_lj, (radius, direction), r_y_lj = box.split(x)
         return r_a_lj, radius[:, None] * direction, r_y_lj
 
-    # candidates in order: zero, the DIRECT optimum, then a deterministic
-    # corner sweep over the scalar channels; the first strict minimum wins
     cands = [(0.0, np.zeros(q), 0.0)]
-    if box.lower:
-        res = direct_optimize(lambda x: values(*unpack(x)), np.array(box.lower),
-                              np.array(box.upper), budget=budget, vectorized=True)
-        r_a_lj, r_m_lj, r_y_lj = unpack(res.x[None, :])
-        cands.append((float(r_a_lj[0]), r_m_lj[0], float(r_y_lj[0])))
-        m_dirs = [np.zeros(q)]
-        if rm_rad > 0:
-            nv = np.linalg.norm(bm.r_m_cj)
-            base_dir = bm.r_m_cj / nv if nv > 0 else np.eye(q)[0]
-            m_dirs += [rm_rad * base_dir, -rm_rad * base_dir]
-        for sa in ((-ra_rad, 0.0, ra_rad) if ra_rad > 0 else (0.0,)):
-            for sy in ((-ry_rad, 0.0, ry_rad) if ry_rad > 0 else (0.0,)):
-                for dm in m_dirs:
-                    cands.append((sa, dm, sy))
-    vals = values(*_as_batch(cands))
-    best = 0
-    for i in range(1, len(cands)):
-        if vals[i] < vals[best]:
-            best = i
-    return float(vals[best]), cands[best]
+    m_dirs = [np.zeros(q)]
+    if rm_rad > 0:
+        nv = np.linalg.norm(bm.r_m_cj)
+        base_dir = bm.r_m_cj / nv if nv > 0 else np.eye(q)[0]
+        m_dirs += [rm_rad * base_dir, -rm_rad * base_dir]
+    for sa in ((-ra_rad, 0.0, ra_rad) if ra_rad > 0 else (0.0,)):
+        for sy in ((-ry_rad, 0.0, ry_rad) if ry_rad > 0 else (0.0,)):
+            for dm in m_dirs:
+                cands.append((sa, dm, sy))
+    return _SearchBox(box, unpack, [_as_batch(cands)])
 
 
 def _k_ratios(bm: BenchmarkMoments, params) -> dict:
@@ -353,8 +341,8 @@ def _k_ratios(bm: BenchmarkMoments, params) -> dict:
 
 def prepare_benchmark_stacks(data: MediationData, j: int,
                              plan: BootstrapPlan | None) -> _Stacks:
-    """The full-sample fit and anchors for covariate ``j``, its anchors on
-    every resample of ``plan`` (if given) and both effects' objectives;
+    """The full-sample anchors for covariate ``j``, its anchors on every
+    resample of ``plan`` (if given) and both effects' objectives;
     reusable across worst-case searches on the same plan (delta sweeps in
     particular).
 
@@ -381,7 +369,7 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
                     pass
             bms.append(benchmark_moments(data.subset(idx), j) if bm_i is None else bm_i)
         anchors = _anchors(bms)
-    return _Stacks(mm=mm, bm=bm, full_anchors=_anchors([bm]), anchors=anchors,
+    return _Stacks(bm=bm, full_anchors=_anchors([bm]), anchors=anchors,
                    objectives={"direct": EffectObjective.for_direct(mm, plan),
                                "indirect": EffectObjective.for_indirect(mm, plan)})
 
@@ -400,26 +388,29 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
         raise ValueError(f"unknown effect_kind {effect_kind!r}")
     if stacks is None:
         stacks = prepare_benchmark_stacks(data, spec.j, plan)
-    mm, bm = stacks.mm, stacks.bm
     obj = stacks.objectives[effect_kind]
+    box = _leave_j_box(stacks.bm, spec, obj.q)
+
+    def search(values):
+        val, (r_a, r_m, r_y) = _minimize_over_box(box, values, budget, polish=False)
+        return val, (float(r_a[0]), r_m[0], float(r_y[0]))
 
     def worst_case(params, value, t_stat):
         return WorstCase(
             value=value, t_stat=t_stat,
             natural=_natural(stacks.full_anchors, params),
             leave_j={"r_a": params[0], "r_m": params[1].tolist(), "r_y": params[2]},
-            k_ratios=_k_ratios(bm, params))
+            k_ratios=_k_ratios(stacks.bm, params))
 
     values_e = _values_fn(stacks, obj, with_t=False)
-    val_e, params_e = _worst_search(values_e, bm, spec, mm.q, budget)
+    val_e, params_e = search(values_e)
     worst_est = worst_case(params_e, obj.flip * val_e, None)
 
     worst_t = None
     observed_t = None
     if plan is not None:
         observed_t = obj.flip * obj.observed_t()
-        val_t, params_t = _worst_search(_values_fn(stacks, obj, with_t=True),
-                                        bm, spec, mm.q, budget)
+        val_t, params_t = search(_values_fn(stacks, obj, with_t=True))
         est_at_t = obj.flip * float(values_e(*_as_batch([params_t]))[0])
         worst_t = worst_case(params_t, est_at_t, obj.flip * val_t)
     return BenchmarkResult(worst_estimate=worst_est, worst_t=worst_t,
@@ -450,30 +441,19 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     if stacks is None:
         stacks = prepare_benchmark_stacks(data, j, plan if use_t else None)
     obj = stacks.objectives[effect_kind]
-    if use_t:
-        zero_spec = BenchmarkSpec(j=j, k_a_bound=0.0, k_m_bound=0.0, k_y_bound=0.0)
-        res0 = benchmark_worst(data, zero_spec, plan=plan,
-                               effect_kind=effect_kind, budget=budget,
-                               stacks=stacks)
-        if obj.flip * res0.observed_t <= threshold:
-            return 0.0, [(0.0, res0.observed_t)]
-    elif obj.flip * obj.observed <= threshold:
-        return 0.0, [(0.0, obj.observed)]
+    values = _values_fn(stacks, obj, with_t=use_t)
+    # flip * the observed t or estimate, as the search values are
+    observed = obj.observed_t() if use_t else obj.flip * obj.observed
+    if observed <= threshold:
+        return 0.0, [(0.0, obj.flip * observed)]
 
     curve = []
-    hit = math.inf
     for delta in grid:
         spec = BenchmarkSpec(j=j, k_a_bound=k_a_bound, k_m_bound=delta,
                              k_y_bound=delta)
-        res = benchmark_worst(data, spec, plan=plan if use_t else None,
-                              effect_kind=effect_kind, budget=budget,
-                              stacks=stacks)
-        if use_t:
-            value = res.worst_t.t_stat
-        else:
-            value = obj.flip * res.worst_estimate.value
-        curve.append((delta, value))
-        if value <= threshold:
-            hit = delta
-            break
-    return hit, curve
+        val, _ = _minimize_over_box(_leave_j_box(stacks.bm, spec, obj.q), values,
+                                    budget, polish=False)
+        curve.append((delta, obj.flip * val))
+        if val <= threshold:
+            return delta, curve
+    return math.inf, curve

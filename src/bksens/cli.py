@@ -194,6 +194,13 @@ def _sidecar_path(out: str | None, default: str, suffix: str) -> Path:
     return Path(default)
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_effects(args) -> int:
     data, _ = build_data(args)
     s = _sensitivity_from_args(args, data.q)
@@ -261,18 +268,11 @@ def cmd_rv(args) -> int:
             "rv_ci": round(reports[kind].rv_ci, decimals),
             "observed_t": reports[kind].observed_t,
         }
-    curve_file = _sidecar_path(args.out, "rv_curve.csv", "curve")
-    with open(curve_file, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rho", "min_t_direct", "min_t_indirect"])
-        for rho in grid:
-            d = curves["direct"].get(rho)
-            i = curves["indirect"].get(rho)
-            if d is None and i is None:
-                continue
-            writer.writerow([rho,
-                             "" if d is None else repr(d),
-                             "" if i is None else repr(i)])
+    _write_csv(_sidecar_path(args.out, "rv_curve.csv", "curve"),
+               ["rho", "min_t_direct", "min_t_indirect"],
+               ([row["rho"]] + ["" if row[col] is None else repr(row[col])
+                                for col in ("min_t_direct", "min_t_indirect")]
+                for row in payload["curve"]))
     _emit_json(payload, args.out)
     return 0
 
@@ -318,13 +318,10 @@ def cmd_benchmark(args) -> int:
         "worst_cases": rows,
     }
 
-    bars_file = _sidecar_path(args.out, "benchmark_worst.csv", "worst")
-    with open(bars_file, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["covariate", "effect_kind", "worst_estimate", "worst_t"])
-        for row in rows:
-            writer.writerow([row["covariate"], row["effect_kind"],
-                             repr(row["worst_estimate"]), repr(row["worst_t"])])
+    _write_csv(_sidecar_path(args.out, "benchmark_worst.csv", "worst"),
+               ["covariate", "effect_kind", "worst_estimate", "worst_t"],
+               ([row["covariate"], row["effect_kind"], repr(row["worst_estimate"]),
+                 repr(row["worst_t"])] for row in rows))
 
     if args.j is not None and grid is not None:
         j = covariates.index(args.j)
@@ -342,18 +339,12 @@ def cmd_benchmark(args) -> int:
                             "critical_delta_ci": _finite_or_none(d_ci)}
             delta_curves[kind] = dict(curve_est)
         payload["critical_delta"] = deltas
-        delta_file = _sidecar_path(args.out, "benchmark_delta.csv", "delta")
         merged = sorted(set(delta_curves["direct"]) | set(delta_curves["indirect"]))
-        with open(delta_file, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["delta", "worst_estimate_direct",
-                             "worst_estimate_indirect"])
-            for delta in merged:
-                writer.writerow([
-                    delta,
-                    repr(delta_curves["direct"].get(delta, "")),
-                    repr(delta_curves["indirect"].get(delta, "")),
-                ])
+        _write_csv(_sidecar_path(args.out, "benchmark_delta.csv", "delta"),
+                   ["delta", "worst_estimate_direct", "worst_estimate_indirect"],
+                   ([delta, repr(delta_curves["direct"].get(delta, "")),
+                     repr(delta_curves["indirect"].get(delta, ""))]
+                    for delta in merged))
     _emit_json(payload, args.out)
     return 0
 
@@ -377,14 +368,10 @@ def cmd_simulate(args) -> int:
         } for r in rows],
         "mean_ratio": float(np.mean([r.ratio for r in rows])),
     }
-    table_file = _sidecar_path(args.out, "simulate_table.csv", "table")
-    with open(table_file, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["dim_m", "r2_am", "r2_ym", "rv_scalar", "rv_vector",
-                         "ratio"])
-        for r in rows:
-            writer.writerow([r.dim_m, r.r2_am, r.r2_ym, repr(r.rv_scalar),
-                             repr(r.rv_vector), repr(r.ratio)])
+    _write_csv(_sidecar_path(args.out, "simulate_table.csv", "table"),
+               ["dim_m", "r2_am", "r2_ym", "rv_scalar", "rv_vector", "ratio"],
+               ([r.dim_m, r.r2_am, r.r2_ym, repr(r.rv_scalar), repr(r.rv_vector),
+                 repr(r.ratio)] for r in rows))
     _emit_json(payload, args.out)
     return 0
 

@@ -13,6 +13,15 @@ The coefficients of that form are stacked with one column per resample
 that are either shared by every resample or given per resample; formal
 benchmarking evaluates its search through the same function.
 
+One minimizer, ``_minimize_over_box``, runs every worst-case search, the
+benchmarking ones included. It takes a ``_SearchBox``: a ``_Box``, the map
+from the box's points to the value function's arguments (phi pairs here,
+leave-one-out triples in benchmarking) and candidates, zero first, that are
+evaluated in one batch with the optimizer's optimum. A box that bounds no
+confounding has no columns and zero as its only candidate. The minimum
+t-statistic functions and both RV drivers share one setup, which checks the
+effect, the confounder mode and the rho grid before any search runs.
+
 The direct-effect range does not depend on whether the confounder is scalar
 or vector, so both modes share one code path. The indirect-effect range does:
 scalar mode ties the two phi vectors to a shared direction, vector mode
@@ -225,23 +234,25 @@ class EffectObjective:
 
 
 # ---------------------------------------------------------------------------
-# Feasible-range parameterizations under the strength bounds.
+# Search boxes: a _Box, the map from its points to the value function's
+# arguments and the candidates evaluated beside the optimizer's optimum.
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _PhiBox:
+class _SearchBox:
     space: _Box
-    to_phi: callable              # X (k, dims) -> (phi_a (k, da), phi_b (k, q))
-    corner_phis: list
+    unpack: callable              # X (k, dims) -> the value function's arguments
+    candidates: list              # argument tuples with a leading batch axis, zero first
 
 
 def _direct_box(q: int, rho_y: float, rho_m: float, rho_a: float,
-                full_coeffs) -> _PhiBox | None:
+                full_coeffs) -> _SearchBox:
     rho_y *= BALL_SHRINK
     rho_m *= BALL_SHRINK
     rho_a *= BALL_SHRINK
+    zero = (np.zeros((1, 1)), np.zeros((1, q)))
     if rho_y <= 0.0 or (rho_a <= 0.0 and rho_m <= 0.0):
-        return None
+        return _SearchBox(_Box(), None, [zero])
     r1 = np.sqrt(rho_y * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
     t3max = np.arctan(np.sqrt(rho_m / (1.0 - rho_m))) if rho_m > 0 else 0.0
     box = _Box().interval(-1.0, 1.0, present=rho_a > 0) \
@@ -255,7 +266,7 @@ def _direct_box(q: int, rho_y: float, rho_m: float, rho_a: float,
 
     # deterministic corner candidates: estimate-minimizing directions
     t2c = full_coeffs[2][:, 0]
-    corners = []
+    corners = [zero]
     d2 = t2c / np.linalg.norm(t2c) if np.linalg.norm(t2c) > 0 else None
     for s1 in (-1.0, 0.0, 1.0):
         phi1 = np.array([[s1 * r1 / np.cos(t3max)]]) if rho_a > 0 else np.zeros((1, 1))
@@ -265,20 +276,19 @@ def _direct_box(q: int, rho_y: float, rho_m: float, rho_a: float,
                 corners.append((phi1, phi2))
         corners.append((np.array([[s1 * r1]]) if rho_a > 0 else np.zeros((1, 1)),
                         np.zeros((1, q))))
-    return _PhiBox(box, to_phi, corners)
+    return _SearchBox(box, to_phi, corners)
 
 
 def _indirect_box(q: int, rho_y: float, rho_m: float, rho_a: float,
-                  confounder_mode: str, full_coeffs) -> _PhiBox | None:
+                  confounder_mode: str, full_coeffs) -> _SearchBox:
     rho_y *= BALL_SHRINK
     rho_m *= BALL_SHRINK
     rho_a *= BALL_SHRINK
-    if rho_m <= 0.0:
-        return None
     r3 = np.sqrt(rho_m * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
     r4 = np.sqrt(rho_y * rho_m / (1.0 - rho_m)) if rho_y > 0 else 0.0
+    zero = (np.zeros((1, q)), np.zeros((1, q)))
     if r3 == 0.0 and r4 == 0.0:
-        return None
+        return _SearchBox(_Box(), None, [zero])
 
     if confounder_mode == "scalar_u":
         # one shared direction, a signed length along it for each phi
@@ -288,15 +298,13 @@ def _indirect_box(q: int, rho_y: float, rho_m: float, rho_a: float,
         def to_phi(x: np.ndarray):
             t2, t3, t1 = box.split(x)
             return r3 * t2[:, None] * t1, r4 * t3[:, None] * t1
-    elif confounder_mode == "vector_u":
+    else:
         # two independent unit balls, scaled by r3 and r4
         box = _Box().ball(q, 1.0, present=r3 > 0).ball(q, 1.0, present=r4 > 0)
 
         def to_phi(x: np.ndarray):
             (rad3, dir3), (rad4, dir4) = box.split(x)
             return r3 * rad3[:, None] * dir3, r4 * rad4[:, None] * dir4
-    else:
-        raise ValueError(f"unknown confounder_mode {confounder_mode!r}")
 
     # shared-direction corner candidates (feasible in both modes)
     dirs = []
@@ -306,35 +314,35 @@ def _indirect_box(q: int, rho_y: float, rho_m: float, rho_a: float,
             dirs.append(v / nv)
     if not dirs:
         dirs = [np.eye(q)[0]]
-    corners = []
+    corners = [zero]
     for d in dirs:
         for s3 in (-1.0, 0.0, 1.0):
             for s4 in (-1.0, 0.0, 1.0):
                 corners.append((s3 * r3 * d[None, :], s4 * r4 * d[None, :]))
-    return _PhiBox(box, to_phi, corners)
+    return _SearchBox(box, to_phi, corners)
 
 
 # ---------------------------------------------------------------------------
-# Minimization over a phi box.
+# Minimization over a search box.
 # ---------------------------------------------------------------------------
 
-def _minimize_over_box(box: _PhiBox | None, value_fn, q: int, kind: str,
-                       budget: int, polish: bool, seed_phis=()):
-    """Minimum of value_fn over the box plus candidate phis; returns
-    (value, phi pair)."""
-    da = 1 if kind == "direct" else q
-    zero = (np.zeros((1, da)), np.zeros((1, q)))
-    candidates = [zero] + list(box.corner_phis if box is not None else []) \
-        + [(np.atleast_2d(a), np.atleast_2d(b)) for a, b in seed_phis]
+def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
+                       seeds=()):
+    """Minimum of the batched ``value_fn`` over the box, its candidates and
+    the warm ``seeds``; returns the value and the winner's arguments, each
+    with a batch axis of length 1.
 
-    best_val = np.inf
-    best_phi = zero
-    if box is not None and box.space.lower:
+    DIRECT searches the box when it has columns, optionally polished by
+    Nelder-Mead; then one call evaluates the optimum, the candidates and the
+    seeds in that order, and the first strict minimum wins (so a NaN never
+    beats an earlier value).
+    """
+    points = []
+    if box.space.lower:
         lower, upper = np.array(box.space.lower), np.array(box.space.upper)
 
         def objective(x):
-            phi_a, phi_b = box.to_phi(x)
-            return value_fn(phi_a, phi_b)
+            return value_fn(*box.unpack(x))
 
         res = direct_optimize(objective, lower, upper, budget=budget,
                               vectorized=True)
@@ -349,15 +357,14 @@ def _minimize_over_box(box: _PhiBox | None, value_fn, q: int, kind: str,
                                     "fatol": 1e-12})
             if pol.fun < res.fun:
                 x_best = np.clip(pol.x, lower, upper)
-        phi_a, phi_b = box.to_phi(x_best[None, :])
-        val = float(value_fn(phi_a, phi_b)[0])
-        best_val, best_phi = val, (phi_a, phi_b)
-
-    for phi_a, phi_b in candidates:
-        val = float(value_fn(phi_a, phi_b)[0])
-        if val < best_val:
-            best_val, best_phi = val, (phi_a, phi_b)
-    return best_val, best_phi
+        points.append(box.unpack(x_best[None, :]))
+    args = [np.concatenate(col) for col in zip(*points, *box.candidates, *seeds)]
+    vals = value_fn(*args)
+    best = 0
+    for i in range(1, len(vals)):
+        if vals[i] < vals[best]:
+            best = i
+    return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
 
 
 def _resolve_rhos(rho, rho_y, rho_m, rho_a, randomized):
@@ -372,6 +379,42 @@ def _resolve_rhos(rho, rho_y, rho_m, rho_a, randomized):
     return rho_y, rho_m, rho_a
 
 
+def _build_objective(mm, plan, effect_kind, confounder_mode) -> EffectObjective:
+    """The objective every search over strength bounds starts from; rejects
+    an unknown effect or confounder mode before any search runs."""
+    if confounder_mode not in ("scalar_u", "vector_u"):
+        raise ValueError(f"unknown confounder_mode {confounder_mode!r}")
+    if effect_kind == "direct":
+        return EffectObjective.for_direct(mm, plan)
+    if effect_kind == "indirect":
+        return EffectObjective.for_indirect(mm, plan)
+    raise ValueError(f"unknown effect_kind {effect_kind!r}")
+
+
+def _box_for(obj, confounder_mode, rho, randomized, rho_y=None, rho_m=None,
+             rho_a=None) -> _SearchBox:
+    rho_y, rho_m, rho_a = _resolve_rhos(rho, rho_y, rho_m, rho_a, randomized)
+    if obj.kind == "direct":
+        return _direct_box(obj.q, rho_y, rho_m, rho_a, obj.full)
+    return _indirect_box(obj.q, rho_y, rho_m, rho_a, confounder_mode, obj.full)
+
+
+def _rho_grid(rho_grid) -> list[float]:
+    grid = [float(r) for r in (DEFAULT_RHO_GRID if rho_grid is None else rho_grid)]
+    if not grid or any(not 0.0 < r < 1.0 for r in grid) or any(
+            b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("rho_grid must be nonempty, strictly increasing and "
+                         "inside (0, 1)")
+    return grid
+
+
+def _min_t(mm, plan, effect_kind, rho, confounder_mode, rho_y, rho_m, rho_a,
+           randomized, budget, polish) -> float:
+    obj = _build_objective(mm, plan, effect_kind, confounder_mode)
+    box = _box_for(obj, confounder_mode, rho, randomized, rho_y, rho_m, rho_a)
+    return _minimize_over_box(box, obj.t_values, budget, polish)[0]
+
+
 def min_t_direct(mm: MediationMoments, plan: BootstrapPlan, rho: float,
                  confounder_mode: str = "scalar_u", *, rho_y=None, rho_m=None,
                  rho_a=None, randomized: bool = False,
@@ -379,13 +422,8 @@ def min_t_direct(mm: MediationMoments, plan: BootstrapPlan, rho: float,
     """Worst (minimum) t statistic for the direct effect under the strength
     bound rho. Scalar and vector confounders share the same feasible range,
     so ``confounder_mode`` does not change the result."""
-    if confounder_mode not in ("scalar_u", "vector_u"):
-        raise ValueError(f"unknown confounder_mode {confounder_mode!r}")
-    obj = EffectObjective.for_direct(mm, plan)
-    rho_y, rho_m, rho_a = _resolve_rhos(rho, rho_y, rho_m, rho_a, randomized)
-    box = _direct_box(mm.q, rho_y, rho_m, rho_a, obj.full)
-    val, _ = _minimize_over_box(box, obj.t_values, mm.q, "direct", budget, polish)
-    return val
+    return _min_t(mm, plan, "direct", rho, confounder_mode, rho_y, rho_m, rho_a,
+                  randomized, budget, polish)
 
 
 def min_t_indirect(mm: MediationMoments, plan: BootstrapPlan, rho: float,
@@ -394,11 +432,8 @@ def min_t_indirect(mm: MediationMoments, plan: BootstrapPlan, rho: float,
                    budget: int = DEFAULT_BUDGET, polish: bool = True) -> float:
     """Worst (minimum) t statistic for the indirect effect under the strength
     bound rho, for a scalar or vector confounder."""
-    obj = EffectObjective.for_indirect(mm, plan)
-    rho_y, rho_m, rho_a = _resolve_rhos(rho, rho_y, rho_m, rho_a, randomized)
-    box = _indirect_box(mm.q, rho_y, rho_m, rho_a, confounder_mode, obj.full)
-    val, _ = _minimize_over_box(box, obj.t_values, mm.q, "indirect", budget, polish)
-    return val
+    return _min_t(mm, plan, "indirect", rho, confounder_mode, rho_y, rho_m, rho_a,
+                  randomized, budget, polish)
 
 
 @dataclass(frozen=True)
@@ -413,21 +448,6 @@ class RVReport:
     sign_flip: bool
     observed_t: float
     argmins: dict = field(repr=False, default_factory=dict)  # rho -> phi pair
-
-
-def _build_objective(mm, plan, effect_kind):
-    if effect_kind == "direct":
-        return EffectObjective.for_direct(mm, plan)
-    if effect_kind == "indirect":
-        return EffectObjective.for_indirect(mm, plan)
-    raise ValueError(f"unknown effect_kind {effect_kind!r}")
-
-
-def _box_for(obj, q, rho, confounder_mode, randomized):
-    rho_y, rho_m, rho_a = _resolve_rhos(rho, None, None, None, randomized)
-    if obj.kind == "direct":
-        return _direct_box(q, rho_y, rho_m, rho_a, obj.full)
-    return _indirect_box(q, rho_y, rho_m, rho_a, confounder_mode, obj.full)
 
 
 def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
@@ -445,11 +465,8 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
     ``full_curve`` is set. A robustness value of 1.0 means the grid never
     brought the worst t below the threshold.
     """
-    grid = [float(r) for r in (DEFAULT_RHO_GRID if rho_grid is None else rho_grid)]
-    if any(not 0.0 < r < 1.0 for r in grid) or any(
-            b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("rho_grid must be strictly increasing inside (0, 1)")
-    obj = _build_objective(mm, plan, effect_kind)
+    grid = _rho_grid(rho_grid)
+    obj = _build_objective(mm, plan, effect_kind, confounder_mode)
     t_obs = obj.observed_t()
 
     curve = []
@@ -463,10 +480,10 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
             break
         extra = []
         if seed_curve is not None and rho in seed_curve:
-            extra.append(seed_curve[rho])
-        box = _box_for(obj, mm.q, rho, confounder_mode, randomized)
-        val, phi = _minimize_over_box(box, obj.t_values, mm.q, obj.kind,
-                                      budget, polish, seed_phis=seeds + extra)
+            extra.append(tuple(np.atleast_2d(phi) for phi in seed_curve[rho]))
+        box = _box_for(obj, confounder_mode, rho, randomized)
+        val, phi = _minimize_over_box(box, obj.t_values, budget, polish,
+                                      seeds=seeds + extra)
         val = min(val, last)
         last = val
         seeds = [phi]
@@ -493,17 +510,14 @@ def rv_estimate_only(mm: MediationMoments, effect_kind: str, rho_grid=None,
     """Robustness value for the point estimate alone (threshold 0), without
     a bootstrap plan: the worst estimate is minimized directly. Uses
     bisection over the grid, which the monotone worst-estimate curve allows."""
-    grid = [float(r) for r in (DEFAULT_RHO_GRID if rho_grid is None else rho_grid)]
-    obj = _build_objective(mm, None, effect_kind)
-    zero = (np.zeros((1, 1 if obj.kind == "direct" else mm.q)), np.zeros((1, mm.q)))
-    if float(obj.estimate_values(*zero)[0]) <= 0.0:
+    grid = _rho_grid(rho_grid)
+    obj = _build_objective(mm, None, effect_kind, confounder_mode)
+    if obj.flip * obj.observed <= 0.0:
         return 0.0
 
     def min_est(rho) -> float:
-        box = _box_for(obj, mm.q, rho, confounder_mode, randomized)
-        val, _ = _minimize_over_box(box, obj.estimate_values, mm.q, obj.kind,
-                                    budget, polish)
-        return val
+        box = _box_for(obj, confounder_mode, rho, randomized)
+        return _minimize_over_box(box, obj.estimate_values, budget, polish)[0]
 
     lo, hi = 0, len(grid) - 1
     if min_est(grid[hi]) > 0.0:

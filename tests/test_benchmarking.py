@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bksens import benchmarking, cli
+from bksens import benchmarking, cli, robustness
 from bksens.benchmarking import (
     BenchmarkSpec,
     _convert_leave_j,
@@ -291,3 +291,51 @@ def test_cli_delta_grid_builds_stacks_once(tmp_path, monkeypatch):
                      "--delta-grid", "0.5:1:0.5", "--out", str(tmp_path / "b.json")])
     assert code == 0
     assert calls["n"] == 1
+
+
+def _mirror_study(sign):
+    local = np.random.default_rng(7)
+    n = 300
+    c = local.normal(size=(n, 2))
+    a = c @ np.array([0.5, -0.4]) + local.normal(size=n)
+    m = (0.6 * a + c @ np.array([0.5, 0.3]) + local.normal(size=n))[:, None]
+    y = 0.8 * a + 0.7 * m[:, 0] + c @ np.array([0.3, 0.2]) + local.normal(size=n)
+    return MediationData.from_arrays(y=sign * y, a=a, m=m, c=c)
+
+
+@pytest.mark.parametrize("kind", ["direct", "indirect"])
+def test_critical_delta_is_mirror_symmetric(kind):
+    # y -> -y negates both effects: every critical delta stays put and every
+    # curve, kept in the data's sign, is negated
+    grid = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+    sweeps = []
+    for sign in (1.0, -1.0):
+        data = _mirror_study(sign)
+        plan = bootstrap_moments(data, n_resamples=60, seed=1)
+        stacks = prepare_benchmark_stacks(data, 0, plan)
+        sweeps.append([critical_delta(data, 0, kind, threshold, grid, k_a_bound=1.0,
+                                      plan=plan, stacks=stacks)
+                       for threshold in (0.0, 1.96)])
+    for (d_pos, curve_pos), (d_neg, curve_neg) in zip(*sweeps):
+        assert d_pos == d_neg
+        assert 0.5 < d_pos < np.inf
+        assert [d for d, _ in curve_pos] == [d for d, _ in curve_neg]
+        assert [v for _, v in curve_neg] == pytest.approx(
+            [-v for _, v in curve_pos], rel=1e-9, abs=1e-12)
+
+
+def test_critical_delta_makes_one_search_per_grid_point(monkeypatch):
+    data = make_data(np.random.default_rng(9600), n=120, p=2, q=1)
+    plan = bootstrap_moments(data, n_resamples=30, seed=2)
+    calls = {"n": 0}
+    search = robustness.direct_optimize
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "direct_optimize", counting)
+    _, curve = critical_delta(data, 0, "direct", 1.96, [0.5, 1.0, 2.0, 4.0],
+                              k_a_bound=1.0, plan=plan)
+    assert curve[0][0] == 0.5
+    assert calls["n"] == len(curve)

@@ -4,6 +4,7 @@ import pytest
 from bksens.inference import bootstrap_moments
 from bksens.mediation import NaturalSensitivity, direct_adjusted, fit_observed
 from bksens.robustness import (
+    DEFAULT_RHO_GRID,
     EffectObjective,
     min_t_direct,
     min_t_indirect,
@@ -389,3 +390,27 @@ def test_box_blocks_bounds_and_split():
     assert not absent.any() and not r0.any()
     assert np.array_equal(d0, np.tile([1.0, 0.0], (4, 1)))
     assert np.array_equal(d, _sphere_from_angles(x[:, 5:7]))
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_RHO_GRID[::-1], (0.5, 0.8, 1.0), (0.0, 0.1), ()])
+def test_both_rv_drivers_reject_bad_grids(setup_q1, grid):
+    # a reversed grid would let the bisection skip every crossing, a grid
+    # point on the boundary is no strength bound at all, and an empty grid
+    # would report every robustness value as not attained
+    mm, plan = setup_q1
+    with pytest.raises(ValueError, match="rho_grid"):
+        robustness_value(mm, plan, "indirect", rho_grid=grid, budget=200)
+    with pytest.raises(ValueError, match="rho_grid"):
+        rv_estimate_only(mm, "indirect", rho_grid=grid, budget=200)
+
+
+@pytest.mark.parametrize("kind", ["direct", "indirect"])
+def test_every_entry_point_rejects_unknown_mode(setup_q1, kind):
+    mm, plan = setup_q1
+    min_t = min_t_direct if kind == "direct" else min_t_indirect
+    with pytest.raises(ValueError, match="confounder_mode"):
+        min_t(mm, plan, 0.1, confounder_mode="bogus", budget=200)
+    with pytest.raises(ValueError, match="confounder_mode"):
+        robustness_value(mm, plan, kind, confounder_mode="bogus", budget=200)
+    with pytest.raises(ValueError, match="confounder_mode"):
+        rv_estimate_only(mm, kind, confounder_mode="bogus", budget=200)
