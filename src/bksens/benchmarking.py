@@ -64,7 +64,8 @@ from .mediation import (
     NaturalSensitivity,
     fit_observed,
 )
-from .robustness import EffectObjective, _Box, _SearchBox, _minimize_over_box
+from .robustness import (EffectObjective, _Box, _check_kind, _distinct,
+                         _minimize_over_box, _SearchBox)
 
 R_CLAMP = 1.0 - 1e-9
 
@@ -303,7 +304,7 @@ def _radii(bm: BenchmarkMoments, spec: BenchmarkSpec) -> tuple[float, float, flo
 def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int) -> _SearchBox:
     """The capped leave-one-out box, its map to (r_a (k,), r_m (k, q),
     r_y (k,)) leave-j candidates, and its candidates: zero, then a
-    deterministic corner sweep over the scalar channels."""
+    deterministic corner sweep over the scalar channels, each row once."""
     ra_rad, rm_rad, ry_rad = _radii(bm, spec)
     box = _Box().interval(-ra_rad, ra_rad, present=ra_rad > 0) \
         .ball(q, rm_rad, present=rm_rad > 0) \
@@ -323,7 +324,7 @@ def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int) -> _SearchBo
         for sy in ((-ry_rad, 0.0, ry_rad) if ry_rad > 0 else (0.0,)):
             for dm in m_dirs:
                 cands.append((sa, dm, sy))
-    return _SearchBox(box, unpack, [_as_batch(cands)])
+    return _SearchBox(box, unpack, _distinct([_as_batch(cands)]))
 
 
 def _k_ratios(bm: BenchmarkMoments, params) -> dict:
@@ -384,8 +385,7 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
     ``stacks`` from ``prepare_benchmark_stacks`` on the same plan skip
     rebuilding the resample anchors and refitting the full sample.
     """
-    if effect_kind not in ("direct", "indirect"):
-        raise ValueError(f"unknown effect_kind {effect_kind!r}")
+    _check_kind(effect_kind)
     if stacks is None:
         stacks = prepare_benchmark_stacks(data, spec.j, plan)
     obj = stacks.objectives[effect_kind]
@@ -432,6 +432,7 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     threshold) are reused, the full-sample fit included; without them the
     full sample is fitted once per sweep.
     """
+    _check_kind(effect_kind)
     grid = [float(d) for d in delta_grid]
     if any(d <= 0 for d in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("delta_grid must be positive and strictly increasing")

@@ -2,8 +2,11 @@
 
 The direct and indirect effects are affine/bilinear in two low-dimensional
 nuisance vectors (phi pairs) whose feasible ranges under a common strength
-bound rho have closed forms; minimizing the t statistic over those ranges is
-a small box-constrained global optimization. The bootstrap standard error is
+bound rho have closed forms. The worst estimate over those ranges has closed
+form minimizers too (one convex 1-D solve in vector mode), which every
+search box carries among its candidates, so the estimate-only robustness
+value needs no search. Minimizing the t statistic over the ranges is a
+small box-constrained global optimization. The bootstrap standard error is
 recomputed per candidate from per-resample moments on common random numbers,
 so one objective evaluation costs a few vector operations per resample and
 no new regressions.
@@ -13,14 +16,14 @@ The coefficients of that form are stacked with one column per resample
 that are either shared by every resample or given per resample; formal
 benchmarking evaluates its search through the same function.
 
-One minimizer, ``_minimize_over_box``, runs every worst-case search, the
-benchmarking ones included. It takes a ``_SearchBox``: a ``_Box``, the map
-from the box's points to the value function's arguments (phi pairs here,
-leave-one-out triples in benchmarking) and candidates, zero first, that are
-evaluated in one batch with the optimizer's optimum. A box that bounds no
-confounding has no columns and zero as its only candidate. The minimum
-t-statistic functions and both RV drivers share one setup, which checks the
-effect, the confounder mode and the rho grid before any search runs.
+One minimizer, ``_minimize_over_box``, runs every search that remains: the
+t searches and formal benchmarking's. It takes a ``_SearchBox``: a ``_Box``,
+the map from the box's points to the value function's arguments (phi pairs
+here, leave-one-out triples in benchmarking) and one batch of candidates,
+zero first and no row twice, evaluated with the optimizer's optimum. A box
+that bounds no confounding has no columns and zero as its only candidate.
+The minimum t-statistic functions and both RV drivers share one setup, which
+checks the effect, the confounder mode and the rho grid before any search.
 
 The direct-effect range does not depend on whether the confounder is scalar
 or vector, so both modes share one code path. The indirect-effect range does:
@@ -35,11 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+from scipy.optimize import Bounds, minimize, minimize_scalar
 
 from .errors import DimensionMismatch
 from .inference import BootstrapPlan
-from .mediation import MediationMoments, observed_indirect
+from .mediation import DEFAULT_CI_MULTIPLIER, MediationMoments, observed_indirect
 from .optimize import direct_optimize
 
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(1, 100) / 100.0, 2))
@@ -218,19 +221,20 @@ class EffectObjective:
         se = self.boot_matrix(phi_a, phi_b).std(axis=1, ddof=1)
         return self.flip * est / se
 
-    def estimate_values(self, phi_a, phi_b) -> np.ndarray:
-        return self.flip * self.point_estimates(phi_a, phi_b)
-
     @property
     def observed(self) -> float:
         """The full-sample estimate with no confounding, not flipped."""
         return float(self.full[0][0])
 
+    @property
+    def zero(self) -> tuple:
+        """The phi pair of no confounding, as a batch of one."""
+        return (np.zeros((1, 1 if self.kind == "direct" else self.q)),
+                np.zeros((1, self.q)))
+
     def observed_t(self) -> float:
         """The full-sample t with no confounding, times flip."""
-        zero = np.zeros((1, 1 if self.kind == "direct" else self.q))
-        zq = np.zeros((1, self.q))
-        return float(self.t_values(zero, zq)[0])
+        return float(self.t_values(*self.zero)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,84 +246,108 @@ class EffectObjective:
 class _SearchBox:
     space: _Box
     unpack: callable              # X (k, dims) -> the value function's arguments
-    candidates: list              # argument tuples with a leading batch axis, zero first
+    candidates: tuple             # one argument batch, zero first, no row twice
 
 
-def _direct_box(q: int, rho_y: float, rho_m: float, rho_a: float,
-                full_coeffs) -> _SearchBox:
-    rho_y *= BALL_SHRINK
-    rho_m *= BALL_SHRINK
-    rho_a *= BALL_SHRINK
-    zero = (np.zeros((1, 1)), np.zeros((1, q)))
-    if rho_y <= 0.0 or (rho_a <= 0.0 and rho_m <= 0.0):
-        return _SearchBox(_Box(), None, [zero])
-    r1 = np.sqrt(rho_y * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
-    t3max = np.arctan(np.sqrt(rho_m / (1.0 - rho_m))) if rho_m > 0 else 0.0
-    box = _Box().interval(-1.0, 1.0, present=rho_a > 0) \
-        .ball(q, t3max, present=rho_m > 0)
+def _distinct(rows) -> tuple:
+    """Argument tuples with a leading batch axis -> one batch holding each
+    row once, at its first position."""
+    args = [np.concatenate(col) for col in zip(*rows)]
+    flat = np.column_stack([a.reshape(len(a), -1) for a in args])
+    keep = [i for i, row in enumerate(flat) if not (flat[:i] == row).all(1).any()]
+    return tuple(a[keep] for a in args)
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v|, or the first axis when v is zero."""
+    nv = np.linalg.norm(v)
+    return v / nv if nv > 0 else np.eye(len(v))[0]
+
+
+def _direct_box(rho: float, rho_a: float, obj) -> _SearchBox:
+    r1 = np.sqrt(rho * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
+    t3max = np.arctan(np.sqrt(rho / (1.0 - rho)))
+    box = _Box().interval(-1.0, 1.0, present=rho_a > 0).ball(obj.q, t3max)
 
     def to_phi(x: np.ndarray):
         t1, (t3, t2) = box.split(x)
-        phi1 = (r1 * t1 / np.cos(t3))[:, None]
-        phi2 = np.sqrt(rho_y) * np.tan(t3)[:, None] * t2
-        return phi1, phi2
+        return (r1 * t1 / np.cos(t3))[:, None], np.sqrt(rho) * np.tan(t3)[:, None] * t2
 
-    # deterministic corner candidates: estimate-minimizing directions
-    t2c = full_coeffs[2][:, 0]
-    corners = [zero]
-    d2 = t2c / np.linalg.norm(t2c) if np.linalg.norm(t2c) > 0 else None
+    # corners; the estimate is affine in the phis and |phi_1| grows with t3, so
+    # it is least at t3 = t3max, both phis opposing the flipped coefficients
+    d2 = _unit(obj.full[2][:, 0])
+    corners = [obj.zero]
     for s1 in (-1.0, 0.0, 1.0):
-        phi1 = np.array([[s1 * r1 / np.cos(t3max)]]) if rho_a > 0 else np.zeros((1, 1))
-        if rho_m > 0 and d2 is not None:
-            for s2 in (-1.0, 1.0):
-                phi2 = s2 * np.sqrt(rho_y) * np.tan(t3max) * d2[None, :]
-                corners.append((phi1, phi2))
-        corners.append((np.array([[s1 * r1]]) if rho_a > 0 else np.zeros((1, 1)),
-                        np.zeros((1, q))))
-    return _SearchBox(box, to_phi, corners)
+        for s2 in (-1.0, 1.0):
+            corners.append((np.array([[s1 * r1 / np.cos(t3max)]]),
+                            s2 * np.sqrt(rho) * np.tan(t3max) * d2[None, :]))
+        corners.append((np.array([[s1 * r1]]), np.zeros((1, obj.q))))
+    return _SearchBox(box, to_phi, _distinct(corners))
 
 
-def _indirect_box(q: int, rho_y: float, rho_m: float, rho_a: float,
-                  confounder_mode: str, full_coeffs) -> _SearchBox:
-    rho_y *= BALL_SHRINK
-    rho_m *= BALL_SHRINK
-    rho_a *= BALL_SHRINK
-    r3 = np.sqrt(rho_m * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
-    r4 = np.sqrt(rho_y * rho_m / (1.0 - rho_m)) if rho_y > 0 else 0.0
-    zero = (np.zeros((1, q)), np.zeros((1, q)))
-    if r3 == 0.0 and r4 == 0.0:
-        return _SearchBox(_Box(), None, [zero])
+def _vector_minimizers(a, b, kappa: float, r3: float, r4: float) -> list:
+    """Minimizers of phi_a.a + phi_b.b + kappa phi_a.phi_b over |phi_a| <= r3,
+    |phi_b| <= r4, for q >= 2 and b != 0.
+
+    The best phi_b is -r4 unit(b + kappa phi_a); what is left is concave in
+    phi_a, so phi_a lies on its sphere, where only x = phi_a.b/|b| matters.
+    The value g(x) is convex on [-r3, r3]: one bounded Brent solve finds its
+    minimum, and both ends are returned too."""
+    # signed QR: b = |b| bhat, a = (a.bhat) bhat + |a_perp| perp
+    basis, tri = np.linalg.qr(np.column_stack([b, a]))
+    signs = np.where(np.diag(tri) < 0.0, -1.0, 1.0)
+    (bhat, perp), tri = (basis * signs).T, tri * signs[:, None]
+    nb, ab, na_perp = tri[0, 0], tri[0, 1], tri[1, 1]
+
+    def g(x):
+        return (ab * x - na_perp * np.sqrt(r3 * r3 - x * x) - r4 * np.sqrt(
+            max(nb * nb + 2.0 * kappa * nb * x + kappa * kappa * r3 * r3, 0.0)))
+
+    best = minimize_scalar(g, bounds=(-r3, r3), method="bounded",
+                           options={"xatol": 1e-12 * r3}).x
+    phis_a = [x * bhat - np.sqrt(r3 * r3 - x * x) * perp for x in (best, -r3, r3)]
+    return [(p[None, :], -r4 * _unit(b + kappa * p)[None, :]) for p in phis_a]
+
+
+def _indirect_box(rho: float, rho_a: float, confounder_mode: str,
+                  obj) -> _SearchBox:
+    q = obj.q
+    r3 = np.sqrt(rho * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
+    r4 = np.sqrt(rho * rho / (1.0 - rho))
 
     if confounder_mode == "scalar_u":
         # one shared direction, a signed length along it for each phi
         box = _Box().interval(-1.0, 1.0, present=r3 > 0) \
-            .interval(-1.0, 1.0, present=r4 > 0).sphere(q)
+            .interval(-1.0, 1.0).sphere(q)
 
         def to_phi(x: np.ndarray):
             t2, t3, t1 = box.split(x)
             return r3 * t2[:, None] * t1, r4 * t3[:, None] * t1
     else:
         # two independent unit balls, scaled by r3 and r4
-        box = _Box().ball(q, 1.0, present=r3 > 0).ball(q, 1.0, present=r4 > 0)
+        box = _Box().ball(q, 1.0, present=r3 > 0).ball(q, 1.0)
 
         def to_phi(x: np.ndarray):
             (rad3, dir3), (rad4, dir4) = box.split(x)
             return r3 * rad3[:, None] * dir3, r4 * rad4[:, None] * dir4
 
     # shared-direction corner candidates (feasible in both modes)
-    dirs = []
-    for v in (full_coeffs[1][:, 0], full_coeffs[2][:, 0]):
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            dirs.append(v / nv)
-    if not dirs:
-        dirs = [np.eye(q)[0]]
-    corners = [zero]
-    for d in dirs:
-        for s3 in (-1.0, 0.0, 1.0):
-            for s4 in (-1.0, 0.0, 1.0):
-                corners.append((s3 * r3 * d[None, :], s4 * r4 * d[None, :]))
-    return _SearchBox(box, to_phi, corners)
+    _, w_a, w_b, cross = obj.full
+    signs = (-1.0, 0.0, 1.0)
+    corners = [obj.zero] + [(s3 * r3 * d[None, :], s4 * r4 * d[None, :])
+                            for d in (_unit(w_a[:, 0]), _unit(w_b[:, 0]))
+                            for s3 in signs for s4 in signs]
+
+    # exact minimizers of flip * estimate. In scalar mode the estimate is
+    # bilinear in the two signed lengths, so a vertex wins: lengths r3 and
+    # sigma r4 along t1 = -unit(r3 a + sigma r4 b).
+    a, b, kappa = obj.flip * w_a[:, 0], obj.flip * w_b[:, 0], obj.flip * cross[0]
+    for sigma in (-1.0, 1.0):
+        t1 = -_unit(r3 * a + sigma * r4 * b)[None, :]
+        corners.append((r3 * t1, sigma * r4 * t1))
+    if confounder_mode == "vector_u" and q >= 2 and r3 > 0 and b.any():
+        corners += _vector_minimizers(a, b, kappa, r3, r4)
+    return _SearchBox(box, to_phi, _distinct(corners))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +386,7 @@ def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
             if pol.fun < res.fun:
                 x_best = np.clip(pol.x, lower, upper)
         points.append(box.unpack(x_best[None, :]))
-    args = [np.concatenate(col) for col in zip(*points, *box.candidates, *seeds)]
+    args = [np.concatenate(col) for col in zip(*points, box.candidates, *seeds)]
     vals = value_fn(*args)
     best = 0
     for i in range(1, len(vals)):
@@ -367,16 +395,9 @@ def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
     return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
 
 
-def _resolve_rhos(rho, rho_y, rho_m, rho_a, randomized):
-    rho_y = rho if rho_y is None else rho_y
-    rho_m = rho if rho_m is None else rho_m
-    rho_a = rho if rho_a is None else rho_a
-    if randomized:
-        rho_a = 0.0
-    for name, val in (("rho_y", rho_y), ("rho_m", rho_m), ("rho_a", rho_a)):
-        if not 0.0 <= val < 1.0:
-            raise ValueError(f"{name} must lie in [0, 1)")
-    return rho_y, rho_m, rho_a
+def _check_kind(effect_kind: str) -> None:
+    if effect_kind not in ("direct", "indirect"):
+        raise ValueError(f"unknown effect_kind {effect_kind!r}")
 
 
 def _build_objective(mm, plan, effect_kind, confounder_mode) -> EffectObjective:
@@ -384,19 +405,24 @@ def _build_objective(mm, plan, effect_kind, confounder_mode) -> EffectObjective:
     an unknown effect or confounder mode before any search runs."""
     if confounder_mode not in ("scalar_u", "vector_u"):
         raise ValueError(f"unknown confounder_mode {confounder_mode!r}")
+    _check_kind(effect_kind)
     if effect_kind == "direct":
         return EffectObjective.for_direct(mm, plan)
-    if effect_kind == "indirect":
-        return EffectObjective.for_indirect(mm, plan)
-    raise ValueError(f"unknown effect_kind {effect_kind!r}")
+    return EffectObjective.for_indirect(mm, plan)
 
 
-def _box_for(obj, confounder_mode, rho, randomized, rho_y=None, rho_m=None,
-             rho_a=None) -> _SearchBox:
-    rho_y, rho_m, rho_a = _resolve_rhos(rho, rho_y, rho_m, rho_a, randomized)
+def _box_for(obj, confounder_mode, rho, randomized) -> _SearchBox:
+    """``obj``'s search box under the strength bound ``rho``, shrunk by
+    BALL_SHRINK; ``randomized`` pins the exposure channel at zero."""
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
+    rho *= BALL_SHRINK
+    rho_a = 0.0 if randomized else rho
+    if rho == 0.0:
+        return _SearchBox(_Box(), None, obj.zero)
     if obj.kind == "direct":
-        return _direct_box(obj.q, rho_y, rho_m, rho_a, obj.full)
-    return _indirect_box(obj.q, rho_y, rho_m, rho_a, confounder_mode, obj.full)
+        return _direct_box(rho, rho_a, obj)
+    return _indirect_box(rho, rho_a, confounder_mode, obj)
 
 
 def _rho_grid(rho_grid) -> list[float]:
@@ -408,32 +434,27 @@ def _rho_grid(rho_grid) -> list[float]:
     return grid
 
 
-def _min_t(mm, plan, effect_kind, rho, confounder_mode, rho_y, rho_m, rho_a,
-           randomized, budget, polish) -> float:
+def _min_t(mm, plan, effect_kind, rho, confounder_mode, randomized, budget) -> float:
     obj = _build_objective(mm, plan, effect_kind, confounder_mode)
-    box = _box_for(obj, confounder_mode, rho, randomized, rho_y, rho_m, rho_a)
-    return _minimize_over_box(box, obj.t_values, budget, polish)[0]
+    box = _box_for(obj, confounder_mode, rho, randomized)
+    return _minimize_over_box(box, obj.t_values, budget, polish=True)[0]
 
 
 def min_t_direct(mm: MediationMoments, plan: BootstrapPlan, rho: float,
-                 confounder_mode: str = "scalar_u", *, rho_y=None, rho_m=None,
-                 rho_a=None, randomized: bool = False,
-                 budget: int = DEFAULT_BUDGET, polish: bool = True) -> float:
+                 confounder_mode: str = "scalar_u", *, randomized: bool = False,
+                 budget: int = DEFAULT_BUDGET) -> float:
     """Worst (minimum) t statistic for the direct effect under the strength
     bound rho. Scalar and vector confounders share the same feasible range,
     so ``confounder_mode`` does not change the result."""
-    return _min_t(mm, plan, "direct", rho, confounder_mode, rho_y, rho_m, rho_a,
-                  randomized, budget, polish)
+    return _min_t(mm, plan, "direct", rho, confounder_mode, randomized, budget)
 
 
 def min_t_indirect(mm: MediationMoments, plan: BootstrapPlan, rho: float,
-                   confounder_mode: str = "scalar_u", *, rho_y=None, rho_m=None,
-                   rho_a=None, randomized: bool = False,
-                   budget: int = DEFAULT_BUDGET, polish: bool = True) -> float:
+                   confounder_mode: str = "scalar_u", *, randomized: bool = False,
+                   budget: int = DEFAULT_BUDGET) -> float:
     """Worst (minimum) t statistic for the indirect effect under the strength
     bound rho, for a scalar or vector confounder."""
-    return _min_t(mm, plan, "indirect", rho, confounder_mode, rho_y, rho_m, rho_a,
-                  randomized, budget, polish)
+    return _min_t(mm, plan, "indirect", rho, confounder_mode, randomized, budget)
 
 
 @dataclass(frozen=True)
@@ -454,16 +475,18 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
                      effect_kind: str, rho_grid=None,
                      confounder_mode: str = "scalar_u",
                      randomized: bool = False, budget: int = DEFAULT_BUDGET,
-                     ci_threshold: float = 1.96, polish: bool = True,
                      full_curve: bool = False, seed_curve=None) -> RVReport:
     """Robustness values for the point estimate (t hits 0) and the CI
-    (t hits ``ci_threshold``), by grid search over the strength bound.
+    (t hits ``DEFAULT_CI_MULTIPLIER``), by grid search over the strength
+    bound.
 
     The curve is swept in increasing rho with the previous argmin reused as a
     candidate, which makes the reported curve exactly non-increasing. The
     sweep stops once both robustness values are resolved unless
     ``full_curve`` is set. A robustness value of 1.0 means the grid never
-    brought the worst t below the threshold.
+    brought the worst t below the threshold. Every box's candidates hold the
+    estimate's exact minimizers, and t has the estimate's sign, so the
+    estimate's robustness value equals ``rv_estimate_only``'s.
     """
     grid = _rho_grid(rho_grid)
     obj = _build_objective(mm, plan, effect_kind, confounder_mode)
@@ -473,7 +496,7 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
     argmins = {}
     seeds = []
     rv_estimate = 0.0 if t_obs <= 0.0 else None
-    rv_ci = 0.0 if t_obs <= ci_threshold else None
+    rv_ci = 0.0 if t_obs <= DEFAULT_CI_MULTIPLIER else None
     last = t_obs
     for rho in grid:
         if rv_estimate is not None and rv_ci is not None and not full_curve:
@@ -482,14 +505,14 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
         if seed_curve is not None and rho in seed_curve:
             extra.append(tuple(np.atleast_2d(phi) for phi in seed_curve[rho]))
         box = _box_for(obj, confounder_mode, rho, randomized)
-        val, phi = _minimize_over_box(box, obj.t_values, budget, polish,
+        val, phi = _minimize_over_box(box, obj.t_values, budget, polish=True,
                                       seeds=seeds + extra)
         val = min(val, last)
         last = val
         seeds = [phi]
         argmins[rho] = phi
         curve.append((rho, val))
-        if rv_ci is None and val <= ci_threshold:
+        if rv_ci is None and val <= DEFAULT_CI_MULTIPLIER:
             rv_ci = rho
         if rv_estimate is None and val <= 0.0:
             rv_estimate = rho
@@ -505,11 +528,11 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
 
 def rv_estimate_only(mm: MediationMoments, effect_kind: str, rho_grid=None,
                      confounder_mode: str = "scalar_u",
-                     randomized: bool = False, budget: int = 1500,
-                     polish: bool = True) -> float:
+                     randomized: bool = False) -> float:
     """Robustness value for the point estimate alone (threshold 0), without
-    a bootstrap plan: the worst estimate is minimized directly. Uses
-    bisection over the grid, which the monotone worst-estimate curve allows."""
+    a bootstrap plan and without a search: the worst estimate at each rho is
+    the least over the box's candidates, which hold its exact minimizers,
+    and bisection over the grid finds where that monotone curve reaches 0."""
     grid = _rho_grid(rho_grid)
     obj = _build_objective(mm, None, effect_kind, confounder_mode)
     if obj.flip * obj.observed <= 0.0:
@@ -517,7 +540,7 @@ def rv_estimate_only(mm: MediationMoments, effect_kind: str, rho_grid=None,
 
     def min_est(rho) -> float:
         box = _box_for(obj, confounder_mode, rho, randomized)
-        return _minimize_over_box(box, obj.estimate_values, budget, polish)[0]
+        return float(np.min(obj.flip * obj.point_estimates(*box.candidates)))
 
     lo, hi = 0, len(grid) - 1
     if min_est(grid[hi]) > 0.0:

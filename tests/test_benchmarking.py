@@ -184,6 +184,14 @@ def test_critical_delta_monotone_and_trivial(rng):
     assert d0 in (0.0, grid[0])
 
 
+def test_benchmark_entry_points_reject_unknown_effect(rng):
+    data = make_data(rng, n=80, p=2, q=1)
+    with pytest.raises(ValueError, match="effect_kind"):
+        benchmark_worst(data, BenchmarkSpec(j=0), effect_kind="bogus")
+    with pytest.raises(ValueError, match="effect_kind"):
+        critical_delta(data, 0, "bogus", 0.0, [1.0])
+
+
 def test_randomized_cap_pins_exposure_channel(rng):
     data = make_data(rng, n=120, p=2, q=1)
     spec = BenchmarkSpec(j=0, k_a_bound=0.0, k_m_bound=1.0, k_y_bound=1.0)

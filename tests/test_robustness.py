@@ -11,6 +11,7 @@ from bksens.robustness import (
     robustness_value,
     rv_estimate_only,
 )
+from bksens.simulation import S4Design, simulate_design
 
 from conftest import make_data
 
@@ -261,11 +262,20 @@ def test_rv_zero_when_insignificant(rng):
 
 
 def test_rv_estimate_only_agrees_with_full_scan(setup_q1):
-    mm, plan = setup_q1
+    # both drivers see the exact worst estimate, so the values are equal
     grid = np.round(np.arange(0.02, 1.0, 0.02), 2)
-    full = robustness_value(mm, plan, "indirect", rho_grid=grid, budget=1200)
-    quick = rv_estimate_only(mm, "indirect", rho_grid=grid, budget=1200)
-    assert abs(quick - full.rv_estimate) <= 0.02 + 1e-12
+    design = S4Design(dim_m=4, r2_am=0.3, r2_ym=0.3, n=300, seed=5)
+    data = simulate_design(design)
+    cases = [(*setup_q1, "scalar_u")] + [
+        (fit_observed(data), bootstrap_moments(data, n_resamples=60, seed=3), mode)
+        for mode in ("scalar_u", "vector_u")]
+    for mm, plan, mode in cases:
+        full = robustness_value(mm, plan, "indirect", rho_grid=grid,
+                                confounder_mode=mode, budget=1200)
+        quick = rv_estimate_only(mm, "indirect", rho_grid=grid,
+                                 confounder_mode=mode)
+        assert quick == full.rv_estimate
+        assert 0.0 < quick < 1.0
 
 
 def test_vector_confounder_phi_factorization(rng):
@@ -401,7 +411,7 @@ def test_both_rv_drivers_reject_bad_grids(setup_q1, grid):
     with pytest.raises(ValueError, match="rho_grid"):
         robustness_value(mm, plan, "indirect", rho_grid=grid, budget=200)
     with pytest.raises(ValueError, match="rho_grid"):
-        rv_estimate_only(mm, "indirect", rho_grid=grid, budget=200)
+        rv_estimate_only(mm, "indirect", rho_grid=grid)
 
 
 @pytest.mark.parametrize("kind", ["direct", "indirect"])
@@ -413,4 +423,4 @@ def test_every_entry_point_rejects_unknown_mode(setup_q1, kind):
     with pytest.raises(ValueError, match="confounder_mode"):
         robustness_value(mm, plan, kind, confounder_mode="bogus", budget=200)
     with pytest.raises(ValueError, match="confounder_mode"):
-        rv_estimate_only(mm, kind, confounder_mode="bogus", budget=200)
+        rv_estimate_only(mm, kind, confounder_mode="bogus")

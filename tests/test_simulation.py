@@ -80,7 +80,7 @@ def test_simulation_reproducible():
 
 def test_rv_ratio_study_small():
     designs = [S4Design(dim_m=2, r2_am=0.3, r2_ym=0.3, n=300)]
-    rows = rv_ratio_study(designs, replications=3, base_seed=1, budget=600)
+    rows = rv_ratio_study(designs, replications=3, base_seed=1)
     row = rows[0]
     assert row.ratio <= 1.0 + 1e-12
     assert 0.0 < row.rv_vector <= row.rv_scalar <= 1.0
@@ -92,7 +92,7 @@ def test_more_mediators_do_not_shrink_the_ratio():
     # below the two-mediator ratio by more than the tolerance
     cells = [S4Design(dim_m=2, r2_am=0.3, r2_ym=0.3, n=400),
              S4Design(dim_m=4, r2_am=0.3, r2_ym=0.3, n=400)]
-    rows = rv_ratio_study(cells, replications=4, base_seed=7, budget=800)
+    rows = rv_ratio_study(cells, replications=4, base_seed=7)
     ratio2 = rows[0].ratio
     ratio4 = rows[1].ratio
     assert ratio4 >= ratio2 - 0.05
