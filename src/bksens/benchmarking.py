@@ -10,12 +10,12 @@ common-random-numbers bootstrap with the robustness-value machinery.
 The anchors come from residual covariances of (c, a, m, y) on leave-j
 blocks, with the covariates standardized, so they do not depend on the
 covariates' location or scale. ``benchmark_moments`` computes them by least
-squares on the data; ``prepare_benchmark_stacks`` takes them as Schur
-complements of the Gram matrix the bootstrap plan stores for each resample,
-and falls back to ``benchmark_moments`` on the resample's rows wherever the
-plan fitted the resample exactly or an anchor check does not clear its
-threshold by GRAM_MARGIN, so a resample raises exactly when
-``benchmark_moments`` would. Both feed the same anchor algebra.
+squares on the data; ``prepare_benchmark_stacks`` computes every resample's
+in one batch, as Schur complements of the plan's Gram matrices, and takes
+``benchmark_moments`` on the replayed rows of the resamples the plan fitted
+exactly or the batch marks (a check short of its threshold by GRAM_MARGIN),
+so a resample raises exactly when ``benchmark_moments`` would. Both give a
+``BenchmarkMoments``, with a leading resample axis for the plan.
 
 The search is batched: the conversion takes k candidates against anchors
 with a leading resample axis (B=1 for the full sample) and returns (k, B)
@@ -35,7 +35,7 @@ and reports its curve in the data's sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,8 +43,6 @@ from .errors import (
     BoundaryR,
     DegenerateAnchor,
     DimensionMismatch,
-    NegativeEigenvalue,
-    SingularCovariance,
 )
 from .inference import GRAM_MARGIN, BootstrapPlan
 from .linalg import (
@@ -87,44 +85,40 @@ class BenchmarkSpec:
 @dataclass(frozen=True)
 class BenchmarkMoments:
     """Observed anchors for one covariate: its partial correlations with
-    exposure, mediators and outcome, plus the covariance mixing block."""
+    exposure, mediators and outcome, plus the covariance mixing block. Every
+    field but ``j`` may carry a leading resample axis."""
 
     j: int
     r_a_cj: float             # R of a ~ c_j given c_-j
     r_m_cj: np.ndarray        # (q,) R of m ~ c_j given (a, c_-j)
     r_y_cj: float             # R of y ~ c_j given (a, m, c_-j)
     mix_leave_j: np.ndarray   # cov(m|a,c)^{-1/2} cov(m|a,c_-j)^{1/2}
-    reference_r2: dict
 
 
 def _leave_j_anchors(resid_cov, j: int, p: int, q: int,
-                     margin: float = 0.0) -> BenchmarkMoments:
+                     margin: float = 0.0, bad=None) -> BenchmarkMoments:
     """Anchors for covariate ``j`` from residual covariances on leave-j
     blocks: ``resid_cov(keep, given)`` is the covariance of columns ``keep``
     of (c, a, m, y) after regressing out columns ``given`` (and the
-    intercept).
+    intercept), over any leading axes.
 
     Raises SingularCovariance (or NegativeEigenvalue) where a block is
     numerically singular; a positive ``margin`` raises every eigenvalue
-    threshold by ``margin`` times the largest eigenvalue involved.
+    threshold by ``margin`` times the largest eigenvalue involved. A mask
+    ``bad`` works as in ``linalg._flag``.
     """
     cj, a, y = [j], [p], [p + q + 1]
     m = list(range(p + 1, p + q + 1))
     c_minus = [i for i in range(p) if i != j]
-    r_a_cj = float(r_from_cov(resid_cov(a + cj, c_minus), 1, margin)[0, 0])
+    r_a_cj = r_from_cov(resid_cov(a + cj, c_minus), 1, margin, bad)[..., 0, 0]
     t_m = resid_cov(m + cj, a + c_minus)
-    r_m_cj = r_from_cov(t_m, q, margin)[:, 0]
-    r_y_cj = float(r_from_cov(resid_cov(y + cj, a + m + c_minus), 1, margin)[0, 0])
+    r_m_cj = r_from_cov(t_m, q, margin, bad)[..., 0]
+    r_y_cj = r_from_cov(resid_cov(y + cj, a + m + c_minus), 1, margin, bad)[..., 0, 0]
     cov_m_ac = resid_cov(m, a + list(range(p)))
-    mix = sym_inv_sqrt(cov_m_ac, margin) @ sym_sqrt(t_m[:q, :q], margin)
-    return BenchmarkMoments(
-        j=j, r_a_cj=r_a_cj, r_m_cj=r_m_cj, r_y_cj=r_y_cj, mix_leave_j=mix,
-        reference_r2={
-            "r2_a_cj": r_a_cj ** 2,
-            "r2_m_cj": float(r_m_cj @ r_m_cj),
-            "r2_y_cj": r_y_cj ** 2,
-        },
-    )
+    mix = sym_inv_sqrt(cov_m_ac, margin, bad) @ sym_sqrt(t_m[..., :q, :q], margin, bad)
+    # [()] turns a single fit's 0-d arrays into NumPy scalars
+    return BenchmarkMoments(j=j, r_a_cj=r_a_cj[()], r_m_cj=r_m_cj,
+                            r_y_cj=r_y_cj[()], mix_leave_j=mix)
 
 
 def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
@@ -153,56 +147,43 @@ def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
     return _leave_j_anchors(resid_cov, j, p, q)
 
 
-@dataclass(frozen=True)
-class _Anchors:
-    """One covariate's anchors over a leading resample axis (B=1 for the full
-    sample), with the conversion's anchor-only denominators."""
-
-    a: np.ndarray             # (B,)
-    m: np.ndarray             # (B, q)
-    y: np.ndarray             # (B,)
-    mix: np.ndarray           # (B, q, q)
-    den_a2: np.ndarray        # (B,) 1 - r_a_cj^2
-    nm_cj2: np.ndarray        # (B,) |r_m_cj|^2
-    den_y2: np.ndarray        # (B,) 1 - r_y_cj^2
-
-
-def _anchors(bms) -> _Anchors:
-    """Stack the anchors of ``bms``; raises DegenerateAnchor once here rather
-    than on every conversion."""
-    a = np.array([b.r_a_cj for b in bms])
-    m = np.vstack([b.r_m_cj for b in bms])
-    y = np.array([b.r_y_cj for b in bms])
-    den_a2 = 1.0 - a ** 2
-    nm_cj2 = (m * m).sum(axis=-1)
-    den_y2 = 1.0 - y ** 2
-    if (den_a2 <= BOUNDARY_TOL).any() or (1.0 - nm_cj2 <= BOUNDARY_TOL).any() \
-            or (den_y2 <= BOUNDARY_TOL).any():
+def _anchors(bm: BenchmarkMoments) -> BenchmarkMoments:
+    """``bm`` with one leading resample axis (of one for a single fit);
+    raises DegenerateAnchor once here rather than on every conversion."""
+    q = np.shape(bm.r_m_cj)[-1]
+    anc = replace(bm, r_a_cj=np.reshape(bm.r_a_cj, -1), r_y_cj=np.reshape(bm.r_y_cj, -1),
+                  r_m_cj=np.reshape(bm.r_m_cj, (-1, q)),
+                  mix_leave_j=np.reshape(bm.mix_leave_j, (-1, q, q)))
+    squares = [anc.r_a_cj ** 2, (anc.r_m_cj ** 2).sum(axis=-1), anc.r_y_cj ** 2]
+    if (1.0 - np.concatenate(squares) <= BOUNDARY_TOL).any():
         raise DegenerateAnchor("an observed anchor is numerically on the unit sphere")
-    return _Anchors(a=a, m=m, y=y, mix=np.stack([b.mix_leave_j for b in bms]),
-                    den_a2=den_a2, nm_cj2=nm_cj2, den_y2=den_y2)
+    return anc
 
 
-def _convert_leave_j(anc: _Anchors, r_a_lj, r_m_lj, r_y_lj):
+def _convert_leave_j(anc: BenchmarkMoments, r_a_lj, r_m_lj, r_y_lj):
     """Leave-one-covariate-out parameters -> natural parameters.
 
-    Takes k candidates of shapes (k,), (k, q), (k,) and returns (r_y, r_m,
-    r_a) of shapes (k, B), (k, B, q), (k, B) plus a (k,) feasibility mask. A
-    candidate is infeasible when, on any resample, an intermediate quantity
-    leaves its open ball; a NaN passes these tests. Infeasible rows hold
-    unspecified values, so call under ``np.errstate``.
+    Takes anchors with a leading axis of B (``_anchors``) and k candidates
+    of shapes (k,), (k, q), (k,); returns (r_y, r_m, r_a) of shapes (k, B),
+    (k, B, q), (k, B) plus a (k,) feasibility mask. A candidate is
+    infeasible when, on any resample, an intermediate quantity leaves its
+    open ball; a NaN passes these tests. Infeasible rows hold unspecified
+    values, so call under ``np.errstate``.
     """
+    den_a2 = 1.0 - anc.r_a_cj ** 2
+    nm_cj2 = (anc.r_m_cj * anc.r_m_cj).sum(axis=-1)
+    den_y2 = 1.0 - anc.r_y_cj ** 2
     nm_lj2 = np.matmul(r_m_lj[:, None, :], r_m_lj[:, :, None])[:, 0, 0]
     ra = r_a_lj[:, None]
-    r_cj_u_ac = -(anc.a * ra) / np.sqrt((1.0 - ra ** 2) * anc.den_a2)
-    r_a_nat = ra / np.sqrt(anc.den_a2)
-    num_m = r_m_lj[:, None, :] - anc.m * r_cj_u_ac[..., None]
-    r_m_nat = np.einsum("bij,kbj->kbi", anc.mix, num_m) \
+    r_cj_u_ac = -(anc.r_a_cj * ra) / np.sqrt((1.0 - ra ** 2) * den_a2)
+    r_a_nat = ra / np.sqrt(den_a2)
+    num_m = r_m_lj[:, None, :] - anc.r_m_cj * r_cj_u_ac[..., None]
+    r_m_nat = np.einsum("bij,kbj->kbi", anc.mix_leave_j, num_m) \
         / np.sqrt(1.0 - r_cj_u_ac ** 2)[..., None]
-    r_cj_u_amc = (r_cj_u_ac - np.matmul(anc.m, r_m_lj[:, :, None])[..., 0]) \
-        / np.sqrt((1.0 - anc.nm_cj2) * (1.0 - nm_lj2[:, None]))
-    r_y_nat = (r_y_lj[:, None] - anc.y * r_cj_u_amc) / np.sqrt(
-        anc.den_y2 * (1.0 - r_cj_u_amc ** 2))
+    r_cj_u_amc = (r_cj_u_ac - np.matmul(anc.r_m_cj, r_m_lj[:, :, None])[..., 0]) \
+        / np.sqrt((1.0 - nm_cj2) * (1.0 - nm_lj2[:, None]))
+    r_y_nat = (r_y_lj[:, None] - anc.r_y_cj * r_cj_u_amc) / np.sqrt(
+        den_y2 * (1.0 - r_cj_u_amc ** 2))
     outside = ((np.abs(r_cj_u_ac) >= R_CLAMP) | (np.abs(r_a_nat) >= R_CLAMP)
                | ((r_m_nat * r_m_nat).sum(axis=-1) >= R_CLAMP ** 2)
                | (np.abs(r_cj_u_amc) >= R_CLAMP) | (np.abs(r_y_nat) >= R_CLAMP))
@@ -218,7 +199,7 @@ def _as_batch(triples):
             np.array([t[2] for t in triples], dtype=float))
 
 
-def _natural(anc: _Anchors, params) -> NaturalSensitivity:
+def _natural(anc: BenchmarkMoments, params) -> NaturalSensitivity:
     with np.errstate(invalid="ignore", divide="ignore"):
         r_y, r_m, r_a, ok = _convert_leave_j(anc, *_as_batch([params]))
     if not ok[0]:
@@ -229,7 +210,7 @@ def _natural(anc: _Anchors, params) -> NaturalSensitivity:
 def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
                            r_m_leave_j, r_y_leave_j: float) -> NaturalSensitivity:
     """Map prescribed leave-one-out parameters to the natural triple."""
-    return _natural(_anchors([bm]), (r_a_leave_j, r_m_leave_j, r_y_leave_j))
+    return _natural(_anchors(bm), (r_a_leave_j, r_m_leave_j, r_y_leave_j))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +236,8 @@ class _Stacks:
     effect's objective (its coefficient stacks)."""
 
     bm: BenchmarkMoments
-    full_anchors: _Anchors
-    anchors: _Anchors | None
+    full_anchors: BenchmarkMoments
+    anchors: BenchmarkMoments | None
     objectives: dict          # effect kind -> EffectObjective
 
 
@@ -348,29 +329,27 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
     particular).
 
     Each resample's residual covariances are Schur complements of the
-    covariance its plan Gram gives. Resamples the plan fitted exactly, and
-    any whose anchor checks do not clear their thresholds by GRAM_MARGIN,
-    take ``benchmark_moments`` on their rows instead.
+    covariance its plan Gram gives, all resamples in one batch. Resamples
+    the plan fitted exactly, and any whose anchor checks do not clear their
+    thresholds by GRAM_MARGIN, take ``benchmark_moments`` on their rows
+    instead.
     """
     mm = fit_observed(data)
     bm = benchmark_moments(data, j)
     anchors = None
     if plan is not None:
-        cov = None if plan.exact.all() else plan.basis.covariances(plan.grams)[0]
-        bms = []
-        for i, idx in enumerate(plan.indices):
-            bm_i = None
-            if not plan.exact[i]:
-                cov_i = cov[i]
-                try:
-                    bm_i = _leave_j_anchors(
-                        lambda keep, given: schur(cov_i, keep, given),
-                        j, data.p_user, data.q, margin=GRAM_MARGIN)
-                except (SingularCovariance, NegativeEigenvalue):
-                    pass
-            bms.append(benchmark_moments(data.subset(idx), j) if bm_i is None else bm_i)
-        anchors = _anchors(bms)
-    return _Stacks(bm=bm, full_anchors=_anchors([bm]), anchors=anchors,
+        cov = plan.basis.covariances(plan.grams)[0]
+        bad = plan.exact.copy()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            anchors = _leave_j_anchors(lambda keep, given: schur(cov, keep, given),
+                                       j, data.p_user, data.q, margin=GRAM_MARGIN,
+                                       bad=bad)
+        for i in np.flatnonzero(bad):
+            exact = benchmark_moments(data.subset(plan.rows(i)), j)
+            for name in ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j"):
+                getattr(anchors, name)[i] = getattr(exact, name)
+        anchors = _anchors(anchors)
+    return _Stacks(bm=bm, full_anchors=_anchors(bm), anchors=anchors,
                    objectives={"direct": EffectObjective.for_direct(mm, plan),
                                "indirect": EffectObjective.for_indirect(mm, plan)})
 

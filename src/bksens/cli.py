@@ -22,18 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarking import BenchmarkSpec, benchmark_worst, critical_delta, prepare_benchmark_stacks
+from .benchmarking import (BenchmarkSpec, _phis, benchmark_worst, critical_delta,
+                           prepare_benchmark_stacks)
 from .errors import BkSensError
-from .inference import bootstrap_moments, effect_report
+from .inference import bootstrap_moments
 from .mediation import (
+    EffectReport,
     MediationData,
     NaturalSensitivity,
-    direct_adjusted,
     fit_observed,
-    indirect_adjusted_product,
     observed_indirect,
 )
-from .robustness import DEFAULT_RHO_GRID, robustness_value
+from .robustness import DEFAULT_RHO_GRID, EffectObjective, robustness_value
 from .simulation import S4Design, rv_ratio_study
 
 SCHEMA_VERSION = 1
@@ -124,7 +124,8 @@ def _parse_grid(spec: str, name: str) -> list[float]:
         raise InputError(f"{name} must look like lo:hi:step") from None
     if step <= 0 or hi < lo:
         raise InputError(f"{name}: need step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step)) + 1
+    # the last point not past hi, allowing for rounding in (hi - lo) / step
+    count = math.floor((hi - lo) / step + 1e-9) + 1
     grid = [round(lo + k * step, 10) for k in range(count)]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError(f"{name}: step too small for 10-decimal grid points")
@@ -152,16 +153,8 @@ def _sensitivity_from_args(args, q: int) -> NaturalSensitivity:
         raise InputError(str(exc)) from exc
 
 
-def _report_dict(rep) -> dict:
-    return {
-        "estimate": rep.estimate,
-        "std_err": rep.std_err,
-        "t_stat": rep.t_stat,
-        "ci_lower": rep.ci_lower,
-        "ci_upper": rep.ci_upper,
-        "effect_kind": rep.effect_kind,
-        "method": rep.method,
-    }
+def _report_dict(rep: EffectReport) -> dict:
+    return {k: v for k, v in vars(rep).items() if k != "signs"}
 
 
 def _config_echo(args, extra=None) -> dict:
@@ -201,22 +194,29 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _effect_report(mm, plan, kind: str, s: NaturalSensitivity) -> EffectReport:
+    """The effect at ``s`` and its bootstrap SE, both from the coefficient
+    form of ``robustness``."""
+    build = EffectObjective.for_direct if kind == "direct" else EffectObjective.for_indirect
+    obj = build(mm, plan)
+    phis = _phis(kind, np.array([s.r_y]), s.r_m[None, :], np.array([s.r_a]))
+    return EffectReport.from_estimate(obj.point_estimates(*phis)[0],
+                                      obj.boot_matrix(*phis)[0].std(ddof=1),
+                                      kind, "product")
+
+
 def cmd_effects(args) -> int:
     data, _ = build_data(args)
     s = _sensitivity_from_args(args, data.q)
     mm = fit_observed(data)
     plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
-    direct = effect_report(mm, plan, lambda m: direct_adjusted(m, s),
-                           "direct", "product")
-    indirect = effect_report(mm, plan, lambda m: indirect_adjusted_product(m, s),
-                             "indirect", "product")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "effects",
         "config": _config_echo(args),
         "observed": {"direct": mm.theta1_obs, "indirect": observed_indirect(mm)},
-        "direct": _report_dict(direct),
-        "indirect": _report_dict(indirect),
+        "direct": _report_dict(_effect_report(mm, plan, "direct", s)),
+        "indirect": _report_dict(_effect_report(mm, plan, "indirect", s)),
     }
     _emit_json(payload, args.out)
     return 0
@@ -231,20 +231,13 @@ def cmd_rv(args) -> int:
     mm = fit_observed(data)
     plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
     mode = "vector_u" if args.vector_u else "scalar_u"
-    estimators = {
-        "direct": lambda m: m.theta1_obs,
-        "indirect": observed_indirect,
-    }
-    reports = {}
-    curves = {}
-    summaries = {}
+    reports, summaries = {}, {}
     for kind in ("direct", "indirect"):
-        rep = robustness_value(mm, plan, kind, rho_grid=grid,
-                               confounder_mode=mode, randomized=args.randomized,
-                               full_curve=True)
-        reports[kind] = rep
-        curves[kind] = dict(rep.curve)
-        summaries[kind] = effect_report(mm, plan, estimators[kind], kind, "product")
+        reports[kind] = robustness_value(mm, plan, kind, rho_grid=grid,
+                                         confounder_mode=mode, randomized=args.randomized,
+                                         full_curve=True)
+        summaries[kind] = _effect_report(mm, plan, kind, NaturalSensitivity.zeros(data.q))
+    curves = {kind: dict(rep.curve) for kind, rep in reports.items()}
     decimals = max(len(f"{g}".split(".")[-1]) for g in grid)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -281,6 +274,8 @@ def cmd_benchmark(args) -> int:
     for flag, value in (("--ka", args.ka), ("--km", args.km), ("--ky", args.ky)):
         if not value >= 0.0:
             raise InputError(f"{flag} must be nonnegative, got {value}")
+    if args.delta_grid and args.j is None:
+        raise InputError("--delta-grid needs --j")
     grid = _parse_grid(args.delta_grid, "--delta-grid") if args.delta_grid else None
     if grid is not None and grid[0] <= 0.0:
         raise InputError("--delta-grid must be positive")
@@ -351,10 +346,16 @@ def cmd_benchmark(args) -> int:
 
 def cmd_simulate(args) -> int:
     dims = _parse_numbers(args.dim_m, "--dim-m", int) or [2]
-    if min(dims) < 2:
-        raise InputError("--dim-m: the simulation design needs at least two mediators")
     r2_ams = _parse_numbers(args.r2_am, "--r2-am") or [0.3]
     r2_yms = _parse_numbers(args.r2_ym, "--r2-ym") or [0.3]
+    for flag, ok, need in (
+            ("--dim-m", min(dims) >= 2, "at least 2: the design needs two mediators"),
+            ("--reps", args.reps >= 1, "at least 1"),
+            ("--n", args.n >= max(dims) + 4, "at least the largest --dim-m plus 4"),
+            ("--r2-am", all(0.0 < v < 1.0 for v in r2_ams), "inside (0, 1)"),
+            ("--r2-ym", all(0.0 < v < 1.0 for v in r2_yms), "inside (0, 1)")):
+        if not ok:
+            raise InputError(f"{flag} must be {need}")
     designs = [S4Design(dim_m=d, r2_am=ram, r2_ym=rym, n=args.n)
                for d in dims for ram in r2_ams for rym in r2_yms]
     rows = rv_ratio_study(designs, replications=args.reps, base_seed=args.seed)
@@ -440,6 +441,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise InputError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,17 +2,17 @@
 
 Rows are resampled with replacement (case resampling, so heteroskedasticity
 and misspecification are covered). Resample i is a pure function of
-(seed, i): every estimator evaluated against the plan sees the same
-resamples, which keeps robustness searches and benchmark curves on common
-random numbers.
+(seed, i), so every estimator sees the same resamples (common random
+numbers), and the plan stores no row indices: ``BootstrapPlan.rows``
+replays them.
 
 A resample is its vector of row counts w, and everything the estimators
 read from it is a Schur complement of its joint Gram matrix Z' diag(w) Z,
 where Z = (1, c, a, m, y) is centred and scaled once with full-sample
-statistics. The Grams of a fixed-size chunk of resamples come from one
-matrix product, the residual covariance of (y, a, m) given c is a batched
-Schur complement, and ``moments_from_cov`` (the algebra ``fit_observed``
-runs after its least squares) turns it into moments.
+statistics. Per fixed-size chunk of resamples, one matrix product gives the
+Grams and one ``moments_from_cov`` call (the algebra ``fit_observed`` runs
+after its least squares) their moments; the plan's moments are one
+``MediationMoments`` with a leading resample axis.
 
 The Gram path is used only where it is certified to agree with the exact
 per-resample fit: every column keeps at least GRAM_COND of its Gram
@@ -31,13 +31,12 @@ spreads the fixed chunks across threads, so results do not depend on it.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     EstimatorFailed,
-    NegativeEigenvalue,
     SingularCovariance,
     TooManySingularResamples,
 )
@@ -47,6 +46,7 @@ from .mediation import (
     EffectReport,
     MediationData,
     MediationMoments,
+    _RESAMPLED,
     fit_observed,
     moments_from_cov,
 )
@@ -131,64 +131,58 @@ class GramBasis:
 
 @dataclass
 class BootstrapPlan:
-    """Materialized bootstrap resamples of one dataset.
-
-    moments[i] is the observed fit on rows indices[i], and grams[i] the
+    """Bootstrap resamples of one dataset. moments[i] (the moments carry a
+    leading resample axis) is the observed fit on rows(i), and grams[i] the
     joint Gram of the resample's first draw in ``basis``; all are fully
     determined by (seed, i). exact[i] marks the resamples fitted by
-    ``fit_observed`` on their rows (every resample of a plan built from
-    given indices, which has no Grams).
-    """
+    ``fit_observed`` on their rows, after redraws[i] singular draws."""
 
     data: MediationData
     n_resamples: int
     seed: int
-    moments: list[MediationMoments] = field(repr=False)
-    indices: np.ndarray = field(repr=False)  # (B, n)
-    n_redraws: int = 0
-    n_exact: int = 0
-    basis: GramBasis | None = field(repr=False, default=None)
-    grams: np.ndarray | None = field(repr=False, default=None)  # (B, d, d)
-    exact: np.ndarray | None = field(repr=False, default=None)  # (B,) bool
+    moments: MediationMoments = field(repr=False)
+    redraws: np.ndarray = field(repr=False)  # (B,)
+    exact: np.ndarray = field(repr=False)    # (B,) bool
+    basis: GramBasis = field(repr=False)
+    grams: np.ndarray = field(repr=False)    # (B, d, d)
 
     @property
-    def n(self) -> int:
-        return self.data.n
+    def n_redraws(self) -> int:
+        return int(self.redraws.sum())
+
+    @property
+    def n_exact(self) -> int:
+        return int(self.exact.sum())
+
+    def rows(self, i: int) -> np.ndarray:
+        """Row indices of resample ``i``, replayed from (seed, i)."""
+        rng = resample_rng(self.seed, i)
+        for _ in range(self.redraws[i] + 1):
+            idx = rng.integers(0, self.data.n, size=self.data.n)
+        return idx
+
+    @property
+    def indices(self) -> np.ndarray:
+        """(B, n) row indices of every resample, replayed."""
+        return np.stack([self.rows(i) for i in range(self.n_resamples)])
 
 
 def _draw_one(data: MediationData, seed: int, i: int):
+    """(redraws, fit) of resample ``i``, redrawn while ``fit_observed`` finds it singular."""
     rng = resample_rng(seed, i)
-    redraws = 0
-    while True:
-        idx = rng.integers(0, data.n, size=data.n)
+    for redraws in range(MAX_REDRAWS + 1):
         try:
-            return idx, fit_observed(data.subset(idx)), redraws
+            return redraws, fit_observed(data.subset(rng.integers(0, data.n, size=data.n)))
         except SingularCovariance:
-            redraws += 1
-            if redraws > MAX_REDRAWS:
-                raise TooManySingularResamples(
-                    f"resample {i} stayed singular after {MAX_REDRAWS} redraws")
+            pass
+    raise TooManySingularResamples(f"resample {i} stayed singular after {MAX_REDRAWS} redraws")
 
 
 def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
-                      seed: int = 0, n_workers: int = 1,
-                      indices=None) -> BootstrapPlan:
-    """Draw resamples and fit their moments.
-
-    ``indices`` overrides the drawn row indices (a (B, n) integer array);
-    it exists for tests that force specific resamples, which are fitted by
-    ``fit_observed`` on their rows, without redraws.
-    """
+                      seed: int = 0, n_workers: int = 1) -> BootstrapPlan:
+    """Draw resamples and fit their moments."""
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")
-    if indices is not None:
-        indices = np.array(indices)
-        b = indices.shape[0]
-        return BootstrapPlan(
-            data=data, n_resamples=b, seed=seed,
-            moments=[fit_observed(data.subset(idx)) for idx in indices],
-            indices=indices, n_exact=b, exact=np.ones(b, dtype=bool))
-    indices = np.empty((n_resamples, data.n), dtype=np.int64)
     basis = GramBasis.of(data)
     p, q = data.p_user, data.q
     response = [p + q + 1, p, *range(p + 1, p + q + 1)]  # (y, a, m) in (c, a, m, y)
@@ -196,40 +190,37 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
     grams = np.empty((n_resamples, d, d))
     exact = np.zeros(n_resamples, dtype=bool)
     redraws = np.zeros(n_resamples, dtype=np.int64)
-    moments: list = [None] * n_resamples
 
-    def run_chunk(start: int) -> None:
+    def run_chunk(start: int) -> MediationMoments:
         stop = min(start + CHUNK, n_resamples)
         counts = np.empty((stop - start, data.n))
         for k, i in enumerate(range(start, stop)):
-            indices[i] = resample_rng(seed, i).integers(0, data.n, size=data.n)
-            counts[k] = np.bincount(indices[i], minlength=data.n)
+            counts[k] = np.bincount(resample_rng(seed, i).integers(0, data.n, size=data.n),
+                                    minlength=data.n)
         grams[start:stop] = basis.grams(counts)
         cov, ok = basis.covariances(grams[start:stop])
-        s = schur(cov, response, range(p))
-        for k, i in enumerate(range(start, stop)):
-            if ok[k]:
-                try:
-                    moments[i] = moments_from_cov(s[k], data.n, p, q,
-                                                  margin=GRAM_MARGIN)
-                    continue
-                except (SingularCovariance, NegativeEigenvalue):
-                    pass
-            exact[i] = True
-            indices[i], moments[i], redraws[i] = _draw_one(data, seed, i)
+        bad = ~ok
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mm = moments_from_cov(schur(cov, response, range(p)), data.n, p, q,
+                                  margin=GRAM_MARGIN, bad=bad)
+        exact[start:stop] = bad
+        for k in np.flatnonzero(bad):
+            redraws[start + k], fit = _draw_one(data, seed, start + k)
+            for name in _RESAMPLED:
+                getattr(mm, name)[k] = getattr(fit, name)
+        return mm
 
     starts = range(0, n_resamples, CHUNK)
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_chunk, starts))
+            chunks = list(pool.map(run_chunk, starts))
     else:
-        for start in starts:
-            run_chunk(start)
-    return BootstrapPlan(
-        data=data, n_resamples=n_resamples, seed=seed, moments=moments,
-        indices=indices, n_redraws=int(redraws.sum()), n_exact=int(exact.sum()),
-        basis=basis, grams=grams, exact=exact,
-    )
+        chunks = [run_chunk(start) for start in starts]
+    moments = replace(chunks[0], **{name: np.concatenate([getattr(mm, name) for mm in chunks])
+                                    for name in _RESAMPLED})
+    return BootstrapPlan(data=data, n_resamples=n_resamples, seed=seed,
+                         moments=moments, redraws=redraws, exact=exact,
+                         basis=basis, grams=grams)
 
 
 @dataclass(frozen=True)

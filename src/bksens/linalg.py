@@ -128,15 +128,27 @@ def _check_symmetric(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:
         s = s.reshape(1, 1)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {s.shape}")
-    scale = max(np.abs(s).max(), 1.0)
-    if np.abs(s - s.T).max() > 1e-8 * scale:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise NotSymmetric(f"expected square matrices, got shape {s.shape}")
+    t = np.swapaxes(s, -1, -2)
+    scale = np.maximum(np.abs(s).max(axis=(-2, -1)), 1.0)
+    if np.any(np.abs(s - t).max(axis=(-2, -1)) > 1e-8 * scale):
         raise NotSymmetric("matrix is not symmetric")
-    return 0.5 * (s + s.T)
+    return 0.5 * (s + t)
 
 
-def sym_sqrt(s, margin: float = 0.0) -> np.ndarray:
+def _flag(fails, bad) -> bool:
+    """The checks below run over any leading axes. Without a mask ``bad``
+    this returns whether any matrix ``fails``, for the caller to raise; with
+    one it marks them in it and returns False, and the marked matrices hold
+    unspecified values (compute under ``np.errstate``)."""
+    if bad is None:
+        return bool(np.any(fails))
+    bad |= fails
+    return False
+
+
+def sym_sqrt(s, margin: float = 0.0, bad=None) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Eigenvalues in [-PSD_TOL*scale, 0) are clamped to 0; anything more
@@ -145,37 +157,39 @@ def sym_sqrt(s, margin: float = 0.0) -> np.ndarray:
     """
     s = _check_symmetric(s)
     w, v = np.linalg.eigh(s)
-    scale = max(abs(w[-1]), 1.0)
-    if w[0] < -PSD_TOL * scale + margin * abs(w[-1]):
-        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below tolerance")
+    top = np.abs(w[..., -1])
+    if _flag(w[..., 0] < -PSD_TOL * np.maximum(top, 1.0) + margin * top, bad):
+        raise NegativeEigenvalue(f"eigenvalue {np.min(w[..., 0]):.3e} below tolerance")
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
-def sym_inv_sqrt(s, margin: float = 0.0) -> np.ndarray:
+def sym_inv_sqrt(s, margin: float = 0.0, bad=None) -> np.ndarray:
     """Inverse symmetric square root of a positive definite matrix; the
     smallest eigenvalue must exceed (PSD_TOL + margin) times the largest."""
     s = _check_symmetric(s)
     w, v = np.linalg.eigh(s)
-    scale = max(abs(w[-1]), 0.0)
-    if scale == 0.0 or w[0] <= (PSD_TOL + margin) * scale:
+    scale = np.abs(w[..., -1])
+    if _flag((scale == 0.0) | (w[..., 0] <= (PSD_TOL + margin) * scale), bad):
         raise SingularCovariance(f"matrix not positive definite (eigenvalues in "
-                                 f"[{w[0]:.3e}, {w[-1]:.3e}])")
-    inv_root = (v / np.sqrt(w)) @ v.T
-    return 0.5 * (inv_root + inv_root.T)
+                                 f"[{np.min(w[..., 0]):.3e}, {np.max(w[..., -1]):.3e}])")
+    inv_root = (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (inv_root + np.swapaxes(inv_root, -1, -2))
 
 
-def _require_pd(s: np.ndarray, rtol: float, what: str) -> None:
+def _require_pd(s: np.ndarray, rtol: float, what: str, bad=None) -> None:
     """Raise SingularCovariance unless the correlation-scaled copy
     D^-1/2 s D^-1/2 (D the diagonal of ``s``) has its smallest eigenvalue
     above ``rtol`` times its largest: a test that does not depend on the
     units of the variables."""
-    sd = np.sqrt(np.diagonal(s))
-    if not np.all(sd > 0.0):
+    sd = np.sqrt(np.diagonal(s, axis1=-2, axis2=-1))
+    positive = np.all(sd > 0.0, axis=-1)
+    if _flag(~positive, bad):
         raise SingularCovariance(f"{what} has a variance that is not positive")
-    w = np.linalg.eigvalsh(s / np.outer(sd, sd))
-    if w[0] <= rtol * w[-1]:
+    sd = np.where(positive[..., None], sd, 1.0)
+    w = np.linalg.eigvalsh(s / (sd[..., :, None] * sd[..., None, :]))
+    if _flag(w[..., 0] <= rtol * w[..., -1], bad):
         raise SingularCovariance(f"{what} is numerically singular")
 
 
@@ -189,7 +203,7 @@ def _require_kept(s: np.ndarray, x, what: str) -> None:
         raise SingularCovariance(f"{what} has a residual variance that collapsed to zero")
 
 
-def r_from_cov(joint: np.ndarray, ny: int, margin: float = 0.0) -> np.ndarray:
+def r_from_cov(joint: np.ndarray, ny: int, margin: float = 0.0, bad=None) -> np.ndarray:
     """Partial-correlation matrix cov_yy^{-1/2} cov_yx cov_xx^{-1/2} from the
     joint residual covariance of (y, x), whose first ``ny`` columns are y.
 
@@ -199,10 +213,10 @@ def r_from_cov(joint: np.ndarray, ny: int, margin: float = 0.0) -> np.ndarray:
     is rounding noise, so the caller checks that no variance collapsed
     (``_require_kept``).
     """
-    _require_pd(0.5 * (joint + joint.T), PSD_TOL + margin,
-               "joint residual covariance")
-    return (sym_inv_sqrt(joint[:ny, :ny], margin) @ joint[:ny, ny:]
-            @ sym_inv_sqrt(joint[ny:, ny:], margin))
+    _require_pd(0.5 * (joint + np.swapaxes(joint, -1, -2)), PSD_TOL + margin,
+                "joint residual covariance", bad)
+    return (sym_inv_sqrt(joint[..., :ny, :ny], margin, bad) @ joint[..., :ny, ny:]
+            @ sym_inv_sqrt(joint[..., ny:, ny:], margin, bad))
 
 
 def r_matrix(y_cols, x_cols, z_cols) -> np.ndarray:

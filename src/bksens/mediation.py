@@ -3,8 +3,9 @@
 The observed fit residualizes (y, a, m) on the covariates once and reduces
 every regression to Schur complements of the joint residual covariance;
 ``moments_from_cov`` is that reduction, shared with the bootstrap, which
-gets each resample's residual covariance from its Gram matrix instead of a
-least squares (see ``inference``). The covariates enter centred and scaled,
+gets its resamples' residual covariances from their Gram matrices instead
+of least squares and reduces them in one call over a leading resample axis
+(see ``inference``). The covariates enter centred and scaled,
 so neither the fit nor its rank check depends on their location or scale.
 All adjusted estimators consume :class:`MediationMoments`; with sample
 moments the adjustment formulas are exact, so appending a confounder column
@@ -13,7 +14,7 @@ that realizes the stated parameters reproduces them to rounding error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
     SingularCovariance,
 )
 from .linalg import (
+    _flag,
     _require_kept,
     _require_pd,
     add_intercept,
@@ -125,7 +127,9 @@ class NaturalSensitivity:
 
 @dataclass(frozen=True)
 class MediationMoments:
-    """Observed coefficients and residual moments behind every adjuster."""
+    """Observed coefficients and residual moments behind every adjuster.
+    Fields after q may carry a leading resample axis: ``mm[i]`` is resample
+    i's moments, and ``mm[None]`` gives a single fit an axis of one."""
 
     n: int
     p_user: int
@@ -147,6 +151,15 @@ class MediationMoments:
     cov_m_res_ac_inv_sqrt: np.ndarray = field(repr=False, default=None)
     mix_c_ac: np.ndarray = field(repr=False, default=None)  # cov(m|c)^{-1/2} cov(m|a,c)^{1/2}
 
+    def __len__(self) -> int:
+        return len(self.theta1_obs)
+
+    def __getitem__(self, i) -> "MediationMoments":
+        return replace(self, **{name: getattr(self, name)[i] for name in _RESAMPLED})
+
+
+_RESAMPLED = tuple(f.name for f in fields(MediationMoments))[3:]  # after q
+
 
 def fit_observed(data: MediationData) -> MediationMoments:
     """Observed Baron-Kenny fit reduced to residual-covariance algebra."""
@@ -162,56 +175,61 @@ def fit_observed(data: MediationData) -> MediationMoments:
 
 
 def moments_from_cov(s: np.ndarray, n: int, p_user: int, q: int,
-                     margin: float = 0.0) -> MediationMoments:
+                     margin: float = 0.0, bad=None) -> MediationMoments:
     """The fit's moments from the joint residual covariance ``s`` of
-    (y, a, m) given the covariates.
+    (y, a, m) given the covariates, of shape (..., 2+q, 2+q); the moments
+    carry the same leading axes.
 
     Raises SingularCovariance when ``s`` is numerically singular, judged on
     ``s`` scaled to unit diagonal so that the units of y, a and m do not
     matter; that test cannot tell a residual of rounding noise from a
     variable, so the caller first checks that no variance collapsed
     (``fit_observed`` with ``linalg._require_kept``, the bootstrap's Gram
-    path with its certificate). A positive ``margin`` raises every eigenvalue threshold by
-    ``margin`` times the largest eigenvalue involved, which certifies that
-    the unmargined checks pass on any matrix within rounding of ``s``.
+    path with its certificate). A positive ``margin`` raises every
+    eigenvalue threshold by ``margin`` times the largest eigenvalue
+    involved, which certifies that the unmargined checks pass on any matrix
+    within rounding of ``s``. A mask ``bad`` works as in ``linalg._flag``.
     """
-    _require_pd(s, 1e-12 + margin, "joint residual covariance of (y, a, m) given c")
+    _require_pd(s, 1e-12 + margin, "joint residual covariance of (y, a, m) given c", bad)
+    if bad is not None:  # no solve below may meet a singular matrix
+        s = np.where(bad[..., None, None], np.eye(2 + q), s)
 
     im = slice(2, 2 + q)
-    s_yy, s_ya, s_aa = s[0, 0], s[0, 1], s[1, 1]
-    s_am = s[1, im]
-    s_ym = s[0, im]
-    s_mm = s[im, im]
+    s_yy, s_ya, s_aa = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
+    s_am = s[..., 1, im]
+    s_ym = s[..., 0, im]
+    s_mm = s[..., im, im]
 
-    beta1 = s_am / s_aa
-    cov_m_ac = s_mm - np.outer(s_am, s_am) / s_aa
+    beta1 = s_am / s_aa[..., None]
+    cov_m_ac = s_mm - s_am[..., :, None] * s_am[..., None, :] / s_aa[..., None, None]
     gamma1 = s_ya / s_aa
     var_y_ac = s_yy - s_ya ** 2 / s_aa
 
-    g_mat = s[1:, 1:]
-    g_vec = s[1:, 0]
-    sol = np.linalg.solve(g_mat, g_vec)
-    theta1 = sol[0]
-    theta3 = sol[1:]
-    var_y_amc = s_yy - g_vec @ sol
+    g_vec = s[..., 1:, 0]
+    sol = np.linalg.solve(s[..., 1:, 1:], g_vec[..., None])[..., 0]
+    theta1 = sol[..., 0]
+    theta3 = sol[..., 1:]
+    var_y_amc = s_yy - (g_vec[..., None, :] @ sol[..., :, None])[..., 0, 0]
 
-    var_a_mc = s_aa - s_am @ np.linalg.solve(s_mm, s_am)
-    if var_y_amc <= 0 or var_a_mc <= 0 or var_y_ac <= 0:
+    var_a_mc = s_aa - (s_am[..., None, :] @ np.linalg.solve(s_mm, s_am[..., None]))[..., 0, 0]
+    if _flag((var_y_amc <= 0) | (var_a_mc <= 0) | (var_y_ac <= 0), bad):
         raise SingularCovariance("a residual variance collapsed to zero")
 
-    cmc_inv_sqrt = sym_inv_sqrt(s_mm, margin)
-    cmac_sqrt = sym_sqrt(cov_m_ac, margin)
-    cmac_inv_sqrt = sym_inv_sqrt(cov_m_ac, margin)
-    r_m_a_c = cmc_inv_sqrt @ s_am / np.sqrt(s_aa)
-    cov_y_m_ac = s_ym - s_ya * s_am / s_aa
-    r_y_m_ac = cov_y_m_ac @ cmac_inv_sqrt / np.sqrt(var_y_ac)
+    cmc_inv_sqrt = sym_inv_sqrt(s_mm, margin, bad)
+    cmac_sqrt = sym_sqrt(cov_m_ac, margin, bad)
+    cmac_inv_sqrt = sym_inv_sqrt(cov_m_ac, margin, bad)
+    r_m_a_c = (cmc_inv_sqrt @ s_am[..., None])[..., 0] / np.sqrt(s_aa)[..., None]
+    cov_y_m_ac = s_ym - s_ya[..., None] * s_am / s_aa[..., None]
+    r_y_m_ac = (cov_y_m_ac[..., None, :] @ cmac_inv_sqrt)[..., 0, :] \
+        / np.sqrt(var_y_ac)[..., None]
 
+    # [()] turns a single fit's 0-d arrays into NumPy scalars
     return MediationMoments(
         n=n, p_user=p_user, q=q,
-        beta1_obs=beta1, theta1_obs=float(theta1), theta3_obs=theta3,
-        gamma1_obs=float(gamma1),
-        var_y_res_amc=float(var_y_amc), var_a_res_mc=float(var_a_mc),
-        var_a_res_c=float(s_aa), var_y_res_ac=float(var_y_ac),
+        beta1_obs=beta1, theta1_obs=theta1[()], theta3_obs=theta3,
+        gamma1_obs=gamma1[()],
+        var_y_res_amc=var_y_amc[()], var_a_res_mc=var_a_mc[()],
+        var_a_res_c=s_aa[()], var_y_res_ac=var_y_ac[()],
         cov_m_res_ac=cov_m_ac, cov_m_res_c=s_mm,
         r_m_a_c=r_m_a_c, r_y_m_ac=r_y_m_ac,
         cov_m_res_ac_sqrt=cmac_sqrt, cov_m_res_ac_inv_sqrt=cmac_inv_sqrt,

@@ -11,10 +11,11 @@ recomputed per candidate from per-resample moments on common random numbers,
 so one objective evaluation costs a few vector operations per resample and
 no new regressions.
 
-The coefficients of that form are stacked with one column per resample
-(B=1 for the full sample), and one function evaluates them at phi pairs
-that are either shared by every resample or given per resample; formal
-benchmarking evaluates its search through the same function.
+The coefficients of that form are read from the plan's stacked moments
+with one column per resample (the full sample is ``mm[None]``), and one
+function evaluates them at phi pairs that are either shared by every
+resample or given per resample; formal benchmarking and the CLI's effect
+reports evaluate through the same function.
 
 One minimizer, ``_minimize_over_box``, runs every search that remains: the
 t searches and formal benchmarking's. It takes a ``_SearchBox``: a ``_Box``,
@@ -134,33 +135,25 @@ class _Box:
 # for the full sample).
 # ---------------------------------------------------------------------------
 
-def _stacked(rows) -> tuple:
-    """Per-resample coefficient rows -> arrays with resamples on the last axis."""
-    return tuple(np.ascontiguousarray(np.array(col).T) for col in zip(*rows))
-
-
-def _direct_coeffs(moments) -> tuple:
+def _direct_coeffs(m: MediationMoments) -> tuple:
     """(s0, w_a, w_b, None) with the direct effect s0 + phi_1 w_a + phi_2 w_b,
-    of shapes (B,), (1, B), (q, B)."""
-    rows = []
-    for m in moments:
-        nr2 = float(m.r_m_a_c @ m.r_m_a_c)
-        scale = np.sqrt(m.var_y_res_amc / m.var_a_res_mc)
-        rows.append((m.theta1_obs, [-np.sqrt(1.0 - nr2) * scale],
-                     scale * (m.mix_c_ac.T @ m.r_m_a_c) / np.sqrt(1.0 - nr2)))
-    return (*_stacked(rows), None)
+    of shapes (B,), (1, B), (q, B), from moments with a leading axis of B."""
+    root = np.sqrt(1.0 - np.einsum("bi,bi->b", m.r_m_a_c, m.r_m_a_c))
+    scale = np.sqrt(m.var_y_res_amc / m.var_a_res_mc)
+    return (m.theta1_obs, (-root * scale)[None, :],
+            scale * np.einsum("bji,bj->ib", m.mix_c_ac, m.r_m_a_c) / root, None)
 
 
-def _indirect_coeffs(moments) -> tuple:
+def _indirect_coeffs(m: MediationMoments) -> tuple:
     """(s0, w_a, w_b, cross) with the indirect effect
     s0 + phi_a w_a + phi_b w_b + cross (phi_a . phi_b), of shapes (B,),
-    (q, B), (q, B), (B,)."""
-    return _stacked(
-        (observed_indirect(m),
-         -(m.cov_m_res_ac_sqrt @ m.theta3_obs) / np.sqrt(m.var_a_res_c),
-         -np.sqrt(m.var_y_res_amc) * (m.cov_m_res_ac_inv_sqrt @ m.beta1_obs),
-         np.sqrt(m.var_y_res_amc / m.var_a_res_c))
-        for m in moments)
+    (q, B), (q, B), (B,), from moments with a leading axis of B."""
+    return (np.einsum("bi,bi->b", m.theta3_obs, m.beta1_obs),
+            -np.einsum("bij,bj->ib", m.cov_m_res_ac_sqrt, m.theta3_obs)
+            / np.sqrt(m.var_a_res_c),
+            -np.sqrt(m.var_y_res_amc)
+            * np.einsum("bij,bj->ib", m.cov_m_res_ac_inv_sqrt, m.beta1_obs),
+            np.sqrt(m.var_y_res_amc / m.var_a_res_c))
 
 
 def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
@@ -198,13 +191,13 @@ class EffectObjective:
     @classmethod
     def for_direct(cls, mm: MediationMoments, plan: BootstrapPlan | None):
         flip = -1.0 if mm.theta1_obs < 0 else 1.0
-        return cls(kind="direct", q=mm.q, flip=flip, full=_direct_coeffs([mm]),
+        return cls(kind="direct", q=mm.q, flip=flip, full=_direct_coeffs(mm[None]),
                    boot=None if plan is None else _direct_coeffs(plan.moments))
 
     @classmethod
     def for_indirect(cls, mm: MediationMoments, plan: BootstrapPlan | None):
         flip = -1.0 if observed_indirect(mm) < 0 else 1.0
-        return cls(kind="indirect", q=mm.q, flip=flip, full=_indirect_coeffs([mm]),
+        return cls(kind="indirect", q=mm.q, flip=flip, full=_indirect_coeffs(mm[None]),
                    boot=None if plan is None else _indirect_coeffs(plan.moments))
 
     def point_estimates(self, phi_a, phi_b) -> np.ndarray:

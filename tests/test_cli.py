@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bksens
-from bksens.cli import main
+from bksens.cli import _parse_grid, main
 from bksens.inference import bootstrap_moments
 from bksens.mediation import (
     MediationData,
@@ -269,6 +269,14 @@ def _run_cli(args):
     ("rv", ["--rho-grid", "0:1:0.25"]),
     ("benchmark", ["--j", "c1", "--delta-grid", "0:1:0.5"]),
     ("simulate", ["--dim-m", "1"]),
+    ("effects", ["--seed", "-1"]),
+    ("rv", ["--seed", "-1"]),
+    ("benchmark", ["--seed", "-1"]),
+    ("simulate", ["--seed", "-1"]),
+    ("simulate", ["--reps", "0"]),
+    ("simulate", ["--n", "5"]),
+    ("simulate", ["--r2-am", "1.5"]),
+    ("benchmark", ["--delta-grid", "0.5:2:0.5"]),
 ])
 def test_invalid_option_values_exit_2(csv_file, tmp_path, command, flags):
     path, _ = csv_file
@@ -277,6 +285,18 @@ def test_invalid_option_values_exit_2(csv_file, tmp_path, command, flags):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("0.5:0.99:0.3", [0.5, 0.8]),
+    ("0.5:2.1:0.6", [0.5, 1.1, 1.7]),
+    ("0.5:2:0.5", [0.5, 1.0, 1.5, 2.0]),
+    ("0.05:0.6:0.05", [round(0.05 * k, 10) for k in range(1, 13)]),
+    ("0.01:0.99:0.01", [round(0.01 * k, 10) for k in range(1, 100)]),
+    ("0.3:0.3:0.1", [0.3]),
+])
+def test_grid_ends_at_last_point_not_past_hi(spec, expected):
+    assert _parse_grid(spec, "--grid") == expected
 
 
 def _reject_constant(name):

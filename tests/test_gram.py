@@ -12,14 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bksens.benchmarking import benchmark_moments, prepare_benchmark_stacks
-from bksens.errors import RankDeficient, SingularCovariance, TooManySingularResamples
-from bksens.inference import bootstrap_moments, resample_rng
-from bksens.linalg import add_intercept, r_matrix
+from bksens.benchmarking import (BenchmarkMoments, _leave_j_anchors, benchmark_moments,
+                                  prepare_benchmark_stacks)
+from bksens.errors import (NegativeEigenvalue, RankDeficient, SingularCovariance,
+                           TooManySingularResamples)
+from bksens.inference import GRAM_MARGIN, bootstrap_moments, resample_rng
+from bksens.linalg import add_intercept, r_matrix, schur
 from bksens.mediation import (
     MediationData,
     MediationMoments,
     fit_observed,
+    moments_from_cov,
     observed_indirect,
 )
 
@@ -69,10 +72,10 @@ def test_gram_path_matches_exact_fits(seed, p, q, n, data):
         anc = stacks.anchors
         for i, idx in enumerate(plan.indices):
             bm = benchmark_moments(base.subset(idx), j)
-            err = _rel_err(_anchor_vector(anc.a[i], anc.m[i], anc.y[i]),
+            err = _rel_err(_anchor_vector(anc.r_a_cj[i], anc.r_m_cj[i], anc.r_y_cj[i]),
                            _anchor_vector(bm.r_a_cj, bm.r_m_cj, bm.r_y_cj))
             assert err < TOL, f"resample {i}, covariate {j} anchors: {err:.2e}"
-            err = _rel_err(anc.mix[i], bm.mix_leave_j)
+            err = _rel_err(anc.mix_leave_j[i], bm.mix_leave_j)
             assert err < TOL, f"resample {i}, covariate {j} mixing block: {err:.2e}"
 
 
@@ -135,7 +138,7 @@ def test_shifted_rescaled_covariate_reproduces_effects_and_anchors(rng):
                                            bm_ref.r_y_cj)) < 1e-8
             assert _rel_err(bm.mix_leave_j, bm_ref.mix_leave_j) < 1e-8
             anc = prepare_benchmark_stacks(shifted, j, plan).anchors
-            for name in ("a", "m", "y", "mix"):
+            for name in ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j"):
                 assert _rel_err(getattr(anc, name), getattr(ancs_ref[j], name)) < 1e-8
 
 
@@ -164,3 +167,71 @@ def test_response_in_the_covariate_span_raises_singular_covariance(rng, case):
             benchmark_moments(data, j)
     with pytest.raises(SingularCovariance):
         r_matrix(y, a, add_intercept(c))
+
+
+def _unbatched(fn, rows):
+    """fn on each row alone: its result, or None where it raises."""
+    out = []
+    for row in rows:
+        try:
+            out.append(fn(row))
+        except (SingularCovariance, NegativeEigenvalue):
+            out.append(None)
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 3), q=st.integers(1, 3),
+       kinds=st.lists(st.sampled_from(["fine", "zero exposure", "duplicated mediator"]),
+                      min_size=1, max_size=8))
+def test_batched_checks_mark_exactly_the_failing_rows(seed, p, q, kinds):
+    # covariances of (c, a, m, y): well-conditioned rows beside exactly
+    # singular ones (an exposure without variance, or with q >= 2 two equal
+    # mediators); the batched calls must mark the rows the unbatched calls
+    # raise on and agree with them elsewhere
+    rng = np.random.default_rng(seed)
+    d = p + q + 2
+    stack = []
+    for kind in kinds:
+        x = rng.normal(size=(4 * d, d)) @ rng.normal(size=(d, d))
+        if kind == "zero exposure" or (kind != "fine" and q == 1):
+            x[:, p] = 0.0
+        elif kind == "duplicated mediator":
+            x[:, p + 2] = x[:, p + 1]
+        stack.append(x.T @ x / (4 * d - 1))
+    stack = np.array(stack)
+    j = int(rng.integers(p))
+
+    def anchors(cov, bad=None):
+        if bad is None:
+            return _leave_j_anchors(lambda k, g: schur(cov, k, g), j, p, q, GRAM_MARGIN)
+        # a marked row's later blocks may be singular; the identity keeps
+        # their solves defined
+        eye = np.eye(d)
+        return _leave_j_anchors(
+            lambda k, g: schur(np.where(bad[:, None, None], eye, cov), k, g),
+            j, p, q, GRAM_MARGIN, bad=bad)
+
+    response = [p + q + 1, p, *range(p + 1, p + q + 1)]
+    s = schur(stack, response, range(p))
+    cases = (
+        (lambda cov: moments_from_cov(cov, 100, p, q, GRAM_MARGIN), s,
+         lambda cov, bad: moments_from_cov(cov, 100, p, q, GRAM_MARGIN, bad=bad),
+         MediationMoments),
+        (anchors, stack, anchors, BenchmarkMoments),
+    )
+    for single, inputs, batched, cls in cases:
+        expected = _unbatched(single, inputs)
+        bad = np.zeros(len(kinds), dtype=bool)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got = batched(inputs, bad)
+        assert bad.tolist() == [e is None for e in expected]
+        assert all(bad[i] for i, kind in enumerate(kinds) if kind != "fine")
+        for i, ref in enumerate(expected):
+            if ref is None:
+                continue
+            for f in fields(cls):
+                if f.name in ("n", "p_user", "q", "j"):
+                    continue
+                err = _rel_err(getattr(got, f.name)[i], getattr(ref, f.name))
+                assert err < 1e-12, f"row {i}, {f.name}: {err:.2e}"

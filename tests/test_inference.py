@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from bksens.errors import EstimatorFailed
 from bksens.inference import bootstrap_moments, bootstrap_se, effect_report
-from bksens.mediation import MediationData, fit_observed
+from bksens.mediation import MediationData, MediationMoments, fit_observed
 
 from conftest import classical_se, make_data
 
@@ -17,16 +19,6 @@ def test_fixed_seed_reproducible(rng):
         assert m1.theta1_obs == m2.theta1_obs
     p3 = bootstrap_moments(data, n_resamples=50, seed=8)
     assert not np.array_equal(p1.indices, p3.indices)
-
-
-def test_identity_resample_hook(rng):
-    data = make_data(rng, n=60, p=1, q=2)
-    idx = np.arange(data.n)[None, :]
-    plan = bootstrap_moments(data, indices=idx)
-    mm = fit_observed(data)
-    assert plan.n_resamples == 1
-    assert plan.moments[0].theta1_obs == mm.theta1_obs
-    assert np.array_equal(plan.moments[0].beta1_obs, mm.beta1_obs)
 
 
 def test_thread_count_does_not_change_results(rng):
@@ -147,6 +139,16 @@ def test_singular_resample_redraw_and_exhaustion(rng):
                 while 0 not in gen.integers(0, n, size=n):
                     expected_redraws += 1
             assert plan.n_redraws == expected_redraws
+            # the replayed rows are the draws the plan fitted: each holds the
+            # special row, and the exact resamples refit to their moments
+            for i in range(4):
+                rows = plan.rows(i)
+                assert 0 in rows
+                if plan.exact[i]:
+                    ref = fit_observed(fragile.subset(rows))
+                    for f in fields(MediationMoments):
+                        assert np.array_equal(getattr(plan.moments[i], f.name),
+                                              getattr(ref, f.name)), f.name
             break
     else:
         pytest.fail("no seed produced a resample missing the special row")
@@ -154,3 +156,16 @@ def test_singular_resample_redraw_and_exhaustion(rng):
     # a well-conditioned design never leaves the Gram path
     plan = bootstrap_moments(make_data(rng, n=80, p=2, q=2), n_resamples=64, seed=1)
     assert plan.n_exact == 0 and plan.n_redraws == 0
+
+
+def test_plan_holds_no_index_matrix(rng):
+    # the plan keeps per-resample redraw counts and replays rows on demand,
+    # so no array it holds grows with n * B
+    n, b = 20_000, 64
+    data = make_data(rng, n=n, p=1, q=1)
+    plan = bootstrap_moments(data, n_resamples=b, seed=3)
+    held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    held += [getattr(plan.moments, f.name) for f in fields(MediationMoments)]
+    held += [v for v in vars(plan.basis).values() if isinstance(v, np.ndarray)]
+    assert max(np.size(v) for v in held) < n * b
+    assert plan.rows(5).shape == (n,)
