@@ -279,6 +279,8 @@ def cmd_benchmark(args) -> int:
     grid = _parse_grid(args.delta_grid, "--delta-grid") if args.delta_grid else None
     if grid is not None and grid[0] <= 0.0:
         raise InputError("--delta-grid must be positive")
+    if args.j is not None and args.j not in _split_names(args.covariates):
+        raise InputError(f"--j '{args.j}' is not one of the covariates")
     data, covariates = build_data(args)
     if not covariates:
         raise InputError("benchmarking needs at least one covariate")
@@ -288,8 +290,6 @@ def cmd_benchmark(args) -> int:
     targets = covariates if args.j is None else [args.j]
     stacks = {}
     for name in targets:
-        if name not in covariates:
-            raise InputError(f"--j '{name}' is not one of the covariates")
         j = covariates.index(name)
         spec = BenchmarkSpec(j=j, k_a_bound=k_a, k_m_bound=args.km,
                              k_y_bound=args.ky)

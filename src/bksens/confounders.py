@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import BoundaryR, InfeasibleTarget, InsufficientSamples
 from .linalg import add_intercept, as_matrix, residualize, sample_cov, sym_inv_sqrt, sym_sqrt
@@ -47,6 +46,9 @@ def construct_confounder_blocks(c, blocks, cov_u=None) -> np.ndarray:
     (n, d_u) array U. The achieved sample R-measures equal the prescribed
     ones up to floating-point error.
     """
+    # imported here: no CLI job builds a confounder, so none has to load scipy
+    from scipy.linalg import null_space
+
     if not blocks:
         raise InfeasibleTarget("need at least one block")
     n = as_matrix(blocks[0][0]).shape[0]

@@ -3,9 +3,10 @@
 The direct and indirect effects are affine/bilinear in two low-dimensional
 nuisance vectors (phi pairs) whose feasible ranges under a common strength
 bound rho have closed forms. The worst estimate over those ranges has closed
-form minimizers too (one convex 1-D solve in vector mode), which every
-search box carries among its candidates, so the estimate-only robustness
-value needs no search. Minimizing the t statistic over the ranges is a
+form minimizers too (in vector mode, the minimum of one convex 1-D function,
+found by golden-section search), which every search box carries among its
+candidates, so the estimate-only robustness value needs no search and loads
+no scipy. Minimizing the t statistic over the ranges is a
 small box-constrained global optimization. The bootstrap standard error is
 recomputed per candidate from per-resample moments on common random numbers,
 so one objective evaluation costs a few vector operations per resample and
@@ -23,6 +24,8 @@ the map from the box's points to the value function's arguments (phi pairs
 here, leave-one-out triples in benchmarking) and one batch of candidates,
 zero first and no row twice, evaluated with the optimizer's optimum. A box
 that bounds no confounding has no columns and zero as its only candidate.
+Its Nelder-Mead polish calls ``minimize``, which imports scipy on its first
+call; no other code here needs scipy.
 The minimum t-statistic functions and both RV drivers share one setup, which
 checks the effect, the confounder mode and the rho grid before any search.
 
@@ -39,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, minimize, minimize_scalar
 
 from .errors import DimensionMismatch
 from .inference import BootstrapPlan
@@ -278,14 +280,31 @@ def _direct_box(rho: float, rho_a: float, obj) -> _SearchBox:
     return _SearchBox(box, to_phi, _distinct(corners))
 
 
+def _golden_section(g, lo: float, hi: float, xatol: float) -> float:
+    """The minimizer of a unimodal g on [lo, hi], to within xatol."""
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    gc, gd = g(c), g(d)
+    while hi - lo > xatol:
+        if gc <= gd:
+            hi, d, gd = d, c, gc
+            c = hi - shrink * (hi - lo)
+            gc = g(c)
+        else:
+            lo, c, gc = c, d, gd
+            d = lo + shrink * (hi - lo)
+            gd = g(d)
+    return c if gc <= gd else d
+
+
 def _vector_minimizers(a, b, kappa: float, r3: float, r4: float) -> list:
     """Minimizers of phi_a.a + phi_b.b + kappa phi_a.phi_b over |phi_a| <= r3,
     |phi_b| <= r4, for q >= 2 and b != 0.
 
     The best phi_b is -r4 unit(b + kappa phi_a); what is left is concave in
     phi_a, so phi_a lies on its sphere, where only x = phi_a.b/|b| matters.
-    The value g(x) is convex on [-r3, r3]: one bounded Brent solve finds its
-    minimum, and both ends are returned too."""
+    The value g(x) is convex on [-r3, r3]: a golden-section search finds its
+    minimum to 1e-12 r3, and both ends are returned too."""
     # signed QR: b = |b| bhat, a = (a.bhat) bhat + |a_perp| perp
     basis, tri = np.linalg.qr(np.column_stack([b, a]))
     signs = np.where(np.diag(tri) < 0.0, -1.0, 1.0)
@@ -296,8 +315,7 @@ def _vector_minimizers(a, b, kappa: float, r3: float, r4: float) -> list:
         return (ab * x - na_perp * np.sqrt(r3 * r3 - x * x) - r4 * np.sqrt(
             max(nb * nb + 2.0 * kappa * nb * x + kappa * kappa * r3 * r3, 0.0)))
 
-    best = minimize_scalar(g, bounds=(-r3, r3), method="bounded",
-                           options={"xatol": 1e-12 * r3}).x
+    best = _golden_section(g, -r3, r3, 1e-12 * r3)
     phis_a = [x * bhat - np.sqrt(r3 * r3 - x * x) * perp for x in (best, -r3, r3)]
     return [(p[None, :], -r4 * _unit(b + kappa * p)[None, :]) for p in phis_a]
 
@@ -347,6 +365,14 @@ def _indirect_box(rho: float, rho_a: float, confounder_mode: str,
 # Minimization over a search box.
 # ---------------------------------------------------------------------------
 
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first polish: the CLI's
+    jobs other than ``rv`` never polish and so never load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
                        seeds=()):
     """Minimum of the batched ``value_fn`` over the box, its candidates and
@@ -369,6 +395,8 @@ def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
                               vectorized=True)
         x_best = res.x
         if polish:
+            from scipy.optimize import Bounds
+
             def scalar_obj(x):
                 return float(objective(x[None, :])[0])
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bksens
+from bksens import cli
 from bksens.cli import _parse_grid, main
 from bksens.inference import bootstrap_moments
 from bksens.mediation import (
@@ -277,6 +278,7 @@ def _run_cli(args):
     ("simulate", ["--n", "5"]),
     ("simulate", ["--r2-am", "1.5"]),
     ("benchmark", ["--delta-grid", "0.5:2:0.5"]),
+    ("benchmark", ["--j", "nope"]),
 ])
 def test_invalid_option_values_exit_2(csv_file, tmp_path, command, flags):
     path, _ = csv_file
@@ -285,6 +287,18 @@ def test_invalid_option_values_exit_2(csv_file, tmp_path, command, flags):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_unknown_benchmark_covariate_rejected_before_bootstrap(csv_file, monkeypatch,
+                                                             capsys):
+    path, _ = csv_file
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bootstrap drawn before --j was checked")
+
+    monkeypatch.setattr(cli, "bootstrap_moments", refuse)
+    assert main(["benchmark", *base_args(path), "--j", "nope"]) == 2
+    assert capsys.readouterr().err == "error: --j 'nope' is not one of the covariates\n"
 
 
 @pytest.mark.parametrize("spec, expected", [

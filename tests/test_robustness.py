@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bksens.inference import bootstrap_moments
-from bksens.mediation import NaturalSensitivity, direct_adjusted, fit_observed
+from bksens.mediation import MediationData, NaturalSensitivity, direct_adjusted, fit_observed
 from bksens.robustness import (
     DEFAULT_RHO_GRID,
     EffectObjective,
@@ -424,3 +426,45 @@ def test_every_entry_point_rejects_unknown_mode(setup_q1, kind):
         robustness_value(mm, plan, kind, confounder_mode="bogus", budget=200)
     with pytest.raises(ValueError, match="confounder_mode"):
         rv_estimate_only(mm, kind, confounder_mode="bogus")
+
+
+def _affine_pair(data, j, shift, scale):
+    """(reference, transformed): covariate j replaced by shift + scale c_j and
+    by its exact preimage (t - shift) / scale, so that both designs carry the
+    same information however large the shift."""
+    moved = shift + scale * data.c_user[:, j]
+    pair = []
+    for col in ((moved - shift) / scale, moved):
+        c = data.c_user.copy()
+        c[:, j] = col
+        pair.append(MediationData.from_arrays(y=data.y, a=data.a, m=data.m, c=c))
+    return pair
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), q=st.integers(1, 3), j=st.integers(0, 1),
+       shift=st.floats(-1e6, 1e6), log_scale=st.floats(-3.0, 3.0))
+def test_rv_estimate_only_is_invariant_to_affine_covariates(seed, q, j, shift,
+                                                           log_scale):
+    data = make_data(np.random.default_rng(seed), n=150, p=2, q=q)
+    ref, moved = (fit_observed(d) for d in _affine_pair(data, j, shift, 10.0 ** log_scale))
+    for kind in ("direct", "indirect"):
+        for mode in ("scalar_u", "vector_u"):
+            for randomized in (False, True):
+                assert rv_estimate_only(moved, kind, confounder_mode=mode,
+                                        randomized=randomized) == \
+                    rv_estimate_only(ref, kind, confounder_mode=mode,
+                                     randomized=randomized), (kind, mode, randomized)
+
+
+def test_robustness_values_are_invariant_to_affine_covariates():
+    data = make_data(np.random.default_rng(92), n=150, p=2, q=2)
+    grid = [round(0.05 * k, 10) for k in range(1, 13)]
+    reports = []
+    for d in _affine_pair(data, 0, 1e6, 1e-3):
+        mm, plan = fit_observed(d), bootstrap_moments(d, n_resamples=60, seed=5)
+        reports.append([robustness_value(mm, plan, kind, rho_grid=grid)
+                        for kind in ("direct", "indirect")])
+    for ref, moved in zip(*reports):
+        assert 0.0 < ref.rv_ci < ref.rv_estimate
+        assert (moved.rv_estimate, moved.rv_ci) == (ref.rv_estimate, ref.rv_ci)

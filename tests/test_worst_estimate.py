@@ -148,6 +148,37 @@ def test_worst_estimate_matches_angle_grid_reference(kind, q, mode, randomized,
     assert abs(drop - ref) <= 1e-9 * abs(ref), (drop, ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([2, 3, 8]), case=st.sampled_from(["any", "a_perp_b", "clamp"]),
+       r3=st.floats(1e-3, 10.0), r4=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_golden_section_matches_bounded_brent(q, case, r3, r4, seed):
+    # the vector-mode witness's 1-D solve against scipy's bounded Brent on
+    # g(x), rebuilt here from a, b and kappa in their own frame
+    rng = np.random.default_rng(seed)
+    a, b, kappa = rng.normal(size=q), rng.normal(size=q), rng.normal(scale=2.0)
+    nb = np.linalg.norm(b)
+    bhat = b / nb
+    if case != "any":
+        a -= (a @ bhat) * bhat
+    if case == "clamp":
+        # |b + kappa phi_a| reaches 0 at an end of [-r3, r3]
+        kappa = np.sign(kappa) * nb / r3
+    ab, na_perp = a @ bhat, np.linalg.norm(a - (a @ bhat) * bhat)
+
+    def g(x):
+        return (ab * x - na_perp * np.sqrt(max(r3 * r3 - x * x, 0.0)) - r4 * np.sqrt(
+            max(nb * nb + 2.0 * kappa * nb * x + kappa * kappa * r3 * r3, 0.0)))
+
+    brent = minimize_scalar(g, bounds=(-r3, r3), method="bounded",
+                            options={"xatol": 1e-12 * r3}).x
+    bound = g(brent) + 1e-12 * (abs(g(brent)) + 1.0)
+    phi_a, phi_b = robustness._vector_minimizers(a, b, kappa, r3, r4)[0]
+    assert g(float(phi_a[0] @ bhat)) <= bound
+    value = phi_a[0] @ a + phi_b[0] @ b + kappa * phi_a[0] @ phi_b[0]
+    assert value <= bound
+
+
 @pytest.mark.parametrize("rho", [0.05, 0.2, 0.5])
 def test_scalar_witness_is_attained_by_a_confounder(rho):
     # the winning scalar-mode candidate phi_a = r3 t1, phi_b = sigma r4 t1
