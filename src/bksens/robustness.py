@@ -381,8 +381,8 @@ def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
 
     DIRECT searches the box when it has columns, optionally polished by
     Nelder-Mead; then one call evaluates the optimum, the candidates and the
-    seeds in that order, and the first strict minimum wins (so a NaN never
-    beats an earlier value).
+    seeds in that order, and the first minimum wins. A NaN ranks as +inf,
+    behind a real +inf, so it is returned only when every value is NaN.
     """
     points = []
     if box.space.lower:
@@ -409,10 +409,8 @@ def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
         points.append(box.unpack(x_best[None, :]))
     args = [np.concatenate(col) for col in zip(*points, box.candidates, *seeds)]
     vals = value_fn(*args)
-    best = 0
-    for i in range(1, len(vals)):
-        if vals[i] < vals[best]:
-            best = i
+    nan = np.isnan(vals)
+    best = int(np.lexsort((nan, np.where(nan, np.inf, vals)))[0])
     return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
 
 

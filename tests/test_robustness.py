@@ -468,3 +468,21 @@ def test_robustness_values_are_invariant_to_affine_covariates():
     for ref, moved in zip(*reports):
         assert 0.0 < ref.rv_ci < ref.rv_estimate
         assert (moved.rv_estimate, moved.rv_ci) == (ref.rv_estimate, ref.rv_ci)
+
+
+def test_box_minimum_ranks_nan_last():
+    # every box point is NaN, so DIRECT's optimum comes first in the final
+    # batch as a NaN; the candidate after it must still win
+    from bksens.robustness import _Box, _minimize_over_box, _SearchBox
+
+    box = _SearchBox(_Box().interval(-1.0, 1.0), lambda x: (x[:, 0],),
+                     (np.array([0.5]),))
+    for at_candidate in (1.0, np.inf):
+        def value_fn(x, v=at_candidate):
+            return np.where(x == 0.5, v, np.nan)
+
+        val, (arg,) = _minimize_over_box(box, value_fn, budget=30, polish=False)
+        assert val == at_candidate and arg.tolist() == [0.5]
+    val, _ = _minimize_over_box(box, lambda x: np.full(len(x), np.nan), budget=30,
+                                polish=False)
+    assert np.isnan(val)
