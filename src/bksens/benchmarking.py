@@ -19,9 +19,9 @@ so a resample raises exactly when ``benchmark_moments`` would. Both give a
 
 The search is batched: the conversion takes k candidates against anchors
 with a leading resample axis (B=1 for the full sample) and returns (k, B)
-natural parameters, which map to the phi pair of the effect's coefficient
-form in ``robustness`` and are evaluated there by the function the
-robustness values use, so each optimizer sweep costs one objective call.
+natural parameters, which ``mediation._phis`` maps to the phi pair of the
+effect's coefficient form, evaluated by the function the robustness values
+use, so each optimizer sweep costs one objective call.
 The search itself is ``robustness._minimize_over_box`` over the capped
 leave-one-out box, without the Nelder-Mead polish. The full-sample fit and
 anchors, the per-resample anchors and both effects' coefficient stacks are
@@ -60,6 +60,7 @@ from .mediation import (
     BOUNDARY_TOL,
     MediationData,
     NaturalSensitivity,
+    _phis,
     fit_observed,
 )
 from .robustness import (EffectObjective, _Box, _check_kind, _distinct,
@@ -215,19 +216,8 @@ def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
 
 # ---------------------------------------------------------------------------
 # The search objective: natural parameters -> phi pairs -> the coefficient
-# form of ``robustness``, batched over candidates and resamples.
+# form of ``mediation``, batched over candidates and resamples.
 # ---------------------------------------------------------------------------
-
-def _phis(kind: str, r_y, r_m, r_a):
-    """Natural parameters of shapes (k, B), (k, B, q), (k, B) -> the effect's
-    (phi_a, phi_b) pair, of shapes (k, B, 1 or q) and (k, B, q)."""
-    root_m = np.sqrt(1.0 - (r_m * r_m).sum(axis=-1))
-    root_a = np.sqrt(1.0 - r_a ** 2)
-    phi_b = (r_y / root_m)[..., None] * r_m
-    if kind == "direct":
-        return (r_y * r_a / (root_a * root_m))[..., None], phi_b
-    return (r_a / root_a)[..., None] * r_m, phi_b
-
 
 @dataclass(frozen=True)
 class _Stacks:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarking import (BenchmarkSpec, _phis, benchmark_worst, critical_delta,
+from .benchmarking import (BenchmarkSpec, benchmark_worst, critical_delta,
                            prepare_benchmark_stacks)
 from .errors import BkSensError
 from .inference import bootstrap_moments
@@ -30,6 +30,7 @@ from .mediation import (
     EffectReport,
     MediationData,
     NaturalSensitivity,
+    _phis_at,
     fit_observed,
     observed_indirect,
 )
@@ -196,10 +197,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _effect_report(mm, plan, kind: str, s: NaturalSensitivity) -> EffectReport:
     """The effect at ``s`` and its bootstrap SE, both from the coefficient
-    form of ``robustness``."""
+    form of ``mediation``."""
     build = EffectObjective.for_direct if kind == "direct" else EffectObjective.for_indirect
     obj = build(mm, plan)
-    phis = _phis(kind, np.array([s.r_y]), s.r_m[None, :], np.array([s.r_a]))
+    phis = _phis_at(kind, s)
     return EffectReport.from_estimate(obj.point_estimates(*phis)[0],
                                       obj.boot_matrix(*phis)[0].std(ddof=1),
                                       kind, "product")

@@ -10,6 +10,11 @@ so neither the fit nor its rank check depends on their location or scale.
 All adjusted estimators consume :class:`MediationMoments`; with sample
 moments the adjustment formulas are exact, so appending a confounder column
 that realizes the stated parameters reproduces them to rounding error.
+
+The product-method effects are written once, as a coefficient form in the
+phi pairs that ``_phis`` builds from the natural parameters. The public
+effect functions evaluate it on one fit; the robustness values, formal
+benchmarking and the CLI evaluate it in batches.
 """
 
 from __future__ import annotations
@@ -237,13 +242,63 @@ def moments_from_cov(s: np.ndarray, n: int, p_user: int, q: int,
     )
 
 
-def _odds(r: float) -> float:
-    return r / np.sqrt(1.0 - r * r)
+# ---------------------------------------------------------------------------
+# Coefficient form: the direct effect is affine and the indirect bilinear in a
+# phi pair, with one column of coefficients per resample (B=1 for one fit).
+# ---------------------------------------------------------------------------
+
+def _phis(kind: str, r_y, r_m, r_a):
+    """Natural parameters of shapes (k, B), (k, B, q), (k, B) -> the effect's
+    (phi_a, phi_b) pair, of shapes (k, B, 1 or q) and (k, B, q)."""
+    root_m = np.sqrt(1.0 - (r_m * r_m).sum(axis=-1))
+    root_a = np.sqrt(1.0 - r_a ** 2)
+    phi_b = (r_y / root_m)[..., None] * r_m
+    if kind == "direct":
+        return (r_y * r_a / (root_a * root_m))[..., None], phi_b
+    return (r_a / root_a)[..., None] * r_m, phi_b
 
 
-def observed_indirect(mm: MediationMoments) -> float:
-    """Observed product-method indirect effect."""
-    return float(mm.theta3_obs @ mm.beta1_obs)
+def _phis_at(kind: str, s: NaturalSensitivity):
+    """The effect's phi pair at one setting, as a batch of one."""
+    return _phis(kind, np.array([s.r_y]), s.r_m[None, :], np.array([s.r_a]))
+
+
+def _direct_coeffs(m: MediationMoments) -> tuple:
+    """(s0, w_a, w_b, None) with the direct effect s0 + phi_1 w_a + phi_2 w_b,
+    of shapes (B,), (1, B), (q, B), from moments with a leading axis of B."""
+    root = np.sqrt(1.0 - np.einsum("bi,bi->b", m.r_m_a_c, m.r_m_a_c))
+    scale = np.sqrt(m.var_y_res_amc / m.var_a_res_mc)
+    return (m.theta1_obs, (-root * scale)[None, :],
+            scale * np.einsum("bji,bj->ib", m.mix_c_ac, m.r_m_a_c) / root, None)
+
+
+def _indirect_coeffs(m: MediationMoments) -> tuple:
+    """(s0, w_a, w_b, cross) with the indirect effect
+    s0 + phi_a w_a + phi_b w_b + cross (phi_a . phi_b), of shapes (B,),
+    (q, B), (q, B), (B,), from moments with a leading axis of B."""
+    return (np.einsum("bi,bi->b", m.theta3_obs, m.beta1_obs),
+            -np.einsum("bij,bj->ib", m.cov_m_res_ac_sqrt, m.theta3_obs)
+            / np.sqrt(m.var_a_res_c),
+            -np.sqrt(m.var_y_res_amc)
+            * np.einsum("bij,bj->ib", m.cov_m_res_ac_inv_sqrt, m.beta1_obs),
+            np.sqrt(m.var_y_res_amc / m.var_a_res_c))
+
+
+def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
+    """(k, B) effects against B resamples' coefficients, at phi pairs of
+    shapes (k, .) (one pair for every resample) or (k, B, .) (one pair per
+    resample)."""
+    s0, w_a, w_b, cross = coeffs
+    if phi_a.ndim == 2:
+        vals = s0 + phi_a.dot(w_a) + phi_b.dot(w_b)
+        if cross is not None:
+            vals = vals + np.einsum("ki,ki->k", phi_a, phi_b)[:, None] * cross
+        return vals
+    vals = s0 + np.einsum("kbi,ib->kb", phi_a, w_a) \
+        + np.einsum("kbi,ib->kb", phi_b, w_b)
+    if cross is not None:
+        vals = vals + np.einsum("kbi,kbi->kb", phi_a, phi_b) * cross
+    return vals
 
 
 def _check_sensitivity(mm: MediationMoments, s: NaturalSensitivity) -> None:
@@ -251,52 +306,56 @@ def _check_sensitivity(mm: MediationMoments, s: NaturalSensitivity) -> None:
         raise DimensionMismatch(f"r_m has {s.r_m.size} entries, expected q={mm.q}")
 
 
-def r_aumc_odds(mm: MediationMoments, s: NaturalSensitivity) -> float:
-    """Odds form r/sqrt(1-r^2) of the exposure-confounder partial correlation
-    after additionally conditioning on the mediators."""
-    _check_sensitivity(mm, s)
+def _observed_r2(mm: MediationMoments) -> float:
     nr_hat2 = float(mm.r_m_a_c @ mm.r_m_a_c)
     if nr_hat2 >= 1.0 - BOUNDARY_TOL:
         raise DegenerateObservedR("observed mediator-exposure R has norm too close to 1")
-    nrm2 = float(s.r_m @ s.r_m)
-    term1 = (s.r_a * np.sqrt(1.0 - nr_hat2)
-             / (np.sqrt(1.0 - s.r_a ** 2) * np.sqrt(1.0 - nrm2)))
-    term2 = (float(mm.r_m_a_c @ mm.mix_c_ac @ s.r_m)
-             / (np.sqrt(1.0 - nr_hat2) * np.sqrt(1.0 - nrm2)))
-    return term1 - term2
+    return nr_hat2
+
+
+def _adjusted(kind: str, mm: MediationMoments, s: NaturalSensitivity) -> float:
+    """One fit's effect at ``s``, evaluated through the coefficient form."""
+    _check_sensitivity(mm, s)
+    if kind == "direct":
+        _observed_r2(mm)
+    coeffs = (_direct_coeffs if kind == "direct" else _indirect_coeffs)(mm[None])
+    return float(_effect_values(coeffs, *_phis_at(kind, s))[0, 0])
+
+
+def observed_indirect(mm: MediationMoments) -> float:
+    """Observed product-method indirect effect: the coefficient form's s0."""
+    return float(_indirect_coeffs(mm[None])[0][0])
 
 
 def r_aumc_from_natural(mm: MediationMoments, s: NaturalSensitivity) -> float:
     """Exposure-confounder partial correlation given (m, c), from the natural
     parameters and observed moments."""
-    o = r_aumc_odds(mm, s)
-    return float(o / np.sqrt(1.0 + o * o))
+    _check_sensitivity(mm, s)
+    root_hat = np.sqrt(1.0 - _observed_r2(mm))
+    root_m = np.sqrt(1.0 - float(s.r_m @ s.r_m))
+    odds = (s.r_a * root_hat / np.sqrt(1.0 - s.r_a ** 2)
+            - float(mm.r_m_a_c @ mm.mix_c_ac @ s.r_m) / root_hat) / root_m
+    return float(odds / np.sqrt(1.0 + odds * odds))
 
 
 def direct_adjusted(mm: MediationMoments, s: NaturalSensitivity) -> float:
     """Bias-adjusted direct effect at the given sensitivity parameters."""
-    if s.r_y == 0.0 and s.r_a == 0.0 and not s.r_m.any():
-        return mm.theta1_obs
-    scale = np.sqrt(mm.var_y_res_amc / mm.var_a_res_mc)
-    return mm.theta1_obs - s.r_y * r_aumc_odds(mm, s) * scale
+    return _adjusted("direct", mm, s)
 
 
 def adjusted_mediator_paths(mm: MediationMoments, s: NaturalSensitivity):
-    """Adjusted (beta1, theta3) coefficient vectors for the product method."""
+    """Adjusted (beta1, theta3) coefficient vectors for the product method:
+    the observed ones moved along the indirect effect's phi pair."""
     _check_sensitivity(mm, s)
-    nrm2 = float(s.r_m @ s.r_m)
-    beta1 = mm.beta1_obs - (_odds(s.r_a) / np.sqrt(mm.var_a_res_c)) * (mm.cov_m_res_ac_sqrt @ s.r_m)
-    theta3 = mm.theta3_obs - (s.r_y * np.sqrt(mm.var_y_res_amc) / np.sqrt(1.0 - nrm2)) * (
-        mm.cov_m_res_ac_inv_sqrt @ s.r_m)
+    phi_a, phi_b = (phi[0] for phi in _phis_at("indirect", s))
+    beta1 = mm.beta1_obs - (mm.cov_m_res_ac_sqrt @ phi_a) / np.sqrt(mm.var_a_res_c)
+    theta3 = mm.theta3_obs - np.sqrt(mm.var_y_res_amc) * (mm.cov_m_res_ac_inv_sqrt @ phi_b)
     return beta1, theta3
 
 
 def indirect_adjusted_product(mm: MediationMoments, s: NaturalSensitivity) -> float:
     """Bias-adjusted indirect effect, product method."""
-    if s.r_y == 0.0 and s.r_a == 0.0 and not s.r_m.any():
-        return observed_indirect(mm)
-    beta1, theta3 = adjusted_mediator_paths(mm, s)
-    return float(theta3 @ beta1)
+    return _adjusted("indirect", mm, s)
 
 
 def r_yuac_from_natural(mm: MediationMoments, s: NaturalSensitivity) -> float:
@@ -311,37 +370,21 @@ def r_yuac_from_natural(mm: MediationMoments, s: NaturalSensitivity) -> float:
 
 def indirect_adjusted_difference(mm: MediationMoments, s: NaturalSensitivity) -> float:
     """Bias-adjusted indirect effect, difference method (total minus direct)."""
-    if s.r_y == 0.0 and s.r_a == 0.0 and not s.r_m.any():
-        return mm.gamma1_obs - mm.theta1_obs
     r_yuac = r_yuac_from_natural(mm, s)
-    gamma1 = mm.gamma1_obs - r_yuac * _odds(s.r_a) * np.sqrt(mm.var_y_res_ac / mm.var_a_res_c)
+    odds_a = s.r_a / np.sqrt(1.0 - s.r_a * s.r_a)
+    gamma1 = mm.gamma1_obs - r_yuac * odds_a * np.sqrt(mm.var_y_res_ac / mm.var_a_res_c)
     return float(gamma1 - direct_adjusted(mm, s))
 
 
 def direct_randomized(mm: MediationMoments, r_y: float, r_m) -> float:
-    """Direct effect when the exposure is randomized (no exposure-confounder
-    channel)."""
-    r_m = np.atleast_1d(np.asarray(r_m, dtype=float))
-    if abs(r_y) >= 1.0 or np.linalg.norm(r_m) >= 1.0:
-        raise BoundaryR("sensitivity parameters must lie strictly inside the unit balls")
-    if r_m.size != mm.q:
-        raise DimensionMismatch(f"r_m has {r_m.size} entries, expected q={mm.q}")
-    nr_hat2 = float(mm.r_m_a_c @ mm.r_m_a_c)
-    if nr_hat2 >= 1.0 - BOUNDARY_TOL:
-        raise DegenerateObservedR("observed mediator-exposure R has norm too close to 1")
-    nrm2 = float(r_m @ r_m)
-    scale = np.sqrt(mm.var_y_res_amc / mm.var_a_res_mc)
-    inner = float(mm.r_m_a_c @ mm.mix_c_ac @ r_m)
-    return mm.theta1_obs + r_y * scale * inner / (
-        np.sqrt(1.0 - nr_hat2) * np.sqrt(1.0 - nrm2))
+    """Direct effect when the exposure is randomized (r_a = 0)."""
+    return direct_adjusted(mm, NaturalSensitivity(r_y=r_y, r_m=r_m, r_a=0.0))
 
 
 def indirect_randomized(mm: MediationMoments, r_y: float, r_m) -> float:
-    """Indirect effect when the exposure is randomized: observed mediator
-    slope times the adjusted outcome slopes."""
-    s = NaturalSensitivity(r_y=r_y, r_m=r_m, r_a=0.0)
-    _, theta3 = adjusted_mediator_paths(mm, s)
-    return float(theta3 @ mm.beta1_obs)
+    """Indirect effect when the exposure is randomized (r_a = 0): observed
+    mediator slope times the adjusted outcome slopes."""
+    return indirect_adjusted_product(mm, NaturalSensitivity(r_y=r_y, r_m=r_m, r_a=0.0))
 
 
 @dataclass(frozen=True)

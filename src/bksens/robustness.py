@@ -12,11 +12,11 @@ recomputed per candidate from per-resample moments on common random numbers,
 so one objective evaluation costs a few vector operations per resample and
 no new regressions.
 
-The coefficients of that form are read from the plan's stacked moments
-with one column per resample (the full sample is ``mm[None]``), and one
-function evaluates them at phi pairs that are either shared by every
-resample or given per resample; formal benchmarking and the CLI's effect
-reports evaluate through the same function.
+The form is ``mediation``'s. Its coefficients are read from the plan's
+stacked moments with one column per resample (the full sample is
+``mm[None]``), and one function evaluates them at phi pairs shared by every
+resample or given per resample; formal benchmarking, the CLI's effect
+reports and the public adjusted effects evaluate through it too.
 
 One minimizer, ``_minimize_over_box``, runs every search that remains: the
 t searches and formal benchmarking's. It takes a ``_SearchBox``: a ``_Box``,
@@ -45,7 +45,13 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .inference import BootstrapPlan
-from .mediation import DEFAULT_CI_MULTIPLIER, MediationMoments, observed_indirect
+from .mediation import (
+    DEFAULT_CI_MULTIPLIER,
+    MediationMoments,
+    _direct_coeffs,
+    _effect_values,
+    _indirect_coeffs,
+)
 from .optimize import direct_optimize
 
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(1, 100) / 100.0, 2))
@@ -131,50 +137,6 @@ class _Box:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Coefficient form: each effect is affine (direct) or bilinear (indirect) in
-# a pair of phi vectors, with one column of coefficients per resample (B=1
-# for the full sample).
-# ---------------------------------------------------------------------------
-
-def _direct_coeffs(m: MediationMoments) -> tuple:
-    """(s0, w_a, w_b, None) with the direct effect s0 + phi_1 w_a + phi_2 w_b,
-    of shapes (B,), (1, B), (q, B), from moments with a leading axis of B."""
-    root = np.sqrt(1.0 - np.einsum("bi,bi->b", m.r_m_a_c, m.r_m_a_c))
-    scale = np.sqrt(m.var_y_res_amc / m.var_a_res_mc)
-    return (m.theta1_obs, (-root * scale)[None, :],
-            scale * np.einsum("bji,bj->ib", m.mix_c_ac, m.r_m_a_c) / root, None)
-
-
-def _indirect_coeffs(m: MediationMoments) -> tuple:
-    """(s0, w_a, w_b, cross) with the indirect effect
-    s0 + phi_a w_a + phi_b w_b + cross (phi_a . phi_b), of shapes (B,),
-    (q, B), (q, B), (B,), from moments with a leading axis of B."""
-    return (np.einsum("bi,bi->b", m.theta3_obs, m.beta1_obs),
-            -np.einsum("bij,bj->ib", m.cov_m_res_ac_sqrt, m.theta3_obs)
-            / np.sqrt(m.var_a_res_c),
-            -np.sqrt(m.var_y_res_amc)
-            * np.einsum("bij,bj->ib", m.cov_m_res_ac_inv_sqrt, m.beta1_obs),
-            np.sqrt(m.var_y_res_amc / m.var_a_res_c))
-
-
-def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
-    """(k, B) effects against B resamples' coefficients, at phi pairs of
-    shapes (k, .) (one pair for every resample) or (k, B, .) (one pair per
-    resample)."""
-    s0, w_a, w_b, cross = coeffs
-    if phi_a.ndim == 2:
-        vals = s0 + phi_a.dot(w_a) + phi_b.dot(w_b)
-        if cross is not None:
-            vals = vals + np.einsum("ki,ki->k", phi_a, phi_b)[:, None] * cross
-        return vals
-    vals = s0 + np.einsum("kbi,ib->kb", phi_a, w_a) \
-        + np.einsum("kbi,ib->kb", phi_b, w_b)
-    if cross is not None:
-        vals = vals + np.einsum("kbi,kbi->kb", phi_a, phi_b) * cross
-    return vals
-
-
 @dataclass
 class EffectObjective:
     """Worst-case t (or estimate) evaluator for one effect on one plan.
@@ -198,8 +160,9 @@ class EffectObjective:
 
     @classmethod
     def for_indirect(cls, mm: MediationMoments, plan: BootstrapPlan | None):
-        flip = -1.0 if observed_indirect(mm) < 0 else 1.0
-        return cls(kind="indirect", q=mm.q, flip=flip, full=_indirect_coeffs(mm[None]),
+        full = _indirect_coeffs(mm[None])
+        flip = -1.0 if full[0][0] < 0 else 1.0   # s0 is observed_indirect(mm)
+        return cls(kind="indirect", q=mm.q, flip=flip, full=full,
                    boot=None if plan is None else _indirect_coeffs(plan.moments))
 
     def point_estimates(self, phi_a, phi_b) -> np.ndarray:

@@ -18,7 +18,9 @@ from bksens.mediation import (
     direct_adjusted,
     fit_observed,
     indirect_adjusted_product,
+    observed_indirect,
 )
+from bksens.robustness import EffectObjective
 
 from conftest import make_data
 
@@ -81,6 +83,23 @@ def test_effects_zero_sensitivity_is_observed(csv_file, tmp_path):
     mm = fit_observed(data)
     assert payload["direct"]["estimate"] == pytest.approx(mm.theta1_obs)
     assert payload["observed"]["direct"] == pytest.approx(mm.theta1_obs)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 5])
+def test_effects_observed_equals_zero_sensitivity_estimate(tmp_path, seed):
+    # the observed effects and the estimates at zero sensitivity are one
+    # number each, not two expressions that may differ in the last bit
+    data = make_data(np.random.default_rng(seed), n=80, p=2, q=2)
+    path = tmp_path / "data.csv"
+    write_csv(path, data)
+    out = tmp_path / "zero.json"
+    assert main(["effects", *base_args(path), "--bootstrap", "20",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for kind in ("direct", "indirect"):
+        assert payload["observed"][kind] == payload[kind]["estimate"]
+    mm = fit_observed(data)
+    assert observed_indirect(mm) == EffectObjective.for_indirect(mm, None).observed
 
 
 def test_effects_deterministic_output(csv_file, tmp_path):
