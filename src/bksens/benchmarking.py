@@ -17,19 +17,30 @@ exactly or the batch marks (a check short of its threshold by GRAM_MARGIN),
 so a resample raises exactly when ``benchmark_moments`` would. Both give a
 ``BenchmarkMoments``, with a leading resample axis for the plan.
 
-The search is batched: the conversion takes k candidates against anchors
-with a leading resample axis (B=1 for the full sample) and returns (k, B)
-natural parameters, which ``mediation._phis`` maps to the phi pair of the
-effect's coefficient form, evaluated by the function the robustness values
-use, so each optimizer sweep costs one objective call.
+The search is batched, each optimizer sweep costing one objective call.
+For the estimate, the conversion takes k candidates against the full-sample
+anchors and returns (k, 1) natural parameters, which ``mediation._phis``
+maps to the phi pair of the effect's coefficient form, evaluated by the
+function the robustness values use. The t statistic needs the effect on
+every resample too, and ``_t_kernel`` computes it without per-resample
+natural parameters: the effect reads the natural r_m only through
+r_m . w_a (indirect), r_m . w_b and |r_m|^2, and with r_m = M (r_m_lj -
+c r_m_cj) / sqrt(1 - c^2) these are projections of r_m_lj on per-row
+vectors and one quadratic form. Stacking the full sample as row 0 over the
+resamples, a call is (k, q) @ (q, 1+B) and (k, q^2) @ (q^2, 1+B) products
+plus elementwise work on (k, 1+B) arrays, with the feasibility tests of
+``_convert_leave_j``, which stays as the single conversion and the tests'
+oracle.
+
 The search itself is ``robustness._minimize_over_box`` over the capped
 leave-one-out box, without the Nelder-Mead polish. The full-sample fit and
-anchors, the per-resample anchors and both effects' coefficient stacks are
-built once per covariate by ``prepare_benchmark_stacks`` and passed to
-``benchmark_worst`` and ``critical_delta``. ``critical_delta`` runs one
-search per grid point, of the t statistic or of the estimate as its
-threshold asks, compares the sign-flipped worst value with the threshold
-and reports its curve in the data's sign.
+anchors, the per-resample anchors, both effects' coefficient stacks and
+t kernels are built once per covariate by ``prepare_benchmark_stacks`` and
+passed to ``benchmark_worst`` and ``critical_delta``. ``critical_delta``
+runs one search per grid point, of the t statistic or of the estimate as
+its threshold asks, compares the sign-flipped worst value with the
+threshold and reports its curve in the data's sign. A t search is a
+decision with a stop value at the threshold (see ``critical_delta``).
 """
 
 from __future__ import annotations
@@ -219,30 +230,96 @@ def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
 # form of ``mediation``, batched over candidates and resamples.
 # ---------------------------------------------------------------------------
 
+def _t_kernel(full_anchors: BenchmarkMoments, anchors: BenchmarkMoments,
+              obj: EffectObjective):
+    """Batched flip * t of one effect over k leave-j candidates, ``inf``
+    where ``_convert_leave_j``'s feasibility tests fail on any row; row 0 is
+    the full sample, rows 1.. the plan's resamples.
+
+    The natural r_m is M (r_m_lj - c r_m_cj) / sqrt(1 - c^2), with M the
+    row's ``mix_leave_j`` and c the row's r_cj_u_ac, and the effect reads it
+    only through r_m . w_a (indirect), r_m . w_b and |r_m|^2. So each row
+    keeps M'w_a, M'w_b, G = M'M, G r_m_cj and their products with r_m_cj,
+    and a call forms those scalars for every (candidate, row) with
+    (k, q) @ (q, rows) and (k, q^2) @ (q^2, rows) products.
+    """
+    def rows(name):
+        return np.concatenate([getattr(full_anchors, name), getattr(anchors, name)])
+
+    r_a_cj, r_m_cj, r_y_cj, mix = (rows(name) for name in
+                                   ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j"))
+    s0, w_a, w_b, cross = (None if f is None else np.concatenate([f, b], axis=-1)
+                           for f, b in zip(obj.full, obj.boot))
+    direct = obj.kind == "direct"
+    n_rows = len(r_a_cj)
+    den_a2, den_y2 = 1.0 - r_a_cj ** 2, 1.0 - r_y_cj ** 2
+    den_m = 1.0 - np.einsum("ri,ri->r", r_m_cj, r_m_cj)
+    gram = np.einsum("rji,rjk->rik", mix, mix)
+    g_cj = np.einsum("rij,rj->ir", gram, r_m_cj)
+    # M'w per row; the direct effect's w_a multiplies phi_1, not r_m
+    v_b = np.einsum("rji,jr->ir", mix, w_b)
+    v_a = np.zeros_like(v_b) if direct else np.einsum("rji,jr->ir", mix, w_a)
+    proj = np.concatenate([r_m_cj.T, g_cj, v_b, v_a], axis=1)
+    gram = gram.reshape(n_rows, -1).T.copy()
+    cj_g_cj, cj_v_b, cj_v_a = (np.einsum("ri,ir->r", r_m_cj, v)
+                               for v in (g_cj, v_b, v_a))
+
+    def values(r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
+        k, q = r_m_lj.shape
+        with np.errstate(invalid="ignore", divide="ignore"):
+            nm_lj2 = np.einsum("ki,ki->k", r_m_lj, r_m_lj)
+            ra = r_a_lj[:, None]
+            c = -(r_a_cj * ra) / np.sqrt((1.0 - ra ** 2) * den_a2)
+            r_a = ra / np.sqrt(den_a2)
+            s2 = 1.0 - c * c
+            cj_lj, g_lj, vb_lj, va_lj = np.split(r_m_lj @ proj, 4, axis=1)
+            outer = (r_m_lj[:, :, None] * r_m_lj[:, None, :]).reshape(k, q * q)
+            nm2 = (outer @ gram - 2.0 * c * g_lj + c * c * cj_g_cj) / s2  # |r_m|^2
+            amc = (c - cj_lj) / np.sqrt(den_m * (1.0 - nm_lj2[:, None]))
+            r_y = (r_y_lj[:, None] - r_y_cj * amc) / np.sqrt(den_y2 * (1.0 - amc * amc))
+            root_s = np.sqrt(s2)
+            root_m = np.sqrt(1.0 - nm2)
+            y_m = r_y / root_m                      # phi_b = y_m r_m
+            est = s0 + y_m * (vb_lj - c * cj_v_b) / root_s
+            if direct:
+                est += r_y * r_a / (np.sqrt(1.0 - r_a ** 2) * root_m) * w_a[0]
+            else:
+                a_m = r_a / np.sqrt(1.0 - r_a ** 2)   # phi_a = a_m r_m
+                est += a_m * (va_lj - c * cj_v_a) / root_s + cross * a_m * y_m * nm2
+            outside = ((np.abs(c) >= R_CLAMP) | (np.abs(r_a) >= R_CLAMP)
+                       | (nm2 >= R_CLAMP ** 2) | (np.abs(amc) >= R_CLAMP)
+                       | (np.abs(r_y) >= R_CLAMP))
+            ok = ~(outside.any(axis=-1) | (np.abs(r_a_lj) >= 1.0)
+                   | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
+            vals = obj.flip * est[:, 0] / est[:, 1:].std(axis=-1, ddof=1)
+        return np.where(ok, vals, np.inf)
+    return values
+
+
 @dataclass(frozen=True)
 class _Stacks:
     """What the worst-case searches for one covariate read: the full-sample
-    anchors, the per-resample anchors (None without a plan) and each
-    effect's objective (its coefficient stacks)."""
+    anchors, each effect's objective (its coefficient stacks) and, with a
+    plan, the per-resample anchors and each effect's t kernel (else None)."""
 
     bm: BenchmarkMoments
     full_anchors: BenchmarkMoments
     anchors: BenchmarkMoments | None
     objectives: dict          # effect kind -> EffectObjective
+    kernels: dict | None      # effect kind -> its ``_t_kernel``
 
 
 def _values_fn(st: _Stacks, obj: EffectObjective, with_t: bool):
     """Batched search objective over k leave-j candidates: flip * estimate,
-    or flip * t when ``with_t``; ``inf`` where infeasible."""
+    or flip * t when ``with_t`` (the effect's ``_t_kernel``); ``inf`` where
+    infeasible."""
+    if with_t:
+        return st.kernels[obj.kind]
+
     def values(r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             *nat, ok = _convert_leave_j(st.full_anchors, r_a_lj, r_m_lj, r_y_lj)
             vals = obj.flip * obj.point_estimates(*_phis(obj.kind, *nat))
-            if with_t:
-                *nat, ok_b = _convert_leave_j(st.anchors, r_a_lj, r_m_lj, r_y_lj)
-                vals = vals / obj.boot_matrix(*_phis(obj.kind, *nat)).std(
-                    axis=-1, ddof=1)
-                ok &= ok_b
         return np.where(ok, vals, np.inf)
     return values
 
@@ -339,9 +416,14 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
             for name in ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j"):
                 getattr(anchors, name)[i] = getattr(exact, name)
         anchors = _anchors(anchors)
-    return _Stacks(bm=bm, full_anchors=_anchors(bm), anchors=anchors,
-                   objectives={"direct": EffectObjective.for_direct(mm, plan),
-                               "indirect": EffectObjective.for_indirect(mm, plan)})
+    full_anchors = _anchors(bm)
+    objectives = {"direct": EffectObjective.for_direct(mm, plan),
+                  "indirect": EffectObjective.for_indirect(mm, plan)}
+    kernels = None if plan is None else {
+        kind: _t_kernel(full_anchors, anchors, obj)
+        for kind, obj in objectives.items()}
+    return _Stacks(bm=bm, full_anchors=full_anchors, anchors=anchors,
+                   objectives=objectives, kernels=kernels)
 
 
 def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
@@ -400,6 +482,15 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     ``stacks`` from ``prepare_benchmark_stacks`` (on ``plan``, for a t-based
     threshold) are reused, the full-sample fit included; without them the
     full sample is fitted once per sweep.
+
+    With a t threshold (``threshold > 0``) each search only decides the
+    crossing: a grid point's box candidates are evaluated first, and DIRECT
+    runs only when they all stay above the threshold, stopping after its
+    first sweep at or below it. A grid point that does not cross sees
+    exactly the points of the full search, so the returned delta is the
+    full sweep's, but the curve's last point, where it crosses, is a witness
+    at or below the threshold, not the minimum. The estimate sweep
+    (threshold 0) runs every search to its budget.
     """
     _check_kind(effect_kind)
     grid = [float(d) for d in delta_grid]
@@ -422,7 +513,8 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
         spec = BenchmarkSpec(j=j, k_a_bound=k_a_bound, k_m_bound=delta,
                              k_y_bound=delta)
         val, _ = _minimize_over_box(_leave_j_box(stacks.bm, spec, obj.q), values,
-                                    budget, polish=False)
+                                    budget, polish=False,
+                                    stop=threshold if use_t else None)
         curve.append((delta, obj.flip * val))
         if val <= threshold:
             return delta, curve

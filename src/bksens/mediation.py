@@ -19,7 +19,7 @@ benchmarking and the CLI evaluate it in batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,7 +160,13 @@ class MediationMoments:
         return len(self.theta1_obs)
 
     def __getitem__(self, i) -> "MediationMoments":
-        return replace(self, **{name: getattr(self, name)[i] for name in _RESAMPLED})
+        # each field indexed once, without re-running the dataclass __init__
+        out = object.__new__(MediationMoments)
+        src, dst = self.__dict__, out.__dict__
+        dst["n"], dst["p_user"], dst["q"] = self.n, self.p_user, self.q
+        for name in _RESAMPLED:
+            dst[name] = src[name][i]
+        return out
 
 
 _RESAMPLED = tuple(f.name for f in fields(MediationMoments))[3:]  # after q

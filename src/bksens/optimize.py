@@ -140,13 +140,16 @@ def _potentially_optimal(diams: np.ndarray, fmins: np.ndarray,
 
 
 def direct_optimize(objective, lower, upper, budget: int = 2000,
-                    vectorized: bool = False) -> OptimizeResult:
+                    vectorized: bool = False,
+                    stop: float | None = None) -> OptimizeResult:
     """Minimize ``objective`` over the box [lower, upper] with at most
     ``budget`` evaluations.
 
     Returns the best point found; deterministic for fixed inputs. NaN values
     rank as +inf. Requires budget >= 2*d + 1 (the initial center plus one
-    trisection sweep).
+    trisection sweep). With a ``stop`` value the search ends after the first
+    sweep (the centre counting as one) whose best value is at or below it,
+    having evaluated a prefix of the points the search without it visits.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -173,7 +176,7 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
     best_x, best_f = center[0].copy(), float(f_center[0])
     pile.add(center, np.zeros((1, d), dtype=np.int64), f_center)
 
-    while n_evals < budget:
+    while n_evals < budget and not (stop is not None and best_f <= stop):
         diams, fmins, rows = pile.group_minima()
         chosen = rows[_potentially_optimal(diams, fmins, best_f)]
         if not chosen.size:

@@ -337,7 +337,7 @@ def minimize(fun, x0, **kwargs):
 
 
 def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
-                       seeds=()):
+                       seeds=(), stop: float | None = None):
     """Minimum of the batched ``value_fn`` over the box, its candidates and
     the warm ``seeds``; returns the value and the winner's arguments, each
     with a batch axis of length 1.
@@ -346,7 +346,24 @@ def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
     Nelder-Mead; then one call evaluates the optimum, the candidates and the
     seeds in that order, and the first minimum wins. A NaN ranks as +inf,
     behind a real +inf, so it is returned only when every value is NaN.
+
+    A ``stop`` value makes the search a decision: the candidates and seeds
+    are evaluated first, and the best of them is returned if it is at or
+    below ``stop``; otherwise DIRECT ends after its first sweep at or below
+    it. The value returned is then a witness at or below ``stop``, not the
+    minimum; a search that never gets there runs as without ``stop``.
     """
+    def best_of(points):
+        args = [np.concatenate(col) for col in zip(*points)]
+        vals = value_fn(*args)
+        nan = np.isnan(vals)
+        best = int(np.lexsort((nan, np.where(nan, np.inf, vals)))[0])
+        return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
+
+    if stop is not None:
+        found = best_of([box.candidates, *seeds])
+        if found[0] <= stop:
+            return found
     points = []
     if box.space.lower:
         lower, upper = np.array(box.space.lower), np.array(box.space.upper)
@@ -355,7 +372,7 @@ def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
             return value_fn(*box.unpack(x))
 
         res = direct_optimize(objective, lower, upper, budget=budget,
-                              vectorized=True)
+                              vectorized=True, stop=stop)
         x_best = res.x
         if polish:
             from scipy.optimize import Bounds
@@ -370,11 +387,7 @@ def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
             if pol.fun < res.fun:
                 x_best = np.clip(pol.x, lower, upper)
         points.append(box.unpack(x_best[None, :]))
-    args = [np.concatenate(col) for col in zip(*points, box.candidates, *seeds)]
-    vals = value_fn(*args)
-    nan = np.isnan(vals)
-    best = int(np.lexsort((nan, np.where(nan, np.inf, vals)))[0])
-    return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
+    return best_of([*points, box.candidates, *seeds])
 
 
 def _check_kind(effect_kind: str) -> None:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bksens import benchmarking, cli, robustness
 from bksens.benchmarking import (
     BenchmarkSpec,
     _convert_leave_j,
+    _leave_j_box,
     _phis,
     _values_fn,
     benchmark_moments,
@@ -332,7 +335,9 @@ def test_critical_delta_is_mirror_symmetric(kind):
             [-v for _, v in curve_pos], rel=1e-9, abs=1e-12)
 
 
-def test_critical_delta_makes_one_search_per_grid_point(monkeypatch):
+def test_critical_delta_searches_only_where_candidates_stay_above(monkeypatch):
+    # a t threshold first tries each grid point's box candidates: DIRECT runs
+    # exactly at the curve points whose candidate batch stays above it
     data = make_data(np.random.default_rng(9600), n=120, p=2, q=1)
     plan = bootstrap_moments(data, n_resamples=30, seed=2)
     calls = {"n": 0}
@@ -346,4 +351,66 @@ def test_critical_delta_makes_one_search_per_grid_point(monkeypatch):
     _, curve = critical_delta(data, 0, "direct", 1.96, [0.5, 1.0, 2.0, 4.0],
                               k_a_bound=1.0, plan=plan)
     assert curve[0][0] == 0.5
-    assert calls["n"] == len(curve)
+    stacks = prepare_benchmark_stacks(data, 0, plan)
+    values = _values_fn(stacks, stacks.objectives["direct"], with_t=True)
+    above = 0
+    for delta, _ in curve:
+        spec = BenchmarkSpec(j=0, k_a_bound=1.0, k_m_bound=delta, k_y_bound=delta)
+        candidates = _leave_j_box(stacks.bm, spec, 1).candidates
+        above += bool(np.min(values(*candidates)) > 1.96)
+    assert calls["n"] == above
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([1, 2, 3, 5]), p=st.sampled_from([1, 2, 3]),
+       kind=st.sampled_from(["direct", "indirect"]), seed=st.integers(0, 2**32 - 1))
+def test_t_kernel_matches_conversion_chain(q, p, kind, seed):
+    # the projection kernel against the per-candidate natural parameters:
+    # _convert_leave_j -> _phis -> point estimate over the bootstrap SD
+    local = np.random.default_rng(seed)
+    data = make_data(local, n=100, p=p, q=q)
+    j = int(local.integers(0, p))
+    plan = bootstrap_moments(data, n_resamples=20, seed=seed % 1000)
+    stacks = prepare_benchmark_stacks(data, j, plan)
+    obj = stacks.objectives[kind]
+    r_a, r_m, r_y = _leave_j_candidates(local, 60, q)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        *nat, ok = _convert_leave_j(stacks.full_anchors, r_a, r_m, r_y)
+        *nat_b, ok_b = _convert_leave_j(stacks.anchors, r_a, r_m, r_y)
+        est = obj.point_estimates(*_phis(kind, *nat))
+        sd = obj.boot_matrix(*_phis(kind, *nat_b)).std(axis=1, ddof=1)
+        expected = np.where(ok & ok_b, obj.flip * est / sd, np.inf)
+    got = _values_fn(stacks, obj, with_t=True)(r_a, r_m, r_y)
+    assert np.array_equal(got == np.inf, expected == np.inf)
+    assert (got < np.inf).any()
+    np.testing.assert_allclose(got[got < np.inf], expected[expected < np.inf],
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["direct", "indirect"])
+def test_critical_delta_stop_keeps_every_crossing(kind, monkeypatch):
+    # the early exit decides each grid point as the full search does: the
+    # same critical delta, and the same values before the crossing
+    data = _mirror_study(1.0)
+    plan = bootstrap_moments(data, n_resamples=60, seed=1)
+    stacks = prepare_benchmark_stacks(data, 0, plan)
+    grid = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+
+    def sweeps():
+        return [critical_delta(data, 0, kind, threshold, grid, k_a_bound=1.0,
+                               plan=plan, stacks=stacks)
+                for threshold in (1.0, 1.96, 3.0)]
+
+    stopped = sweeps()
+    search = benchmarking._minimize_over_box
+    monkeypatch.setattr(benchmarking, "_minimize_over_box",
+                        lambda *args, stop=None, **kwargs: search(*args, **kwargs))
+    full = sweeps()
+    assert all(0.5 < d < np.inf for d, _ in full)
+    flip = stacks.objectives[kind].flip
+    for threshold, (d_stop, c_stop), (d_full, c_full) in zip((1.0, 1.96, 3.0),
+                                                             stopped, full):
+        assert d_stop == d_full
+        assert c_stop[:-1] == c_full[:-1]
+        if d_full < np.inf:
+            assert flip * c_stop[-1][1] <= threshold

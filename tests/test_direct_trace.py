@@ -141,3 +141,60 @@ def test_hull_random_minima_match_reference(fmins):
     diams = list(np.linspace(0.1, 1.0, len(fmins)) ** 2)
     f_min = min(fmins)
     assert _select(diams, fmins, f_min) == _reference_select(diams, fmins, f_min)
+
+
+def _sweeps(f, d, budget, stop=None):
+    """The batches a vectorized search evaluates (the centre first), and its
+    result."""
+    batches = []
+
+    def batched(x):
+        batches.append(x.copy())
+        return f(x)
+
+    res = direct_optimize(batched, [-1.0] * d, [2.0] * d, budget=budget,
+                          vectorized=True, stop=stop)
+    return res, batches
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from(range(1, 7)), extra=st.integers(0, 800),
+       kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1),
+       vectorized=st.booleans())
+def test_unreached_stop_matches_reference_trace(d, extra, kind, seed, vectorized):
+    budget = 2 * d + 1 + extra
+    f = _objective(kind, d, np.random.default_rng(seed))
+    ref, ref_points = _recorded(reference_direct, f, d, budget, vectorized)
+    stop = np.nextafter(ref.fun, -np.inf)  # below every value the search sees
+
+    def stopped(objective, lower, upper, budget, vectorized):
+        return direct_optimize(objective, lower, upper, budget=budget,
+                               vectorized=vectorized, stop=stop)
+
+    res, points = _recorded(stopped, f, d, budget, vectorized)
+    assert np.array_equal(points, ref_points)
+    assert np.array_equal(res.x, ref.x)
+    assert res.fun == ref.fun
+    assert res.n_evals == ref.n_evals
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from(range(1, 7)), extra=st.integers(0, 800),
+       kind=st.sampled_from(("quadratic", "multimodal", "rounded", "corner",
+                             "inf_region", "nan_region")),
+       seed=st.integers(0, 2**32 - 1), at=st.floats(0.0, 1.0))
+def test_reached_stop_ends_at_first_sweep_at_or_below_it(d, extra, kind, seed, at):
+    budget = 2 * d + 1 + extra
+    f = _objective(kind, d, np.random.default_rng(seed))
+    full, batches = _sweeps(f, d, budget)
+    # the running best after each sweep; stop at one of them
+    best = np.minimum.accumulate([np.min(np.where(np.isnan(v), np.inf, v))
+                                  for v in map(f, batches)])
+    stop = best[int(at * (len(best) - 1))]
+    first = int(np.argmax(best <= stop))
+    res, got = _sweeps(f, d, budget, stop=stop)
+    assert len(got) == first + 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, batches))
+    assert res.fun == best[first] <= stop
+    assert res.n_evals == sum(len(b) for b in got)
+    assert res.n_evals <= full.n_evals

@@ -1,11 +1,20 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from bksens.errors import EstimatorFailed
 from bksens.inference import bootstrap_moments, bootstrap_se, effect_report
-from bksens.mediation import MediationData, MediationMoments, fit_observed
+from bksens.mediation import (
+    _RESAMPLED,
+    MediationData,
+    MediationMoments,
+    NaturalSensitivity,
+    direct_adjusted,
+    fit_observed,
+    indirect_adjusted_product,
+    observed_indirect,
+)
 
 from conftest import classical_se, make_data
 
@@ -169,3 +178,38 @@ def test_plan_holds_no_index_matrix(rng):
     held += [v for v in vars(plan.basis).values() if isinstance(v, np.ndarray)]
     assert max(np.size(v) for v in held) < n * b
     assert plan.rows(5).shape == (n,)
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def test_indexing_slices_every_field_bitwise(rng):
+    data = make_data(rng, n=150, p=2, q=2)
+    plan = bootstrap_moments(data, n_resamples=12, seed=3)
+    for stacked, i in ((plan.moments, 4), (plan.moments, -1),
+                       (plan.moments, slice(2, 5)), (fit_observed(data), None)):
+        got = stacked[i]
+        assert type(got) is MediationMoments
+        for f in fields(MediationMoments):
+            want = getattr(stacked, f.name)
+            if f.name in _RESAMPLED:
+                want = want[i]
+            assert type(getattr(got, f.name)) is type(want), f.name
+            assert _bits(getattr(got, f.name)) == _bits(want), f.name
+
+
+def test_bootstrap_se_values_match_rebuilt_resamples(rng):
+    # each resample rebuilt through the dataclass constructor, as indexing
+    # did before it sliced the fields in place
+    data = make_data(rng, n=150, p=2, q=2)
+    plan = bootstrap_moments(data, n_resamples=40, seed=5)
+    s = NaturalSensitivity(r_y=0.2, r_m=np.array([0.1, -0.2]), r_a=0.15)
+    rebuilt = [replace(plan.moments, **{name: getattr(plan.moments, name)[i]
+                                        for name in _RESAMPLED})
+               for i in range(plan.n_resamples)]
+    for estimator in (observed_indirect, lambda mm: direct_adjusted(mm, s),
+                      lambda mm: indirect_adjusted_product(mm, s)):
+        expected = np.array([estimator(mm) for mm in rebuilt])
+        assert _bits(bootstrap_se(plan, estimator).values) == _bits(expected)
