@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -22,8 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarking import (BenchmarkSpec, benchmark_worst, critical_delta,
-                           prepare_benchmark_stacks)
 from .errors import BkSensError
 from .inference import bootstrap_moments
 from .mediation import (
@@ -35,7 +34,6 @@ from .mediation import (
     observed_indirect,
 )
 from .robustness import DEFAULT_RHO_GRID, EffectObjective, robustness_value
-from .simulation import S4Design, rv_ratio_study
 
 SCHEMA_VERSION = 1
 
@@ -52,35 +50,72 @@ MIN_BOOTSTRAP = 2  # the bootstrap SE needs two resamples
 
 
 def load_csv_columns(path: str) -> dict[str, np.ndarray]:
-    """Strict CSV reader: header row, UTF-8, '.' decimals, no missing cells."""
+    """Strict CSV reader: header row, UTF-8, '.' decimals, no missing cells.
+
+    Plain files (no quotes, no CR, no blank line, a unique header) are
+    parsed by one ``np.loadtxt`` call; every other file, and any file that
+    ``loadtxt`` rejects or reads with another shape, goes through
+    ``_strict_columns``, which decides the columns or the error.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise InputError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            if len(set(header)) != len(header):
-                raise InputError(f"{path}: duplicate column names in header")
-            columns = {name: [] for name in header}
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise InputError(
-                        f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-                for name, cell in zip(header, row):
-                    cell = cell.strip()
-                    if cell == "":
-                        raise InputError(
-                            f"{path}:{lineno}: missing value in column '{name}'")
-                    try:
-                        columns[name].append(float(cell))
-                    except ValueError:
-                        raise InputError(
-                            f"{path}:{lineno}: column '{name}': "
-                            f"cannot parse '{cell}' as a number") from None
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: byte 0x{raw[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
+    return _plain_columns(text) or _strict_columns(path, text)
+
+
+def _plain_columns(text: str) -> dict[str, np.ndarray] | None:
+    """The columns of a file that needs no CSV quoting rules, or None."""
+    if '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n"):
+        return None
+    head, _, body = text.partition("\n")
+    header = [h.strip() for h in head.split(",")]
+    if not body or len(set(header)) != len(header):
+        return None
+    try:
+        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                            ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    rows = body.count("\n") + (not body.endswith("\n"))
+    if values.shape != (rows, len(header)):  # loadtxt skipped no line
+        return None
+    # one array per column, as the strict reader returns
+    return {name: values[:, i].copy() for i, name in enumerate(header)}
+
+
+def _strict_columns(path: str, text: str) -> dict[str, np.ndarray]:
+    """The csv module's excel dialect and one ``float`` call per cell."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        raise InputError(f"{path}: duplicate column names in header")
+    columns = {name: [] for name in header}
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise InputError(
+                f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+        for name, cell in zip(header, row):
+            cell = cell.strip()
+            if cell == "":
+                raise InputError(
+                    f"{path}:{lineno}: missing value in column '{name}'")
+            try:
+                columns[name].append(float(cell))
+            except ValueError:
+                raise InputError(
+                    f"{path}:{lineno}: column '{name}': "
+                    f"cannot parse '{cell}' as a number") from None
     if not columns or not next(iter(columns.values())):
         raise InputError(f"{path}: no data rows")
     return {name: np.asarray(vals) for name, vals in columns.items()}
@@ -272,6 +307,9 @@ def cmd_rv(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from .benchmarking import (BenchmarkSpec, benchmark_worst, critical_delta,
+                               prepare_benchmark_stacks)
+
     for flag, value in (("--ka", args.ka), ("--km", args.km), ("--ky", args.ky)):
         if not value >= 0.0:
             raise InputError(f"{flag} must be nonnegative, got {value}")
@@ -346,6 +384,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulation import S4Design, rv_ratio_study
+
     dims = _parse_numbers(args.dim_m, "--dim-m", int) or [2]
     r2_ams = _parse_numbers(args.r2_am, "--r2-am") or [0.3]
     r2_yms = _parse_numbers(args.r2_ym, "--r2-ym") or [0.3]

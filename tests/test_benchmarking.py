@@ -295,7 +295,6 @@ def test_cli_delta_grid_builds_stacks_once(tmp_path, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(benchmarking, "prepare_benchmark_stacks", counting)
-    monkeypatch.setattr(cli, "prepare_benchmark_stacks", counting)
     code = cli.main(["benchmark", "--data", str(path), "--outcome", "y",
                      "--exposure", "a", "--mediators", "m1",
                      "--covariates", "c1,c2", "--j", "c1", "--bootstrap", "30",

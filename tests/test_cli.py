@@ -121,14 +121,50 @@ def test_missing_column_exits_2(csv_file, capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_missing_cell_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("content, message", [
+    (b"y,a,m1\n1.0,2.0,3.0\n4.0,,6.0\n", "bad.csv:3: missing value in column 'a'"),
+    (b"y,a,m1\n1,2,3\n4,5\n", "bad.csv:3: expected 3 cells, got 2"),
+    (b"y,a,m1\n1,2,3\n\n4,5,6\n", "bad.csv:3: expected 3 cells, got 0"),
+    (b"y,a,m1\n1,2,3\n4,5,6\n\n", "bad.csv:4: expected 3 cells, got 0"),
+    (b"y,a,m1\n1,2,x3\n", "bad.csv:2: column 'm1': cannot parse 'x3' as a number"),
+    (b"y,a,m1\n1, ,3\n", "bad.csv:2: missing value in column 'a'"),
+    (b"y,a,y \n1,2,3\n", "bad.csv: duplicate column names in header"),
+    (b"", "bad.csv: empty file"),
+    (b"y,a,m1\n", "bad.csv: no data rows"),
+    (b"y,a,m1\n1,2,\xff\n", "bad.csv: not UTF-8: byte 0xff at offset 11"),
+], ids=["missing-cell", "ragged-row", "blank-line", "trailing-blank-line",
+        "unparsable-cell", "whitespace-cell", "duplicate-header", "empty-file",
+        "header-only", "not-utf8"])
+def test_malformed_csv_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"
-    path.write_text("y,a,m1\n1.0,2.0,3.0\n4.0,,6.0\n")
+    path.write_bytes(content)
     code = main(["effects", "--data", str(path), "--outcome", "y",
                  "--exposure", "a", "--mediators", "m1"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "missing value" in err and "'a'" in err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("quoting, terminator", [
+    (csv.QUOTE_MINIMAL, "\r\n"), (csv.QUOTE_ALL, "\n"), (csv.QUOTE_ALL, "\r\n")],
+    ids=["crlf", "quoted", "quoted-crlf"])
+def test_quoted_and_crlf_csv_read_as_plain(tmp_path, rng, quoting, terminator):
+    data = make_data(rng, n=40, p=2, q=2)
+    plain = tmp_path / "plain.csv"
+    header = write_csv(plain, data)
+    plain.write_bytes(plain.read_bytes().replace(b"\r\n", b"\n"))
+    assert b"\r" not in plain.read_bytes() and b'"' not in plain.read_bytes()
+    with open(plain, newline="") as handle:
+        rows = list(csv.reader(handle))
+    variant = tmp_path / "variant.csv"
+    with open(variant, "w", newline="") as handle:
+        csv.writer(handle, quoting=quoting, lineterminator=terminator).writerows(rows)
+    expected = cli.load_csv_columns(str(plain))
+    got = cli.load_csv_columns(str(variant))
+    assert list(got) == list(expected) == header
+    assert all(got[k].tobytes() == expected[k].tobytes() for k in header)
+    assert np.array_equal(got["y"], data.y) and np.array_equal(got["m2"], data.m[:, 1])
 
 
 def test_overlapping_roles_exit_2(csv_file, capsys):
