@@ -17,30 +17,30 @@ exactly or the batch marks (a check short of its threshold by GRAM_MARGIN),
 so a resample raises exactly when ``benchmark_moments`` would. Both give a
 ``BenchmarkMoments``, with a leading resample axis for the plan.
 
-The search is batched, each optimizer sweep costing one objective call.
-For the estimate, the conversion takes k candidates against the full-sample
-anchors and returns (k, 1) natural parameters, which ``mediation._phis``
-maps to the phi pair of the effect's coefficient form, evaluated by the
-function the robustness values use. The t statistic needs the effect on
-every resample too, and ``_t_kernel`` computes it without per-resample
-natural parameters: the effect reads the natural r_m only through
-r_m . w_a (indirect), r_m . w_b and |r_m|^2, and with r_m = M (r_m_lj -
-c r_m_cj) / sqrt(1 - c^2) these are projections of r_m_lj on per-row
-vectors and one quadratic form. Stacking the full sample as row 0 over the
-resamples, a call is (k, q) @ (q, 1+B) and (k, q^2) @ (q^2, 1+B) products
-plus elementwise work on (k, 1+B) arrays, with the feasibility tests of
-``_convert_leave_j``, which stays as the single conversion and the tests'
-oracle.
+The search is batched, each optimizer sweep costing one objective call,
+and both objectives evaluate one kernel, ``_leave_j_kernel``: an effect over
+k leave-j candidates on any number of anchor rows, built from no natural
+parameters. The effect reads the natural r_m only through r_m . w_a
+(indirect), r_m . w_b and |r_m|^2, and with r_m = M (r_m_lj - c r_m_cj) /
+sqrt(1 - c^2) these are projections of r_m_lj on per-row vectors and one
+quadratic form, so a call is (k, q) @ (q, R) and (k, q^2) @ (q^2, R)
+products plus elementwise work on (k, R) arrays. The estimate runs it on the
+full sample's row; the t statistic on the full sample as row 0 stacked over
+the resamples. The scalar part of the conversion (c, r_a, r_cj_u_amc, r_y)
+and its feasibility tests are ``_leave_j_chain``, shared by the kernel and
+the natural-parameter witnesses (``natural_from_benchmark``); only r_m has
+two forms, projected for the searches and explicit for the witnesses.
 
 The search itself is ``robustness._minimize_over_box`` over the capped
 leave-one-out box, without the Nelder-Mead polish. The full-sample fit and
 anchors, the per-resample anchors, both effects' coefficient stacks and
-t kernels are built once per covariate by ``prepare_benchmark_stacks`` and
-passed to ``benchmark_worst`` and ``critical_delta``. ``critical_delta``
-runs one search per grid point, of the t statistic or of the estimate as
-its threshold asks, compares the sign-flipped worst value with the
-threshold and reports its curve in the data's sign. A t search is a
-decision with a stop value at the threshold (see ``critical_delta``).
+search objectives are built once per covariate by
+``prepare_benchmark_stacks`` and passed to ``benchmark_worst`` and
+``critical_delta``. ``critical_delta`` runs one search per grid point, of
+the t statistic or of the estimate as its threshold asks, compares the
+sign-flipped worst value with the threshold and reports its curve in the
+data's sign. A t search is a decision with a stop value at the threshold
+(see ``critical_delta``).
 """
 
 from __future__ import annotations
@@ -71,13 +71,14 @@ from .mediation import (
     BOUNDARY_TOL,
     MediationData,
     NaturalSensitivity,
-    _phis,
+    _phis,  # noqa: F401  (re-exported)
     fit_observed,
 )
 from .robustness import (EffectObjective, _Box, _check_kind, _distinct,
                          _minimize_over_box, _SearchBox)
 
 R_CLAMP = 1.0 - 1e-9
+_ANCHOR_FIELDS = ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j")
 
 
 @dataclass(frozen=True)
@@ -172,36 +173,39 @@ def _anchors(bm: BenchmarkMoments) -> BenchmarkMoments:
     return anc
 
 
-def _convert_leave_j(anc: BenchmarkMoments, r_a_lj, r_m_lj, r_y_lj):
-    """Leave-one-covariate-out parameters -> natural parameters.
+def _leave_j_chain(anc: BenchmarkMoments):
+    """The scalar chain of the leave-one-out -> natural conversion and its
+    feasibility tests on every row of anchors with a leading axis of R
+    (``_anchors``): chain(r_a_lj, r_m_lj, r_y_lj, natural_r_m) for k
+    candidates of shapes (k,), (k, q), (k,).
 
-    Takes anchors with a leading axis of B (``_anchors``) and k candidates
-    of shapes (k,), (k, q), (k,); returns (r_y, r_m, r_a) of shapes (k, B),
-    (k, B, q), (k, B) plus a (k,) feasibility mask. A candidate is
-    infeasible when, on any resample, an intermediate quantity leaves its
-    open ball; a NaN passes these tests. Infeasible rows hold unspecified
-    values, so call under ``np.errstate``.
+    The natural r_m is M (r_m_lj - c r_m_cj) / sqrt(1 - c^2), with M the
+    row's ``mix_leave_j`` and c the row's r_cj_u_ac; ``natural_r_m(c)``
+    returns it in the form its caller reads, and |r_m|^2. A chain returns
+    (c, r_a, that form, |r_m|^2, r_y, ok), with (k, R) arrays and a (k,)
+    mask that is false where, on any row, an intermediate quantity leaves
+    its open ball; a NaN passes these tests. Infeasible candidates hold
+    unspecified values, so call under ``np.errstate``.
     """
-    den_a2 = 1.0 - anc.r_a_cj ** 2
-    nm_cj2 = (anc.r_m_cj * anc.r_m_cj).sum(axis=-1)
-    den_y2 = 1.0 - anc.r_y_cj ** 2
-    nm_lj2 = np.matmul(r_m_lj[:, None, :], r_m_lj[:, :, None])[:, 0, 0]
-    ra = r_a_lj[:, None]
-    r_cj_u_ac = -(anc.r_a_cj * ra) / np.sqrt((1.0 - ra ** 2) * den_a2)
-    r_a_nat = ra / np.sqrt(den_a2)
-    num_m = r_m_lj[:, None, :] - anc.r_m_cj * r_cj_u_ac[..., None]
-    r_m_nat = np.einsum("bij,kbj->kbi", anc.mix_leave_j, num_m) \
-        / np.sqrt(1.0 - r_cj_u_ac ** 2)[..., None]
-    r_cj_u_amc = (r_cj_u_ac - np.matmul(anc.r_m_cj, r_m_lj[:, :, None])[..., 0]) \
-        / np.sqrt((1.0 - nm_cj2) * (1.0 - nm_lj2[:, None]))
-    r_y_nat = (r_y_lj[:, None] - anc.r_y_cj * r_cj_u_amc) / np.sqrt(
-        den_y2 * (1.0 - r_cj_u_amc ** 2))
-    outside = ((np.abs(r_cj_u_ac) >= R_CLAMP) | (np.abs(r_a_nat) >= R_CLAMP)
-               | ((r_m_nat * r_m_nat).sum(axis=-1) >= R_CLAMP ** 2)
-               | (np.abs(r_cj_u_amc) >= R_CLAMP) | (np.abs(r_y_nat) >= R_CLAMP))
-    ok = ~(outside.any(axis=-1) | (np.abs(r_a_lj) >= 1.0)
-           | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
-    return r_y_nat, r_m_nat, r_a_nat, ok
+    r_a_cj, r_y_cj, r_m_cj = anc.r_a_cj, anc.r_y_cj, anc.r_m_cj.T.copy()
+    den_a2, den_y2 = 1.0 - r_a_cj ** 2, 1.0 - r_y_cj ** 2
+    den_m = 1.0 - np.einsum("ir,ir->r", r_m_cj, r_m_cj)
+
+    def chain(r_a_lj, r_m_lj, r_y_lj, natural_r_m):
+        nm_lj2 = np.einsum("ki,ki->k", r_m_lj, r_m_lj)
+        ra = r_a_lj[:, None]
+        c = -(r_a_cj * ra) / np.sqrt((1.0 - ra ** 2) * den_a2)
+        r_a = ra / np.sqrt(den_a2)
+        r_m, nm2 = natural_r_m(c)
+        amc = (c - r_m_lj @ r_m_cj) / np.sqrt(den_m * (1.0 - nm_lj2[:, None]))
+        r_y = (r_y_lj[:, None] - r_y_cj * amc) / np.sqrt(den_y2 * (1.0 - amc * amc))
+        outside = ((np.abs(c) >= R_CLAMP) | (np.abs(r_a) >= R_CLAMP)
+                   | (nm2 >= R_CLAMP ** 2) | (np.abs(amc) >= R_CLAMP)
+                   | (np.abs(r_y) >= R_CLAMP))
+        ok = ~(outside.any(axis=-1) | (np.abs(r_a_lj) >= 1.0)
+               | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
+        return c, r_a, r_m, nm2, r_y, ok
+    return chain
 
 
 def _as_batch(triples):
@@ -211,73 +215,68 @@ def _as_batch(triples):
             np.array([t[2] for t in triples], dtype=float))
 
 
-def _natural(anc: BenchmarkMoments, params) -> NaturalSensitivity:
+def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
+                           r_m_leave_j, r_y_leave_j: float) -> NaturalSensitivity:
+    """Map prescribed leave-one-out parameters to the natural triple."""
+    anc = _anchors(bm)
+    r_a_lj, r_m_lj, r_y_lj = _as_batch([(r_a_leave_j, r_m_leave_j, r_y_leave_j)])
+
+    def natural_r_m(c):
+        num = r_m_lj[:, None, :] - anc.r_m_cj * c[..., None]
+        r_m = np.einsum("rij,krj->kri", anc.mix_leave_j, num) \
+            / np.sqrt(1.0 - c * c)[..., None]
+        return r_m, (r_m * r_m).sum(axis=-1)
+
     with np.errstate(invalid="ignore", divide="ignore"):
-        r_y, r_m, r_a, ok = _convert_leave_j(anc, *_as_batch([params]))
+        _, r_a, r_m, _, r_y, ok = _leave_j_chain(anc)(r_a_lj, r_m_lj, r_y_lj, natural_r_m)
     if not ok[0]:
         raise BoundaryR("leave-one-out parameters map outside the feasible region")
     return NaturalSensitivity(r_y=float(r_y[0, 0]), r_m=r_m[0, 0], r_a=float(r_a[0, 0]))
 
 
-def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
-                           r_m_leave_j, r_y_leave_j: float) -> NaturalSensitivity:
-    """Map prescribed leave-one-out parameters to the natural triple."""
-    return _natural(_anchors(bm), (r_a_leave_j, r_m_leave_j, r_y_leave_j))
-
-
 # ---------------------------------------------------------------------------
-# The search objective: natural parameters -> phi pairs -> the coefficient
-# form of ``mediation``, batched over candidates and resamples.
+# The search objectives: leave-j candidates -> the coefficient form of
+# ``mediation``, batched over candidates and anchor rows.
 # ---------------------------------------------------------------------------
 
-def _t_kernel(full_anchors: BenchmarkMoments, anchors: BenchmarkMoments,
-              obj: EffectObjective):
-    """Batched flip * t of one effect over k leave-j candidates, ``inf``
-    where ``_convert_leave_j``'s feasibility tests fail on any row; row 0 is
-    the full sample, rows 1.. the plan's resamples.
+def _leave_j_kernel(anc: BenchmarkMoments, coeffs: tuple, kind: str, value):
+    """One effect's batched search objective over k leave-j candidates.
 
-    The natural r_m is M (r_m_lj - c r_m_cj) / sqrt(1 - c^2), with M the
-    row's ``mix_leave_j`` and c the row's r_cj_u_ac, and the effect reads it
-    only through r_m . w_a (indirect), r_m . w_b and |r_m|^2. So each row
-    keeps M'w_a, M'w_b, G = M'M, G r_m_cj and their products with r_m_cj,
-    and a call forms those scalars for every (candidate, row) with
-    (k, q) @ (q, rows) and (k, q^2) @ (q^2, rows) products.
+    The effect is evaluated on every row of ``anc`` (a leading axis of R)
+    against ``coeffs``, its coefficient form (``mediation._direct_coeffs``
+    or ``_indirect_coeffs``) with a trailing axis of R; ``value`` reduces
+    the (k, R) effects to the (k,) search values, which are ``inf`` where
+    ``_leave_j_chain`` marks a candidate infeasible.
+
+    Each row keeps M'w_a, M'w_b, G = M'M, G r_m_cj and their products with
+    r_m_cj, from which a call forms r_m . w_a, r_m . w_b and |r_m|^2 for
+    every (candidate, row), building no natural r_m (module docstring).
     """
-    def rows(name):
-        return np.concatenate([getattr(full_anchors, name), getattr(anchors, name)])
-
-    r_a_cj, r_m_cj, r_y_cj, mix = (rows(name) for name in
-                                   ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j"))
-    s0, w_a, w_b, cross = (None if f is None else np.concatenate([f, b], axis=-1)
-                           for f, b in zip(obj.full, obj.boot))
-    direct = obj.kind == "direct"
-    n_rows = len(r_a_cj)
-    den_a2, den_y2 = 1.0 - r_a_cj ** 2, 1.0 - r_y_cj ** 2
-    den_m = 1.0 - np.einsum("ri,ri->r", r_m_cj, r_m_cj)
+    s0, w_a, w_b, cross = coeffs
+    direct = kind == "direct"
+    chain = _leave_j_chain(anc)
+    r_m_cj, mix = anc.r_m_cj, anc.mix_leave_j
     gram = np.einsum("rji,rjk->rik", mix, mix)
     g_cj = np.einsum("rij,rj->ir", gram, r_m_cj)
     # M'w per row; the direct effect's w_a multiplies phi_1, not r_m
     v_b = np.einsum("rji,jr->ir", mix, w_b)
     v_a = np.zeros_like(v_b) if direct else np.einsum("rji,jr->ir", mix, w_a)
-    proj = np.concatenate([r_m_cj.T, g_cj, v_b, v_a], axis=1)
-    gram = gram.reshape(n_rows, -1).T.copy()
+    proj = np.concatenate([g_cj, v_b, v_a], axis=1)
+    gram = gram.reshape(len(mix), -1).T.copy()
     cj_g_cj, cj_v_b, cj_v_a = (np.einsum("ri,ir->r", r_m_cj, v)
                                for v in (g_cj, v_b, v_a))
 
     def values(r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
         k, q = r_m_lj.shape
-        with np.errstate(invalid="ignore", divide="ignore"):
-            nm_lj2 = np.einsum("ki,ki->k", r_m_lj, r_m_lj)
-            ra = r_a_lj[:, None]
-            c = -(r_a_cj * ra) / np.sqrt((1.0 - ra ** 2) * den_a2)
-            r_a = ra / np.sqrt(den_a2)
+        g_lj, vb_lj, va_lj = np.split(r_m_lj @ proj, 3, axis=1)
+        outer = (r_m_lj[:, :, None] * r_m_lj[:, None, :]).reshape(k, q * q)
+
+        def projected_r_m(c):   # the form: sqrt(1 - c^2), dividing each r_m . w
             s2 = 1.0 - c * c
-            cj_lj, g_lj, vb_lj, va_lj = np.split(r_m_lj @ proj, 4, axis=1)
-            outer = (r_m_lj[:, :, None] * r_m_lj[:, None, :]).reshape(k, q * q)
-            nm2 = (outer @ gram - 2.0 * c * g_lj + c * c * cj_g_cj) / s2  # |r_m|^2
-            amc = (c - cj_lj) / np.sqrt(den_m * (1.0 - nm_lj2[:, None]))
-            r_y = (r_y_lj[:, None] - r_y_cj * amc) / np.sqrt(den_y2 * (1.0 - amc * amc))
-            root_s = np.sqrt(s2)
+            return np.sqrt(s2), (outer @ gram - 2.0 * c * g_lj + c * c * cj_g_cj) / s2
+
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c, r_a, root_s, nm2, r_y, ok = chain(r_a_lj, r_m_lj, r_y_lj, projected_r_m)
             root_m = np.sqrt(1.0 - nm2)
             y_m = r_y / root_m                      # phi_b = y_m r_m
             est = s0 + y_m * (vb_lj - c * cj_v_b) / root_s
@@ -286,42 +285,22 @@ def _t_kernel(full_anchors: BenchmarkMoments, anchors: BenchmarkMoments,
             else:
                 a_m = r_a / np.sqrt(1.0 - r_a ** 2)   # phi_a = a_m r_m
                 est += a_m * (va_lj - c * cj_v_a) / root_s + cross * a_m * y_m * nm2
-            outside = ((np.abs(c) >= R_CLAMP) | (np.abs(r_a) >= R_CLAMP)
-                       | (nm2 >= R_CLAMP ** 2) | (np.abs(amc) >= R_CLAMP)
-                       | (np.abs(r_y) >= R_CLAMP))
-            ok = ~(outside.any(axis=-1) | (np.abs(r_a_lj) >= 1.0)
-                   | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
-            vals = obj.flip * est[:, 0] / est[:, 1:].std(axis=-1, ddof=1)
-        return np.where(ok, vals, np.inf)
+            return np.where(ok, value(est), np.inf)
     return values
 
 
 @dataclass(frozen=True)
 class _Stacks:
     """What the worst-case searches for one covariate read: the full-sample
-    anchors, each effect's objective (its coefficient stacks) and, with a
-    plan, the per-resample anchors and each effect's t kernel (else None)."""
+    anchors, each effect's objective (its coefficient stacks) and its two
+    search objectives, flip * estimate and, with a plan, flip * t (else
+    None), plus the per-resample anchors the t objective stacks."""
 
     bm: BenchmarkMoments
-    full_anchors: BenchmarkMoments
     anchors: BenchmarkMoments | None
     objectives: dict          # effect kind -> EffectObjective
-    kernels: dict | None      # effect kind -> its ``_t_kernel``
-
-
-def _values_fn(st: _Stacks, obj: EffectObjective, with_t: bool):
-    """Batched search objective over k leave-j candidates: flip * estimate,
-    or flip * t when ``with_t`` (the effect's ``_t_kernel``); ``inf`` where
-    infeasible."""
-    if with_t:
-        return st.kernels[obj.kind]
-
-    def values(r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            *nat, ok = _convert_leave_j(st.full_anchors, r_a_lj, r_m_lj, r_y_lj)
-            vals = obj.flip * obj.point_estimates(*_phis(obj.kind, *nat))
-        return np.where(ok, vals, np.inf)
-    return values
+    estimates: dict           # effect kind -> batched flip * estimate
+    t_stats: dict | None      # effect kind -> batched flip * t
 
 
 @dataclass(frozen=True)
@@ -413,17 +392,28 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
                                        bad=bad)
         for i in np.flatnonzero(bad):
             exact = benchmark_moments(data.subset(plan.rows(i)), j)
-            for name in ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j"):
+            for name in _ANCHOR_FIELDS:
                 getattr(anchors, name)[i] = getattr(exact, name)
         anchors = _anchors(anchors)
     full_anchors = _anchors(bm)
     objectives = {"direct": EffectObjective.for_direct(mm, plan),
                   "indirect": EffectObjective.for_indirect(mm, plan)}
-    kernels = None if plan is None else {
-        kind: _t_kernel(full_anchors, anchors, obj)
-        for kind, obj in objectives.items()}
-    return _Stacks(bm=bm, full_anchors=full_anchors, anchors=anchors,
-                   objectives=objectives, kernels=kernels)
+    estimates, t_stats = {}, None if plan is None else {}
+    # the t rows: row 0 the full sample, rows 1.. the resamples
+    rows = None if plan is None else replace(full_anchors, **{
+        name: np.concatenate([getattr(full_anchors, name), getattr(anchors, name)])
+        for name in _ANCHOR_FIELDS})
+    for kind, obj in objectives.items():
+        estimates[kind] = _leave_j_kernel(full_anchors, obj.full, kind,
+                                          lambda est, flip=obj.flip: flip * est[:, 0])
+        if plan is not None:
+            coeffs = tuple(None if f is None else np.concatenate([f, b], axis=-1)
+                           for f, b in zip(obj.full, obj.boot))
+            t_stats[kind] = _leave_j_kernel(
+                rows, coeffs, kind, lambda est, flip=obj.flip:
+                flip * est[:, 0] / est[:, 1:].std(axis=-1, ddof=1))
+    return _Stacks(bm=bm, anchors=anchors,
+                   objectives=objectives, estimates=estimates, t_stats=t_stats)
 
 
 def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
@@ -449,11 +439,11 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
     def worst_case(params, value, t_stat):
         return WorstCase(
             value=value, t_stat=t_stat,
-            natural=_natural(stacks.full_anchors, params),
+            natural=natural_from_benchmark(stacks.bm, *params),
             leave_j={"r_a": params[0], "r_m": params[1].tolist(), "r_y": params[2]},
             k_ratios=_k_ratios(stacks.bm, params))
 
-    values_e = _values_fn(stacks, obj, with_t=False)
+    values_e = stacks.estimates[effect_kind]
     val_e, params_e = search(values_e)
     worst_est = worst_case(params_e, obj.flip * val_e, None)
 
@@ -461,7 +451,7 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
     observed_t = None
     if plan is not None:
         observed_t = obj.flip * obj.observed_t()
-        val_t, params_t = search(_values_fn(stacks, obj, with_t=True))
+        val_t, params_t = search(stacks.t_stats[effect_kind])
         est_at_t = obj.flip * float(values_e(*_as_batch([params_t]))[0])
         worst_t = worst_case(params_t, est_at_t, obj.flip * val_t)
     return BenchmarkResult(worst_estimate=worst_est, worst_t=worst_t,
@@ -502,7 +492,7 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     if stacks is None:
         stacks = prepare_benchmark_stacks(data, j, plan if use_t else None)
     obj = stacks.objectives[effect_kind]
-    values = _values_fn(stacks, obj, with_t=use_t)
+    values = (stacks.t_stats if use_t else stacks.estimates)[effect_kind]
     # flip * the observed t or estimate, as the search values are
     observed = obj.observed_t() if use_t else obj.flip * obj.observed
     if observed <= threshold:

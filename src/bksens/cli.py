@@ -94,28 +94,30 @@ def _strict_columns(path: str, text: str) -> dict[str, np.ndarray]:
     """The csv module's excel dialect and one ``float`` call per cell."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    if len(set(header)) != len(header):
-        raise InputError(f"{path}: duplicate column names in header")
-    columns = {name: [] for name in header}
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise InputError(
-                f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-        for name, cell in zip(header, row):
-            cell = cell.strip()
-            if cell == "":
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise InputError(f"{path}: duplicate column names in header")
+        columns = {name: [] for name in header}
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
                 raise InputError(
-                    f"{path}:{lineno}: missing value in column '{name}'")
-            try:
-                columns[name].append(float(cell))
-            except ValueError:
-                raise InputError(
-                    f"{path}:{lineno}: column '{name}': "
-                    f"cannot parse '{cell}' as a number") from None
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            for name, cell in zip(header, row):
+                cell = cell.strip()
+                if cell == "":
+                    raise InputError(
+                        f"{path}:{lineno}: missing value in column '{name}'")
+                try:
+                    columns[name].append(float(cell))
+                except ValueError:
+                    raise InputError(
+                        f"{path}:{lineno}: column '{name}': "
+                        f"cannot parse '{cell}' as a number") from None
+    except csv.Error as exc:   # e.g. a cell over the csv module's field limit
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from None
     if not columns or not next(iter(columns.values())):
         raise InputError(f"{path}: no data rows")
     return {name: np.asarray(vals) for name, vals in columns.items()}

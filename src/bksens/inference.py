@@ -30,7 +30,6 @@ spreads the fixed chunks across threads, so results do not depend on it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -212,6 +211,8 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
 
     starts = range(0, n_resamples, CHUNK)
     if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging too
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             chunks = list(pool.map(run_chunk, starts))
     else:

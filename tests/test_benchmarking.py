@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 from bksens import benchmarking, cli, robustness
 from bksens.benchmarking import (
     BenchmarkSpec,
-    _convert_leave_j,
     _leave_j_box,
-    _phis,
-    _values_fn,
     benchmark_moments,
     benchmark_worst,
     critical_delta,
@@ -22,11 +19,13 @@ from bksens.inference import bootstrap_moments
 from bksens.linalg import r_matrix
 from bksens.mediation import (
     MediationData,
+    _phis,
     direct_adjusted,
     fit_observed,
     indirect_adjusted_product,
 )
 
+from _leave_j_reference import reference_convert_leave_j
 from conftest import make_data
 
 
@@ -226,16 +225,18 @@ def test_batched_conversion_matches_scalar_adjusters():
         obj_d, obj_i = full.objectives["direct"], full.objectives["indirect"]
         r_a, r_m, r_y = _leave_j_candidates(local, 80, q)
         with np.errstate(invalid="ignore", divide="ignore"):
-            nat_y, nat_m, nat_a, ok = _convert_leave_j(full.full_anchors, r_a, r_m, r_y)
+            nat_y, nat_m, nat_a, ok = reference_convert_leave_j(benchmarking._anchors(bm),
+                                                                r_a, r_m, r_y)
             direct = obj_d.point_estimates(*_phis("direct", nat_y, nat_m, nat_a))
             indirect = obj_i.point_estimates(*_phis("indirect", nat_y, nat_m, nat_a))
-        values = _values_fn(full, obj_d, with_t=False)(r_a, r_m, r_y)
+        values_d = full.estimates["direct"](r_a, r_m, r_y)
+        values_i = full.estimates["indirect"](r_a, r_m, r_y)
         for i in range(len(r_a)):
             try:
                 s = natural_from_benchmark(bm, r_a[i], r_m[i], r_y[i])
             except BoundaryR:
                 assert not ok[i]
-                assert values[i] == np.inf
+                assert values_d[i] == values_i[i] == np.inf
                 n_in_ball_infeasible += max(abs(r_a[i]), abs(r_y[i]),
                                             np.linalg.norm(r_m[i])) < 1.0
                 continue
@@ -248,7 +249,10 @@ def test_batched_conversion_matches_scalar_adjusters():
                                               rel=1e-12, abs=1e-12)
             assert indirect[i] == pytest.approx(indirect_adjusted_product(mm, s),
                                                 rel=1e-12, abs=1e-12)
-            assert values[i] == obj_d.flip * direct[i]
+            assert values_d[i] == pytest.approx(obj_d.flip * direct_adjusted(mm, s),
+                                                rel=1e-12, abs=1e-12)
+            assert values_i[i] == pytest.approx(
+                obj_i.flip * indirect_adjusted_product(mm, s), rel=1e-12, abs=1e-12)
     assert n_feasible > 50 and n_in_ball_infeasible > 20
 
 
@@ -261,9 +265,8 @@ def test_batched_t_objective_matches_per_resample_oracle():
     stacks = prepare_benchmark_stacks(data, 1, plan)
     bms = [benchmark_moments(data.subset(idx), 1) for idx in plan.indices]
     obj = stacks.objectives["indirect"]
-    values = _values_fn(stacks, obj, with_t=True)
     r_a, r_m, r_y = _leave_j_candidates(local, 40, 2)
-    batch = values(r_a, r_m, r_y)
+    batch = stacks.t_stats["indirect"](r_a, r_m, r_y)
     n_inf = 0
     for i in range(len(r_a)):
         params = (r_a[i], r_m[i], r_y[i])
@@ -351,7 +354,7 @@ def test_critical_delta_searches_only_where_candidates_stay_above(monkeypatch):
                               k_a_bound=1.0, plan=plan)
     assert curve[0][0] == 0.5
     stacks = prepare_benchmark_stacks(data, 0, plan)
-    values = _values_fn(stacks, stacks.objectives["direct"], with_t=True)
+    values = stacks.t_stats["direct"]
     above = 0
     for delta, _ in curve:
         spec = BenchmarkSpec(j=0, k_a_bound=1.0, k_m_bound=delta, k_y_bound=delta)
@@ -364,8 +367,9 @@ def test_critical_delta_searches_only_where_candidates_stay_above(monkeypatch):
 @given(q=st.sampled_from([1, 2, 3, 5]), p=st.sampled_from([1, 2, 3]),
        kind=st.sampled_from(["direct", "indirect"]), seed=st.integers(0, 2**32 - 1))
 def test_t_kernel_matches_conversion_chain(q, p, kind, seed):
-    # the projection kernel against the per-candidate natural parameters:
-    # _convert_leave_j -> _phis -> point estimate over the bootstrap SD
+    # both search objectives evaluate the projection kernel; the oracle is
+    # the explicit conversion -> _phis -> the point estimate, over the
+    # bootstrap SD for t
     local = np.random.default_rng(seed)
     data = make_data(local, n=100, p=p, q=q)
     j = int(local.integers(0, p))
@@ -374,16 +378,19 @@ def test_t_kernel_matches_conversion_chain(q, p, kind, seed):
     obj = stacks.objectives[kind]
     r_a, r_m, r_y = _leave_j_candidates(local, 60, q)
     with np.errstate(invalid="ignore", divide="ignore"):
-        *nat, ok = _convert_leave_j(stacks.full_anchors, r_a, r_m, r_y)
-        *nat_b, ok_b = _convert_leave_j(stacks.anchors, r_a, r_m, r_y)
-        est = obj.point_estimates(*_phis(kind, *nat))
+        *nat, ok = reference_convert_leave_j(benchmarking._anchors(stacks.bm),
+                                             r_a, r_m, r_y)
+        *nat_b, ok_b = reference_convert_leave_j(stacks.anchors, r_a, r_m, r_y)
+        est = obj.flip * obj.point_estimates(*_phis(kind, *nat))
         sd = obj.boot_matrix(*_phis(kind, *nat_b)).std(axis=1, ddof=1)
-        expected = np.where(ok & ok_b, obj.flip * est / sd, np.inf)
-    got = _values_fn(stacks, obj, with_t=True)(r_a, r_m, r_y)
-    assert np.array_equal(got == np.inf, expected == np.inf)
-    assert (got < np.inf).any()
-    np.testing.assert_allclose(got[got < np.inf], expected[expected < np.inf],
-                               rtol=1e-12, atol=0.0)
+        expected = {"estimates": np.where(ok, est, np.inf),
+                    "t_stats": np.where(ok & ok_b, est / sd, np.inf)}
+    for objective, want in expected.items():
+        got = getattr(stacks, objective)[kind](r_a, r_m, r_y)
+        assert np.array_equal(got == np.inf, want == np.inf)
+        assert (got < np.inf).any()
+        np.testing.assert_allclose(got[got < np.inf], want[want < np.inf],
+                                   rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["direct", "indirect"])

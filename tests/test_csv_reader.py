@@ -110,3 +110,17 @@ def test_plain_files_take_the_bulk_parse(scratch, n, width):
         _outcome(reference_load_csv_columns, scratch)
     columns = load_csv_columns(scratch)
     assert all(col.flags.c_contiguous and col.flags.owndata for col in columns.values())
+
+
+def test_cell_over_the_field_limit_exits_2(tmp_path):
+    # the csv module refuses a cell longer than its field limit (131,072
+    # characters); the job reports that as a malformed file, not a traceback
+    from test_cli import _run_cli
+
+    path = tmp_path / "big.csv"
+    path.write_text('y,a,m1\n"' + "1" * 140_000 + '",2,3\n4,5,6\n')
+    proc = _run_cli(["effects", "--data", str(path), "--outcome", "y",
+                     "--exposure", "a", "--mediators", "m1"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}:2: field larger than field limit")
+    assert "Traceback" not in proc.stderr

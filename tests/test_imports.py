@@ -4,8 +4,9 @@ that calls it.
 The Nelder-Mead polish of ``rv`` and the confounder construction import
 scipy when they first run; no other CLI job loads it. ``import bksens``
 loads no submodule until one of its names is looked up, and the CLI loads
-``benchmarking`` and ``simulation`` only in their own commands. Each check
-runs in a fresh interpreter, as a CLI job does.
+``benchmarking`` and ``simulation`` only in their own commands, and only a
+multi-worker bootstrap loads the thread pool. Each check runs in a fresh
+interpreter, as a CLI job does.
 """
 
 import ast
@@ -110,3 +111,12 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         bksens.nope
+
+
+@pytest.mark.parametrize("package", ["concurrent", "logging"])
+def test_effects_job_loads_no_thread_pool(small_csv, tmp_path, package):
+    # only bootstrap_moments(n_workers > 1) builds a pool, and no CLI job
+    # asks for one; concurrent.futures loads logging
+    argv = ["effects", *base_args(small_csv), "--bootstrap", "20",
+            "--ry", "0.3", "--rm", "0.2,0.2", "--out", str(tmp_path / "r.json")]
+    assert _fresh(_main(argv), package) == []
