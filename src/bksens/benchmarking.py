@@ -10,8 +10,10 @@ common-random-numbers bootstrap with the robustness-value machinery.
 The anchors come from residual covariances of (c, a, m, y) on leave-j
 blocks, with the covariates standardized, so they do not depend on the
 covariates' location or scale. ``benchmark_moments`` computes them by least
-squares on the data; ``prepare_benchmark_stacks`` computes every resample's
-in one batch, as Schur complements of the plan's Gram matrices, and takes
+squares on the data, through the residual covariances ``fit_observed`` uses
+(``mediation._ls_residual_cov``); ``prepare_benchmark_stacks`` computes
+every resample's in one batch, as Schur complements of the plan's certified
+(c, a, m, y) covariances, and takes
 ``benchmark_moments`` on the replayed rows of the resamples the plan fitted
 exactly or the batch marks (a check short of its threshold by GRAM_MARGIN),
 so a resample raises exactly when ``benchmark_moments`` would. Both give a
@@ -56,22 +58,14 @@ from .errors import (
     DimensionMismatch,
 )
 from .inference import GRAM_MARGIN, BootstrapPlan
-from .linalg import (
-    _require_kept,
-    add_intercept,
-    r_from_cov,
-    residualize,
-    sample_cov,
-    schur,
-    standardized,
-    sym_inv_sqrt,
-    sym_sqrt,
-)
+from .linalg import r_from_cov, schur, standardized, sym_inv_sqrt, sym_sqrt
 from .mediation import (
     BOUNDARY_TOL,
     MediationData,
     NaturalSensitivity,
+    _ls_residual_cov,
     _phis,  # noqa: F401  (re-exported)
+    _response,
     fit_observed,
 )
 from .robustness import (EffectObjective, _Box, _check_kind, _distinct,
@@ -120,8 +114,8 @@ def _leave_j_anchors(resid_cov, j: int, p: int, q: int,
     threshold by ``margin`` times the largest eigenvalue involved. A mask
     ``bad`` works as in ``linalg._flag``.
     """
-    cj, a, y = [j], [p], [p + q + 1]
-    m = list(range(p + 1, p + q + 1))
+    resp = _response(p, q)
+    y, a, m, cj = resp[:1], resp[1:2], resp[2:], [j]
     c_minus = [i for i in range(p) if i != j]
     r_a_cj = r_from_cov(resid_cov(a + cj, c_minus), 1, margin, bad)[..., 0, 0]
     t_m = resid_cov(m + cj, a + c_minus)
@@ -144,20 +138,9 @@ def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
     p, q = data.p_user, data.q
     if not 0 <= j < p:
         raise DimensionMismatch(f"covariate index {j} out of range (p={p})")
-    z = standardized(np.column_stack([data.a, data.m, data.c_user]),
-                     "the (exposure, mediators, covariates) design")
-    z_c = z[:, q + 1:]
-    cols = np.column_stack([z_c, data.a, data.m, data.y])
-    regressors = np.column_stack([z_c, z[:, :q + 1]])
-
-    def resid_cov(keep, given):
-        design = add_intercept(regressors[:, given], n=data.n) if given \
-            else np.ones((data.n, 1))
-        s = sample_cov(residualize(cols[:, keep], design))
-        _require_kept(s, cols[:, keep], "a leave-j block")
-        return s
-
-    return _leave_j_anchors(resid_cov, j, p, q)
+    z = standardized(np.column_stack([data.c_user, data.a, data.m]),
+                     "the (covariates, exposure, mediators) design")
+    return _leave_j_anchors(_ls_residual_cov(data, z, "a leave-j block"), j, p, q)
 
 
 def _anchors(bm: BenchmarkMoments) -> BenchmarkMoments:
@@ -199,9 +182,10 @@ def _leave_j_chain(anc: BenchmarkMoments):
         r_m, nm2 = natural_r_m(c)
         amc = (c - r_m_lj @ r_m_cj) / np.sqrt(den_m * (1.0 - nm_lj2[:, None]))
         r_y = (r_y_lj[:, None] - r_y_cj * amc) / np.sqrt(den_y2 * (1.0 - amc * amc))
-        outside = ((np.abs(c) >= R_CLAMP) | (np.abs(r_a) >= R_CLAMP)
-                   | (nm2 >= R_CLAMP ** 2) | (np.abs(amc) >= R_CLAMP)
-                   | (np.abs(r_y) >= R_CLAMP))
+        # no |c| test: with u = r_a_lj^2, v = r_a_cj^2, c^2 >= R^2 means
+        # u >= R^2 (1-v) / (v + R^2 (1-v)) >= R^2 (1-v), i.e. r_a^2 >= R^2
+        outside = ((np.abs(r_a) >= R_CLAMP) | (nm2 >= R_CLAMP ** 2)
+                   | (np.abs(amc) >= R_CLAMP) | (np.abs(r_y) >= R_CLAMP))
         ok = ~(outside.any(axis=-1) | (np.abs(r_a_lj) >= 1.0)
                | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
         return c, r_a, r_m, nm2, r_y, ok
@@ -374,20 +358,19 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
     reusable across worst-case searches on the same plan (delta sweeps in
     particular).
 
-    Each resample's residual covariances are Schur complements of the
-    covariance its plan Gram gives, all resamples in one batch. Resamples
-    the plan fitted exactly, and any whose anchor checks do not clear their
-    thresholds by GRAM_MARGIN, take ``benchmark_moments`` on their rows
-    instead.
+    Each resample's residual covariances are Schur complements of its
+    certified covariance in ``plan.cov``, all resamples in one batch.
+    Resamples the plan fitted exactly, and any whose anchor checks do not
+    clear their thresholds by GRAM_MARGIN, take ``benchmark_moments`` on
+    their rows instead.
     """
     mm = fit_observed(data)
     bm = benchmark_moments(data, j)
     anchors = None
     if plan is not None:
-        cov = plan.basis.covariances(plan.grams)[0]
         bad = plan.exact.copy()
         with np.errstate(invalid="ignore", divide="ignore"):
-            anchors = _leave_j_anchors(lambda keep, given: schur(cov, keep, given),
+            anchors = _leave_j_anchors(lambda keep, given: schur(plan.cov, keep, given),
                                        j, data.p_user, data.q, margin=GRAM_MARGIN,
                                        bad=bad)
         for i in np.flatnonzero(bad):

@@ -29,11 +29,13 @@ from .mediation import (
     EffectReport,
     MediationData,
     NaturalSensitivity,
+    _direct_coeffs,
+    _effect_values,
+    _indirect_coeffs,
     _phis_at,
     fit_observed,
     observed_indirect,
 )
-from .robustness import DEFAULT_RHO_GRID, EffectObjective, robustness_value
 
 SCHEMA_VERSION = 1
 
@@ -235,11 +237,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _effect_report(mm, plan, kind: str, s: NaturalSensitivity) -> EffectReport:
     """The effect at ``s`` and its bootstrap SE, both from the coefficient
     form of ``mediation``."""
-    build = EffectObjective.for_direct if kind == "direct" else EffectObjective.for_indirect
-    obj = build(mm, plan)
+    coeffs = _direct_coeffs if kind == "direct" else _indirect_coeffs
     phis = _phis_at(kind, s)
-    return EffectReport.from_estimate(obj.point_estimates(*phis)[0],
-                                      obj.boot_matrix(*phis)[0].std(ddof=1),
+    return EffectReport.from_estimate(_effect_values(coeffs(mm[None]), *phis)[0, 0],
+                                      _effect_values(coeffs(plan.moments), *phis)[0].std(ddof=1),
                                       kind, "product")
 
 
@@ -261,6 +262,8 @@ def cmd_effects(args) -> int:
 
 
 def cmd_rv(args) -> int:
+    from .robustness import DEFAULT_RHO_GRID, robustness_value
+
     grid = _parse_grid(args.rho_grid, "--rho-grid") if args.rho_grid \
         else list(DEFAULT_RHO_GRID)
     if not 0.0 < grid[0] <= grid[-1] < 1.0:

@@ -10,9 +10,11 @@ A resample is its vector of row counts w, and everything the estimators
 read from it is a Schur complement of its joint Gram matrix Z' diag(w) Z,
 where Z = (1, c, a, m, y) is centred and scaled once with full-sample
 statistics. Per fixed-size chunk of resamples, one matrix product gives the
-Grams and one ``moments_from_cov`` call (the algebra ``fit_observed`` runs
-after its least squares) their moments; the plan's moments are one
-``MediationMoments`` with a leading resample axis.
+Grams, ``GramBasis.covariances`` their certified (c, a, m, y) covariances,
+and one ``moments_from_cov`` call (the algebra ``fit_observed`` runs after
+its least squares) the moments of their Schur complements. The plan keeps
+the covariances, from which formal benchmarking takes its resample anchors,
+and the moments, one ``MediationMoments`` with a leading resample axis.
 
 The Gram path is used only where it is certified to agree with the exact
 per-resample fit: every column keeps at least GRAM_COND of its Gram
@@ -46,6 +48,7 @@ from .mediation import (
     MediationData,
     MediationMoments,
     _RESAMPLED,
+    _response,
     fit_observed,
     moments_from_cov,
 )
@@ -131,10 +134,12 @@ class GramBasis:
 @dataclass
 class BootstrapPlan:
     """Bootstrap resamples of one dataset. moments[i] (the moments carry a
-    leading resample axis) is the observed fit on rows(i), and grams[i] the
-    joint Gram of the resample's first draw in ``basis``; all are fully
-    determined by (seed, i). exact[i] marks the resamples fitted by
-    ``fit_observed`` on their rows, after redraws[i] singular draws."""
+    leading resample axis) is the observed fit on rows(i), and cov[i] the
+    (c, a, m, y) covariance of the resample's first draw that
+    ``GramBasis.covariances`` certified, or the identity where it did not;
+    all are fully determined by (seed, i). exact[i] marks the resamples
+    fitted by ``fit_observed`` on their rows, after redraws[i] singular
+    draws, which include every uncertified one."""
 
     data: MediationData
     n_resamples: int
@@ -142,8 +147,7 @@ class BootstrapPlan:
     moments: MediationMoments = field(repr=False)
     redraws: np.ndarray = field(repr=False)  # (B,)
     exact: np.ndarray = field(repr=False)    # (B,) bool
-    basis: GramBasis = field(repr=False)
-    grams: np.ndarray = field(repr=False)    # (B, d, d)
+    cov: np.ndarray = field(repr=False)      # (B, d, d), d = p + q + 2
 
     @property
     def n_redraws(self) -> int:
@@ -184,9 +188,8 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
         raise ValueError("n_resamples must be >= 1")
     basis = GramBasis.of(data)
     p, q = data.p_user, data.q
-    response = [p + q + 1, p, *range(p + 1, p + q + 1)]  # (y, a, m) in (c, a, m, y)
-    d = basis.z.shape[1]
-    grams = np.empty((n_resamples, d, d))
+    d = p + q + 2
+    cov = np.empty((n_resamples, d, d))
     exact = np.zeros(n_resamples, dtype=bool)
     redraws = np.zeros(n_resamples, dtype=np.int64)
 
@@ -196,12 +199,11 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
         for k, i in enumerate(range(start, stop)):
             counts[k] = np.bincount(resample_rng(seed, i).integers(0, data.n, size=data.n),
                                     minlength=data.n)
-        grams[start:stop] = basis.grams(counts)
-        cov, ok = basis.covariances(grams[start:stop])
+        cov[start:stop], ok = basis.covariances(basis.grams(counts))
         bad = ~ok
         with np.errstate(invalid="ignore", divide="ignore"):
-            mm = moments_from_cov(schur(cov, response, range(p)), data.n, p, q,
-                                  margin=GRAM_MARGIN, bad=bad)
+            mm = moments_from_cov(schur(cov[start:stop], _response(p, q), range(p)),
+                                  data.n, p, q, margin=GRAM_MARGIN, bad=bad)
         exact[start:stop] = bad
         for k in np.flatnonzero(bad):
             redraws[start + k], fit = _draw_one(data, seed, start + k)
@@ -220,8 +222,7 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
     moments = replace(chunks[0], **{name: np.concatenate([getattr(mm, name) for mm in chunks])
                                     for name in _RESAMPLED})
     return BootstrapPlan(data=data, n_resamples=n_resamples, seed=seed,
-                         moments=moments, redraws=redraws, exact=exact,
-                         basis=basis, grams=grams)
+                         moments=moments, redraws=redraws, exact=exact, cov=cov)
 
 
 @dataclass(frozen=True)

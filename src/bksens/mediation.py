@@ -3,9 +3,11 @@
 The observed fit residualizes (y, a, m) on the covariates once and reduces
 every regression to Schur complements of the joint residual covariance;
 ``moments_from_cov`` is that reduction, shared with the bootstrap, which
-gets its resamples' residual covariances from their Gram matrices instead
-of least squares and reduces them in one call over a leading resample axis
-(see ``inference``). The covariates enter centred and scaled,
+takes its resamples' residual covariances as Schur complements of their
+certified (c, a, m, y) covariances instead of least squares and reduces
+them in one call over a leading resample axis (see ``inference``). The
+least squares is ``_ls_residual_cov``, which also gives formal
+benchmarking its exact anchors. The covariates enter centred and scaled,
 so neither the fit nor its rank check depends on their location or scale.
 All adjusted estimators consume :class:`MediationMoments`; with sample
 moments the adjustment formulas are exact, so appending a confounder column
@@ -36,6 +38,7 @@ from .linalg import (
     _require_pd,
     add_intercept,
     as_matrix,
+    residualize,
     sample_cov,
     standardized,
     sym_inv_sqrt,
@@ -172,17 +175,39 @@ class MediationMoments:
 _RESAMPLED = tuple(f.name for f in fields(MediationMoments))[3:]  # after q
 
 
+def _response(p_user: int, q: int) -> list:
+    """Positions of (y, a, m) in the (c, a, m, y) column layout that every
+    residual covariance is indexed by."""
+    return [p_user + q + 1, p_user, *range(p_user + 1, p_user + q + 1)]
+
+
+def _ls_residual_cov(data: MediationData, regressors: np.ndarray, what: str):
+    """The exact path's residual covariances: ``resid_cov(keep, given)`` is
+    the sample covariance of columns ``keep`` of (c, a, m, y), covariates
+    standardized, after least squares on the intercept and columns ``given``.
+    Column i of ``regressors`` stands for column i of that layout: the
+    standardized covariates, then any standardized (a, m) regressors.
+
+    Raises RankDeficient where a design is singular and SingularCovariance
+    where a residual variance collapsed (``linalg._require_kept``).
+    """
+    cols = np.column_stack([regressors[:, :data.p_user], data.a, data.m, data.y])
+
+    def resid_cov(keep, given):
+        design = add_intercept(regressors[:, given], n=data.n) if given \
+            else np.ones((data.n, 1))
+        s = sample_cov(residualize(cols[:, keep], design))
+        _require_kept(s, cols[:, keep], what)
+        return s
+    return resid_cov
+
+
 def fit_observed(data: MediationData) -> MediationMoments:
     """Observed Baron-Kenny fit reduced to residual-covariance algebra."""
-    design = np.ones((data.n, 1))
-    if data.p_user:
-        design = add_intercept(standardized(data.c_user, "covariate block"))
-    resp = np.column_stack([data.y, data.a, data.m])
-    coef, *_ = np.linalg.lstsq(design, resp, rcond=None)
-    # joint covariance of (y, a, m) residualized on c
-    s = sample_cov(resp - design @ coef)
-    _require_kept(s, resp, "(y, a, m) given c")
-    return moments_from_cov(s, data.n, data.p_user, data.q)
+    p, q = data.p_user, data.q
+    z_c = standardized(data.c_user, "covariate block") if p else np.empty((data.n, 0))
+    s = _ls_residual_cov(data, z_c, "(y, a, m) given c")(_response(p, q), range(p))
+    return moments_from_cov(s, data.n, p, q)
 
 
 def moments_from_cov(s: np.ndarray, n: int, p_user: int, q: int,
@@ -292,18 +317,11 @@ def _indirect_coeffs(m: MediationMoments) -> tuple:
 
 def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
     """(k, B) effects against B resamples' coefficients, at phi pairs of
-    shapes (k, .) (one pair for every resample) or (k, B, .) (one pair per
-    resample)."""
+    shapes (k, .), one pair for every resample."""
     s0, w_a, w_b, cross = coeffs
-    if phi_a.ndim == 2:
-        vals = s0 + phi_a.dot(w_a) + phi_b.dot(w_b)
-        if cross is not None:
-            vals = vals + np.einsum("ki,ki->k", phi_a, phi_b)[:, None] * cross
-        return vals
-    vals = s0 + np.einsum("kbi,ib->kb", phi_a, w_a) \
-        + np.einsum("kbi,ib->kb", phi_b, w_b)
+    vals = s0 + phi_a.dot(w_a) + phi_b.dot(w_b)
     if cross is not None:
-        vals = vals + np.einsum("kbi,kbi->kb", phi_a, phi_b) * cross
+        vals = vals + np.einsum("ki,ki->k", phi_a, phi_b)[:, None] * cross
     return vals
 
 

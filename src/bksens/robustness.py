@@ -15,8 +15,9 @@ no new regressions.
 The form is ``mediation``'s. Its coefficients are read from the plan's
 stacked moments with one column per resample (the full sample is
 ``mm[None]``), and one function evaluates them at phi pairs shared by every
-resample or given per resample; formal benchmarking, the CLI's effect
-reports and the public adjusted effects evaluate through it too.
+resample; the CLI's effect reports and the public adjusted effects evaluate
+through it too, and formal benchmarking reads the same coefficients in its
+leave-one-out kernel.
 
 One minimizer, ``_minimize_over_box``, runs every search that remains: the
 t searches and formal benchmarking's. It takes a ``_SearchBox``: a ``_Box``,
@@ -141,9 +142,8 @@ class _Box:
 class EffectObjective:
     """Worst-case t (or estimate) evaluator for one effect on one plan.
 
-    ``phis`` arguments are (k, .) candidate batches, or (k, B, .) with one
-    pair per resample; estimates come from the full-sample coefficients and
-    standard errors from the per-resample ones.
+    ``phis`` arguments are (k, .) candidate batches; estimates come from the
+    full-sample coefficients and standard errors from the per-resample ones.
     """
 
     kind: str                      # "direct" | "indirect"

@@ -3,9 +3,9 @@ robustness values with several mediators.
 
 The exposure is standard normal; mediators load on it through a ramp of
 coefficients with banded noise covariance (0.5^|i-j|); the outcome adds the
-mediators through a second ramp with unit noise. The two scale factors are
-calibrated by bisection so the population explained-variance fractions hit
-requested targets. The study's robustness values are for the point estimate,
+mediators through a second ramp with unit noise. The two scale factors that
+make the population explained-variance fractions hit requested targets have
+closed forms. The study's robustness values are for the point estimate,
 whose worst case has a closed form, so a replication runs no numerical search.
 """
 
@@ -60,25 +60,12 @@ def population_r2_outcome_mediators(lam2: float, dim_m: int) -> float:
     return float(1.0 - 1.0 / var_y_given_a)
 
 
-def _bisect_scale(target: float, r2_of_lam, tol: float = 1e-6) -> float:
+def _scale(target: float, s: float) -> float:
+    """The scale lam at which lam^2 s / (1 + lam^2 s), the form both
+    population R^2 take, equals ``target``."""
     if not 0.0 < target < 1.0:
         raise RootFindFailed(f"target R^2 {target} not in (0, 1)")
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if r2_of_lam(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise RootFindFailed("could not bracket the scale factor")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if abs(r2_of_lam(mid) - target) < tol:
-            return mid
-        if r2_of_lam(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    raise RootFindFailed("bisection did not converge")
+    return float(np.sqrt(target / ((1.0 - target) * s)))
 
 
 @dataclass(frozen=True)
@@ -93,11 +80,13 @@ class S4Design:
 
 
 def design_scales(design: S4Design) -> tuple[float, float]:
-    lam1 = _bisect_scale(design.r2_am,
-                         lambda l: population_r2_exposure_mediators(l, design.dim_m))
-    lam2 = _bisect_scale(design.r2_ym,
-                         lambda l: population_r2_outcome_mediators(l, design.dim_m))
-    return lam1, lam2
+    """(lam1, lam2) hitting the design's targets: with unit-scale ramps w1
+    and w2, the exposure R^2 has s = w1' Sigma^-1 w1 (Sherman-Morrison) and
+    the outcome R^2 s = w2' Sigma w2."""
+    sigma = mediator_noise_cov(design.dim_m)
+    w1, w2 = exposure_loadings(design.dim_m), outcome_loadings(design.dim_m)
+    return (_scale(design.r2_am, w1 @ np.linalg.solve(sigma, w1)),
+            _scale(design.r2_ym, w2 @ sigma @ w2))
 
 
 def simulate_design(design: S4Design) -> MediationData:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bksens import benchmarking, cli, robustness
 from bksens.benchmarking import (
+    BenchmarkMoments,
     BenchmarkSpec,
     _leave_j_box,
     benchmark_moments,
@@ -19,6 +20,7 @@ from bksens.inference import bootstrap_moments
 from bksens.linalg import r_matrix
 from bksens.mediation import (
     MediationData,
+    _effect_values,
     _phis,
     direct_adjusted,
     fit_observed,
@@ -227,8 +229,10 @@ def test_batched_conversion_matches_scalar_adjusters():
         with np.errstate(invalid="ignore", divide="ignore"):
             nat_y, nat_m, nat_a, ok = reference_convert_leave_j(benchmarking._anchors(bm),
                                                                 r_a, r_m, r_y)
-            direct = obj_d.point_estimates(*_phis("direct", nat_y, nat_m, nat_a))
-            indirect = obj_i.point_estimates(*_phis("indirect", nat_y, nat_m, nat_a))
+            # the single anchor row's natural parameters
+            nat = (nat_y[:, 0], nat_m[:, 0], nat_a[:, 0])
+            direct = obj_d.point_estimates(*_phis("direct", *nat))
+            indirect = obj_i.point_estimates(*_phis("indirect", *nat))
         values_d = full.estimates["direct"](r_a, r_m, r_y)
         values_i = full.estimates["indirect"](r_a, r_m, r_y)
         for i in range(len(r_a)):
@@ -363,6 +367,41 @@ def test_critical_delta_searches_only_where_candidates_stay_above(monkeypatch):
     assert calls["n"] == above
 
 
+def test_mediator_ball_alone_can_make_a_candidate_infeasible():
+    # zero anchors with a mixing block of 2 I: c = 0, r_a = r_a_lj,
+    # r_cj_u_amc = 0 and r_y = r_y_lj stay inside their balls, while the
+    # natural r_m = 2 r_m_lj leaves the unit ball at |r_m_lj| = 0.6, so only
+    # the |r_m|^2 test decides that candidate
+    data = make_data(np.random.default_rng(9700), n=120, p=2, q=2)
+    plan = bootstrap_moments(data, n_resamples=20, seed=4)
+    stacks = prepare_benchmark_stacks(data, 0, plan)
+
+    def anchors(rows):
+        return BenchmarkMoments(j=0, r_a_cj=np.zeros(rows), r_m_cj=np.zeros((rows, 2)),
+                                r_y_cj=np.zeros(rows),
+                                mix_leave_j=np.tile(2.0 * np.eye(2), (rows, 1, 1)))
+
+    def t_value(est):
+        return est[:, 0] / est[:, 1:].std(axis=-1, ddof=1)
+
+    r_a, r_y = np.array([0.2, 0.2]), np.array([0.3, 0.3])
+    r_m = np.array([[0.6, 0.0], [0.3, 0.0]])
+    for kind, obj in stacks.objectives.items():
+        coeffs = tuple(None if f is None else np.concatenate([f, b], axis=-1)
+                       for f, b in zip(obj.full, obj.boot))
+        kernels = [benchmarking._leave_j_kernel(anchors(1), obj.full, kind,
+                                                lambda est: est[:, 0]),
+                   benchmarking._leave_j_kernel(anchors(21), coeffs, kind, t_value)]
+        for values in kernels:
+            got = values(r_a, r_m, r_y)
+            assert got[0] == np.inf
+            assert np.isfinite(got[1])
+    bm = anchors(1)
+    with pytest.raises(BoundaryR):
+        natural_from_benchmark(bm, 0.2, r_m[0], 0.3)
+    assert np.allclose(natural_from_benchmark(bm, 0.2, r_m[1], 0.3).r_m, [0.6, 0.0])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(q=st.sampled_from([1, 2, 3, 5]), p=st.sampled_from([1, 2, 3]),
        kind=st.sampled_from(["direct", "indirect"]), seed=st.integers(0, 2**32 - 1))
@@ -381,8 +420,14 @@ def test_t_kernel_matches_conversion_chain(q, p, kind, seed):
         *nat, ok = reference_convert_leave_j(benchmarking._anchors(stacks.bm),
                                              r_a, r_m, r_y)
         *nat_b, ok_b = reference_convert_leave_j(stacks.anchors, r_a, r_m, r_y)
-        est = obj.flip * obj.point_estimates(*_phis(kind, *nat))
-        sd = obj.boot_matrix(*_phis(kind, *nat_b)).std(axis=1, ddof=1)
+        est = obj.flip * obj.point_estimates(*_phis(kind, *(x[:, 0] for x in nat)))
+        # each resample's effect at its own phi pair, one column at a time
+        phi_a, phi_b = _phis(kind, *nat_b)
+        boot = np.column_stack([
+            _effect_values(tuple(None if f is None else f[..., [b]] for f in obj.boot),
+                           phi_a[:, b], phi_b[:, b])[:, 0]
+            for b in range(phi_a.shape[1])])
+        sd = boot.std(axis=1, ddof=1)
         expected = {"estimates": np.where(ok, est, np.inf),
                     "t_stats": np.where(ok & ok_b, est / sd, np.inf)}
     for objective, want in expected.items():

@@ -175,7 +175,6 @@ def test_plan_holds_no_index_matrix(rng):
     plan = bootstrap_moments(data, n_resamples=b, seed=3)
     held = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
     held += [getattr(plan.moments, f.name) for f in fields(MediationMoments)]
-    held += [v for v in vars(plan.basis).values() if isinstance(v, np.ndarray)]
     assert max(np.size(v) for v in held) < n * b
     assert plan.rows(5).shape == (n,)
 

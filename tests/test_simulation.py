@@ -47,8 +47,8 @@ def test_scales_hit_targets_closed_form():
                                                 r2_ym=target))
             got_am = lam1 ** 2 * s_am / (1 + lam1 ** 2 * s_am)
             got_ym = lam2 ** 2 * s_ym / (1 + lam2 ** 2 * s_ym)
-            assert abs(got_am - target) < 1e-4
-            assert abs(got_ym - target) < 1e-4
+            assert abs(got_am - target) < 1e-12
+            assert abs(got_ym - target) < 1e-12
 
 
 def test_zero_scale_gives_zero_r2_and_targets_validated():
