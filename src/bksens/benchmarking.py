@@ -33,15 +33,22 @@ and its feasibility tests are ``_leave_j_chain``, shared by the kernel and
 the natural-parameter witnesses (``natural_from_benchmark``); only r_m has
 two forms, projected for the searches and explicit for the witnesses.
 
-The search itself is ``robustness._minimize_over_box`` over the capped
-leave-one-out box, without the Nelder-Mead polish. The full-sample fit and
-anchors, the per-resample anchors, both effects' coefficient stacks and
-search objectives are built once per covariate by
-``prepare_benchmark_stacks`` and passed to ``benchmark_worst`` and
-``critical_delta``. ``critical_delta`` runs one search per grid point, of
+The searches run through ``robustness._minimize_over_boxes`` over the
+capped leave-one-out boxes, without the Nelder-Mead polish. The full-sample
+fit and anchors, the per-resample anchors, both effects' coefficient stacks
+and search objectives are built once per covariate by
+``prepare_benchmark_stacks``. ``_worst_plan`` and ``_delta_plan`` list the
+searches of one worst case or one critical-delta sweep, and ``_run`` runs
+any number of such plans as one batch, in which searches over boxes of the
+same number of columns advance in lockstep with one objective call per
+search objective per sweep; each search's result is the one it has run
+alone. ``benchmark_worst`` and ``critical_delta`` run one plan;
+``benchmark_covariate``, which the CLI calls, runs all of one covariate's
+searches together. A critical-delta sweep has a search per grid point, of
 the t statistic or of the estimate as its threshold asks, compares the
 sign-flipped worst value with the threshold and reports its curve in the
-data's sign. A t search is a decision with a stop value at the threshold
+data's sign. A grid point is dropped once a smaller delta's crossing is
+decided, and a t search is a decision with a stop value at the threshold
 (see ``critical_delta``).
 """
 
@@ -61,6 +68,7 @@ from .inference import GRAM_MARGIN, BootstrapPlan
 from .linalg import r_from_cov, schur, standardized, sym_inv_sqrt, sym_sqrt
 from .mediation import (
     BOUNDARY_TOL,
+    DEFAULT_CI_MULTIPLIER,
     MediationData,
     NaturalSensitivity,
     _ls_residual_cov,
@@ -69,9 +77,11 @@ from .mediation import (
     fit_observed,
 )
 from .robustness import (EffectObjective, _Box, _check_kind, _distinct,
-                         _minimize_over_box, _SearchBox)
+                         _minimize_over_boxes, _Search, _SearchBox)
 
 R_CLAMP = 1.0 - 1e-9
+WORST_BUDGET = 1500   # DIRECT evaluations per worst-case search
+DELTA_BUDGET = 1200   # DIRECT evaluations per critical-delta grid point
 _ANCHOR_FIELDS = ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j")
 
 
@@ -399,10 +409,118 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
                    objectives=objectives, estimates=estimates, t_stats=t_stats)
 
 
+def _worst_plan(stacks: _Stacks, spec: BenchmarkSpec, effect_kind: str,
+                budget: int, with_t: bool):
+    """One effect's worst-case searches under ``spec``: the estimate and,
+    ``with_t``, the t statistic, both over the same box. Returns them, no
+    sweep threshold, and the map from their results to a BenchmarkResult."""
+    obj = stacks.objectives[effect_kind]
+    box = _leave_j_box(stacks.bm, spec, obj.q)
+    values_e = stacks.estimates[effect_kind]
+    searches = [_Search(box, values_e, budget)]
+    if with_t:
+        searches.append(_Search(box, stacks.t_stats[effect_kind], budget))
+
+    def worst_case(params, value, t_stat):
+        return WorstCase(
+            value=value, t_stat=t_stat,
+            natural=natural_from_benchmark(stacks.bm, *params),
+            leave_j={"r_a": params[0], "r_m": params[1].tolist(), "r_y": params[2]},
+            k_ratios=_k_ratios(stacks.bm, params))
+
+    def finish(results):
+        (val_e, params_e), *t_found = [
+            (val, (float(r_a[0]), r_m[0], float(r_y[0])))
+            for val, (r_a, r_m, r_y) in results]
+        worst_est = worst_case(params_e, obj.flip * val_e, None)
+        worst_t = observed_t = None
+        if t_found:
+            observed_t = obj.flip * obj.observed_t()
+            val_t, params_t = t_found[0]
+            est_at_t = obj.flip * float(values_e(*_as_batch([params_t]))[0])
+            worst_t = worst_case(params_t, est_at_t, obj.flip * val_t)
+        return BenchmarkResult(worst_estimate=worst_est, worst_t=worst_t,
+                               observed_estimate=obj.observed, observed_t=observed_t,
+                               spec=spec)
+    return searches, None, finish
+
+
+def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
+                grid: list, k_a_bound: float, budget: int):
+    """One critical-delta sweep: a search per grid point, of the t statistic
+    with a stop value at a positive ``threshold`` and of the estimate
+    otherwise. Returns them, the threshold, and the map from their results
+    to (delta, curve); a sweep whose observed value is already at or below
+    the threshold has no searches."""
+    obj = stacks.objectives[effect_kind]
+    use_t = threshold > 0
+    values = (stacks.t_stats if use_t else stacks.estimates)[effect_kind]
+    # flip * the observed t or estimate, as the search values are
+    observed = obj.observed_t() if use_t else obj.flip * obj.observed
+    if observed <= threshold:
+        return [], None, lambda results: (0.0, [(0.0, obj.flip * observed)])
+    searches = [
+        _Search(_leave_j_box(stacks.bm, BenchmarkSpec(
+                    j=j, k_a_bound=k_a_bound, k_m_bound=delta, k_y_bound=delta), obj.q),
+                values, budget, stop=threshold if use_t else None)
+        for delta in grid]
+
+    def finish(results):
+        curve = []
+        for delta, search, found in zip(grid, searches, results):
+            if found is None:
+                # dropped on a bound at or below the threshold that the
+                # smaller delta's own evaluation put above it, by a last bit
+                found = _minimize_over_boxes([search])[0]
+            curve.append((delta, obj.flip * found[0]))
+            if found[0] <= threshold:
+                return delta, curve
+        return math.inf, curve
+    return searches, threshold, finish
+
+
+def _run(plans) -> list:
+    """Run the searches of ``plans`` (``_worst_plan``, ``_delta_plan``) as
+    one batch and map each plan's results to its outcome.
+
+    A search's value can only undercut its best value so far, so once that
+    is at or below a sweep's threshold the crossing is decided at that grid
+    point or before it, and the sweep's larger deltas are dropped; they
+    would never be read.
+    """
+    searches, sweeps = [], []
+    for plan_searches, threshold, _ in plans:
+        if threshold is not None:
+            sweeps.append((len(searches), len(searches) + len(plan_searches), threshold))
+        searches += plan_searches
+
+    def drop(bounds):
+        mask = np.zeros(len(bounds), dtype=bool)
+        for first, end, threshold in sweeps:
+            crossed = np.flatnonzero(bounds[first:end] <= threshold)
+            if crossed.size:
+                mask[first + crossed[0] + 1:end] = True
+        return mask
+
+    results = _minimize_over_boxes(searches, drop=drop if sweeps else None)
+    outcomes, at = [], 0
+    for plan_searches, _, finish in plans:
+        outcomes.append(finish(results[at:at + len(plan_searches)]))
+        at += len(plan_searches)
+    return outcomes
+
+
+def _delta_grid(delta_grid) -> list[float]:
+    grid = [float(d) for d in delta_grid]
+    if any(d <= 0 for d in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("delta_grid must be positive and strictly increasing")
+    return grid
+
+
 def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
                     plan: BootstrapPlan | None = None,
                     effect_kind: str = "direct",
-                    budget: int = 1500, stacks=None) -> BenchmarkResult:
+                    budget: int = WORST_BUDGET, stacks=None) -> BenchmarkResult:
     """Worst point estimate (and worst t, when a plan is given) under the
     benchmark caps for one covariate.
 
@@ -412,40 +530,13 @@ def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
     _check_kind(effect_kind)
     if stacks is None:
         stacks = prepare_benchmark_stacks(data, spec.j, plan)
-    obj = stacks.objectives[effect_kind]
-    box = _leave_j_box(stacks.bm, spec, obj.q)
-
-    def search(values):
-        val, (r_a, r_m, r_y) = _minimize_over_box(box, values, budget, polish=False)
-        return val, (float(r_a[0]), r_m[0], float(r_y[0]))
-
-    def worst_case(params, value, t_stat):
-        return WorstCase(
-            value=value, t_stat=t_stat,
-            natural=natural_from_benchmark(stacks.bm, *params),
-            leave_j={"r_a": params[0], "r_m": params[1].tolist(), "r_y": params[2]},
-            k_ratios=_k_ratios(stacks.bm, params))
-
-    values_e = stacks.estimates[effect_kind]
-    val_e, params_e = search(values_e)
-    worst_est = worst_case(params_e, obj.flip * val_e, None)
-
-    worst_t = None
-    observed_t = None
-    if plan is not None:
-        observed_t = obj.flip * obj.observed_t()
-        val_t, params_t = search(stacks.t_stats[effect_kind])
-        est_at_t = obj.flip * float(values_e(*_as_batch([params_t]))[0])
-        worst_t = worst_case(params_t, est_at_t, obj.flip * val_t)
-    return BenchmarkResult(worst_estimate=worst_est, worst_t=worst_t,
-                           observed_estimate=obj.observed, observed_t=observed_t,
-                           spec=spec)
+    return _run([_worst_plan(stacks, spec, effect_kind, budget, plan is not None)])[0]
 
 
 def critical_delta(data: MediationData, j: int, effect_kind: str,
                    threshold: float, delta_grid, k_a_bound: float = 0.0,
                    plan: BootstrapPlan | None = None,
-                   budget: int = 1200, stacks=None):
+                   budget: int = DELTA_BUDGET, stacks=None):
     """Smallest multiplier on the covariate's strength that drags the effect
     past the threshold (0 for the estimate, 1.96 for the CI).
 
@@ -456,6 +547,9 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     threshold) are reused, the full-sample fit included; without them the
     full sample is fitted once per sweep.
 
+    The grid points' searches run together, and a grid point is dropped
+    once a smaller delta's crossing is decided, so each point of the curve
+    is the value of its own search, as a sweep one point at a time finds it.
     With a t threshold (``threshold > 0``) each search only decides the
     crossing: a grid point's box candidates are evaluated first, and DIRECT
     runs only when they all stay above the threshold, stopping after its
@@ -466,29 +560,38 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     (threshold 0) runs every search to its budget.
     """
     _check_kind(effect_kind)
-    grid = [float(d) for d in delta_grid]
-    if any(d <= 0 for d in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("delta_grid must be positive and strictly increasing")
+    grid = _delta_grid(delta_grid)
     use_t = threshold > 0
     if use_t and plan is None:
         raise ValueError("a bootstrap plan is required for a t-based threshold")
     if stacks is None:
         stacks = prepare_benchmark_stacks(data, j, plan if use_t else None)
-    obj = stacks.objectives[effect_kind]
-    values = (stacks.t_stats if use_t else stacks.estimates)[effect_kind]
-    # flip * the observed t or estimate, as the search values are
-    observed = obj.observed_t() if use_t else obj.flip * obj.observed
-    if observed <= threshold:
-        return 0.0, [(0.0, obj.flip * observed)]
+    return _run([_delta_plan(stacks, j, effect_kind, threshold, grid, k_a_bound,
+                             budget)])[0]
 
-    curve = []
-    for delta in grid:
-        spec = BenchmarkSpec(j=j, k_a_bound=k_a_bound, k_m_bound=delta,
-                             k_y_bound=delta)
-        val, _ = _minimize_over_box(_leave_j_box(stacks.bm, spec, obj.q), values,
-                                    budget, polish=False,
-                                    stop=threshold if use_t else None)
-        curve.append((delta, obj.flip * val))
-        if val <= threshold:
-            return delta, curve
-    return math.inf, curve
+
+def benchmark_covariate(data: MediationData, spec: BenchmarkSpec,
+                        plan: BootstrapPlan, delta_grid=None):
+    """Every search of one covariate in one batch: both effects'
+    ``benchmark_worst`` under ``spec`` and, with a ``delta_grid``, their
+    ``critical_delta`` sweeps for the estimate (threshold 0) and the CI
+    (threshold DEFAULT_CI_MULTIPLIER), with the exposure cap at
+    ``spec.k_a_bound``, each at its function's default budget. Searches
+    over boxes of the same number of columns advance in lockstep, and each
+    result equals the single function's.
+
+    Returns ({kind: BenchmarkResult}, {kind: (estimate sweep, CI sweep)}),
+    each sweep a (delta, curve) pair; the second is empty without a grid.
+    """
+    grid = None if delta_grid is None else _delta_grid(delta_grid)
+    stacks = prepare_benchmark_stacks(data, spec.j, plan)
+    kinds = ("direct", "indirect")
+    plans = [_worst_plan(stacks, spec, kind, WORST_BUDGET, True) for kind in kinds]
+    if grid is not None:
+        plans += [_delta_plan(stacks, spec.j, kind, threshold, grid,
+                              spec.k_a_bound, DELTA_BUDGET)
+                  for kind in kinds for threshold in (0.0, DEFAULT_CI_MULTIPLIER)]
+    outcomes = _run(plans)
+    sweeps = {} if grid is None else {
+        kind: tuple(outcomes[2 + 2 * n: 4 + 2 * n]) for n, kind in enumerate(kinds)}
+    return dict(zip(kinds, outcomes[:2])), sweeps

@@ -312,8 +312,7 @@ def cmd_rv(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    from .benchmarking import (BenchmarkSpec, benchmark_worst, critical_delta,
-                               prepare_benchmark_stacks)
+    from .benchmarking import BenchmarkSpec, benchmark_covariate
 
     for flag, value in (("--ka", args.ka), ("--km", args.km), ("--ky", args.ky)):
         if not value >= 0.0:
@@ -331,16 +330,12 @@ def cmd_benchmark(args) -> int:
     plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
     k_a = 0.0 if args.randomized else args.ka
     rows = []
-    targets = covariates if args.j is None else [args.j]
-    stacks = {}
-    for name in targets:
-        j = covariates.index(name)
-        spec = BenchmarkSpec(j=j, k_a_bound=k_a, k_m_bound=args.km,
-                             k_y_bound=args.ky)
-        stacks[name] = prepare_benchmark_stacks(data, j, plan)
-        for kind in ("direct", "indirect"):
-            res = benchmark_worst(data, spec, plan=plan, effect_kind=kind,
-                                  stacks=stacks[name])
+    sweeps = {}
+    for name in covariates if args.j is None else [args.j]:
+        spec = BenchmarkSpec(j=covariates.index(name), k_a_bound=k_a,
+                             k_m_bound=args.km, k_y_bound=args.ky)
+        worst, sweeps = benchmark_covariate(data, spec, plan, delta_grid=grid)
+        for kind, res in worst.items():
             rows.append({
                 "covariate": name,
                 "effect_kind": kind,
@@ -362,17 +357,10 @@ def cmd_benchmark(args) -> int:
                ([row["covariate"], row["effect_kind"], repr(row["worst_estimate"]),
                  repr(row["worst_t"])] for row in rows))
 
-    if args.j is not None and grid is not None:
-        j = covariates.index(args.j)
+    if sweeps:
         deltas = {}
         delta_curves = {}
-        for kind in ("direct", "indirect"):
-            d_est, curve_est = critical_delta(
-                data, j, kind, threshold=0.0, delta_grid=grid, k_a_bound=k_a,
-                stacks=stacks[args.j])
-            d_ci, _ = critical_delta(
-                data, j, kind, threshold=1.96, delta_grid=grid, k_a_bound=k_a,
-                plan=plan, stacks=stacks[args.j])
+        for kind, ((d_est, curve_est), (d_ci, _)) in sweeps.items():
             # null: no grid point attains the threshold
             deltas[kind] = {"critical_delta_estimate": _finite_or_none(d_est),
                             "critical_delta_ci": _finite_or_none(d_ci)}

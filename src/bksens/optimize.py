@@ -16,16 +16,26 @@ test over the group minima and one pass that trisects every picked
 rectangle. A NaN value ranks as +inf everywhere (best point, groups, hull),
 so a search that finds nothing else reports +inf.
 
-The objective may be flagged as vectorized, in which case it is called with
-an (k, d) array of points and must return (k,) values; new points from one
-sweep are evaluated in a single call. An unflagged objective is called once
-per point, on the same points in the same order, so a row-wise objective
-gives the same search either way.
+Searches run in lockstep. ``direct_lockstep`` advances S searches over boxes
+of one dimension together: the searches share the pile's rows, each row is
+entered into its own search's groups (so groups are keyed by (search, level
+sum)), the hull test runs per search on (S, G) arrays padded on the left,
+and budget, stop and best point are kept per search. A pass sweeps every live search once, with one objective call for
+all their new points, so the fixed cost of a sweep is paid once per pass;
+each search visits exactly the points, in the same order, that it visits
+run alone. ``direct_optimize`` is the call with S = 1.
+
+``direct_optimize``'s objective may be flagged as vectorized, in which case
+it is called with an (k, d) array of points and must return (k,) values; new
+points from one sweep are evaluated in a single call. An unflagged objective
+is called once per point, on the same points in the same order, so a
+row-wise objective gives the same search either way.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +43,8 @@ import numpy as np
 from .errors import BudgetTooSmall, DimensionMismatch
 
 HULL_EPS = 1e-4
+_LOW = (1 << 32) - 1           # a heap entry's row, and its tick above it
+_SIGN = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -43,43 +55,59 @@ class OptimizeResult:
 
 
 class _Pile:
-    """Rectangles in preallocated rows, grouped by the sum of their
-    trisection levels. Each group is a heap of (f, tick, row): ticks follow
-    the insertion order and break ties, and an entry is dead once its row
-    carries another tick."""
+    """Rectangles in preallocated rows, grouped per search by the sum of
+    their trisection levels. Each group is a heap of entries ordered as
+    (f, tick), each one int: f's bits mapped to an integer of the same order
+    (``_ordered``), above the tick and then the row, 64, 32 and 32 bits
+    wide. Ticks follow the insertion order and break ties, and an entry is
+    dead once its row carries another tick. Every search's rows are live at
+    once in a lockstep, so a row is kept small: one int per heap entry
+    (a third of the memory of an (f, tick, row) tuple), its tick in an
+    array, its levels in int16 (far below 2**15 within any budget)."""
 
-    def __init__(self, dim: int, capacity: int):
+    def __init__(self, dim: int, capacity: int, searches: int):
         self.centers = np.empty((capacity, dim))
-        self.levels = np.empty((capacity, dim), dtype=np.int64)
-        self.fvals = np.empty(capacity)
-        self.ticks: list[int] = []  # each row's live tick, -1 if none
-        self.groups: dict[int, list] = {}  # level sum -> heap of (f, tick, row)
+        self.levels = np.empty((capacity, dim), dtype=np.int16)
+        self.fvals = np.empty(capacity + 1)
+        self.fvals[capacity] = np.inf
+        self.pad = capacity  # the row group_minima pads with, of value +inf
+        self.ticks = array("q")  # each row's live tick, -1 if none
+        # per search: level sum -> heap of entries
+        self.groups: list[dict[int, list]] = [{} for _ in range(searches)]
         self.diams: dict[int, float] = {}  # level sum -> diameter
         self.dim = dim
 
-    def add(self, centers: np.ndarray, levels: np.ndarray, fvals: np.ndarray) -> int:
-        """Store rectangles in the next rows, with tick 2 * row, and enter
-        them into their groups; returns the first row."""
+    def add(self, centers: np.ndarray, levels: np.ndarray, fvals: np.ndarray,
+            owners: list[int]) -> int:
+        """Store rectangles of the searches ``owners`` in the next rows, with
+        tick 2 * row, and enter them into their groups; returns the first
+        row."""
         start = len(self.ticks)
         stop = start + len(fvals)
         self.centers[start:stop] = centers
         self.levels[start:stop] = levels
         self.fvals[start:stop] = fvals
         self.ticks.extend([-1] * len(fvals))
-        self.push(range(start, stop), range(2 * start, 2 * stop, 2),
-                  np.add.reduce(levels, axis=1).tolist(), fvals.tolist())
+        self.push(range(start, stop), range(2 * start, 2 * stop, 2), owners,
+                  np.add.reduce(levels, axis=1).tolist(), fvals)
         return start
 
-    def push(self, rows, ticks, keys, fvals) -> None:
-        """Enter each row into the group of its level sum ``key``."""
-        for row, tick, key, f in zip(rows, ticks, keys, fvals):
+    def push(self, rows, ticks, owners, keys, fvals: np.ndarray) -> None:
+        """Enter each row, with its tick and value, into its search's group
+        of level sum ``key``."""
+        for row, tick, owner, key, high in zip(rows, ticks, owners, keys,
+                                               _ordered(fvals)):
             self.ticks[row] = tick
-            heap = self.groups.get(key)
+            groups = self.groups[owner]
+            heap = groups.get(key)
             if heap is None:
-                heap = self.groups[key] = []
+                heap = groups[key] = []
                 if key not in self.diams:
                     self.diams[key] = self._diameter(key)
-            heapq.heappush(heap, (f, tick, row))
+            heapq.heappush(heap, high << 64 | tick << 32 | row)
+
+    def kill(self, idx: int) -> None:
+        self.ticks[idx] = -1
 
     def _diameter(self, key: int) -> float:
         """Half the diagonal of a rectangle whose levels sum to ``key``: they
@@ -89,120 +117,156 @@ class _Pile:
         sides = 3.0 ** -np.asarray(sorted_levels, dtype=float)
         return 0.5 * float(np.sqrt(np.sum(sides * sides)))
 
-    def kill(self, idx: int) -> None:
-        self.ticks[idx] = -1
-
-    def group_minima(self):
-        """Diameters, best values and best rows of the nonempty groups, in
-        ascending diameter."""
-        diams, fmins, rows = [], [], []
+    def group_minima(self, searches: list[int]):
+        """(len(searches), G) diameters, best values and best rows of each
+        search's nonempty groups in ascending diameter, padded on the left
+        with a NaN diameter and the row ``pad``, of value +inf."""
         ticks = self.ticks
-        for key in sorted(self.groups, reverse=True):
-            heap = self.groups[key]
-            while heap and ticks[heap[0][2]] != heap[0][1]:
-                heapq.heappop(heap)
-            if not heap:
-                del self.groups[key]
-                continue
-            f, _, row = heap[0]
-            diams.append(self.diams[key])
-            fmins.append(f)
-            rows.append(row)
-        return np.array(diams), np.array(fmins), np.array(rows, dtype=np.int64)
+        diams, rows, starts = [], [], []
+        for owner in searches:
+            starts.append(len(rows))
+            groups = self.groups[owner]
+            for key in sorted(groups, reverse=True):
+                heap = groups[key]
+                while heap and ticks[heap[0] & _LOW] != heap[0] >> 32 & _LOW:
+                    heapq.heappop(heap)
+                if not heap:
+                    del groups[key]
+                    continue
+                diams.append(self.diams[key])
+                rows.append(heap[0] & _LOW)
+        counts = [b - a for a, b in zip(starts, starts[1:] + [len(rows)])]
+        width = max(counts)
+        for start, count in zip(reversed(starts), reversed(counts)):
+            if count < width:
+                diams[start:start] = [np.nan] * (width - count)
+                rows[start:start] = [self.pad] * (width - count)
+        shape = (len(searches), width)
+        rows = np.array(rows, dtype=np.int64).reshape(shape)
+        return np.array(diams).reshape(shape), self.fvals[rows], rows
+
+
+def _ordered(fvals: np.ndarray) -> list:
+    """Unsigned integers in the order of the float64 ``fvals`` (-0.0 and
+    +0.0 map to the same one, so that equal values tie)."""
+    bits = fvals.view(np.uint64)
+    return np.where(fvals < 0.0, ~bits, bits | _SIGN).tolist()
 
 
 def _potentially_optimal(diams: np.ndarray, fmins: np.ndarray,
-                         f_min: float) -> np.ndarray:
+                         f_min) -> np.ndarray:
     """Mask of the groups (ascending ``diams``, best values ``fmins``) on the
     lower-right hull that pass the improvement test against ``f_min``, the
-    least of ``fmins``.
+    least of ``fmins``; leading axes are searches, each with its own
+    ``f_min``. Padding holds a NaN diameter and an infinite value.
 
-    The largest group is always picked. A smaller group with an infinite
-    best value never passes the improvement test, and a finite one has no
-    NaN slope, so NaN slopes (between two equal infinite values) need no
-    rule of their own.
+    The largest group (the last) is always picked. A smaller group with an
+    infinite best value never passes the improvement test, and a finite one
+    has no NaN slope, so NaN slopes (between two equal infinite values, or
+    to padding) need no rule of their own: fmax and fmin skip them.
     """
-    order = np.arange(diams.size)
+    order = np.arange(diams.shape[-1])
     upper = order[:, None] < order  # i < j
+    f_min = np.asarray(f_min, dtype=float)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         # slope[i, j] = slope[j, i], the slope between groups i and j
-        slope = (fmins - fmins[:, None]) / (diams - diams[:, None])
+        slope = ((fmins[..., None, :] - fmins[..., :, None])
+                 / (diams[..., None, :] - diams[..., :, None]))
         # steepest slope from a smaller group, flattest to a larger one
-        lmax = np.fmax.reduce(slope, axis=0, where=upper, initial=-np.inf)
-        rmin = np.fmin.reduce(slope, axis=0, where=upper.T, initial=np.inf)
-        if f_min != 0.0:
-            ok = (f_min - fmins) / abs(f_min) + diams * rmin / abs(f_min) >= HULL_EPS
-        else:
-            ok = fmins <= diams * rmin
+        lmax = np.fmax.reduce(slope, axis=-2, where=upper, initial=-np.inf)
+        rmin = np.fmin.reduce(slope, axis=-2, where=upper.T, initial=np.inf)
+        scale = abs(f_min)
+        ok = (f_min - fmins) / scale + diams * rmin / scale >= HULL_EPS
+        if not f_min.all():
+            ok = np.where(f_min != 0.0, ok, fmins <= diams * rmin)
     picked = (lmax <= rmin + 1e-13) & ok & np.isfinite(fmins)
-    picked[-1] = True
+    picked[..., -1] = True
     return picked
 
 
-def direct_optimize(objective, lower, upper, budget: int = 2000,
-                    vectorized: bool = False,
-                    stop: float | None = None) -> OptimizeResult:
-    """Minimize ``objective`` over the box [lower, upper] with at most
-    ``budget`` evaluations.
+def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> list:
+    """Run S searches in lockstep: search s minimizes over the box
+    [lowers[s], uppers[s]] with at most ``budgets[s]`` evaluations and ends
+    after its first sweep at or below ``stops[s]`` (None for no stop), as
+    ``direct_optimize`` does; every box has the same dimension d.
 
-    Returns the best point found; deterministic for fixed inputs. NaN values
-    rank as +inf. Requires budget >= 2*d + 1 (the initial center plus one
-    trisection sweep). With a ``stop`` value the search ends after the first
-    sweep (the centre counting as one) whose best value is at or below it,
-    having evaluated a prefix of the points the search without it visits.
+    ``objective(batches)`` takes a list of (search, points) pairs, each
+    search's (k, d) points in its box, in ascending search order, and
+    returns their (k,) values in a list in the same order. It is called
+    once for every search's centre and then once per pass. ``drop``, if
+    given, is called before each pass with the (S,) best values so far and
+    returns a mask of searches to abandon. Returns each search's
+    OptimizeResult, None for an abandoned one.
     """
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    if lower.shape != upper.shape or lower.ndim != 1:
-        raise DimensionMismatch("lower and upper must be 1-D arrays of equal length")
-    if np.any(lower >= upper):
+    lowers = np.asarray(lowers, dtype=float)
+    uppers = np.asarray(uppers, dtype=float)
+    if lowers.shape != uppers.shape or lowers.ndim != 2:
+        raise DimensionMismatch("lowers and uppers must be (S, d) arrays of equal shape")
+    if np.any(lowers >= uppers):
         raise DimensionMismatch("need lower < upper componentwise")
-    d = lower.size
-    if budget < 2 * d + 1:
-        raise BudgetTooSmall(f"budget {budget} < 2*d+1 = {2 * d + 1}")
-    span = upper - lower
+    n_search, d = lowers.shape
+    budgets = [int(b) for b in budgets]
+    if min(budgets) < 2 * d + 1:
+        raise BudgetTooSmall(f"budget {min(budgets)} < 2*d+1 = {2 * d + 1}")
+    span = uppers - lowers
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        if vectorized:
-            vals = np.asarray(objective(lower + points * span), dtype=float).reshape(-1)
-        else:
-            vals = np.array([float(objective(lower + p * span)) for p in points])
+    def evaluate(points: np.ndarray, segments) -> np.ndarray:
+        """Values of the unit-box ``points``, each search's rows from its
+        start in ``segments`` to the next; NaN becomes +inf."""
+        ends = [lo for _, lo in segments[1:]] + [len(points)]
+        parts = objective([(s, lowers[s] + points[lo:hi] * span[s])
+                           for (s, lo), hi in zip(segments, ends)])
+        vals = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return np.where(np.isnan(vals), np.inf, vals)
 
-    pile = _Pile(d, budget)
-    center = np.full((1, d), 0.5)
-    f_center = evaluate(center)
-    n_evals = 1
-    best_x, best_f = center[0].copy(), float(f_center[0])
-    pile.add(center, np.zeros((1, d), dtype=np.int64), f_center)
+    searches = list(range(n_search))
+    pile = _Pile(d, sum(budgets), n_search)
+    best_x = np.full((n_search, d), 0.5)
+    best_f = evaluate(best_x, [(s, s) for s in searches]).tolist()
+    n_evals = [1] * n_search
+    pile.add(best_x, np.zeros((n_search, d), dtype=np.int16), np.array(best_f),
+             searches)
+    dropped = set()
 
-    while n_evals < budget and not (stop is not None and best_f <= stop):
-        diams, fmins, rows = pile.group_minima()
-        chosen = rows[_potentially_optimal(diams, fmins, best_f)]
-        if not chosen.size:
+    while True:
+        searches = [s for s in searches if n_evals[s] < budgets[s]
+                    and not (stops[s] is not None and best_f[s] <= stops[s])]
+        if drop is not None and searches:
+            gone = drop(np.array(best_f))
+            dropped.update(s for s in searches if gone[s])
+            searches = [s for s in searches if not gone[s]]
+        if not searches:
             break
-        # Which rectangles fit the remaining budget depends on costs alone,
-        # so the whole sweep's new points are gathered and evaluated at once.
-        # (array methods and ufunc reductions: a sweep handles a few small
-        # arrays, so per-call overhead is most of its cost)
+        diams, fmins, rows = pile.group_minima(searches)
+        picked = _potentially_optimal(diams, fmins, [best_f[s] for s in searches])
+        chosen = rows[picked]  # search by search, each in ascending diameter
+        owners = [s for s, n in zip(searches, np.add.reduce(picked, axis=1).tolist())
+                  for _ in range(n)]
+        # Which rectangles fit each search's remaining budget depends on
+        # costs alone, so the pass's new points are gathered and evaluated
+        # at once. (array methods and ufunc reductions: a pass handles a few
+        # small arrays, so per-call overhead is most of its cost)
         levels = pile.levels.take(chosen, axis=0)
         low = np.minimum.reduce(levels, axis=1)
         cut = levels == low[:, None]  # each rectangle's longest sides
         n_cuts = np.add.reduce(cut, axis=1)
-        take = []
-        planned = n_evals
-        for i, n in enumerate(n_cuts.tolist()):
-            if planned + 2 * n > budget:
-                continue
-            take.append(i)
-            planned += 2 * n
-            if planned >= budget:
-                break
+        # each search's first new row, in ``segments``
+        take, segments, n_points = [], [], 0
+        for i, (owner, cost) in enumerate(zip(owners, (2 * n_cuts).tolist())):
+            if n_evals[owner] + cost <= budgets[owner]:
+                if not segments or segments[-1][0] != owner:
+                    segments.append((owner, n_points))
+                take.append(i)
+                n_evals[owner] += cost
+                n_points += cost
+        # a search none of whose picks fits its budget ends
+        searches = [s for s, _ in segments]
         if not take:
             break
         if len(take) < chosen.size:
             chosen, levels, low, cut, n_cuts = (
                 chosen[take], levels[take], low[take], cut[take], n_cuts[take])
+            owners = [owners[i] for i in take]
         # one cut per (rectangle, side), rectangles in order, sides ascending;
         # cut i gives the points 2i (centre + delta) and 2i + 1 (- delta)
         rect, side = cut.nonzero()
@@ -212,17 +276,20 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
         pts = pile.centers.take(chosen, axis=0).repeat(2 * n_cuts, axis=0)
         pts[plus, side] += delta
         pts[plus + 1, side] -= delta
-        vals = evaluate(pts)
-        n_evals = planned
+        vals = evaluate(pts, segments)
 
-        # the first minimum of the sweep is the first rectangle's first one
-        imin = int(np.argmin(vals))
-        if vals[imin] < best_f:
-            best_f = float(vals[imin])
-            best_x = pts[imin].copy()
+        # each search's first minimum of the pass
+        ends = [lo for _, lo in segments[1:]] + [n_points]
+        point_owners = []
+        for (owner, lo), hi in zip(segments, ends):
+            point_owners += [owner] * (hi - lo)
+            imin = lo + int(np.argmin(vals[lo:hi]))
+            if vals[imin] < best_f[owner]:
+                best_f[owner] = float(vals[imin])
+                best_x[owner] = pts[imin]
 
         # Order each rectangle's cuts by their better value (stable); pos is
-        # a cut's place in that order, over the whole sweep. The child of a
+        # a cut's place in that order, over the whole pass. The child of a
         # cut is one level deeper on its side and on the sides cut before
         # it; the parent ends one level deeper on all of them.
         order = np.lexsort((np.minimum(vals[0::2], vals[1::2]), rect))
@@ -238,15 +305,45 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
         # one less than its first child's for a parent. A group holds at most
         # one cut's two points per rectangle (and the parent beside its last
         # rank), so this orders every group as inserting each parent and then
-        # its children by rank would.
-        start = pile.add(pts, child_levels.repeat(2, axis=0), vals)
+        # its children by rank would; a search's rows keep their order
+        # whatever other searches share the pass.
+        start = pile.add(pts, child_levels.repeat(2, axis=0), vals, point_owners)
         parent_levels = levels + cut
         pile.levels[chosen] = parent_levels
         for idx in chosen.tolist():
             pile.kill(idx)
         first = n_cuts.cumsum() - n_cuts  # each rectangle's first cut
-        pile.push(chosen.tolist(), (4 * first + (2 * start - 1)).tolist(),
-                  np.add.reduce(parent_levels, axis=1).tolist(),
-                  pile.fvals[chosen].tolist())
+        pile.push(chosen.tolist(), (4 * first + (2 * start - 1)).tolist(), owners,
+                  np.add.reduce(parent_levels, axis=1).tolist(), pile.fvals[chosen])
 
-    return OptimizeResult(x=lower + best_x * span, fun=best_f, n_evals=n_evals)
+    x = lowers + best_x * span
+    return [None if s in dropped else
+            OptimizeResult(x=x[s], fun=best_f[s], n_evals=n_evals[s])
+            for s in range(n_search)]
+
+
+def direct_optimize(objective, lower, upper, budget: int = 2000,
+                    vectorized: bool = False,
+                    stop: float | None = None) -> OptimizeResult:
+    """Minimize ``objective`` over the box [lower, upper] with at most
+    ``budget`` evaluations.
+
+    Returns the best point found; deterministic for fixed inputs. NaN values
+    rank as +inf. Requires budget >= 2*d + 1 (the initial center plus one
+    trisection sweep). With a ``stop`` value the search ends after the first
+    sweep (the centre counting as one) whose best value is at or below it,
+    having evaluated a prefix of the points the search without it visits.
+    This is ``direct_lockstep`` with one search.
+    """
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    if lower.shape != upper.shape or lower.ndim != 1:
+        raise DimensionMismatch("lower and upper must be 1-D arrays of equal length")
+
+    def evaluate(batches) -> list:
+        (_, points), = batches
+        if vectorized:
+            return [np.asarray(objective(points), dtype=float).reshape(-1)]
+        return [np.array([float(objective(p)) for p in points])]
+
+    return direct_lockstep(evaluate, lower[None], upper[None], [budget], [stop])[0]

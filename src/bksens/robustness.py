@@ -19,14 +19,20 @@ resample; the CLI's effect reports and the public adjusted effects evaluate
 through it too, and formal benchmarking reads the same coefficients in its
 leave-one-out kernel.
 
-One minimizer, ``_minimize_over_box``, runs every search that remains: the
-t searches and formal benchmarking's. It takes a ``_SearchBox``: a ``_Box``,
-the map from the box's points to the value function's arguments (phi pairs
-here, leave-one-out triples in benchmarking) and one batch of candidates,
-zero first and no row twice, evaluated with the optimizer's optimum. A box
-that bounds no confounding has no columns and zero as its only candidate.
-Its Nelder-Mead polish calls ``minimize``, which imports scipy on its first
-call; no other code here needs scipy.
+One minimizer, ``_minimize_over_boxes``, runs every search that remains:
+the t searches and formal benchmarking's. A search (``_Search``) has a
+``_SearchBox``: a ``_Box``, the map from the box's points to the value
+function's arguments (phi pairs here, leave-one-out triples in
+benchmarking) and one batch of candidates, zero first and no row twice,
+evaluated with the optimizer's optimum. A box that bounds no confounding has
+no columns and zero as its only candidate. The minimizer takes any number
+of searches, and those whose boxes have the same number of columns advance
+in lockstep (``optimize.direct_lockstep``); ``_minimize_over_box`` is its
+one-search call, which the robustness values make once per rho. The
+optimizer is imported on the first search, so ``rv_estimate_only`` and the
+``simulate`` study never load it. The Nelder-Mead polish calls
+``minimize``, which imports scipy on its first call; no other code here
+needs scipy.
 The minimum t-statistic functions and both RV drivers share one setup, which
 checks the effect, the confounder mode and the rho grid before any search.
 
@@ -53,7 +59,6 @@ from .mediation import (
     _effect_values,
     _indirect_coeffs,
 )
-from .optimize import direct_optimize
 
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(1, 100) / 100.0, 2))
 DEFAULT_BUDGET = 4000
@@ -336,58 +341,144 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
+@dataclass(frozen=True)
+class _Search:
+    """One minimization: a box, the batched value function its points go to,
+    DIRECT's budget, an optional stop value and warm seeds (argument batches
+    evaluated beside the box's candidates)."""
+
+    box: _SearchBox
+    value_fn: callable
+    budget: int
+    stop: float | None = None
+    seeds: tuple = ()
+
+
+def _evaluate(pairs) -> list:
+    """The values of (search, argument batch) pairs, with one call per
+    distinct value function over the batches of all the pairs that share
+    it."""
+    shared = {}
+    for i, (search, _) in enumerate(pairs):
+        shared.setdefault(search.value_fn, []).append(i)
+    out = [None] * len(pairs)
+    for value_fn, idx in shared.items():
+        if len(idx) == 1:
+            out[idx[0]] = np.asarray(value_fn(*pairs[idx[0]][1]))
+            continue
+        args = [np.concatenate(col) for col in zip(*(pairs[i][1] for i in idx))]
+        ends = np.cumsum([len(pairs[i][1][0]) for i in idx])[:-1]
+        for i, vals in zip(idx, np.split(np.asarray(value_fn(*args)), ends)):
+            out[i] = vals
+    return out
+
+
+def _first_min(args, vals):
+    """The first least of ``vals``, a NaN ranking behind +inf, and its
+    arguments with a batch axis of length 1."""
+    nan = np.isnan(vals)
+    best = int(np.lexsort((nan, np.where(nan, np.inf, vals)))[0])
+    return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
+
+
+def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
+    """Minimum of each search's batched value function over its box, its
+    candidates and its seeds; returns (value, the winner's arguments with a
+    batch axis of length 1) per search, None for one ``drop`` abandoned.
+
+    Every search's candidates and seeds are evaluated first. A search with
+    a ``stop`` value whose best of them is at or below it returns that best
+    and runs no DIRECT: the search is a decision, and its value is then a
+    witness at or below ``stop``, not the minimum. Otherwise DIRECT searches
+    the box when it has columns, ending after its first sweep at or below
+    ``stop``. Searches whose boxes have the same number of columns advance
+    in lockstep (``optimize.direct_lockstep``): each pass calls every value
+    function once, on the new points of all the searches that share it, and
+    each search visits the points it visits alone. Each optimum is then
+    optionally polished by Nelder-Mead, one call evaluates the optimum, the
+    candidates and the seeds, and the first minimum wins; a NaN ranks as
+    +inf, behind a real +inf, so it is returned only when every value is
+    NaN.
+
+    ``drop(bounds)``, if given, is called before each pass with every
+    search's best value so far, which its result can only undercut (+inf
+    where none is finite), and returns a mask of searches to abandon.
+    """
+    from .optimize import direct_lockstep
+
+    # a value can move in its last bit with the rows evaluated beside it, so
+    # every value returned or compared with a stop comes from a call on the
+    # search's own batch: candidates and seeds, then optimum, candidates
+    # and seeds, as a search run alone evaluates them
+    given = [tuple(np.concatenate(col) for col in zip(s.box.candidates, *s.seeds))
+             for s in searches]
+    given_vals = [np.asarray(s.value_fn(*args)) for s, args in zip(searches, given)]
+    bounds = np.array([np.min(np.where(np.isnan(v), np.inf, v)) for v in given_vals])
+    optima = [None] * len(searches)
+    dropped = [False] * len(searches)
+    layouts = {}
+    for i, s in enumerate(searches):
+        if s.box.space.lower and not (s.stop is not None and bounds[i] <= s.stop):
+            layouts.setdefault(len(s.box.space.lower), []).append(i)
+    for idx in layouts.values():
+        group = [searches[i] for i in idx]
+
+        def objective(batches, group=group):
+            return _evaluate([(group[s], group[s].box.unpack(x)) for s, x in batches])
+
+        def abandon(best, idx=idx):
+            mine = bounds.copy()
+            mine[idx] = np.minimum(mine[idx], best)
+            return drop(mine)[idx]
+
+        found = direct_lockstep(
+            objective, [s.box.space.lower for s in group],
+            [s.box.space.upper for s in group], [s.budget for s in group],
+            [s.stop for s in group], drop=None if drop is None else abandon)
+        for i, s, res in zip(idx, group, found):
+            if res is None:
+                dropped[i] = True
+                continue
+            bounds[i] = min(bounds[i], res.fun)
+            x_best = res.x
+            if polish:
+                x_best = _polish(s, res)
+            optima[i] = s.box.unpack(x_best[None, :])
+    out = []
+    for s, args, vals, opt, gone in zip(searches, given, given_vals, optima, dropped):
+        if gone:
+            out.append(None)
+        elif opt is None:
+            out.append(_first_min(args, vals))
+        else:
+            args = [np.concatenate(col) for col in zip(opt, args)]
+            out.append(_first_min(args, np.asarray(s.value_fn(*args))))
+    return out
+
+
+def _polish(search: _Search, res):
+    """Nelder-Mead from DIRECT's optimum ``res``, inside the box; returns
+    the better of the two points."""
+    from scipy.optimize import Bounds
+
+    lower = np.array(search.box.space.lower)
+    upper = np.array(search.box.space.upper)
+
+    def scalar_obj(x):
+        return float(search.value_fn(*search.box.unpack(x[None, :]))[0])
+
+    pol = minimize(scalar_obj, res.x, method="Nelder-Mead",
+                   bounds=Bounds(lower, upper),
+                   options={"maxfev": 150 * lower.size, "xatol": 1e-7,
+                            "fatol": 1e-12})
+    return np.clip(pol.x, lower, upper) if pol.fun < res.fun else res.x
+
+
 def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
                        seeds=(), stop: float | None = None):
-    """Minimum of the batched ``value_fn`` over the box, its candidates and
-    the warm ``seeds``; returns the value and the winner's arguments, each
-    with a batch axis of length 1.
-
-    DIRECT searches the box when it has columns, optionally polished by
-    Nelder-Mead; then one call evaluates the optimum, the candidates and the
-    seeds in that order, and the first minimum wins. A NaN ranks as +inf,
-    behind a real +inf, so it is returned only when every value is NaN.
-
-    A ``stop`` value makes the search a decision: the candidates and seeds
-    are evaluated first, and the best of them is returned if it is at or
-    below ``stop``; otherwise DIRECT ends after its first sweep at or below
-    it. The value returned is then a witness at or below ``stop``, not the
-    minimum; a search that never gets there runs as without ``stop``.
-    """
-    def best_of(points):
-        args = [np.concatenate(col) for col in zip(*points)]
-        vals = value_fn(*args)
-        nan = np.isnan(vals)
-        best = int(np.lexsort((nan, np.where(nan, np.inf, vals)))[0])
-        return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
-
-    if stop is not None:
-        found = best_of([box.candidates, *seeds])
-        if found[0] <= stop:
-            return found
-    points = []
-    if box.space.lower:
-        lower, upper = np.array(box.space.lower), np.array(box.space.upper)
-
-        def objective(x):
-            return value_fn(*box.unpack(x))
-
-        res = direct_optimize(objective, lower, upper, budget=budget,
-                              vectorized=True, stop=stop)
-        x_best = res.x
-        if polish:
-            from scipy.optimize import Bounds
-
-            def scalar_obj(x):
-                return float(objective(x[None, :])[0])
-
-            pol = minimize(scalar_obj, x_best, method="Nelder-Mead",
-                           bounds=Bounds(lower, upper),
-                           options={"maxfev": 150 * lower.size, "xatol": 1e-7,
-                                    "fatol": 1e-12})
-            if pol.fun < res.fun:
-                x_best = np.clip(pol.x, lower, upper)
-        points.append(box.unpack(x_best[None, :]))
-    return best_of([*points, box.candidates, *seeds])
+    """``_minimize_over_boxes`` for one search."""
+    return _minimize_over_boxes([_Search(box, value_fn, budget, stop, tuple(seeds))],
+                                polish)[0]
 
 
 def _check_kind(effect_kind: str) -> None:

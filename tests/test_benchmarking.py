@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bksens import benchmarking, cli, robustness
+from bksens import benchmarking, cli, optimize
 from bksens.benchmarking import (
     BenchmarkMoments,
     BenchmarkSpec,
@@ -133,7 +135,9 @@ def test_zero_caps_return_observed(rng):
 
 
 def test_worst_estimate_matches_leave_j_grid(rng):
-    # single mediator: exhaustive grid over the constrained leave-one-out box
+    # single mediator: exhaustive grid over the constrained leave-one-out box,
+    # converted in one batch by the reference conversion and evaluated in the
+    # coefficient form
     data = make_data(rng, n=120, p=2, q=1)
     mm = fit_observed(data)
     bm = benchmark_moments(data, j=0)
@@ -144,18 +148,19 @@ def test_worst_estimate_matches_leave_j_grid(rng):
     ra_rad = abs(bm.r_a_cj)
     rm_rad = abs(float(bm.r_m_cj[0]))
     ry_rad = abs(bm.r_y_cj)
-    best = np.inf
     grid = np.linspace(-1, 1, 41)
-    for ta in grid:
-        for tm in grid:
-            for ty in grid:
-                try:
-                    s = natural_from_benchmark(bm, ta * ra_rad,
-                                               np.array([tm * rm_rad]),
-                                               ty * ry_rad)
-                except Exception:
-                    continue
-                best = min(best, flip * direct_adjusted(mm, s))
+    ta, tm, ty = (t.ravel() for t in np.meshgrid(grid, grid, grid, indexing="ij"))
+    r_a, r_m, r_y = ta * ra_rad, (tm * rm_rad)[:, None], ty * ry_rad
+    stacks = prepare_benchmark_stacks(data, 0, None)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nat_y, nat_m, nat_a, ok = reference_convert_leave_j(benchmarking._anchors(bm),
+                                                            r_a, r_m, r_y)
+        values = stacks.objectives["direct"].point_estimates(
+            *_phis("direct", nat_y[:, 0], nat_m[:, 0], nat_a[:, 0]))
+    # the points skipped are those where natural_from_benchmark raises: the
+    # search objective is inf exactly there
+    assert np.array_equal(~ok, np.isinf(stacks.estimates["direct"](r_a, r_m, r_y)))
+    best = np.min(flip * values[ok])
     assert flip * res.worst_estimate.value <= best + 1e-9
     assert abs(flip * res.worst_estimate.value - best) < 0.01
 
@@ -346,25 +351,26 @@ def test_critical_delta_searches_only_where_candidates_stay_above(monkeypatch):
     # exactly at the curve points whose candidate batch stays above it
     data = make_data(np.random.default_rng(9600), n=120, p=2, q=1)
     plan = bootstrap_moments(data, n_resamples=30, seed=2)
-    calls = {"n": 0}
-    search = robustness.direct_optimize
+    started = []   # the upper corner of each search's box
+    search = optimize.direct_lockstep
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return search(*args, **kwargs)
+    def counting(objective, lowers, uppers, *args, **kwargs):
+        started.extend(np.asarray(uppers).tolist())
+        return search(objective, lowers, uppers, *args, **kwargs)
 
-    monkeypatch.setattr(robustness, "direct_optimize", counting)
+    monkeypatch.setattr(optimize, "direct_lockstep", counting)
     _, curve = critical_delta(data, 0, "direct", 1.96, [0.5, 1.0, 2.0, 4.0],
                               k_a_bound=1.0, plan=plan)
     assert curve[0][0] == 0.5
     stacks = prepare_benchmark_stacks(data, 0, plan)
     values = stacks.t_stats["direct"]
-    above = 0
+    above = []
     for delta, _ in curve:
         spec = BenchmarkSpec(j=0, k_a_bound=1.0, k_m_bound=delta, k_y_bound=delta)
-        candidates = _leave_j_box(stacks.bm, spec, 1).candidates
-        above += bool(np.min(values(*candidates)) > 1.96)
-    assert calls["n"] == above
+        box = _leave_j_box(stacks.bm, spec, 1)
+        if np.min(values(*box.candidates)) > 1.96:
+            above.append(box.space.upper)
+    assert started == above
 
 
 def test_mediator_ball_alone_can_make_a_candidate_infeasible():
@@ -453,9 +459,10 @@ def test_critical_delta_stop_keeps_every_crossing(kind, monkeypatch):
                 for threshold in (1.0, 1.96, 3.0)]
 
     stopped = sweeps()
-    search = benchmarking._minimize_over_box
-    monkeypatch.setattr(benchmarking, "_minimize_over_box",
-                        lambda *args, stop=None, **kwargs: search(*args, **kwargs))
+    search = benchmarking._minimize_over_boxes
+    monkeypatch.setattr(benchmarking, "_minimize_over_boxes",
+                        lambda searches, **kwargs: search(
+                            [replace(s, stop=None) for s in searches], **kwargs))
     full = sweeps()
     assert all(0.5 < d < np.inf for d, _ in full)
     flip = stacks.objectives[kind].flip

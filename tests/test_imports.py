@@ -4,9 +4,10 @@ that calls it.
 The Nelder-Mead polish of ``rv`` and the confounder construction import
 scipy when they first run; no other CLI job loads it. ``import bksens``
 loads no submodule until one of its names is looked up, and the CLI loads
-``benchmarking``, ``simulation`` and ``robustness`` (with ``optimize``) only
-in the commands that use them, and only a multi-worker bootstrap loads the
-thread pool. Each check runs in a fresh interpreter, as a CLI job does.
+``benchmarking``, ``simulation`` and ``robustness`` only in the commands that
+use them. ``robustness`` loads ``optimize`` when it runs its first search,
+so a ``simulate`` job, which runs none, never loads it. Only a multi-worker
+bootstrap loads the thread pool. Each check runs in a fresh interpreter, as a CLI job does.
 """
 
 import ast
@@ -79,6 +80,14 @@ def test_vector_rv_loads_scipy_when_it_polishes(small_csv, tmp_path):
 UNUSED_BY_DATA_JOBS = {"bksens.benchmarking", "bksens.simulation",
                        "bksens.confounders", "bksens.ovb"}
 SEARCH_CODE = {"bksens.robustness", "bksens.optimize"}
+
+
+def test_simulate_job_loads_no_search_code(tmp_path):
+    argv = ["simulate", "--dim-m", "2,3", "--reps", "1",
+            "--out", str(tmp_path / "s.json")]
+    loaded = set(_fresh(_main(argv), "bksens"))
+    assert {"bksens.simulation", "bksens.robustness"} <= loaded
+    assert "bksens.optimize" not in loaded
 
 
 def test_import_bksens_loads_no_submodule():

@@ -1,0 +1,237 @@
+"""Searches run in lockstep change no search.
+
+``optimize.direct_lockstep`` advances several dividing-rectangles searches
+together, and formal benchmarking runs all of one covariate's worst-case
+searches and critical-delta sweeps as one batch. Each search must visit the
+points, in the order, and return the result that it does run alone.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bksens import benchmarking
+from bksens.benchmarking import (
+    BenchmarkSpec,
+    _leave_j_box,
+    benchmark_covariate,
+    benchmark_worst,
+    critical_delta,
+    prepare_benchmark_stacks,
+)
+from bksens.inference import bootstrap_moments
+from bksens.mediation import MediationData
+from bksens.optimize import direct_lockstep, direct_optimize
+from bksens.robustness import _minimize_over_box
+
+from test_direct_trace import KINDS, _objective
+
+
+def _alone(f, lower, upper, budget, stop):
+    """The points direct_optimize evaluates alone, in order, and its result."""
+    points = []
+
+    def batched(x):
+        points.extend(x.copy())
+        return f(x)
+
+    res = direct_optimize(batched, lower, upper, budget=budget, vectorized=True,
+                          stop=stop)
+    return res, points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.sampled_from(range(1, 9)), seed=st.integers(0, 2**32 - 1),
+       searches=st.lists(st.tuples(st.sampled_from(KINDS), st.integers(0, 600),
+                                   st.one_of(st.none(), st.floats(0.0, 1.0))),
+                         min_size=1, max_size=6),
+       drop_after=st.one_of(st.none(), st.integers(0, 20)))
+def test_lockstep_matches_each_search_alone(d, seed, searches, drop_after):
+    rng = np.random.default_rng(seed)
+    fs, lowers, uppers, budgets, stops, alone = [], [], [], [], [], []
+    for kind, extra, at in searches:
+        f = _objective(kind, d, rng)
+        lower = rng.uniform(-1.0, 0.5, d)
+        upper = lower + rng.uniform(0.1, 1.5, d)
+        budget = 2 * d + 1 + extra
+        stop = None
+        if at is not None:
+            # a stop at one of the full search's running best values
+            _, points = _alone(f, lower, upper, budget, None)
+            vals = f(np.array(points))
+            best = np.minimum.accumulate(np.where(np.isnan(vals), np.inf, vals))
+            stop = float(best[int(at * (len(best) - 1))])
+        fs.append(f)
+        lowers.append(lower)
+        uppers.append(upper)
+        budgets.append(budget)
+        stops.append(stop)
+        alone.append(_alone(f, lower, upper, budget, stop))
+
+    seen = [[] for _ in fs]
+    passes = {"n": 0}
+
+    def objective(batches):
+        assert [s for s, _ in batches] == sorted({s for s, _ in batches})
+        for s, x in batches:
+            seen[s].extend(x.copy())
+        return [fs[s](x) for s, x in batches]
+
+    def drop(best):
+        # abandon the last search before pass ``drop_after``
+        passes["n"] += 1
+        mask = np.zeros(len(best), dtype=bool)
+        mask[-1] = drop_after is not None and passes["n"] > drop_after
+        return mask
+
+    results = direct_lockstep(objective, lowers, uppers, budgets, stops, drop=drop)
+    for s, (res, (ref, ref_points)) in enumerate(zip(results, alone)):
+        if res is None:
+            # abandoned: what it saw is a prefix of what it sees alone
+            assert s == len(fs) - 1 and drop_after is not None
+            assert len(seen[s]) <= len(ref_points)
+            assert np.array_equal(np.array(seen[s]).reshape(-1, d),
+                                  np.array(ref_points[:len(seen[s])]).reshape(-1, d))
+            continue
+        assert np.array_equal(np.array(seen[s]), np.array(ref_points))
+        assert np.array_equal(res.x, ref.x)
+        assert res.fun == ref.fun
+        assert res.n_evals == ref.n_evals
+
+
+def test_lockstep_abandons_only_what_drop_names():
+    f = _objective("quadratic", 2, np.random.default_rng(5))
+    calls = []
+
+    def objective(batches):
+        calls.append([s for s, _ in batches])
+        return [f(x) for _, x in batches]
+
+    res = direct_lockstep(objective, [[-1.0, -1.0]] * 3, [[2.0, 2.0]] * 3,
+                          [200, 200, 200], [None, None, None],
+                          drop=lambda best: np.array([False, True, False]))
+    alone = direct_optimize(f, [-1.0, -1.0], [2.0, 2.0], budget=200, vectorized=True)
+    assert res[1] is None
+    for r in (res[0], res[2]):
+        assert np.array_equal(r.x, alone.x)
+        assert (r.fun, r.n_evals) == (alone.fun, alone.n_evals)
+    # the centres are evaluated together, then search 1 is never swept
+    assert calls[0] == [0, 1, 2] and all(c == [0, 2] for c in calls[1:])
+
+
+# ---------------------------------------------------------------------------
+# Benchmarking: one batch per covariate, each result as one search at a time.
+# ---------------------------------------------------------------------------
+
+def _study(n=200, seed=11):
+    local = np.random.default_rng(seed)
+    c = local.normal(size=(n, 2))
+    a = c @ np.array([0.5, -0.4]) + local.normal(size=n)
+    m = np.outer(a, [0.5, 0.3]) + c @ np.array([[0.4, 0.2], [0.1, -0.3]]) \
+        + local.normal(size=(n, 2))
+    y = 0.4 * a + m @ np.array([0.5, 0.3]) + c @ np.array([0.3, 0.2]) \
+        + local.normal(size=n)
+    return MediationData.from_arrays(y=y, a=a, m=m, c=c)
+
+
+@pytest.fixture(scope="module")
+def study():
+    data = _study()
+    plan = bootstrap_moments(data, n_resamples=40, seed=3)
+    return data, plan, prepare_benchmark_stacks(data, 0, plan)
+
+
+def _sweep_alone(stacks, kind, threshold, grid, k_a_bound, budget=1200):
+    """critical_delta as one _minimize_over_box call per grid point, smallest
+    delta first, stopping at the first crossing."""
+    obj = stacks.objectives[kind]
+    use_t = threshold > 0
+    values = (stacks.t_stats if use_t else stacks.estimates)[kind]
+    curve = []
+    for delta in grid:
+        spec = BenchmarkSpec(j=0, k_a_bound=k_a_bound, k_m_bound=delta,
+                             k_y_bound=delta)
+        val, _ = _minimize_over_box(_leave_j_box(stacks.bm, spec, obj.q), values,
+                                    budget, polish=False,
+                                    stop=threshold if use_t else None)
+        curve.append((delta, obj.flip * val))
+        if val <= threshold:
+            return delta, curve
+    return math.inf, curve
+
+
+WIDE = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.96])
+@pytest.mark.parametrize("kind", ["direct", "indirect"])
+def test_critical_delta_equals_one_search_per_grid_point(study, kind, threshold):
+    data, plan, stacks = study
+    crossing, _ = _sweep_alone(stacks, kind, threshold, WIDE, 1.0)
+    at = WIDE.index(crossing)   # the study crosses inside the wide grid
+    assert at >= 2
+    grids = {"first": WIDE[at:], "middle": WIDE[at - 2:], "none": WIDE[:at]}
+    for where, grid in grids.items():
+        got = critical_delta(data, 0, kind, threshold, grid, k_a_bound=1.0,
+                             plan=plan, stacks=stacks)
+        assert got == _sweep_alone(stacks, kind, threshold, grid, 1.0), where
+        assert got[0] == (math.inf if where == "none" else crossing)
+
+
+def _worst_alone(stacks, spec, kind, budget=1500):
+    obj = stacks.objectives[kind]
+    box = _leave_j_box(stacks.bm, spec, obj.q)
+    return [_minimize_over_box(box, values[kind], budget, polish=False)
+            for values in (stacks.estimates, stacks.t_stats)]
+
+
+@pytest.mark.parametrize("caps", [(1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
+def test_covariate_batch_groups_boxes_by_layout(study, caps):
+    # with a zero mediator cap the worst-case box loses the mediator ball
+    # that every sweep box keeps, so the batch runs two locksteps; a zero
+    # exposure cap drops the exposure column from every box
+    data, plan, stacks = study
+    spec = BenchmarkSpec(j=0, k_a_bound=caps[0], k_m_bound=caps[1],
+                         k_y_bound=caps[2])
+    grid = [0.5, 1.0, 2.0, 4.0, 8.0]
+    worst, sweeps = benchmark_covariate(data, spec, plan, delta_grid=grid)
+    for kind in ("direct", "indirect"):
+        flip = stacks.objectives[kind].flip
+        (val_e, (r_a, r_m, r_y)), (val_t, _) = _worst_alone(stacks, spec, kind)
+        res = worst[kind]
+        assert res.worst_estimate.value == flip * val_e
+        assert res.worst_estimate.leave_j == {"r_a": float(r_a[0]),
+                                              "r_m": r_m[0].tolist(),
+                                              "r_y": float(r_y[0])}
+        assert res.worst_t.t_stat == flip * val_t
+        single = benchmark_worst(data, spec, plan=plan, effect_kind=kind,
+                                 stacks=stacks)
+        assert single.worst_t.value == res.worst_t.value
+        assert single.worst_t.leave_j == res.worst_t.leave_j
+        assert sweeps[kind] == tuple(
+            _sweep_alone(stacks, kind, threshold, grid, caps[0])
+            for threshold in (0.0, 1.96))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.96])
+def test_grid_point_dropped_too_early_is_searched_when_reached(study, monkeypatch,
+                                                               threshold):
+    # a bound can sit an ulp below the threshold while the value the search
+    # reports sits above it; a grid point dropped then is searched alone
+    data, plan, stacks = study
+    want = critical_delta(data, 0, "indirect", threshold, WIDE, k_a_bound=1.0,
+                          plan=plan, stacks=stacks)
+    assert len(want[1]) >= 3
+    search = benchmarking._minimize_over_boxes
+
+    def eager(searches, polish=False, drop=None):
+        if drop is not None:   # abandon every grid point but the first
+            drop = lambda bounds: np.arange(len(bounds)) > 0  # noqa: E731
+        return search(searches, polish, drop)
+
+    monkeypatch.setattr(benchmarking, "_minimize_over_boxes", eager)
+    assert critical_delta(data, 0, "indirect", threshold, WIDE, k_a_bound=1.0,
+                          plan=plan, stacks=stacks) == want

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from bksens import robustness
+from bksens import optimize, robustness
 from bksens.benchmarking import BenchmarkSpec, _leave_j_box, benchmark_moments
 from bksens.confounders import ConfounderTarget, construct_confounder
 from bksens.mediation import fit_observed
@@ -229,7 +229,8 @@ def test_rv_ratio_study_runs_no_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rv_ratio_study started a numerical search")
 
-    monkeypatch.setattr(robustness, "direct_optimize", refuse)
+    # robustness looks the search up in optimize when it first runs one
+    monkeypatch.setattr(optimize, "direct_lockstep", refuse)
     monkeypatch.setattr(robustness, "minimize", refuse)
     rows = rv_ratio_study([S4Design(dim_m=3, r2_am=0.3, r2_ym=0.3, n=200)],
                           replications=2, base_seed=3)
