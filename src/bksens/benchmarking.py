@@ -71,6 +71,8 @@ from .mediation import (
     DEFAULT_CI_MULTIPLIER,
     MediationData,
     NaturalSensitivity,
+    _direct_coeffs,
+    _indirect_coeffs,
     _ls_residual_cov,
     _phis,  # noqa: F401  (re-exported)
     _response,
@@ -286,9 +288,10 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs: tuple, kind: str, value):
 @dataclass(frozen=True)
 class _Stacks:
     """What the worst-case searches for one covariate read: the full-sample
-    anchors, each effect's objective (its coefficient stacks) and its two
-    search objectives, flip * estimate and, with a plan, flip * t (else
-    None), plus the per-resample anchors the t objective stacks."""
+    anchors, each effect's objective (its full-sample coefficients and
+    flip) and its two search objectives, flip * estimate and, with a plan,
+    flip * t (else None), plus the per-resample anchors the t objective
+    stacks."""
 
     bm: BenchmarkMoments
     anchors: BenchmarkMoments | None
@@ -389,8 +392,8 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
                 getattr(anchors, name)[i] = getattr(exact, name)
         anchors = _anchors(anchors)
     full_anchors = _anchors(bm)
-    objectives = {"direct": EffectObjective.for_direct(mm, plan),
-                  "indirect": EffectObjective.for_indirect(mm, plan)}
+    objectives = {"direct": EffectObjective.for_direct(mm, None),
+                  "indirect": EffectObjective.for_indirect(mm, None)}
     estimates, t_stats = {}, None if plan is None else {}
     # the t rows: row 0 the full sample, rows 1.. the resamples
     rows = None if plan is None else replace(full_anchors, **{
@@ -400,13 +403,23 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
         estimates[kind] = _leave_j_kernel(full_anchors, obj.full, kind,
                                           lambda est, flip=obj.flip: flip * est[:, 0])
         if plan is not None:
+            # the leave-j conversion differs per resample, so the t kernel
+            # takes its SE as an SD over the resamples' own coefficient rows
+            boot = (_direct_coeffs if kind == "direct" else _indirect_coeffs)(plan.moments)
             coeffs = tuple(None if f is None else np.concatenate([f, b], axis=-1)
-                           for f, b in zip(obj.full, obj.boot))
+                           for f, b in zip(obj.full, boot))
             t_stats[kind] = _leave_j_kernel(
                 rows, coeffs, kind, lambda est, flip=obj.flip:
                 flip * est[:, 0] / est[:, 1:].std(axis=-1, ddof=1))
     return _Stacks(bm=bm, anchors=anchors,
                    objectives=objectives, estimates=estimates, t_stats=t_stats)
+
+
+def _observed_t(stacks: _Stacks, effect_kind: str) -> float:
+    """flip * the t with no confounding, from the t objective the searches
+    minimize, so that no worst t lies above it."""
+    zero = _as_batch([(0.0, np.zeros(stacks.objectives[effect_kind].q), 0.0)])
+    return float(stacks.t_stats[effect_kind](*zero)[0])
 
 
 def _worst_plan(stacks: _Stacks, spec: BenchmarkSpec, effect_kind: str,
@@ -435,7 +448,7 @@ def _worst_plan(stacks: _Stacks, spec: BenchmarkSpec, effect_kind: str,
         worst_est = worst_case(params_e, obj.flip * val_e, None)
         worst_t = observed_t = None
         if t_found:
-            observed_t = obj.flip * obj.observed_t()
+            observed_t = obj.flip * _observed_t(stacks, effect_kind)
             val_t, params_t = t_found[0]
             est_at_t = obj.flip * float(values_e(*_as_batch([params_t]))[0])
             worst_t = worst_case(params_t, est_at_t, obj.flip * val_t)
@@ -456,7 +469,7 @@ def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
     use_t = threshold > 0
     values = (stacks.t_stats if use_t else stacks.estimates)[effect_kind]
     # flip * the observed t or estimate, as the search values are
-    observed = obj.observed_t() if use_t else obj.flip * obj.observed
+    observed = _observed_t(stacks, effect_kind) if use_t else obj.flip * obj.observed
     if observed <= threshold:
         return [], None, lambda results: (0.0, [(0.0, obj.flip * observed)])
     searches = [

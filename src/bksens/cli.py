@@ -30,6 +30,8 @@ from .mediation import (
     MediationData,
     NaturalSensitivity,
     _direct_coeffs,
+    _effect_cov,
+    _effect_se,
     _effect_values,
     _indirect_coeffs,
     _phis_at,
@@ -162,8 +164,12 @@ def _parse_grid(spec: str, name: str) -> list[float]:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError:
         raise InputError(f"{name} must look like lo:hi:step") from None
-    if step <= 0 or hi < lo:
-        raise InputError(f"{name}: need step > 0 and hi >= lo")
+    # written so that a NaN or an infinity fails it
+    if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
+        raise InputError(f"{name}: need finite lo <= hi and step > 0")
+    # a smaller step repeats points at 10 decimals; checked before listing them
+    if step < 1e-10:
+        raise InputError(f"{name}: step too small for 10-decimal grid points")
     # the last point not past hi, allowing for rounding in (hi - lo) / step
     count = math.floor((hi - lo) / step + 1e-9) + 1
     grid = [round(lo + k * step, 10) for k in range(count)]
@@ -236,11 +242,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 def _effect_report(mm, plan, kind: str, s: NaturalSensitivity) -> EffectReport:
     """The effect at ``s`` and its bootstrap SE, both from the coefficient
-    form of ``mediation``."""
+    form of ``mediation``; the SE is the robustness values' t denominator."""
     coeffs = _direct_coeffs if kind == "direct" else _indirect_coeffs
     phis = _phis_at(kind, s)
     return EffectReport.from_estimate(_effect_values(coeffs(mm[None]), *phis)[0, 0],
-                                      _effect_values(coeffs(plan.moments), *phis)[0].std(ddof=1),
+                                      _effect_se(_effect_cov(coeffs(plan.moments)), *phis)[0],
                                       kind, "product")
 
 
@@ -279,7 +285,6 @@ def cmd_rv(args) -> int:
                                          full_curve=True)
         summaries[kind] = _effect_report(mm, plan, kind, NaturalSensitivity.zeros(data.q))
     curves = {kind: dict(rep.curve) for kind, rep in reports.items()}
-    decimals = max(len(f"{g}".split(".")[-1]) for g in grid)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "rv",
@@ -298,8 +303,8 @@ def cmd_rv(args) -> int:
             "estimate": summaries[kind].estimate,
             "std_err": summaries[kind].std_err,
             "t_stat": summaries[kind].t_stat,
-            "rv_estimate": round(reports[kind].rv_estimate, decimals),
-            "rv_ci": round(reports[kind].rv_ci, decimals),
+            "rv_estimate": reports[kind].rv_estimate,
+            "rv_ci": reports[kind].rv_ci,
             "observed_t": reports[kind].observed_t,
         }
     _write_csv(_sidecar_path(args.out, "rv_curve.csv", "curve"),

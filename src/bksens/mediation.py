@@ -16,7 +16,9 @@ that realizes the stated parameters reproduces them to rounding error.
 The product-method effects are written once, as a coefficient form in the
 phi pairs that ``_phis`` builds from the natural parameters. The public
 effect functions evaluate it on one fit; the robustness values, formal
-benchmarking and the CLI evaluate it in batches.
+benchmarking and the CLI evaluate it in batches. An effect is linear in the
+coefficient rows, so its bootstrap SE at a phi pair is a quadratic form in
+their covariance over the resamples (``_effect_cov``, ``_effect_se``).
 """
 
 from __future__ import annotations
@@ -124,8 +126,9 @@ class NaturalSensitivity:
         object.__setattr__(self, "r_y", float(self.r_y))
         object.__setattr__(self, "r_a", float(self.r_a))
         object.__setattr__(self, "r_m", np.atleast_1d(np.asarray(self.r_m, dtype=float)))
-        if (abs(self.r_y) >= 1.0 or abs(self.r_a) >= 1.0
-                or np.linalg.norm(self.r_m) >= 1.0):
+        # written so that a NaN fails it
+        if not (abs(self.r_y) < 1.0 and abs(self.r_a) < 1.0
+                and np.linalg.norm(self.r_m) < 1.0):
             raise BoundaryR("sensitivity parameters must lie strictly inside the unit balls")
 
     @classmethod
@@ -323,6 +326,24 @@ def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
     if cross is not None:
         vals = vals + np.einsum("ki,ki->k", phi_a, phi_b)[:, None] * cross
     return vals
+
+
+def _effect_cov(coeffs) -> np.ndarray:
+    """The ddof=1 covariance over B resamples of the stacked coefficient
+    rows (s0, w_a, w_b[, cross]): at most (2q+2)^2, whatever B is."""
+    return np.cov(np.vstack([c for c in coeffs if c is not None]))
+
+
+def _effect_se(cov, phi_a, phi_b) -> np.ndarray:
+    """(k,) bootstrap SEs at phi pairs of shapes (k, .): a resample's effect
+    is c.f with f = (1, phi_a, phi_b[, phi_a . phi_b]) in ``_effect_cov``'s
+    rows (the cross term when C has a row more), so its SD over the
+    resamples is sqrt(f'Cf), clipped at zero against rounding."""
+    f = [np.ones((len(phi_a), 1)), phi_a, phi_b]
+    if len(cov) > 1 + phi_a.shape[1] + phi_b.shape[1]:
+        f.append(np.einsum("ki,ki->k", phi_a, phi_b)[:, None])
+    f = np.hstack(f)
+    return np.sqrt(np.maximum((f @ cov * f).sum(axis=1), 0.0))
 
 
 def _check_sensitivity(mm: MediationMoments, s: NaturalSensitivity) -> None:

@@ -7,10 +7,12 @@ form minimizers too (in vector mode, the minimum of one convex 1-D function,
 found by golden-section search), which every search box carries among its
 candidates, so the estimate-only robustness value needs no search and loads
 no scipy. Minimizing the t statistic over the ranges is a
-small box-constrained global optimization. The bootstrap standard error is
-recomputed per candidate from per-resample moments on common random numbers,
-so one objective evaluation costs a few vector operations per resample and
-no new regressions.
+small box-constrained global optimization. At a phi pair every resample's
+effect is its coefficient row times one vector f, so the bootstrap standard
+error is sqrt(f'Cf) with C the covariance of the coefficient rows over the
+resamples (``mediation._effect_se``): C is formed once per objective, and a
+t evaluation costs a few small matrix products per candidate, whatever the
+number of resamples.
 
 The form is ``mediation``'s. Its coefficients are read from the plan's
 stacked moments with one column per resample (the full sample is
@@ -56,6 +58,8 @@ from .mediation import (
     DEFAULT_CI_MULTIPLIER,
     MediationMoments,
     _direct_coeffs,
+    _effect_cov,
+    _effect_se,
     _effect_values,
     _indirect_coeffs,
 )
@@ -148,41 +152,38 @@ class EffectObjective:
     """Worst-case t (or estimate) evaluator for one effect on one plan.
 
     ``phis`` arguments are (k, .) candidate batches; estimates come from the
-    full-sample coefficients and standard errors from the per-resample ones.
+    full-sample coefficients and standard errors from the covariance of the
+    per-resample ones (``mediation._effect_se``).
     """
 
     kind: str                      # "direct" | "indirect"
     q: int
     flip: float
     full: tuple
-    boot: tuple | None
+    cov: np.ndarray | None
 
     @classmethod
     def for_direct(cls, mm: MediationMoments, plan: BootstrapPlan | None):
         flip = -1.0 if mm.theta1_obs < 0 else 1.0
+        cov = None if plan is None else _effect_cov(_direct_coeffs(plan.moments))
         return cls(kind="direct", q=mm.q, flip=flip, full=_direct_coeffs(mm[None]),
-                   boot=None if plan is None else _direct_coeffs(plan.moments))
+                   cov=cov)
 
     @classmethod
     def for_indirect(cls, mm: MediationMoments, plan: BootstrapPlan | None):
         full = _indirect_coeffs(mm[None])
         flip = -1.0 if full[0][0] < 0 else 1.0   # s0 is observed_indirect(mm)
-        return cls(kind="indirect", q=mm.q, flip=flip, full=full,
-                   boot=None if plan is None else _indirect_coeffs(plan.moments))
+        cov = None if plan is None else _effect_cov(_indirect_coeffs(plan.moments))
+        return cls(kind="indirect", q=mm.q, flip=flip, full=full, cov=cov)
 
     def point_estimates(self, phi_a, phi_b) -> np.ndarray:
         return _effect_values(self.full, phi_a, phi_b)[:, 0]
 
-    def boot_matrix(self, phi_a, phi_b) -> np.ndarray:
-        """(k, B) estimates across resamples."""
-        return _effect_values(self.boot, phi_a, phi_b)
-
     def t_values(self, phi_a, phi_b) -> np.ndarray:
-        if self.boot is None:
+        if self.cov is None:
             raise DimensionMismatch("t statistics need a bootstrap plan")
         est = self.point_estimates(phi_a, phi_b)
-        se = self.boot_matrix(phi_a, phi_b).std(axis=1, ddof=1)
-        return self.flip * est / se
+        return self.flip * est / _effect_se(self.cov, phi_a, phi_b)
 
     @property
     def observed(self) -> float:

@@ -22,7 +22,9 @@ from bksens.inference import bootstrap_moments
 from bksens.linalg import r_matrix
 from bksens.mediation import (
     MediationData,
+    _direct_coeffs,
     _effect_values,
+    _indirect_coeffs,
     _phis,
     direct_adjusted,
     fit_observed,
@@ -31,6 +33,11 @@ from bksens.mediation import (
 
 from _leave_j_reference import reference_convert_leave_j
 from conftest import make_data
+
+
+def _boot_coeffs(kind, plan):
+    """Every resample's coefficient stacks, as the t kernel reads them."""
+    return (_direct_coeffs if kind == "direct" else _indirect_coeffs)(plan.moments)
 
 
 def _partial_corr_oracle(target, probe, controls):
@@ -132,6 +139,18 @@ def test_zero_caps_return_observed(rng):
     res = benchmark_worst(data, spec, plan=plan, effect_kind="direct")
     assert res.worst_estimate.value == pytest.approx(mm.theta1_obs, abs=1e-12)
     assert res.worst_t.t_stat == pytest.approx(res.observed_t, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["direct", "indirect"])
+def test_zero_caps_worst_t_is_the_observed_t_exactly(kind):
+    # the observed t comes from the t objective the searches minimize, so
+    # over a box that holds only zero the worst t is that t to the last bit
+    spec = BenchmarkSpec(j=0, k_a_bound=0.0, k_m_bound=0.0, k_y_bound=0.0)
+    for seed in range(8):
+        data = make_data(np.random.default_rng(9800 + seed), n=100, p=2, q=2)
+        plan = bootstrap_moments(data, n_resamples=50, seed=seed)
+        res = benchmark_worst(data, spec, plan=plan, effect_kind=kind)
+        assert res.worst_t.t_stat == res.observed_t
 
 
 def test_worst_estimate_matches_leave_j_grid(rng):
@@ -394,7 +413,7 @@ def test_mediator_ball_alone_can_make_a_candidate_infeasible():
     r_m = np.array([[0.6, 0.0], [0.3, 0.0]])
     for kind, obj in stacks.objectives.items():
         coeffs = tuple(None if f is None else np.concatenate([f, b], axis=-1)
-                       for f, b in zip(obj.full, obj.boot))
+                       for f, b in zip(obj.full, _boot_coeffs(kind, plan)))
         kernels = [benchmarking._leave_j_kernel(anchors(1), obj.full, kind,
                                                 lambda est: est[:, 0]),
                    benchmarking._leave_j_kernel(anchors(21), coeffs, kind, t_value)]
@@ -429,8 +448,9 @@ def test_t_kernel_matches_conversion_chain(q, p, kind, seed):
         est = obj.flip * obj.point_estimates(*_phis(kind, *(x[:, 0] for x in nat)))
         # each resample's effect at its own phi pair, one column at a time
         phi_a, phi_b = _phis(kind, *nat_b)
+        boot_coeffs = _boot_coeffs(kind, plan)
         boot = np.column_stack([
-            _effect_values(tuple(None if f is None else f[..., [b]] for f in obj.boot),
+            _effect_values(tuple(None if f is None else f[..., [b]] for f in boot_coeffs),
                            phi_a[:, b], phi_b[:, b])[:, 0]
             for b in range(phi_a.shape[1])])
         sd = boot.std(axis=1, ddof=1)

@@ -334,6 +334,14 @@ def _run_cli(args):
     ("simulate", ["--r2-am", "1.5"]),
     ("benchmark", ["--delta-grid", "0.5:2:0.5"]),
     ("benchmark", ["--j", "nope"]),
+    ("rv", ["--rho-grid", "nan:0.5:0.1"]),
+    ("rv", ["--rho-grid=-inf:0.5:0.1"]),
+    ("rv", ["--rho-grid", "0.1:inf:0.1"]),
+    ("rv", ["--rho-grid", "0.1:0.5:1e-12"]),
+    ("benchmark", ["--j", "c1", "--delta-grid", "0.5:1:inf"]),
+    ("effects", ["--ry", "nan"]),
+    ("effects", ["--rm", "nan,0"]),
+    ("effects", ["--ra", "nan"]),
 ])
 def test_invalid_option_values_exit_2(csv_file, tmp_path, command, flags):
     path, _ = csv_file
@@ -366,6 +374,28 @@ def test_unknown_benchmark_covariate_rejected_before_bootstrap(csv_file, monkeyp
 ])
 def test_grid_ends_at_last_point_not_past_hi(spec, expected):
     assert _parse_grid(spec, "--grid") == expected
+
+
+def test_rv_reports_grid_values_unrounded(csv_file, tmp_path, monkeypatch):
+    # f"{1.5e-05}" has 5 characters after its ".", though the value needs 6
+    # decimals; an RV is a grid value and must reach the report unrounded
+    path, _ = csv_file
+    from bksens import robustness
+
+    def fake(mm, plan, kind, rho_grid, **kwargs):
+        return robustness.RVReport(
+            rv_estimate=1.5e-05, rv_ci=1e-05, curve=[(r, 1.0) for r in rho_grid],
+            confounder_mode="scalar_u", effect_kind=kind, sign_flip=False,
+            observed_t=3.0)
+
+    monkeypatch.setattr(robustness, "robustness_value", fake)
+    out = tmp_path / "rv.json"
+    assert main(["rv", *base_args(path), "--bootstrap", "20",
+                 "--rho-grid", "0.000005:0.00002:0.000005", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    for kind in ("direct", "indirect"):
+        assert payload[kind]["rv_estimate"] == 1.5e-05
+        assert payload[kind]["rv_ci"] == 1e-05
 
 
 def _reject_constant(name):

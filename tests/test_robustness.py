@@ -4,10 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bksens.inference import bootstrap_moments
-from bksens.mediation import MediationData, NaturalSensitivity, direct_adjusted, fit_observed
+from bksens.mediation import (
+    MediationData,
+    NaturalSensitivity,
+    _direct_coeffs,
+    _effect_se,
+    _effect_values,
+    _indirect_coeffs,
+    direct_adjusted,
+    fit_observed,
+)
 from bksens.robustness import (
     DEFAULT_RHO_GRID,
     EffectObjective,
+    _box_for,
+    _build_objective,
     min_t_direct,
     min_t_indirect,
     robustness_value,
@@ -486,3 +497,32 @@ def test_box_minimum_ranks_nan_last():
     val, _ = _minimize_over_box(box, lambda x: np.full(len(x), np.nan), budget=30,
                                 polish=False)
     assert np.isnan(val)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(0, 3), q=st.integers(1, 4),
+       n_resamples=st.integers(2, 300), rho=st.floats(0.0, 0.999),
+       kind=st.sampled_from(["direct", "indirect"]),
+       mode=st.sampled_from(["scalar_u", "vector_u"]))
+def test_effect_se_matches_sd_over_resamples(seed, p, q, n_resamples, rho, kind, mode):
+    # the SE of c.f over the resamples' coefficient rows c is sqrt(f'Cf); the
+    # gap is bounded on the scale of |f|'|C||f|, since a relative bound
+    # fails where the SE cancels
+    rng = np.random.default_rng(seed)
+    data = make_data(rng, n=60, p=p, q=q)
+    plan = bootstrap_moments(data, n_resamples=n_resamples, seed=seed % 1000)
+    obj = _build_objective(fit_observed(data), plan, kind, mode)
+    box = _box_for(obj, mode, rho, randomized=False)
+    phis = box.candidates
+    if box.space.lower:
+        x = rng.uniform(box.space.lower, box.space.upper, size=(50, len(box.space.lower)))
+        phis = tuple(np.concatenate(pair) for pair in zip(phis, box.unpack(x)))
+    coeffs = (_direct_coeffs if kind == "direct" else _indirect_coeffs)(plan.moments)
+    f = [np.ones((len(phis[0]), 1)), *phis]
+    if kind == "indirect":
+        f.append(np.einsum("ki,ki->k", *phis)[:, None])
+    f = np.abs(np.hstack(f))
+    scale = np.sqrt((f @ np.abs(obj.cov) * f).sum(axis=1))
+    got = _effect_se(obj.cov, *phis)
+    want = _effect_values(coeffs, *phis).std(axis=1, ddof=1)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)

@@ -46,7 +46,7 @@ def _objective(kind, q, seed) -> EffectObjective:
     w_b = rng.normal(size=(q, 1))
     cross = None if kind == "direct" else rng.normal(size=1)
     return EffectObjective(kind=kind, q=q, flip=-1.0 if s0[0] < 0 else 1.0,
-                           full=(s0, w_a, w_b, cross), boot=None)
+                           full=(s0, w_a, w_b, cross), cov=None)
 
 
 def _flipped(obj, *phis) -> np.ndarray:
