@@ -9,6 +9,14 @@ Input is a headered CSV with ``.`` decimals and no missing cells; output is
 a versioned JSON report (plus curve/table CSVs), a pure function of the
 input bytes, flags and seed. Exit codes: 0 ok, 2 input error, 3 numerical
 error.
+
+A CLI job runs BLAS on one thread: unless one of ``BLAS_THREAD_VARS`` is
+set, importing this module sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+loads. numpy's OpenBLAS otherwise starts a thread per core whose idle worker
+spins, which costs CPU time and buys no wall time on these problem sizes,
+and its threaded matrix products round differently with the core count.
+Setting any of those variables keeps the user's choice. The library modules
+leave the environment alone.
 """
 
 from __future__ import annotations
@@ -18,10 +26,18 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# read by the BLAS builds numpy ships or links; any of them set means the
+# user chose the thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+if not any(name in os.environ for name in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads its BLAS
+
+import numpy as np  # noqa: E402 - after the thread policy
 
 from .errors import BkSensError
 from .inference import bootstrap_moments
@@ -51,14 +67,17 @@ class NonFiniteOutput(BkSensError):
 
 
 MIN_BOOTSTRAP = 2  # the bootstrap SE needs two resamples
+MAX_GRID_POINTS = 10_000  # --rho-grid runs a search per point; the default has 99
 
 
 def load_csv_columns(path: str) -> dict[str, np.ndarray]:
     """Strict CSV reader: header row, UTF-8, '.' decimals, no missing cells.
 
     Plain files (no quotes, no CR, no blank line, a unique header) are
-    parsed by one ``np.loadtxt`` call; every other file, and any file that
-    ``loadtxt`` rejects or reads with another shape, goes through
+    parsed from their bytes by one ``np.loadtxt`` call, which decodes a line
+    at a time, so the job holds the file once plus its parsed values: about
+    2-3 times the file size. Every other file, and any file that ``loadtxt``
+    rejects or reads with another shape, is decoded and goes through
     ``_strict_columns``, which decides the columns or the error.
     """
     try:
@@ -66,28 +85,34 @@ def load_csv_columns(path: str) -> dict[str, np.ndarray]:
             raw = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8: byte 0x{raw[exc.start]:02x} "
-                         f"at offset {exc.start}") from None
-    return _plain_columns(text) or _strict_columns(path, text)
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")  # validated only: the plain parse decodes by line
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8: byte 0x{raw[exc.start]:02x} "
+                             f"at offset {exc.start}") from None
+    return _plain_columns(raw) or _strict_columns(path, raw.decode("utf-8"))
 
 
-def _plain_columns(text: str) -> dict[str, np.ndarray] | None:
-    """The columns of a file that needs no CSV quoting rules, or None."""
-    if '"' in text or "\r" in text or "\n\n" in text or text.startswith("\n"):
+def _plain_columns(raw: bytes) -> dict[str, np.ndarray] | None:
+    """The columns of a UTF-8 file that needs no CSV quoting rules, or None.
+
+    The checks run on the bytes: none of the bytes of '"', CR or LF occurs
+    inside a UTF-8 multibyte sequence."""
+    if b'"' in raw or b"\r" in raw or b"\n\n" in raw or raw.startswith(b"\n"):
         return None
-    head, _, body = text.partition("\n")
-    header = [h.strip() for h in head.split(",")]
-    if not body or len(set(header)) != len(header):
+    end = raw.find(b"\n")
+    if not 0 <= end < len(raw) - 1:  # no body
+        return None
+    header = [h.strip() for h in raw[:end].decode("utf-8").split(",")]
+    if len(set(header)) != len(header):
         return None
     try:
-        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                            ndmin=2, dtype=float)
+        values = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1,
+                            encoding="utf-8", ndmin=2, dtype=float)
     except ValueError:
         return None
-    rows = body.count("\n") + (not body.endswith("\n"))
+    rows = raw.count(b"\n", end + 1) + (not raw.endswith(b"\n"))
     if values.shape != (rows, len(header)):  # loadtxt skipped no line
         return None
     # one array per column, as the strict reader returns
@@ -170,8 +195,12 @@ def _parse_grid(spec: str, name: str) -> list[float]:
     # a smaller step repeats points at 10 decimals; checked before listing them
     if step < 1e-10:
         raise InputError(f"{name}: step too small for 10-decimal grid points")
-    # the last point not past hi, allowing for rounding in (hi - lo) / step
-    count = math.floor((hi - lo) / step + 1e-9) + 1
+    # the last point not past hi, allowing for rounding in (hi - lo) / step;
+    # counted before any point is listed (an infinite span counts as too many)
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise InputError(f"{name}: more than the limit of {MAX_GRID_POINTS} grid points")
+    count = math.floor(span) + 1
     grid = [round(lo + k * step, 10) for k in range(count)]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError(f"{name}: step too small for 10-decimal grid points")

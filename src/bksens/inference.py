@@ -10,7 +10,10 @@ A resample is its vector of row counts w, and everything the estimators
 read from it is a Schur complement of its joint Gram matrix Z' diag(w) Z,
 where Z = (1, c, a, m, y) is centred and scaled once with full-sample
 statistics. Per fixed-size chunk of resamples, one matrix product gives the
-Grams, ``GramBasis.covariances`` their certified (c, a, m, y) covariances,
+Grams (a chunk keeps its row counts as int32 and forms the product a block
+of ROW_BLOCK rows at a time in reused buffers, so its working set grows
+with n only through those counts), ``GramBasis.covariances`` their
+certified (c, a, m, y) covariances,
 and one ``moments_from_cov`` call (the algebra ``fit_observed`` runs after
 its least squares) the moments of their Schur complements. The plan keeps
 the covariances, from which formal benchmarking takes its resample anchors,
@@ -93,14 +96,29 @@ class GramBasis:
                    center=center, scale=scale, p=data.p_user)
 
     def grams(self, counts: np.ndarray) -> np.ndarray:
-        """(b, d, d) Grams Z' diag(w) Z for the (b, n) row counts."""
-        d = self.z.shape[1]
+        """(b, d, d) Grams Z' diag(w) Z for the (b, n) row counts.
+
+        Per block of ROW_BLOCK rows, the counts are copied into one reused
+        float64 buffer and the column products z_i z_j (i <= j) written into
+        another; the products are Fortran-ordered, since BLAS rounds the
+        small-b product differently for a C-ordered operand."""
+        n, d = self.z.shape
+        b = counts.shape[0]
         iu, ju = np.triu_indices(d)
-        flat = np.zeros((counts.shape[0], iu.size))
-        for r0 in range(0, self.z.shape[0], ROW_BLOCK):
+        rows = min(ROW_BLOCK, n)
+        w = np.empty((b, rows))
+        prod = np.empty((rows, iu.size), order="F")
+        flat = np.zeros((b, iu.size))
+        for r0 in range(0, n, ROW_BLOCK):
             zb = self.z[r0:r0 + ROW_BLOCK]
-            flat += counts[:, r0:r0 + ROW_BLOCK] @ (zb[:, iu] * zb[:, ju])
-        g = np.empty((counts.shape[0], d, d))
+            m = zb.shape[0]
+            w[:, :m] = counts[:, r0:r0 + m]
+            k = 0
+            for i in range(d):  # the products (i, i), ..., (i, d-1), in triu order
+                np.multiply(zb[:, i:i + 1], zb[:, i:], out=prod[:m, k:k + d - i])
+                k += d - i
+            flat += w[:, :m] @ prod[:m]
+        g = np.empty((b, d, d))
         g[:, iu, ju] = flat
         g[:, ju, iu] = flat
         return g
@@ -195,7 +213,7 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
 
     def run_chunk(start: int) -> MediationMoments:
         stop = min(start + CHUNK, n_resamples)
-        counts = np.empty((stop - start, data.n))
+        counts = np.empty((stop - start, data.n), dtype=np.int32)  # holds any count
         for k, i in enumerate(range(start, stop)):
             counts[k] = np.bincount(resample_rng(seed, i).integers(0, data.n, size=data.n),
                                     minlength=data.n)

@@ -307,13 +307,15 @@ def test_malformed_numeric_flags_exit_2(csv_file, capsys):
     assert code == 2
 
 
-def _run_cli(args):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def _run_cli(args, **kwargs):
+    """Run the CLI in a fresh interpreter, as a user would; ``kwargs`` go to
+    ``subprocess.run``."""
     env = dict(os.environ)
     src = str(Path(bksens.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    kwargs.setdefault("timeout", 120)
     return subprocess.run([sys.executable, "-m", "bksens.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -342,6 +344,8 @@ def _run_cli(args):
     ("effects", ["--ry", "nan"]),
     ("effects", ["--rm", "nan,0"]),
     ("effects", ["--ra", "nan"]),
+    ("benchmark", ["--j", "c1", "--delta-grid", "0.5:10000.5:1"]),  # 10,001 points
+    ("rv", ["--rho-grid=-1.7e308:1.7e308:1"]),  # hi - lo overflows to inf
 ])
 def test_invalid_option_values_exit_2(csv_file, tmp_path, command, flags):
     path, _ = csv_file
@@ -371,9 +375,34 @@ def test_unknown_benchmark_covariate_rejected_before_bootstrap(csv_file, monkeyp
     ("0.05:0.6:0.05", [round(0.05 * k, 10) for k in range(1, 13)]),
     ("0.01:0.99:0.01", [round(0.01 * k, 10) for k in range(1, 100)]),
     ("0.3:0.3:0.1", [0.3]),
+    ("1:10000:1", [float(k) for k in range(1, 10_001)]),  # the most points allowed
 ])
 def test_grid_ends_at_last_point_not_past_hi(spec, expected):
     assert _parse_grid(spec, "--grid") == expected
+
+
+# far above what a job needs, far below the floats of a billion-point grid
+ADDRESS_SPACE = 1 << 30
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("rv", ["--rho-grid", "0.1:0.9:1e-10"]),
+    ("benchmark", ["--j", "c1", "--delta-grid", "0.5:1e6:1e-4"]),
+])
+def test_grid_over_the_point_limit_exits_2(csv_file, tmp_path, command, flags):
+    # each step is legal but the grids hold 8e9 and 1e10 points; the child's
+    # capped address space and the timeout make a grid that is listed before
+    # it is counted fail fast instead of exhausting the machine's memory
+    resource = pytest.importorskip("resource")
+    path, _ = csv_file
+    proc = _run_cli(
+        [command, *base_args(path), "--bootstrap", "20", *flags,
+         "--out", str(tmp_path / "r.json")], timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (ADDRESS_SPACE, ADDRESS_SPACE)))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"error: {flags[-2]}: more than the limit of "
+                           f"{cli.MAX_GRID_POINTS} grid points\n")
 
 
 def test_rv_reports_grid_values_unrounded(csv_file, tmp_path, monkeypatch):

@@ -105,7 +105,7 @@ def test_plain_files_take_the_bulk_parse(scratch, n, width):
     text = ",".join(header) + "\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n" for row in values)
     scratch.write_bytes(text.encode("utf-8"))
-    assert _plain_columns(text) is not None
+    assert _plain_columns(text.encode("utf-8")) is not None
     assert _outcome(load_csv_columns, scratch) == \
         _outcome(reference_load_csv_columns, scratch)
     columns = load_csv_columns(scratch)
@@ -124,3 +124,23 @@ def test_cell_over_the_field_limit_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {path}:2: field larger than field limit")
     assert "Traceback" not in proc.stderr
+
+
+def test_plain_parse_peaks_under_three_and_a_half_file_sizes(tmp_path):
+    # the bytes, the parsed values and their columns; no decoded copy of the
+    # file and no text buffer of it (together about 7.5 file sizes)
+    import tracemalloc
+
+    values = np.random.default_rng(5).normal(size=(40_000, 7))
+    path = tmp_path / "study.csv"
+    path.write_bytes(("y,a,m1,m2,c1,c2,c3\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in values.tolist())).encode("utf-8"))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        columns = load_csv_columns(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.column_stack(list(columns.values())), values)
+    assert peak < 3.5 * size, f"peak {peak / size:.2f} file sizes"

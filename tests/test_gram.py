@@ -16,7 +16,8 @@ from bksens.benchmarking import (BenchmarkMoments, _leave_j_anchors, benchmark_m
                                   prepare_benchmark_stacks)
 from bksens.errors import (NegativeEigenvalue, RankDeficient, SingularCovariance,
                            TooManySingularResamples)
-from bksens.inference import GRAM_MARGIN, bootstrap_moments, resample_rng
+from bksens.inference import (GRAM_MARGIN, ROW_BLOCK, GramBasis, bootstrap_moments,
+                              resample_rng)
 from bksens.linalg import add_intercept, r_matrix, schur
 from bksens.mediation import (
     MediationData,
@@ -235,3 +236,26 @@ def test_batched_checks_mark_exactly_the_failing_rows(seed, p, q, kinds):
                     continue
                 err = _rel_err(getattr(got, f.name)[i], getattr(ref, f.name))
                 assert err < 1e-12, f"row {i}, {f.name}: {err:.2e}"
+
+
+@pytest.mark.parametrize("b", [1, 8, 32])
+def test_grams_match_the_per_block_product_bitwise(b):
+    # the reused count and product buffers change no bit of the Grams: the
+    # per-block product of float counts and the fancy-indexed column
+    # products, with a short last block
+    n = 2 * ROW_BLOCK + 123
+    data = make_data(np.random.default_rng(b), n=n, p=3, q=2)
+    basis = GramBasis.of(data)
+    counts = np.stack([np.bincount(resample_rng(7, i).integers(0, n, size=n), minlength=n)
+                       for i in range(b)]).astype(np.int32)
+    d = basis.z.shape[1]
+    iu, ju = np.triu_indices(d)
+    weights = counts.astype(float)
+    flat = np.zeros((b, iu.size))
+    for r0 in range(0, n, ROW_BLOCK):
+        zb = basis.z[r0:r0 + ROW_BLOCK]
+        flat += weights[:, r0:r0 + ROW_BLOCK] @ (zb[:, iu] * zb[:, ju])
+    expected = np.empty((b, d, d))
+    expected[:, iu, ju] = flat
+    expected[:, ju, iu] = flat
+    assert basis.grams(counts).tobytes() == expected.tobytes()

@@ -8,6 +8,10 @@ loads no submodule until one of its names is looked up, and the CLI loads
 use them. ``robustness`` loads ``optimize`` when it runs its first search,
 so a ``simulate`` job, which runs none, never loads it. Only a multi-worker
 bootstrap loads the thread pool. Each check runs in a fresh interpreter, as a CLI job does.
+
+Importing the library changes no environment variable; importing
+``bksens.cli`` sets ``OPENBLAS_NUM_THREADS=1`` when no BLAS thread variable
+is set, so a CLI job runs BLAS on one thread unless the user chose otherwise.
 """
 
 import ast
@@ -20,23 +24,34 @@ import numpy as np
 import pytest
 
 import bksens
+from bksens.cli import BLAS_THREAD_VARS
 
 from conftest import make_data
 from test_cli import base_args, write_csv
 
 
-def _fresh(code: str, package: str = "scipy") -> list[str]:
-    """Run ``code`` in a fresh interpreter; the modules of ``package`` it
-    left loaded."""
+def _run(code: str, thread_vars: dict | None = None):
+    """Run ``code`` in a fresh interpreter; the value of its last output
+    line. With ``thread_vars``, the child's BLAS thread variables are
+    exactly those."""
     env = dict(os.environ)
     src = str(Path(bksens.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    probe = code + ("\nimport sys\nprint(sorted(m for m in sys.modules"
-                    f" if m.split('.')[0] == {package!r}))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+    if thread_vars is not None:
+        for name in BLAS_THREAD_VARS:
+            env.pop(name, None)
+        env.update(thread_vars)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def _fresh(code: str, package: str = "scipy") -> list[str]:
+    """Run ``code`` in a fresh interpreter; the modules of ``package`` it
+    left loaded."""
+    return _run(code + ("\nimport sys\nprint(sorted(m for m in sys.modules"
+                        f" if m.split('.')[0] == {package!r}))"))
 
 
 def _main(argv) -> str:
@@ -132,3 +147,56 @@ def test_effects_job_loads_no_thread_pool(small_csv, tmp_path, package):
     argv = ["effects", *base_args(small_csv), "--bootstrap", "20",
             "--ry", "0.3", "--rm", "0.2,0.2", "--out", str(tmp_path / "r.json")]
     assert _fresh(_main(argv), package) == []
+
+
+# every library module imported, then the CLI; the environment variables
+# each step changed
+ENV_CHANGES = """
+import os, pkgutil
+before = dict(os.environ)
+import bksens
+for info in pkgutil.iter_modules(bksens.__path__):
+    if info.name != "cli":
+        __import__(f"bksens.{info.name}")
+library = dict(os.environ)
+import bksens.cli
+keys = set(before) | set(library) | set(os.environ)
+print([{k: env.get(k) for k in sorted(keys) if env.get(k) != old.get(k)}
+       for old, env in ((before, library), (library, os.environ))])
+"""
+
+
+def test_only_the_cli_sets_a_thread_count():
+    library, cli = _run(ENV_CHANGES, thread_vars={})
+    assert library == {}
+    assert cli == {"OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+def test_cli_keeps_a_thread_count_the_user_set(name):
+    assert _run(ENV_CHANGES, thread_vars={name: "3"}) == [{}, {}]
+
+
+# ``python -m bksens.cli`` on an effects job; the threads of the process
+# after it, counted in /proc
+THREADS_AFTER_JOB = """
+import os, runpy, sys
+sys.argv = ["bksens", *{argv!r}]
+try:
+    runpy.run_module("bksens.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("thread_vars, threads", [
+    ({}, 1),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2"}, 2, marks=pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="OpenBLAS starts one thread per core at most")),
+])
+def test_cli_job_runs_blas_threads(small_csv, tmp_path, thread_vars, threads):
+    argv = ["effects", *base_args(small_csv), "--bootstrap", "20",
+            "--out", str(tmp_path / "r.json")]
+    assert _run(THREADS_AFTER_JOB.format(argv=argv), thread_vars) == threads
