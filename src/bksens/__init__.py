@@ -37,21 +37,7 @@ _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchmarkMoments", "BenchmarkResult", "BenchmarkSpec", "BkSensError",
-    "BootstrapPlan", "ConfounderTarget", "EffectReport", "MediationData",
-    "MediationMoments", "NaturalSensitivity", "OvbMoments", "RVReport",
-    "S4Design", "adjust_scalar_u", "adjust_vector_u", "benchmark_moments",
-    "benchmark_worst", "bootstrap_moments", "bootstrap_se",
-    "construct_confounder", "construct_confounder_blocks", "cov_u_update",
-    "critical_delta", "direct_adjusted", "direct_optimize", "direct_randomized",
-    "direct_sample_classical", "effect_report", "fit_observed",
-    "indirect_adjusted_difference", "indirect_adjusted_product",
-    "indirect_randomized", "indirect_sample_classical", "min_t_direct",
-    "min_t_indirect", "natural_from_benchmark", "observed_indirect", "ols_fit",
-    "ovb_moments", "partial_r2", "r_matrix", "residualize", "robustness_value",
-    "rv_estimate_only", "rv_ratio_study", "simulate_design", "sym_sqrt",
-]
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name: str):

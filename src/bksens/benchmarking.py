@@ -44,10 +44,10 @@ same number of columns advance in lockstep with one objective call per
 search objective per sweep; each search's result is the one it has run
 alone. ``benchmark_worst`` and ``critical_delta`` run one plan;
 ``benchmark_covariate``, which the CLI calls, runs all of one covariate's
-searches together. A critical-delta sweep has a search per grid point, of
-the t statistic or of the estimate as its threshold asks, compares the
-sign-flipped worst value with the threshold and reports its curve in the
-data's sign. A grid point is dropped once a smaller delta's crossing is
+searches together. Each of the three builds its own stacks. A
+critical-delta sweep has a search per grid point, of the t statistic or of
+the estimate as its threshold asks, compares the sign-flipped worst value
+with the threshold and reports its curve in the data's sign. A grid point is dropped once a smaller delta's crossing is
 decided, and a t search is a decision with a stop value at the threshold
 (see ``critical_delta``).
 """
@@ -71,10 +71,8 @@ from .mediation import (
     DEFAULT_CI_MULTIPLIER,
     MediationData,
     NaturalSensitivity,
-    _direct_coeffs,
-    _indirect_coeffs,
+    _coeffs,
     _ls_residual_cov,
-    _phis,  # noqa: F401  (re-exported)
     _response,
     fit_observed,
 )
@@ -239,10 +237,10 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs: tuple, kind: str, value):
     """One effect's batched search objective over k leave-j candidates.
 
     The effect is evaluated on every row of ``anc`` (a leading axis of R)
-    against ``coeffs``, its coefficient form (``mediation._direct_coeffs``
-    or ``_indirect_coeffs``) with a trailing axis of R; ``value`` reduces
-    the (k, R) effects to the (k,) search values, which are ``inf`` where
-    ``_leave_j_chain`` marks a candidate infeasible.
+    against ``coeffs``, its coefficient form (``mediation._coeffs``) with a
+    trailing axis of R; ``value`` reduces the (k, R) effects to the (k,)
+    search values, which are ``inf`` where ``_leave_j_chain`` marks a
+    candidate infeasible.
 
     Each row keeps M'w_a, M'w_b, G = M'M, G r_m_cj and their products with
     r_m_cj, from which a call forms r_m . w_a, r_m . w_b and |r_m|^2 for
@@ -367,9 +365,8 @@ def _k_ratios(bm: BenchmarkMoments, params) -> dict:
 def prepare_benchmark_stacks(data: MediationData, j: int,
                              plan: BootstrapPlan | None) -> _Stacks:
     """The full-sample anchors for covariate ``j``, its anchors on every
-    resample of ``plan`` (if given) and both effects' objectives;
-    reusable across worst-case searches on the same plan (delta sweeps in
-    particular).
+    resample of ``plan`` (if given) and both effects' objectives, which
+    every search of one call reads.
 
     Each resample's residual covariances are Schur complements of its
     certified covariance in ``plan.cov``, all resamples in one batch.
@@ -405,9 +402,8 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
         if plan is not None:
             # the leave-j conversion differs per resample, so the t kernel
             # takes its SE as an SD over the resamples' own coefficient rows
-            boot = (_direct_coeffs if kind == "direct" else _indirect_coeffs)(plan.moments)
             coeffs = tuple(None if f is None else np.concatenate([f, b], axis=-1)
-                           for f, b in zip(obj.full, boot))
+                           for f, b in zip(obj.full, _coeffs(kind, plan.moments)))
             t_stats[kind] = _leave_j_kernel(
                 rows, coeffs, kind, lambda est, flip=obj.flip:
                 flip * est[:, 0] / est[:, 1:].std(axis=-1, ddof=1))
@@ -533,32 +529,26 @@ def _delta_grid(delta_grid) -> list[float]:
 def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
                     plan: BootstrapPlan | None = None,
                     effect_kind: str = "direct",
-                    budget: int = WORST_BUDGET, stacks=None) -> BenchmarkResult:
+                    budget: int = WORST_BUDGET) -> BenchmarkResult:
     """Worst point estimate (and worst t, when a plan is given) under the
-    benchmark caps for one covariate.
-
-    ``stacks`` from ``prepare_benchmark_stacks`` on the same plan skip
-    rebuilding the resample anchors and refitting the full sample.
-    """
+    benchmark caps for one covariate."""
     _check_kind(effect_kind)
-    if stacks is None:
-        stacks = prepare_benchmark_stacks(data, spec.j, plan)
+    stacks = prepare_benchmark_stacks(data, spec.j, plan)
     return _run([_worst_plan(stacks, spec, effect_kind, budget, plan is not None)])[0]
 
 
 def critical_delta(data: MediationData, j: int, effect_kind: str,
                    threshold: float, delta_grid, k_a_bound: float = 0.0,
                    plan: BootstrapPlan | None = None,
-                   budget: int = DELTA_BUDGET, stacks=None):
+                   budget: int = DELTA_BUDGET):
     """Smallest multiplier on the covariate's strength that drags the effect
     past the threshold (0 for the estimate, 1.96 for the CI).
 
     Returns (delta, curve) where curve lists (delta, worst value); delta is
     ``math.inf`` when no grid point attains the threshold. The mediator and
     outcome caps scale with delta; the exposure cap stays at ``k_a_bound``.
-    ``stacks`` from ``prepare_benchmark_stacks`` (on ``plan``, for a t-based
-    threshold) are reused, the full-sample fit included; without them the
-    full sample is fitted once per sweep.
+    The stacks are built once per sweep, the resamples' anchors only for a
+    t-based threshold.
 
     The grid points' searches run together, and a grid point is dropped
     once a smaller delta's crossing is decided, so each point of the curve
@@ -577,8 +567,7 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     use_t = threshold > 0
     if use_t and plan is None:
         raise ValueError("a bootstrap plan is required for a t-based threshold")
-    if stacks is None:
-        stacks = prepare_benchmark_stacks(data, j, plan if use_t else None)
+    stacks = prepare_benchmark_stacks(data, j, plan if use_t else None)
     return _run([_delta_plan(stacks, j, effect_kind, threshold, grid, k_a_bound,
                              budget)])[0]
 

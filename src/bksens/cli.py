@@ -32,8 +32,7 @@ from pathlib import Path
 
 # read by the BLAS builds numpy ships or links; any of them set means the
 # user chose the thread count
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if not any(name in os.environ for name in BLAS_THREAD_VARS):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads its BLAS
 
@@ -45,11 +44,10 @@ from .mediation import (
     EffectReport,
     MediationData,
     NaturalSensitivity,
-    _direct_coeffs,
+    _coeffs,
     _effect_cov,
     _effect_se,
     _effect_values,
-    _indirect_coeffs,
     _phis_at,
     fit_observed,
     observed_indirect,
@@ -272,10 +270,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _effect_report(mm, plan, kind: str, s: NaturalSensitivity) -> EffectReport:
     """The effect at ``s`` and its bootstrap SE, both from the coefficient
     form of ``mediation``; the SE is the robustness values' t denominator."""
-    coeffs = _direct_coeffs if kind == "direct" else _indirect_coeffs
     phis = _phis_at(kind, s)
-    return EffectReport.from_estimate(_effect_values(coeffs(mm[None]), *phis)[0, 0],
-                                      _effect_se(_effect_cov(coeffs(plan.moments)), *phis)[0],
+    return EffectReport.from_estimate(_effect_values(_coeffs(kind, mm[None]), *phis)[0, 0],
+                                      _effect_se(_effect_cov(_coeffs(kind, plan.moments)),
+                                                 *phis)[0],
                                       kind, "product")
 
 

@@ -318,6 +318,11 @@ def _indirect_coeffs(m: MediationMoments) -> tuple:
             np.sqrt(m.var_y_res_amc / m.var_a_res_c))
 
 
+def _coeffs(kind: str, m: MediationMoments) -> tuple:
+    """``kind``'s coefficient form: ``_direct_coeffs`` or ``_indirect_coeffs``."""
+    return (_direct_coeffs if kind == "direct" else _indirect_coeffs)(m)
+
+
 def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
     """(k, B) effects against B resamples' coefficients, at phi pairs of
     shapes (k, .), one pair for every resample."""
@@ -363,8 +368,7 @@ def _adjusted(kind: str, mm: MediationMoments, s: NaturalSensitivity) -> float:
     _check_sensitivity(mm, s)
     if kind == "direct":
         _observed_r2(mm)
-    coeffs = (_direct_coeffs if kind == "direct" else _indirect_coeffs)(mm[None])
-    return float(_effect_values(coeffs, *_phis_at(kind, s))[0, 0])
+    return float(_effect_values(_coeffs(kind, mm[None]), *_phis_at(kind, s))[0, 0])
 
 
 def observed_indirect(mm: MediationMoments) -> float:

@@ -20,16 +20,13 @@ Searches run in lockstep. ``direct_lockstep`` advances S searches over boxes
 of one dimension together: the searches share the pile's rows, each row is
 entered into its own search's groups (so groups are keyed by (search, level
 sum)), the hull test runs per search on (S, G) arrays padded on the left,
-and budget, stop and best point are kept per search. A pass sweeps every live search once, with one objective call for
-all their new points, so the fixed cost of a sweep is paid once per pass;
-each search visits exactly the points, in the same order, that it visits
-run alone. ``direct_optimize`` is the call with S = 1.
-
-``direct_optimize``'s objective may be flagged as vectorized, in which case
-it is called with an (k, d) array of points and must return (k,) values; new
-points from one sweep are evaluated in a single call. An unflagged objective
-is called once per point, on the same points in the same order, so a
-row-wise objective gives the same search either way.
+and budget, stop and best point are kept per search. A pass sweeps every
+live search once, with one objective call for all their new points, so the
+fixed cost of a sweep is paid once per pass; each search visits exactly the
+points, in the same order, that it visits run alone. ``direct_optimize`` is
+the call with S = 1: its objective takes a (k, d) array of points and
+returns (k,) values, the centre first and then one sweep's new points per
+call.
 """
 
 from __future__ import annotations
@@ -323,10 +320,9 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
 
 
 def direct_optimize(objective, lower, upper, budget: int = 2000,
-                    vectorized: bool = False,
                     stop: float | None = None) -> OptimizeResult:
-    """Minimize ``objective`` over the box [lower, upper] with at most
-    ``budget`` evaluations.
+    """Minimize ``objective``, which maps (k, d) points to (k,) values, over
+    the box [lower, upper] with at most ``budget`` evaluations.
 
     Returns the best point found; deterministic for fixed inputs. NaN values
     rank as +inf. Requires budget >= 2*d + 1 (the initial center plus one
@@ -342,8 +338,6 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
 
     def evaluate(batches) -> list:
         (_, points), = batches
-        if vectorized:
-            return [np.asarray(objective(points), dtype=float).reshape(-1)]
-        return [np.array([float(objective(p)) for p in points])]
+        return [np.asarray(objective(points), dtype=float).reshape(-1)]
 
     return direct_lockstep(evaluate, lower[None], upper[None], [budget], [stop])[0]

@@ -25,12 +25,13 @@ One minimizer, ``_minimize_over_boxes``, runs every search that remains:
 the t searches and formal benchmarking's. A search (``_Search``) has a
 ``_SearchBox``: a ``_Box``, the map from the box's points to the value
 function's arguments (phi pairs here, leave-one-out triples in
-benchmarking) and one batch of candidates, zero first and no row twice,
-evaluated with the optimizer's optimum. A box that bounds no confounding has
-no columns and zero as its only candidate. The minimizer takes any number
-of searches, and those whose boxes have the same number of columns advance
-in lockstep (``optimize.direct_lockstep``); ``_minimize_over_box`` is its
-one-search call, which the robustness values make once per rho. The
+benchmarking) and one batch of candidates, zero first, evaluated with the
+optimizer's optimum; the box builders list each row once. A box that bounds
+no confounding has no columns and zero as its only candidate. The minimizer
+takes any number of searches, and those whose boxes have the same number of
+columns advance in lockstep (``optimize.direct_lockstep``). The robustness
+values call it with one search per rho, whose candidates end with warm
+seeds: the previous rho's argmin and any ``seed_curve`` point. The
 optimizer is imported on the first search, so ``rv_estimate_only`` and the
 ``simulate`` study never load it. The Nelder-Mead polish calls
 ``minimize``, which imports scipy on its first call; no other code here
@@ -48,7 +49,7 @@ q = 1, otherwise a radius and q-1 angles) and spheres (angles alone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,7 +211,7 @@ class EffectObjective:
 class _SearchBox:
     space: _Box
     unpack: callable              # X (k, dims) -> the value function's arguments
-    candidates: tuple             # one argument batch, zero first, no row twice
+    candidates: tuple             # one argument batch, zero first
 
 
 def _distinct(rows) -> tuple:
@@ -345,14 +346,12 @@ def minimize(fun, x0, **kwargs):
 @dataclass(frozen=True)
 class _Search:
     """One minimization: a box, the batched value function its points go to,
-    DIRECT's budget, an optional stop value and warm seeds (argument batches
-    evaluated beside the box's candidates)."""
+    DIRECT's budget and an optional stop value."""
 
     box: _SearchBox
     value_fn: callable
     budget: int
     stop: float | None = None
-    seeds: tuple = ()
 
 
 def _evaluate(pairs) -> list:
@@ -383,23 +382,22 @@ def _first_min(args, vals):
 
 
 def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
-    """Minimum of each search's batched value function over its box, its
-    candidates and its seeds; returns (value, the winner's arguments with a
-    batch axis of length 1) per search, None for one ``drop`` abandoned.
+    """Minimum of each search's batched value function over its box and its
+    candidates; returns (value, the winner's arguments with a batch axis of
+    length 1) per search, None for one ``drop`` abandoned.
 
-    Every search's candidates and seeds are evaluated first. A search with
-    a ``stop`` value whose best of them is at or below it returns that best
-    and runs no DIRECT: the search is a decision, and its value is then a
+    Every search's candidates are evaluated first. A search with a ``stop``
+    value whose best of them is at or below it returns that best and runs
+    no DIRECT: the search is a decision, and its value is then a
     witness at or below ``stop``, not the minimum. Otherwise DIRECT searches
     the box when it has columns, ending after its first sweep at or below
     ``stop``. Searches whose boxes have the same number of columns advance
     in lockstep (``optimize.direct_lockstep``): each pass calls every value
     function once, on the new points of all the searches that share it, and
     each search visits the points it visits alone. Each optimum is then
-    optionally polished by Nelder-Mead, one call evaluates the optimum, the
-    candidates and the seeds, and the first minimum wins; a NaN ranks as
-    +inf, behind a real +inf, so it is returned only when every value is
-    NaN.
+    optionally polished by Nelder-Mead, one call evaluates the optimum and
+    the candidates, and the first minimum wins; a NaN ranks as +inf, behind
+    a real +inf, so it is returned only when every value is NaN.
 
     ``drop(bounds)``, if given, is called before each pass with every
     search's best value so far, which its result can only undercut (+inf
@@ -409,10 +407,9 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
 
     # a value can move in its last bit with the rows evaluated beside it, so
     # every value returned or compared with a stop comes from a call on the
-    # search's own batch: candidates and seeds, then optimum, candidates
-    # and seeds, as a search run alone evaluates them
-    given = [tuple(np.concatenate(col) for col in zip(s.box.candidates, *s.seeds))
-             for s in searches]
+    # search's own batch: candidates, then optimum and candidates, as a
+    # search run alone evaluates them
+    given = [s.box.candidates for s in searches]
     given_vals = [np.asarray(s.value_fn(*args)) for s, args in zip(searches, given)]
     bounds = np.array([np.min(np.where(np.isnan(v), np.inf, v)) for v in given_vals])
     optima = [None] * len(searches)
@@ -475,13 +472,6 @@ def _polish(search: _Search, res):
     return np.clip(pol.x, lower, upper) if pol.fun < res.fun else res.x
 
 
-def _minimize_over_box(box: _SearchBox, value_fn, budget: int, polish: bool,
-                       seeds=(), stop: float | None = None):
-    """``_minimize_over_boxes`` for one search."""
-    return _minimize_over_boxes([_Search(box, value_fn, budget, stop, tuple(seeds))],
-                                polish)[0]
-
-
 def _check_kind(effect_kind: str) -> None:
     if effect_kind not in ("direct", "indirect"):
         raise ValueError(f"unknown effect_kind {effect_kind!r}")
@@ -524,7 +514,7 @@ def _rho_grid(rho_grid) -> list[float]:
 def _min_t(mm, plan, effect_kind, rho, confounder_mode, randomized, budget) -> float:
     obj = _build_objective(mm, plan, effect_kind, confounder_mode)
     box = _box_for(obj, confounder_mode, rho, randomized)
-    return _minimize_over_box(box, obj.t_values, budget, polish=True)[0]
+    return _minimize_over_boxes([_Search(box, obj.t_values, budget)], polish=True)[0][0]
 
 
 def min_t_direct(mm: MediationMoments, plan: BootstrapPlan, rho: float,
@@ -567,10 +557,11 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
     (t hits ``DEFAULT_CI_MULTIPLIER``), by grid search over the strength
     bound.
 
-    The curve is swept in increasing rho with the previous argmin reused as a
-    candidate, which makes the reported curve exactly non-increasing. The
-    sweep stops once both robustness values are resolved unless
-    ``full_curve`` is set. A robustness value of 1.0 means the grid never
+    The curve is swept in increasing rho. Each box's candidates end with
+    the previous argmin, which makes the reported curve exactly
+    non-increasing, and then with the ``seed_curve`` point at rho if given
+    (a {rho: phi pair} map). The sweep stops once both robustness values
+    are resolved unless ``full_curve`` is set. A robustness value of 1.0 means the grid never
     brought the worst t below the threshold. Every box's candidates hold the
     estimate's exact minimizers, and t has the estimate's sign, so the
     estimate's robustness value equals ``rv_estimate_only``'s.
@@ -581,22 +572,23 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
 
     curve = []
     argmins = {}
-    seeds = []
+    warm = []
     rv_estimate = 0.0 if t_obs <= 0.0 else None
     rv_ci = 0.0 if t_obs <= DEFAULT_CI_MULTIPLIER else None
     last = t_obs
     for rho in grid:
         if rv_estimate is not None and rv_ci is not None and not full_curve:
             break
-        extra = []
-        if seed_curve is not None and rho in seed_curve:
-            extra.append(tuple(np.atleast_2d(phi) for phi in seed_curve[rho]))
         box = _box_for(obj, confounder_mode, rho, randomized)
-        val, phi = _minimize_over_box(box, obj.t_values, budget, polish=True,
-                                      seeds=seeds + extra)
+        given = [box.candidates, *warm]
+        if seed_curve is not None and rho in seed_curve:
+            given.append(tuple(np.atleast_2d(phi) for phi in seed_curve[rho]))
+        box = replace(box, candidates=tuple(np.concatenate(col) for col in zip(*given)))
+        val, phi = _minimize_over_boxes([_Search(box, obj.t_values, budget)],
+                                        polish=True)[0]
         val = min(val, last)
         last = val
-        seeds = [phi]
+        warm = [phi]
         argmins[rho] = phi
         curve.append((rho, val))
         if rv_ci is None and val <= DEFAULT_CI_MULTIPLIER:

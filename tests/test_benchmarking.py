@@ -353,9 +353,8 @@ def test_critical_delta_is_mirror_symmetric(kind):
     for sign in (1.0, -1.0):
         data = _mirror_study(sign)
         plan = bootstrap_moments(data, n_resamples=60, seed=1)
-        stacks = prepare_benchmark_stacks(data, 0, plan)
         sweeps.append([critical_delta(data, 0, kind, threshold, grid, k_a_bound=1.0,
-                                      plan=plan, stacks=stacks)
+                                      plan=plan)
                        for threshold in (0.0, 1.96)])
     for (d_pos, curve_pos), (d_neg, curve_neg) in zip(*sweeps):
         assert d_pos == d_neg
@@ -475,7 +474,7 @@ def test_critical_delta_stop_keeps_every_crossing(kind, monkeypatch):
 
     def sweeps():
         return [critical_delta(data, 0, kind, threshold, grid, k_a_bound=1.0,
-                               plan=plan, stacks=stacks)
+                               plan=plan)
                 for threshold in (1.0, 1.96, 3.0)]
 
     stopped = sweeps()

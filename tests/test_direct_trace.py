@@ -44,31 +44,29 @@ def _objective(kind, d, rng):
     return f
 
 
-def _recorded(search, f, d, budget, vectorized):
+def _recorded(search, f, d, budget, **kwargs):
     points = []
 
     def batched(x):
         points.extend(x.copy())
         return f(x)
 
-    def scalar(x):
-        points.append(x.copy())
-        return float(f(x[None, :])[0])
-
-    res = search(batched if vectorized else scalar, [-1.0] * d, [2.0] * d,
-                 budget=budget, vectorized=vectorized)
+    res = search(batched, [-1.0] * d, [2.0] * d, budget=budget, **kwargs)
     return res, np.array(points)
+
+
+def _reference(f, d, budget):
+    return _recorded(reference_direct, f, d, budget, vectorized=True)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(d=st.sampled_from(range(1, 9)), extra=st.integers(0, 1500),
-       kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1),
-       vectorized=st.booleans())
-def test_search_matches_reference_trace(d, extra, kind, seed, vectorized):
+       kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_search_matches_reference_trace(d, extra, kind, seed):
     budget = min(2 * d + 1 + extra, 1500)
     f = _objective(kind, d, np.random.default_rng(seed))
-    res, points = _recorded(direct_optimize, f, d, budget, vectorized)
-    ref, ref_points = _recorded(reference_direct, f, d, budget, vectorized)
+    res, points = _recorded(direct_optimize, f, d, budget)
+    ref, ref_points = _reference(f, d, budget)
     assert np.array_equal(points, ref_points)
     assert np.array_equal(res.x, ref.x)
     assert res.fun == ref.fun
@@ -78,16 +76,16 @@ def test_search_matches_reference_trace(d, extra, kind, seed, vectorized):
 def test_nan_centre_does_not_freeze_search():
     # the centre of the unit square is NaN; the search must still descend
     def f(x):
-        return np.nan if np.all(x == 0.5) else float(np.sum((x - 0.3) ** 2))
+        return np.where((x == 0.5).all(axis=1), np.nan, np.sum((x - 0.3) ** 2, axis=1))
 
     res = direct_optimize(f, [0.0, 0.0], [1.0, 1.0], budget=300)
     assert np.isfinite(res.fun) and res.fun < 1e-3
     assert np.max(np.abs(res.x - 0.3)) < 0.03
-    assert res.fun == f(res.x)
+    assert res.fun == f(res.x[None, :])[0]
 
 
 def test_all_nan_objective_reports_inf():
-    res = direct_optimize(lambda x: np.nan, [0.0], [1.0], budget=30)
+    res = direct_optimize(lambda x: np.full(len(x), np.nan), [0.0], [1.0], budget=30)
     assert res.fun == np.inf
     assert res.x[0] == 0.5
 
@@ -144,34 +142,26 @@ def test_hull_random_minima_match_reference(fmins):
 
 
 def _sweeps(f, d, budget, stop=None):
-    """The batches a vectorized search evaluates (the centre first), and its
-    result."""
+    """The batches a search evaluates (the centre first), and its result."""
     batches = []
 
     def batched(x):
         batches.append(x.copy())
         return f(x)
 
-    res = direct_optimize(batched, [-1.0] * d, [2.0] * d, budget=budget,
-                          vectorized=True, stop=stop)
+    res = direct_optimize(batched, [-1.0] * d, [2.0] * d, budget=budget, stop=stop)
     return res, batches
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(d=st.sampled_from(range(1, 7)), extra=st.integers(0, 800),
-       kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1),
-       vectorized=st.booleans())
-def test_unreached_stop_matches_reference_trace(d, extra, kind, seed, vectorized):
+       kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+def test_unreached_stop_matches_reference_trace(d, extra, kind, seed):
     budget = 2 * d + 1 + extra
     f = _objective(kind, d, np.random.default_rng(seed))
-    ref, ref_points = _recorded(reference_direct, f, d, budget, vectorized)
+    ref, ref_points = _reference(f, d, budget)
     stop = np.nextafter(ref.fun, -np.inf)  # below every value the search sees
-
-    def stopped(objective, lower, upper, budget, vectorized):
-        return direct_optimize(objective, lower, upper, budget=budget,
-                               vectorized=vectorized, stop=stop)
-
-    res, points = _recorded(stopped, f, d, budget, vectorized)
+    res, points = _recorded(direct_optimize, f, d, budget, stop=stop)
     assert np.array_equal(points, ref_points)
     assert np.array_equal(res.x, ref.x)
     assert res.fun == ref.fun

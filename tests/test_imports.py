@@ -38,7 +38,7 @@ def _run(code: str, thread_vars: dict | None = None):
     src = str(Path(bksens.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     if thread_vars is not None:
-        for name in BLAS_THREAD_VARS:
+        for name in (*BLAS_THREAD_VARS, "MKL_NUM_THREADS"):
             env.pop(name, None)
         env.update(thread_vars)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -195,6 +195,9 @@ print(len(os.listdir("/proc/self/task")))
     ({}, 1),
     pytest.param({"OPENBLAS_NUM_THREADS": "2"}, 2, marks=pytest.mark.skipif(
         (os.cpu_count() or 1) < 2, reason="OpenBLAS starts one thread per core at most")),
+    # numpy's OpenBLAS ignores MKL_NUM_THREADS, so the CLI still sets its count
+    pytest.param({"MKL_NUM_THREADS": "1"}, 1, marks=pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="one core runs one thread either way")),
 ])
 def test_cli_job_runs_blas_threads(small_csv, tmp_path, thread_vars, threads):
     argv = ["effects", *base_args(small_csv), "--bootstrap", "20",

@@ -25,7 +25,7 @@ from bksens.benchmarking import (
 from bksens.inference import bootstrap_moments
 from bksens.mediation import MediationData
 from bksens.optimize import direct_lockstep, direct_optimize
-from bksens.robustness import _minimize_over_box
+from bksens.robustness import _minimize_over_boxes, _Search
 
 from test_direct_trace import KINDS, _objective
 
@@ -38,8 +38,7 @@ def _alone(f, lower, upper, budget, stop):
         points.extend(x.copy())
         return f(x)
 
-    res = direct_optimize(batched, lower, upper, budget=budget, vectorized=True,
-                          stop=stop)
+    res = direct_optimize(batched, lower, upper, budget=budget, stop=stop)
     return res, points
 
 
@@ -113,7 +112,7 @@ def test_lockstep_abandons_only_what_drop_names():
     res = direct_lockstep(objective, [[-1.0, -1.0]] * 3, [[2.0, 2.0]] * 3,
                           [200, 200, 200], [None, None, None],
                           drop=lambda best: np.array([False, True, False]))
-    alone = direct_optimize(f, [-1.0, -1.0], [2.0, 2.0], budget=200, vectorized=True)
+    alone = direct_optimize(f, [-1.0, -1.0], [2.0, 2.0], budget=200)
     assert res[1] is None
     for r in (res[0], res[2]):
         assert np.array_equal(r.x, alone.x)
@@ -145,8 +144,8 @@ def study():
 
 
 def _sweep_alone(stacks, kind, threshold, grid, k_a_bound, budget=1200):
-    """critical_delta as one _minimize_over_box call per grid point, smallest
-    delta first, stopping at the first crossing."""
+    """critical_delta as one _minimize_over_boxes call per grid point, each
+    with one search, smallest delta first, stopping at the first crossing."""
     obj = stacks.objectives[kind]
     use_t = threshold > 0
     values = (stacks.t_stats if use_t else stacks.estimates)[kind]
@@ -154,9 +153,9 @@ def _sweep_alone(stacks, kind, threshold, grid, k_a_bound, budget=1200):
     for delta in grid:
         spec = BenchmarkSpec(j=0, k_a_bound=k_a_bound, k_m_bound=delta,
                              k_y_bound=delta)
-        val, _ = _minimize_over_box(_leave_j_box(stacks.bm, spec, obj.q), values,
-                                    budget, polish=False,
-                                    stop=threshold if use_t else None)
+        (val, _), = _minimize_over_boxes([_Search(
+            _leave_j_box(stacks.bm, spec, obj.q), values, budget,
+            stop=threshold if use_t else None)])
         curve.append((delta, obj.flip * val))
         if val <= threshold:
             return delta, curve
@@ -176,7 +175,7 @@ def test_critical_delta_equals_one_search_per_grid_point(study, kind, threshold)
     grids = {"first": WIDE[at:], "middle": WIDE[at - 2:], "none": WIDE[:at]}
     for where, grid in grids.items():
         got = critical_delta(data, 0, kind, threshold, grid, k_a_bound=1.0,
-                             plan=plan, stacks=stacks)
+                             plan=plan)
         assert got == _sweep_alone(stacks, kind, threshold, grid, 1.0), where
         assert got[0] == (math.inf if where == "none" else crossing)
 
@@ -184,7 +183,7 @@ def test_critical_delta_equals_one_search_per_grid_point(study, kind, threshold)
 def _worst_alone(stacks, spec, kind, budget=1500):
     obj = stacks.objectives[kind]
     box = _leave_j_box(stacks.bm, spec, obj.q)
-    return [_minimize_over_box(box, values[kind], budget, polish=False)
+    return [_minimize_over_boxes([_Search(box, values[kind], budget)])[0]
             for values in (stacks.estimates, stacks.t_stats)]
 
 
@@ -207,8 +206,7 @@ def test_covariate_batch_groups_boxes_by_layout(study, caps):
                                               "r_m": r_m[0].tolist(),
                                               "r_y": float(r_y[0])}
         assert res.worst_t.t_stat == flip * val_t
-        single = benchmark_worst(data, spec, plan=plan, effect_kind=kind,
-                                 stacks=stacks)
+        single = benchmark_worst(data, spec, plan=plan, effect_kind=kind)
         assert single.worst_t.value == res.worst_t.value
         assert single.worst_t.leave_j == res.worst_t.leave_j
         assert sweeps[kind] == tuple(
@@ -223,7 +221,7 @@ def test_grid_point_dropped_too_early_is_searched_when_reached(study, monkeypatc
     # reports sits above it; a grid point dropped then is searched alone
     data, plan, stacks = study
     want = critical_delta(data, 0, "indirect", threshold, WIDE, k_a_bound=1.0,
-                          plan=plan, stacks=stacks)
+                          plan=plan)
     assert len(want[1]) >= 3
     search = benchmarking._minimize_over_boxes
 
@@ -234,4 +232,4 @@ def test_grid_point_dropped_too_early_is_searched_when_reached(study, monkeypatc
 
     monkeypatch.setattr(benchmarking, "_minimize_over_boxes", eager)
     assert critical_delta(data, 0, "indirect", threshold, WIDE, k_a_bound=1.0,
-                          plan=plan, stacks=stacks) == want
+                          plan=plan) == want

@@ -48,8 +48,3 @@ def test_public_names_pinned():
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 def test_effect_function_signatures_pinned(name):
     assert str(inspect.signature(getattr(mediation, name))) == SIGNATURES[name]
-
-
-def test_phi_map_still_importable_from_benchmarking():
-    from bksens.benchmarking import _phis
-    assert _phis is mediation._phis

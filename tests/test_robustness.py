@@ -484,7 +484,7 @@ def test_robustness_values_are_invariant_to_affine_covariates():
 def test_box_minimum_ranks_nan_last():
     # every box point is NaN, so DIRECT's optimum comes first in the final
     # batch as a NaN; the candidate after it must still win
-    from bksens.robustness import _Box, _minimize_over_box, _SearchBox
+    from bksens.robustness import _Box, _minimize_over_boxes, _Search, _SearchBox
 
     box = _SearchBox(_Box().interval(-1.0, 1.0), lambda x: (x[:, 0],),
                      (np.array([0.5]),))
@@ -492,10 +492,9 @@ def test_box_minimum_ranks_nan_last():
         def value_fn(x, v=at_candidate):
             return np.where(x == 0.5, v, np.nan)
 
-        val, (arg,) = _minimize_over_box(box, value_fn, budget=30, polish=False)
+        (val, (arg,)), = _minimize_over_boxes([_Search(box, value_fn, 30)])
         assert val == at_candidate and arg.tolist() == [0.5]
-    val, _ = _minimize_over_box(box, lambda x: np.full(len(x), np.nan), budget=30,
-                                polish=False)
+    (val, _), = _minimize_over_boxes([_Search(box, lambda x: np.full(len(x), np.nan), 30)])
     assert np.isnan(val)
 
 

@@ -21,7 +21,8 @@ from bksens.robustness import (
     BALL_SHRINK,
     EffectObjective,
     _box_for,
-    _minimize_over_box,
+    _minimize_over_boxes,
+    _Search,
     _SearchBox,
 )
 from bksens.simulation import S4Design, rv_ratio_study
@@ -130,9 +131,9 @@ def test_worst_estimate_undercuts_the_search(kind, q, mode, randomized, rho,
                                              seed):
     obj = _objective(kind, q, seed)
     box = _box_for(obj, mode, rho, randomized)
-    searched, _ = _minimize_over_box(_SearchBox(box.space, box.unpack, obj.zero),
-                                     lambda *phis: _flipped(obj, *phis),
-                                     budget=1000, polish=True)
+    (searched, _), = _minimize_over_boxes(
+        [_Search(_SearchBox(box.space, box.unpack, obj.zero),
+                 lambda *phis: _flipped(obj, *phis), 1000)], polish=True)
     worst = _worst(obj, box)
     assert worst <= searched + 1e-12 * (1 + abs(worst))
 
