@@ -33,8 +33,8 @@ and its feasibility tests are ``_leave_j_chain``, shared by the kernel and
 the natural-parameter witnesses (``natural_from_benchmark``); only r_m has
 two forms, projected for the searches and explicit for the witnesses.
 
-The searches run through ``robustness._minimize_over_boxes`` over the
-capped leave-one-out boxes, without the Nelder-Mead polish. The full-sample
+The searches run through ``robustness._run``, the robustness values' sweep
+driver, without the Nelder-Mead polish. The full-sample
 fit and anchors, the per-resample anchors, both effects' coefficient stacks
 and search objectives are built once per covariate by
 ``prepare_benchmark_stacks``. ``_worst_plan`` and ``_delta_plan`` list the
@@ -47,9 +47,9 @@ alone. ``benchmark_worst`` and ``critical_delta`` run one plan;
 searches together. Each of the three builds its own stacks. A
 critical-delta sweep has a search per grid point, of the t statistic or of
 the estimate as its threshold asks, compares the sign-flipped worst value
-with the threshold and reports its curve in the data's sign. A grid point is dropped once a smaller delta's crossing is
-decided, and a t search is a decision with a stop value at the threshold
-(see ``critical_delta``).
+with the threshold and reports its curve in the data's sign. A grid point
+is dropped once a smaller delta's crossing is decided, and a t search is a
+decision with a stop value at the threshold (see ``critical_delta``).
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ from .mediation import (
     _response,
     fit_observed,
 )
-from .robustness import (EffectObjective, _Box, _check_kind, _distinct,
-                         _minimize_over_boxes, _Search, _SearchBox)
+from .robustness import (EffectObjective, _Box, _check_kind, _distinct, _run,
+                         _Search, _SearchBox)
 
 R_CLAMP = 1.0 - 1e-9
 WORST_BUDGET = 1500   # DIRECT evaluations per worst-case search
@@ -459,7 +459,7 @@ def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
     """One critical-delta sweep: a search per grid point, of the t statistic
     with a stop value at a positive ``threshold`` and of the estimate
     otherwise. Returns them, the threshold, and the map from their results
-    to (delta, curve); a sweep whose observed value is already at or below
+    up to the first crossing (``robustness._run``) to (delta, curve); a sweep whose observed value is already at or below
     the threshold has no searches."""
     obj = stacks.objectives[effect_kind]
     use_t = threshold > 0
@@ -475,48 +475,11 @@ def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
         for delta in grid]
 
     def finish(results):
-        curve = []
-        for delta, search, found in zip(grid, searches, results):
-            if found is None:
-                # dropped on a bound at or below the threshold that the
-                # smaller delta's own evaluation put above it, by a last bit
-                found = _minimize_over_boxes([search])[0]
-            curve.append((delta, obj.flip * found[0]))
-            if found[0] <= threshold:
-                return delta, curve
+        curve = [(delta, obj.flip * val) for delta, (val, _) in zip(grid, results)]
+        if results and results[-1][0] <= threshold:
+            return grid[len(results) - 1], curve
         return math.inf, curve
     return searches, threshold, finish
-
-
-def _run(plans) -> list:
-    """Run the searches of ``plans`` (``_worst_plan``, ``_delta_plan``) as
-    one batch and map each plan's results to its outcome.
-
-    A search's value can only undercut its best value so far, so once that
-    is at or below a sweep's threshold the crossing is decided at that grid
-    point or before it, and the sweep's larger deltas are dropped; they
-    would never be read.
-    """
-    searches, sweeps = [], []
-    for plan_searches, threshold, _ in plans:
-        if threshold is not None:
-            sweeps.append((len(searches), len(searches) + len(plan_searches), threshold))
-        searches += plan_searches
-
-    def drop(bounds):
-        mask = np.zeros(len(bounds), dtype=bool)
-        for first, end, threshold in sweeps:
-            crossed = np.flatnonzero(bounds[first:end] <= threshold)
-            if crossed.size:
-                mask[first + crossed[0] + 1:end] = True
-        return mask
-
-    results = _minimize_over_boxes(searches, drop=drop if sweeps else None)
-    outcomes, at = [], 0
-    for plan_searches, _, finish in plans:
-        outcomes.append(finish(results[at:at + len(plan_searches)]))
-        at += len(plan_searches)
-    return outcomes
 
 
 def _delta_grid(delta_grid) -> list[float]:

@@ -347,8 +347,8 @@ def cmd_benchmark(args) -> int:
     from .benchmarking import BenchmarkSpec, benchmark_covariate
 
     for flag, value in (("--ka", args.ka), ("--km", args.km), ("--ky", args.ky)):
-        if not value >= 0.0:
-            raise InputError(f"{flag} must be nonnegative, got {value}")
+        if not 0.0 <= value < math.inf:
+            raise InputError(f"{flag} must be finite and nonnegative, got {value}")
     if args.delta_grid and args.j is None:
         raise InputError("--delta-grid needs --j")
     grid = _parse_grid(args.delta_grid, "--delta-grid") if args.delta_grid else None

@@ -29,13 +29,12 @@ benchmarking) and one batch of candidates, zero first, evaluated with the
 optimizer's optimum; the box builders list each row once. A box that bounds
 no confounding has no columns and zero as its only candidate. The minimizer
 takes any number of searches, and those whose boxes have the same number of
-columns advance in lockstep (``optimize.direct_lockstep``). The robustness
-values call it with one search per rho, whose candidates end with warm
-seeds: the previous rho's argmin and any ``seed_curve`` point. The
-optimizer is imported on the first search, so ``rv_estimate_only`` and the
-``simulate`` study never load it. The Nelder-Mead polish calls
-``minimize``, which imports scipy on its first call; no other code here
-needs scipy.
+columns advance in lockstep (``optimize.direct_lockstep``). The sweep driver
+``_run`` calls it for the robustness values, a search per rho, and for
+formal benchmarking. The optimizer is imported on the first search, so
+``rv_estimate_only`` and the ``simulate`` study never load it. The
+Nelder-Mead polish calls ``minimize``, which imports scipy on its first
+call; no other code here needs scipy.
 The minimum t-statistic functions and both RV drivers share one setup, which
 checks the effect, the confounder mode and the rho grid before any search.
 
@@ -69,6 +68,8 @@ DEFAULT_RHO_GRID = tuple(np.round(np.arange(1, 100) / 100.0, 2))
 DEFAULT_BUDGET = 4000
 BALL_SHRINK = 1.0 - 1e-9
 RV_NOT_ATTAINED = 1.0
+# searches per lockstep, whose piles are live together: 99 rho points run as three
+LOCKSTEP_SEARCHES = 33
 
 
 def _sphere_from_angles(angles: np.ndarray) -> np.ndarray:
@@ -392,9 +393,10 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
     witness at or below ``stop``, not the minimum. Otherwise DIRECT searches
     the box when it has columns, ending after its first sweep at or below
     ``stop``. Searches whose boxes have the same number of columns advance
-    in lockstep (``optimize.direct_lockstep``): each pass calls every value
-    function once, on the new points of all the searches that share it, and
-    each search visits the points it visits alone. Each optimum is then
+    in lockstep (``optimize.direct_lockstep``), LOCKSTEP_SEARCHES at a time:
+    each pass calls every value function once, on the new points of all the
+    searches that share it, and each search visits the points it visits
+    alone. Each optimum is then
     optionally polished by Nelder-Mead, one call evaluates the optimum and
     the candidates, and the first minimum wins; a NaN ranks as +inf, behind
     a real +inf, so it is returned only when every value is NaN.
@@ -418,7 +420,8 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
     for i, s in enumerate(searches):
         if s.box.space.lower and not (s.stop is not None and bounds[i] <= s.stop):
             layouts.setdefault(len(s.box.space.lower), []).append(i)
-    for idx in layouts.values():
+    for idx in [group[at:at + LOCKSTEP_SEARCHES] for group in layouts.values()
+                for at in range(0, len(group), LOCKSTEP_SEARCHES)]:
         group = [searches[i] for i in idx]
 
         def objective(batches, group=group):
@@ -470,6 +473,47 @@ def _polish(search: _Search, res):
                    options={"maxfev": 150 * lower.size, "xatol": 1e-7,
                             "fatol": 1e-12})
     return np.clip(pol.x, lower, upper) if pol.fun < res.fun else res.x
+
+
+def _run(plans, polish: bool = False) -> list:
+    """Run the searches of ``plans``, each (searches, threshold, finish), as
+    one batch and return each plan's ``finish`` of its results.
+
+    A plan with a threshold is a sweep over a grid in increasing order, and
+    ``finish`` takes its results up to the first at or below the threshold.
+    A search's value can only undercut its best value so far, so once that
+    is at or below the threshold the sweep's later points are dropped. A
+    dropped point that is reached anyway (a bound crossed by a last bit that
+    the crossing search's own evaluation undid) is searched alone.
+    """
+    searches, sweeps = [], []
+    for plan_searches, threshold, _ in plans:
+        if threshold is not None:
+            sweeps.append((len(searches), len(searches) + len(plan_searches), threshold))
+        searches += plan_searches
+
+    def drop(bounds):
+        mask = np.zeros(len(bounds), dtype=bool)
+        for first, end, threshold in sweeps:
+            crossed = np.flatnonzero(bounds[first:end] <= threshold)
+            if crossed.size:
+                mask[first + crossed[0] + 1:end] = True
+        return mask
+
+    results = _minimize_over_boxes(searches, polish=polish,
+                                   drop=drop if sweeps else None)
+    outcomes, at = [], 0
+    for plan_searches, threshold, finish in plans:
+        walked = []
+        for search, found in zip(plan_searches, results[at:]):
+            if found is None:
+                found = _minimize_over_boxes([search], polish=polish)[0]
+            walked.append(found)
+            if threshold is not None and found[0] <= threshold:
+                break
+        outcomes.append(finish(walked))
+        at += len(plan_searches)
+    return outcomes
 
 
 def _check_kind(effect_kind: str) -> None:
@@ -557,11 +601,13 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
     (t hits ``DEFAULT_CI_MULTIPLIER``), by grid search over the strength
     bound.
 
-    The curve is swept in increasing rho. Each box's candidates end with
-    the previous argmin, which makes the reported curve exactly
-    non-increasing, and then with the ``seed_curve`` point at rho if given
-    (a {rho: phi pair} map). The sweep stops once both robustness values
-    are resolved unless ``full_curve`` is set. A robustness value of 1.0 means the grid never
+    Every grid point's search runs in one sweep (``_run``), its box
+    candidates ending with the ``seed_curve`` point at rho if given (a {rho:
+    phi pair} map); unless ``full_curve`` is set, the sweep ends where the
+    worst t reaches 0. A point whose search is above the previous point
+    takes that point's value and argmin, which is feasible under any larger
+    bound, so the curve is exactly non-increasing.
+    A robustness value of 1.0 means the grid never
     brought the worst t below the threshold. Every box's candidates hold the
     estimate's exact minimizers, and t has the estimate's sign, so the
     estimate's robustness value equals ``rv_estimate_only``'s.
@@ -570,36 +616,27 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
     obj = _build_objective(mm, plan, effect_kind, confounder_mode)
     t_obs = obj.observed_t()
 
-    curve = []
-    argmins = {}
-    warm = []
-    rv_estimate = 0.0 if t_obs <= 0.0 else None
-    rv_ci = 0.0 if t_obs <= DEFAULT_CI_MULTIPLIER else None
-    last = t_obs
-    for rho in grid:
-        if rv_estimate is not None and rv_ci is not None and not full_curve:
-            break
+    searches = []
+    for rho in grid if full_curve or t_obs > 0.0 else ():
         box = _box_for(obj, confounder_mode, rho, randomized)
-        given = [box.candidates, *warm]
         if seed_curve is not None and rho in seed_curve:
-            given.append(tuple(np.atleast_2d(phi) for phi in seed_curve[rho]))
-        box = replace(box, candidates=tuple(np.concatenate(col) for col in zip(*given)))
-        val, phi = _minimize_over_boxes([_Search(box, obj.t_values, budget)],
-                                        polish=True)[0]
-        val = min(val, last)
-        last = val
-        warm = [phi]
-        argmins[rho] = phi
-        curve.append((rho, val))
-        if rv_ci is None and val <= DEFAULT_CI_MULTIPLIER:
-            rv_ci = rho
-        if rv_estimate is None and val <= 0.0:
-            rv_estimate = rho
-    if rv_estimate is None:
-        rv_estimate = RV_NOT_ATTAINED
-    if rv_ci is None:
-        rv_ci = RV_NOT_ATTAINED
-    return RVReport(rv_estimate=float(rv_estimate), rv_ci=float(rv_ci),
+            seed = (np.atleast_2d(phi) for phi in seed_curve[rho])
+            box = replace(box, candidates=tuple(map(np.concatenate, zip(box.candidates, seed))))
+        searches.append(_Search(box, obj.t_values, budget))
+    found, = _run([(searches, None if full_curve else 0.0, list)], polish=True)
+
+    curve, argmins = [], {}
+    last = (t_obs, obj.zero)
+    for rho, point in zip(grid, found):
+        last = min(point, last, key=lambda pair: pair[0])   # a tie keeps the point
+        curve.append((rho, last[0]))
+        argmins[rho] = last[1]
+
+    def rv(threshold) -> float:
+        return 0.0 if t_obs <= threshold else next(
+            (rho for rho, val in curve if val <= threshold), RV_NOT_ATTAINED)
+
+    return RVReport(rv_estimate=rv(0.0), rv_ci=rv(DEFAULT_CI_MULTIPLIER),
                     curve=curve, confounder_mode=confounder_mode,
                     effect_kind=effect_kind, sign_flip=obj.flip < 0,
                     observed_t=t_obs, argmins=argmins)

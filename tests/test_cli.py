@@ -368,6 +368,23 @@ def test_unknown_benchmark_covariate_rejected_before_bootstrap(csv_file, monkeyp
     assert capsys.readouterr().err == "error: --j 'nope' is not one of the covariates\n"
 
 
+@pytest.mark.parametrize("flag", ["--ka", "--km", "--ky"])
+@pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan"])
+def test_non_finite_benchmark_cap_rejected_before_reading_data(csv_file, monkeypatch,
+                                                               capsys, flag, value):
+    # an infinite cap would run every search and only then fail on the
+    # config echo; 1e308 is a valid cap, clamped like any large one
+    path, _ = csv_file
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"data read before {flag} was checked")
+
+    monkeypatch.setattr(cli, "load_csv_columns", refuse)
+    assert main(["benchmark", *base_args(path), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be finite and nonnegative")
+
+
 @pytest.mark.parametrize("spec, expected", [
     ("0.5:0.99:0.3", [0.5, 0.8]),
     ("0.5:2.1:0.6", [0.5, 1.1, 1.7]),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bksens import benchmarking
+from bksens import robustness
 from bksens.benchmarking import (
     BenchmarkSpec,
     _leave_j_box,
@@ -223,13 +223,13 @@ def test_grid_point_dropped_too_early_is_searched_when_reached(study, monkeypatc
     want = critical_delta(data, 0, "indirect", threshold, WIDE, k_a_bound=1.0,
                           plan=plan)
     assert len(want[1]) >= 3
-    search = benchmarking._minimize_over_boxes
+    search = robustness._minimize_over_boxes
 
     def eager(searches, polish=False, drop=None):
         if drop is not None:   # abandon every grid point but the first
             drop = lambda bounds: np.arange(len(bounds)) > 0  # noqa: E731
         return search(searches, polish, drop)
 
-    monkeypatch.setattr(benchmarking, "_minimize_over_boxes", eager)
+    monkeypatch.setattr(robustness, "_minimize_over_boxes", eager)
     assert critical_delta(data, 0, "indirect", threshold, WIDE, k_a_bound=1.0,
                           plan=plan) == want

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bksens import optimize, robustness
 from bksens.inference import bootstrap_moments
 from bksens.mediation import (
     MediationData,
@@ -525,3 +526,71 @@ def test_effect_se_matches_sd_over_resamples(seed, p, q, n_resamples, rho, kind,
     got = _effect_se(obj.cov, *phis)
     want = _effect_values(coeffs, *phis).std(axis=1, ddof=1)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+SWEEP_GRID = [round(0.05 * k, 2) for k in range(1, 20)]
+
+
+@pytest.mark.parametrize("kind", ["direct", "indirect"])
+@pytest.mark.parametrize("mode", ["scalar_u", "vector_u"])
+def test_rv_curve_is_running_minimum_of_single_searches(setup_q2, kind, mode):
+    # the searches of one sweep run together, and each point is the least of
+    # its own search and every smaller rho's, bit for bit
+    mm, plan = setup_q2
+    grid = SWEEP_GRID[::3]
+    rep = robustness_value(mm, plan, kind, rho_grid=grid, confounder_mode=mode,
+                           budget=300, full_curve=True)
+    min_t = min_t_direct if kind == "direct" else min_t_indirect
+    alone = [min_t(mm, plan, rho, confounder_mode=mode, budget=300) for rho in grid]
+    running = np.minimum.accumulate([rep.observed_t, *alone])[1:]
+    assert [rho for rho, _ in rep.curve] == grid
+    assert [t for _, t in rep.curve] == running.tolist()
+
+
+def test_rv_sweep_stops_at_the_estimate_crossing(setup_q1):
+    mm, plan = setup_q1
+    full = robustness_value(mm, plan, "direct", rho_grid=SWEEP_GRID, budget=300,
+                            full_curve=True)
+    short = robustness_value(mm, plan, "direct", rho_grid=SWEEP_GRID, budget=300)
+    assert (short.rv_estimate, short.rv_ci) == (full.rv_estimate, full.rv_ci)
+    assert 0.0 < short.rv_ci < short.rv_estimate < 1.0
+    assert short.curve == full.curve[:len(short.curve)]
+    assert short.curve[-1][0] == short.rv_estimate
+
+
+def test_rv_point_dropped_too_early_is_searched_when_reached(setup_q1, monkeypatch):
+    # every grid point but the first is abandoned in the sweep, so each one
+    # reached is searched alone, and the report does not change
+    mm, plan = setup_q1
+    want = robustness_value(mm, plan, "direct", rho_grid=SWEEP_GRID, budget=300)
+    assert len(want.curve) >= 3
+    search = robustness._minimize_over_boxes
+
+    def eager(searches, polish=False, drop=None):
+        if drop is not None:
+            drop = lambda bounds: np.arange(len(bounds)) > 0  # noqa: E731
+        return search(searches, polish, drop)
+
+    monkeypatch.setattr(robustness, "_minimize_over_boxes", eager)
+    got = robustness_value(mm, plan, "direct", rho_grid=SWEEP_GRID, budget=300)
+    assert (got.rv_estimate, got.rv_ci, got.curve) == (want.rv_estimate, want.rv_ci,
+                                                       want.curve)
+    assert got.argmins.keys() == want.argmins.keys()
+    for rho, phis in got.argmins.items():
+        assert all(np.array_equal(x, y) for x, y in zip(phis, want.argmins[rho]))
+
+
+@pytest.mark.parametrize("grid", [SWEEP_GRID, list(DEFAULT_RHO_GRID)])
+def test_rv_sweep_runs_in_capped_locksteps(setup_q1, monkeypatch, grid):
+    mm, plan = setup_q1
+    calls = []
+    lockstep = optimize.direct_lockstep
+
+    def counted(objective, lowers, *args, **kwargs):
+        calls.append(len(lowers))
+        return lockstep(objective, lowers, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "direct_lockstep", counted)
+    robustness_value(mm, plan, "indirect", rho_grid=grid, budget=60, full_curve=True)
+    assert sum(calls) == len(grid)
+    assert len(calls) == -(-len(grid) // robustness.LOCKSTEP_SEARCHES)
