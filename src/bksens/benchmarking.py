@@ -25,13 +25,15 @@ k leave-j candidates on any number of anchor rows, built from no natural
 parameters. The effect reads the natural r_m only through r_m . w_a
 (indirect), r_m . w_b and |r_m|^2, and with r_m = M (r_m_lj - c r_m_cj) /
 sqrt(1 - c^2) these are projections of r_m_lj on per-row vectors and one
-quadratic form, so a call is (k, q) @ (q, R) and (k, q^2) @ (q^2, R)
-products plus elementwise work on (k, R) arrays. The estimate runs it on the
-full sample's row; the t statistic on the full sample as row 0 stacked over
-the resamples. The scalar part of the conversion (c, r_a, r_cj_u_amc, r_y)
-and its feasibility tests are ``_leave_j_chain``, shared by the kernel and
-the natural-parameter witnesses (``natural_from_benchmark``); only r_m has
-two forms, projected for the searches and explicit for the witnesses.
+quadratic form, so a call is (k, q) by (q, R) and (k, q^2) by (q^2, R)
+products, einsums rather than BLAS so that values are point-pure
+(``robustness``), plus elementwise work on (k, R) arrays. The estimate runs
+it on the full sample's row; the t statistic on the full sample as row 0
+stacked over the resamples. The scalar part of the conversion (c, r_a,
+r_cj_u_amc, r_y) and its feasibility tests are ``_leave_j_chain``, shared by
+the kernel and the natural-parameter witnesses (``natural_from_benchmark``);
+only r_m has two forms, projected for the searches and explicit for the
+witnesses.
 
 The searches run through ``robustness._run``, the robustness values' sweep
 driver, without the Nelder-Mead polish. The full-sample
@@ -41,8 +43,9 @@ and search objectives are built once per covariate by
 searches of one worst case or one critical-delta sweep, and ``_run`` runs
 any number of such plans as one batch, in which searches over boxes of the
 same number of columns advance in lockstep with one objective call per
-search objective per sweep; each search's result is the one it has run
-alone. ``benchmark_worst`` and ``critical_delta`` run one plan;
+search objective per sweep; since each value is a function of its
+candidate alone, each search's result is the one it has run alone.
+``benchmark_worst`` and ``critical_delta`` run one plan;
 ``benchmark_covariate``, which the CLI calls, runs all of one covariate's
 searches together. Each of the three builds its own stacks. A
 critical-delta sweep has a search per grid point, of the t statistic or of
@@ -77,7 +80,7 @@ from .mediation import (
     fit_observed,
 )
 from .robustness import (EffectObjective, _Box, _check_kind, _distinct, _run,
-                         _Search, _SearchBox)
+                         _Search, _SearchBox, _unit)
 
 R_CLAMP = 1.0 - 1e-9
 WORST_BUDGET = 1500   # DIRECT evaluations per worst-case search
@@ -190,7 +193,8 @@ def _leave_j_chain(anc: BenchmarkMoments):
         c = -(r_a_cj * ra) / np.sqrt((1.0 - ra ** 2) * den_a2)
         r_a = ra / np.sqrt(den_a2)
         r_m, nm2 = natural_r_m(c)
-        amc = (c - r_m_lj @ r_m_cj) / np.sqrt(den_m * (1.0 - nm_lj2[:, None]))
+        amc = (c - np.einsum("ki,ij->kj", r_m_lj, r_m_cj)) / np.sqrt(
+            den_m * (1.0 - nm_lj2[:, None]))
         r_y = (r_y_lj[:, None] - r_y_cj * amc) / np.sqrt(den_y2 * (1.0 - amc * amc))
         # no |c| test: with u = r_a_lj^2, v = r_a_cj^2, c^2 >= R^2 means
         # u >= R^2 (1-v) / (v + R^2 (1-v)) >= R^2 (1-v), i.e. r_a^2 >= R^2
@@ -262,12 +266,13 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs: tuple, kind: str, value):
 
     def values(r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
         k, q = r_m_lj.shape
-        g_lj, vb_lj, va_lj = np.split(r_m_lj @ proj, 3, axis=1)
+        g_lj, vb_lj, va_lj = np.split(np.einsum("ki,ij->kj", r_m_lj, proj), 3, axis=1)
         outer = (r_m_lj[:, :, None] * r_m_lj[:, None, :]).reshape(k, q * q)
 
         def projected_r_m(c):   # the form: sqrt(1 - c^2), dividing each r_m . w
             s2 = 1.0 - c * c
-            return np.sqrt(s2), (outer @ gram - 2.0 * c * g_lj + c * c * cj_g_cj) / s2
+            return np.sqrt(s2), (np.einsum("ki,ij->kj", outer, gram) - 2.0 * c * g_lj
+                                 + c * c * cj_g_cj) / s2
 
         with np.errstate(invalid="ignore", divide="ignore"):
             c, r_a, root_s, nm2, r_y, ok = chain(r_a_lj, r_m_lj, r_y_lj, projected_r_m)
@@ -339,8 +344,7 @@ def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int) -> _SearchBo
     cands = [(0.0, np.zeros(q), 0.0)]
     m_dirs = [np.zeros(q)]
     if rm_rad > 0:
-        nv = np.linalg.norm(bm.r_m_cj)
-        base_dir = bm.r_m_cj / nv if nv > 0 else np.eye(q)[0]
+        base_dir = _unit(bm.r_m_cj)
         m_dirs += [rm_rad * base_dir, -rm_rad * base_dir]
     for sa in ((-ra_rad, 0.0, ra_rad) if ra_rad > 0 else (0.0,)):
         for sy in ((-ry_rad, 0.0, ry_rad) if ry_rad > 0 else (0.0,)):
@@ -484,8 +488,10 @@ def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
 
 def _delta_grid(delta_grid) -> list[float]:
     grid = [float(d) for d in delta_grid]
-    if any(d <= 0 for d in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("delta_grid must be positive and strictly increasing")
+    if not grid or any(d <= 0 for d in grid) or any(
+            b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("delta_grid must be nonempty, positive and strictly "
+                         "increasing")
     return grid
 
 

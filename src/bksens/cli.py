@@ -311,18 +311,15 @@ def cmd_rv(args) -> int:
                                          confounder_mode=mode, randomized=args.randomized,
                                          full_curve=True)
         summaries[kind] = _effect_report(mm, plan, kind, NaturalSensitivity.zeros(data.q))
-    curves = {kind: dict(rep.curve) for kind, rep in reports.items()}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "rv",
         "config": _config_echo(args, {"confounder_mode": mode}),
         "sign_flip": {k: reports[k].sign_flip for k in reports},
         "curve": [
-            {"rho": rho,
-             "min_t_direct": curves["direct"].get(rho),
-             "min_t_indirect": curves["indirect"].get(rho)}
-            for rho in grid
-            if rho in curves["direct"] or rho in curves["indirect"]
+            {"rho": rho, "min_t_direct": t_direct, "min_t_indirect": t_indirect}
+            for (rho, t_direct), (_, t_indirect)
+            in zip(reports["direct"].curve, reports["indirect"].curve)
         ],
     }
     for kind in ("direct", "indirect"):
@@ -336,8 +333,7 @@ def cmd_rv(args) -> int:
         }
     _write_csv(_sidecar_path(args.out, "rv_curve.csv", "curve"),
                ["rho", "min_t_direct", "min_t_indirect"],
-               ([row["rho"]] + ["" if row[col] is None else repr(row[col])
-                                for col in ("min_t_direct", "min_t_indirect")]
+               ([row["rho"], repr(row["min_t_direct"]), repr(row["min_t_indirect"])]
                 for row in payload["curve"]))
     _emit_json(payload, args.out)
     return 0

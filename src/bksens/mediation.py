@@ -327,7 +327,7 @@ def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
     """(k, B) effects against B resamples' coefficients, at phi pairs of
     shapes (k, .), one pair for every resample."""
     s0, w_a, w_b, cross = coeffs
-    vals = s0 + phi_a.dot(w_a) + phi_b.dot(w_b)
+    vals = s0 + np.einsum("ki,ij->kj", phi_a, w_a) + np.einsum("ki,ij->kj", phi_b, w_b)
     if cross is not None:
         vals = vals + np.einsum("ki,ki->k", phi_a, phi_b)[:, None] * cross
     return vals
@@ -348,7 +348,7 @@ def _effect_se(cov, phi_a, phi_b) -> np.ndarray:
     if len(cov) > 1 + phi_a.shape[1] + phi_b.shape[1]:
         f.append(np.einsum("ki,ki->k", phi_a, phi_b)[:, None])
     f = np.hstack(f)
-    return np.sqrt(np.maximum((f @ cov * f).sum(axis=1), 0.0))
+    return np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", f, cov, f), 0.0))
 
 
 def _check_sensitivity(mm: MediationMoments, s: NaturalSensitivity) -> None:

@@ -22,8 +22,10 @@ entered into its own search's groups (so groups are keyed by (search, level
 sum)), the hull test runs per search on (S, G) arrays padded on the left,
 and budget, stop and best point are kept per search. A pass sweeps every
 live search once, with one objective call for all their new points, so the
-fixed cost of a sweep is paid once per pass; each search visits exactly the
-points, in the same order, that it visits run alone. ``direct_optimize`` is
+fixed cost of a sweep is paid once per pass. Each search visits exactly the
+points, in the same order, that it visits run alone, provided a point's
+value does not depend on the other points of its call, as no search
+objective's does (``robustness`` module docstring). ``direct_optimize`` is
 the call with S = 1: its objective takes a (k, d) array of points and
 returns (k,) values, the centre first and then one sweep's new points per
 call.

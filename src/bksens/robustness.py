@@ -38,6 +38,11 @@ call; no other code here needs scipy.
 The minimum t-statistic functions and both RV drivers share one setup, which
 checks the effect, the confounder mode and the rho grid before any search.
 
+Every value function is point-pure: a row's value must not depend on the
+other rows of its batch, so per-point code uses ``np.einsum``, never a BLAS
+product, whose blocking (and with it a row's rounding) follows the batch.
+A search's values are then the same whichever searches share its calls.
+
 The direct-effect range does not depend on whether the confounder is scalar
 or vector, so both modes share one code path. The indirect-effect range does:
 scalar mode ties the two phi vectors to a shared direction, vector mode
@@ -364,9 +369,6 @@ def _evaluate(pairs) -> list:
         shared.setdefault(search.value_fn, []).append(i)
     out = [None] * len(pairs)
     for value_fn, idx in shared.items():
-        if len(idx) == 1:
-            out[idx[0]] = np.asarray(value_fn(*pairs[idx[0]][1]))
-            continue
         args = [np.concatenate(col) for col in zip(*(pairs[i][1] for i in idx))]
         ends = np.cumsum([len(pairs[i][1][0]) for i in idx])[:-1]
         for i, vals in zip(idx, np.split(np.asarray(value_fn(*args)), ends)):
@@ -387,19 +389,19 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
     candidates; returns (value, the winner's arguments with a batch axis of
     length 1) per search, None for one ``drop`` abandoned.
 
-    Every search's candidates are evaluated first. A search with a ``stop``
-    value whose best of them is at or below it returns that best and runs
-    no DIRECT: the search is a decision, and its value is then a
-    witness at or below ``stop``, not the minimum. Otherwise DIRECT searches
-    the box when it has columns, ending after its first sweep at or below
-    ``stop``. Searches whose boxes have the same number of columns advance
-    in lockstep (``optimize.direct_lockstep``), LOCKSTEP_SEARCHES at a time:
-    each pass calls every value function once, on the new points of all the
-    searches that share it, and each search visits the points it visits
-    alone. Each optimum is then
-    optionally polished by Nelder-Mead, one call evaluates the optimum and
-    the candidates, and the first minimum wins; a NaN ranks as +inf, behind
-    a real +inf, so it is returned only when every value is NaN.
+    All candidates are evaluated first, one call per value function
+    (``_evaluate``). A search with a ``stop`` value whose best of them is at
+    or below it returns that best and runs no DIRECT: the search is a
+    decision, and its value is then a witness at or below ``stop``, not the
+    minimum. Otherwise DIRECT searches the box when it has columns, ending
+    after its first sweep at or below ``stop``. Searches whose boxes have the
+    same number of columns advance in lockstep (``optimize.direct_lockstep``),
+    LOCKSTEP_SEARCHES at a time: each pass calls every value function once,
+    on the new points of all the searches that share it. Each optimum is
+    then optionally polished by Nelder-Mead, the optima are evaluated in one
+    more call per value function, and the first minimum over each search's
+    optimum and candidates wins; a NaN ranks as +inf, behind a real +inf, so
+    it is returned only when every value is NaN.
 
     ``drop(bounds)``, if given, is called before each pass with every
     search's best value so far, which its result can only undercut (+inf
@@ -407,12 +409,8 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
     """
     from .optimize import direct_lockstep
 
-    # a value can move in its last bit with the rows evaluated beside it, so
-    # every value returned or compared with a stop comes from a call on the
-    # search's own batch: candidates, then optimum and candidates, as a
-    # search run alone evaluates them
     given = [s.box.candidates for s in searches]
-    given_vals = [np.asarray(s.value_fn(*args)) for s, args in zip(searches, given)]
+    given_vals = _evaluate(list(zip(searches, given)))
     bounds = np.array([np.min(np.where(np.isnan(v), np.inf, v)) for v in given_vals])
     optima = [None] * len(searches)
     dropped = [False] * len(searches)
@@ -445,16 +443,12 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
             if polish:
                 x_best = _polish(s, res)
             optima[i] = s.box.unpack(x_best[None, :])
-    out = []
-    for s, args, vals, opt, gone in zip(searches, given, given_vals, optima, dropped):
-        if gone:
-            out.append(None)
-        elif opt is None:
-            out.append(_first_min(args, vals))
-        else:
-            args = [np.concatenate(col) for col in zip(opt, args)]
-            out.append(_first_min(args, np.asarray(s.value_fn(*args))))
-    return out
+    ran = [i for i, opt in enumerate(optima) if opt is not None]
+    for i, vals in zip(ran, _evaluate([(searches[i], optima[i]) for i in ran])):
+        given[i] = [np.concatenate(col) for col in zip(optima[i], given[i])]
+        given_vals[i] = np.concatenate([vals, given_vals[i]])
+    return [None if gone else _first_min(args, vals)
+            for args, vals, gone in zip(given, given_vals, dropped)]
 
 
 def _polish(search: _Search, res):
@@ -482,9 +476,10 @@ def _run(plans, polish: bool = False) -> list:
     A plan with a threshold is a sweep over a grid in increasing order, and
     ``finish`` takes its results up to the first at or below the threshold.
     A search's value can only undercut its best value so far, so once that
-    is at or below the threshold the sweep's later points are dropped. A
-    dropped point that is reached anyway (a bound crossed by a last bit that
-    the crossing search's own evaluation undid) is searched alone.
+    is at or below the threshold the sweep's later points are dropped. Values
+    are point-pure, so the crossing search's final value stays at or below
+    that bound, and the walk up to the first crossing never reaches a
+    dropped point.
     """
     searches, sweeps = [], []
     for plan_searches, threshold, _ in plans:
@@ -505,9 +500,7 @@ def _run(plans, polish: bool = False) -> list:
     outcomes, at = [], 0
     for plan_searches, threshold, finish in plans:
         walked = []
-        for search, found in zip(plan_searches, results[at:]):
-            if found is None:
-                found = _minimize_over_boxes([search], polish=polish)[0]
+        for found in results[at:at + len(plan_searches)]:
             walked.append(found)
             if threshold is not None and found[0] <= threshold:
                 break

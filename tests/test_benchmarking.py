@@ -10,6 +10,7 @@ from bksens.benchmarking import (
     BenchmarkMoments,
     BenchmarkSpec,
     _leave_j_box,
+    benchmark_covariate,
     benchmark_moments,
     benchmark_worst,
     critical_delta,
@@ -218,6 +219,18 @@ def test_benchmark_entry_points_reject_unknown_effect(rng):
         benchmark_worst(data, BenchmarkSpec(j=0), effect_kind="bogus")
     with pytest.raises(ValueError, match="effect_kind"):
         critical_delta(data, 0, "bogus", 0.0, [1.0])
+
+
+def test_empty_delta_grid_is_rejected(rng):
+    # an empty grid would report every critical delta as not attained
+    data = make_data(rng, n=80, p=2, q=1)
+    plan = bootstrap_moments(data, n_resamples=20, seed=1)
+    with pytest.raises(ValueError, match="nonempty"):
+        critical_delta(data, 0, "direct", 0.0, [])
+    with pytest.raises(ValueError, match="nonempty"):
+        critical_delta(data, 0, "indirect", 1.96, [], plan=plan)
+    with pytest.raises(ValueError, match="nonempty"):
+        benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=[])
 
 
 def test_randomized_cap_pins_exposure_channel(rng):

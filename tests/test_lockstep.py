@@ -23,9 +23,9 @@ from bksens.benchmarking import (
     prepare_benchmark_stacks,
 )
 from bksens.inference import bootstrap_moments
-from bksens.mediation import MediationData
+from bksens.mediation import MediationData, fit_observed
 from bksens.optimize import direct_lockstep, direct_optimize
-from bksens.robustness import _minimize_over_boxes, _Search
+from bksens.robustness import _minimize_over_boxes, _Search, robustness_value
 
 from test_direct_trace import KINDS, _objective
 
@@ -214,22 +214,28 @@ def test_covariate_batch_groups_boxes_by_layout(study, caps):
             for threshold in (0.0, 1.96))
 
 
-@pytest.mark.parametrize("threshold", [0.0, 1.96])
-def test_grid_point_dropped_too_early_is_searched_when_reached(study, monkeypatch,
-                                                               threshold):
-    # a bound can sit an ulp below the threshold while the value the search
-    # reports sits above it; a grid point dropped then is searched alone
-    data, plan, stacks = study
-    want = critical_delta(data, 0, "indirect", threshold, WIDE, k_a_bound=1.0,
-                          plan=plan)
-    assert len(want[1]) >= 3
+def test_no_sweep_walk_reaches_a_dropped_search(study, monkeypatch):
+    # a point's final value is at or below every best value it reported, so
+    # a sweep's walk ends at or before the point whose bound dropped the rest
+    data, plan, _ = study
     search = robustness._minimize_over_boxes
+    runs = []
 
-    def eager(searches, polish=False, drop=None):
-        if drop is not None:   # abandon every grid point but the first
-            drop = lambda bounds: np.arange(len(bounds)) > 0  # noqa: E731
-        return search(searches, polish, drop)
+    def spy(searches, polish=False, drop=None):
+        found = search(searches, polish=polish, drop=drop)
+        runs.append(found)
+        return found
 
-    monkeypatch.setattr(robustness, "_minimize_over_boxes", eager)
-    assert critical_delta(data, 0, "indirect", threshold, WIDE, k_a_bound=1.0,
-                          plan=plan) == want
+    monkeypatch.setattr(robustness, "_minimize_over_boxes", spy)
+    walked = [len(critical_delta(data, 0, kind, threshold, WIDE, k_a_bound=1.0,
+                                 plan=plan)[1])
+              for kind in ("direct", "indirect") for threshold in (0.0, 1.96)]
+    grid = [round(0.05 * k, 2) for k in range(1, 20)]
+    rep = robustness_value(fit_observed(data), plan, "indirect", rho_grid=grid,
+                           budget=300)
+    walked.append(len(rep.curve))
+    assert rep.rv_estimate < 1.0
+    assert len(runs) == len(walked)
+    for found, n in zip(runs, walked):
+        assert None not in found[:n]
+        assert None in found[n:]   # the sweep did drop its later points

@@ -558,28 +558,6 @@ def test_rv_sweep_stops_at_the_estimate_crossing(setup_q1):
     assert short.curve[-1][0] == short.rv_estimate
 
 
-def test_rv_point_dropped_too_early_is_searched_when_reached(setup_q1, monkeypatch):
-    # every grid point but the first is abandoned in the sweep, so each one
-    # reached is searched alone, and the report does not change
-    mm, plan = setup_q1
-    want = robustness_value(mm, plan, "direct", rho_grid=SWEEP_GRID, budget=300)
-    assert len(want.curve) >= 3
-    search = robustness._minimize_over_boxes
-
-    def eager(searches, polish=False, drop=None):
-        if drop is not None:
-            drop = lambda bounds: np.arange(len(bounds)) > 0  # noqa: E731
-        return search(searches, polish, drop)
-
-    monkeypatch.setattr(robustness, "_minimize_over_boxes", eager)
-    got = robustness_value(mm, plan, "direct", rho_grid=SWEEP_GRID, budget=300)
-    assert (got.rv_estimate, got.rv_ci, got.curve) == (want.rv_estimate, want.rv_ci,
-                                                       want.curve)
-    assert got.argmins.keys() == want.argmins.keys()
-    for rho, phis in got.argmins.items():
-        assert all(np.array_equal(x, y) for x, y in zip(phis, want.argmins[rho]))
-
-
 @pytest.mark.parametrize("grid", [SWEEP_GRID, list(DEFAULT_RHO_GRID)])
 def test_rv_sweep_runs_in_capped_locksteps(setup_q1, monkeypatch, grid):
     mm, plan = setup_q1
