@@ -19,26 +19,29 @@ exactly or the batch marks (a check short of its threshold by GRAM_MARGIN),
 so a resample raises exactly when ``benchmark_moments`` would. Both give a
 ``BenchmarkMoments``, with a leading resample axis for the plan.
 
-The search is batched, each optimizer sweep costing one objective call,
-and both objectives evaluate one kernel, ``_leave_j_kernel``: an effect over
-k leave-j candidates on any number of anchor rows, built from no natural
-parameters. The effect reads the natural r_m only through r_m . w_a
-(indirect), r_m . w_b and |r_m|^2, and with r_m = M (r_m_lj - c r_m_cj) /
-sqrt(1 - c^2) these are projections of r_m_lj on per-row vectors and one
-quadratic form, so a call is (k, q) by (q, R) and (k, q^2) by (q^2, R)
-products, einsums rather than BLAS so that values are point-pure
-(``robustness``), plus elementwise work on (k, R) arrays. The estimate runs
-it on the full sample's row; the t statistic on the full sample as row 0
-stacked over the resamples. The scalar part of the conversion (c, r_a,
-r_cj_u_amc, r_y) and its feasibility tests are ``_leave_j_chain``, shared by
-the kernel and the natural-parameter witnesses (``natural_from_benchmark``);
-only r_m has two forms, projected for the searches and explicit for the
-witnesses.
+The effects' coefficient form, its flip and its per-resample coefficient
+rows come from ``mediation.EffectObjective``, built once per effect with
+the plan. The search is batched, each optimizer sweep costing one objective
+call, and both search objectives evaluate that form through one kernel,
+``_leave_j_kernel``: an effect over k leave-j candidates on any number of
+anchor rows, built from no natural parameters. The effect reads the natural
+r_m only through r_m . w_a (indirect), r_m . w_b and |r_m|^2, and with
+r_m = M (r_m_lj - c r_m_cj) / sqrt(1 - c^2) these are projections of r_m_lj on
+per-row vectors and one quadratic form, so a call is (k, q) by (q, R) and
+(k, q^2) by (q^2, R) products, einsums rather than BLAS so that values are
+point-pure (``robustness``), plus elementwise work on (k, R) arrays. The
+estimate runs it on the full sample's row and coefficients; the t statistic
+on the full sample as row 0 stacked over the resamples, against the
+objective's full coefficients stacked over its per-resample rows. The
+scalar part of the conversion (c, r_a, r_cj_u_amc, r_y) and its feasibility
+tests are ``_leave_j_chain``, shared by the kernel and the
+natural-parameter witnesses (``natural_from_benchmark``); only r_m has two
+forms, projected for the searches and explicit for the witnesses.
 
 The searches run through ``robustness._run``, the robustness values' sweep
 driver, without the Nelder-Mead polish. The full-sample
-fit and anchors, the per-resample anchors, both effects' coefficient stacks
-and search objectives are built once per covariate by
+fit and anchors, the per-resample anchors, both effects' ``EffectObjective``
+and their search objectives are built once per covariate by
 ``prepare_benchmark_stacks``. ``_worst_plan`` and ``_delta_plan`` list the
 searches of one worst case or one critical-delta sweep, and ``_run`` runs
 any number of such plans as one batch, in which searches over boxes of the
@@ -74,13 +77,12 @@ from .mediation import (
     DEFAULT_CI_MULTIPLIER,
     MediationData,
     NaturalSensitivity,
-    _coeffs,
     _ls_residual_cov,
+    _objective,
     _response,
     fit_observed,
 )
-from .robustness import (EffectObjective, _Box, _check_kind, _distinct, _run,
-                         _Search, _SearchBox, _unit)
+from .robustness import _Box, _check_kind, _distinct, _run, _Search, _SearchBox, _unit
 
 R_CLAMP = 1.0 - 1e-9
 WORST_BUDGET = 1500   # DIRECT evaluations per worst-case search
@@ -241,10 +243,10 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs: tuple, kind: str, value):
     """One effect's batched search objective over k leave-j candidates.
 
     The effect is evaluated on every row of ``anc`` (a leading axis of R)
-    against ``coeffs``, its coefficient form (``mediation._coeffs``) with a
-    trailing axis of R; ``value`` reduces the (k, R) effects to the (k,)
-    search values, which are ``inf`` where ``_leave_j_chain`` marks a
-    candidate infeasible.
+    against ``coeffs``, its coefficient form with a trailing axis of R (an
+    ``EffectObjective``'s ``full``, stacked over its ``boot`` for the t
+    rows); ``value`` reduces the (k, R) effects to the (k,) search values,
+    which are ``inf`` where ``_leave_j_chain`` marks a candidate infeasible.
 
     Each row keeps M'w_a, M'w_b, G = M'M, G r_m_cj and their products with
     r_m_cj, from which a call forms r_m . w_a, r_m . w_b and |r_m|^2 for
@@ -291,10 +293,10 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs: tuple, kind: str, value):
 @dataclass(frozen=True)
 class _Stacks:
     """What the worst-case searches for one covariate read: the full-sample
-    anchors, each effect's objective (its full-sample coefficients and
-    flip) and its two search objectives, flip * estimate and, with a plan,
-    flip * t (else None), plus the per-resample anchors the t objective
-    stacks."""
+    anchors, each effect's ``EffectObjective`` (its coefficient form and
+    flip, with the per-resample coefficient rows when there is a plan) and
+    its two search objectives, flip * estimate and, with a plan, flip * t
+    (else None), plus the per-resample anchors the t objective stacks."""
 
     bm: BenchmarkMoments
     anchors: BenchmarkMoments | None
@@ -369,8 +371,8 @@ def _k_ratios(bm: BenchmarkMoments, params) -> dict:
 def prepare_benchmark_stacks(data: MediationData, j: int,
                              plan: BootstrapPlan | None) -> _Stacks:
     """The full-sample anchors for covariate ``j``, its anchors on every
-    resample of ``plan`` (if given) and both effects' objectives, which
-    every search of one call reads.
+    resample of ``plan`` (if given) and both effects' objectives, built
+    with the plan, which every search of one call reads.
 
     Each resample's residual covariances are Schur complements of its
     certified covariance in ``plan.cov``, all resamples in one batch.
@@ -393,8 +395,7 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
                 getattr(anchors, name)[i] = getattr(exact, name)
         anchors = _anchors(anchors)
     full_anchors = _anchors(bm)
-    objectives = {"direct": EffectObjective.for_direct(mm, None),
-                  "indirect": EffectObjective.for_indirect(mm, None)}
+    objectives = {kind: _objective(kind, mm, plan) for kind in ("direct", "indirect")}
     estimates, t_stats = {}, None if plan is None else {}
     # the t rows: row 0 the full sample, rows 1.. the resamples
     rows = None if plan is None else replace(full_anchors, **{
@@ -407,7 +408,7 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
             # the leave-j conversion differs per resample, so the t kernel
             # takes its SE as an SD over the resamples' own coefficient rows
             coeffs = tuple(None if f is None else np.concatenate([f, b], axis=-1)
-                           for f, b in zip(obj.full, _coeffs(kind, plan.moments)))
+                           for f, b in zip(obj.full, obj.boot))
             t_stats[kind] = _leave_j_kernel(
                 rows, coeffs, kind, lambda est, flip=obj.flip:
                 flip * est[:, 0] / est[:, 1:].std(axis=-1, ddof=1))

@@ -39,18 +39,14 @@ if not any(name in os.environ for name in BLAS_THREAD_VARS):
 import numpy as np  # noqa: E402 - after the thread policy
 
 from .errors import BkSensError
-from .inference import bootstrap_moments
+from .inference import MIN_BOOTSTRAP, bootstrap_moments
 from .mediation import (
     EffectReport,
     MediationData,
     NaturalSensitivity,
-    _coeffs,
-    _effect_cov,
-    _effect_se,
-    _effect_values,
+    _objective,
     _phis_at,
     fit_observed,
-    observed_indirect,
 )
 
 SCHEMA_VERSION = 1
@@ -64,7 +60,6 @@ class NonFiniteOutput(BkSensError):
     """A report value is NaN or infinite, which strict JSON cannot hold."""
 
 
-MIN_BOOTSTRAP = 2  # the bootstrap SE needs two resamples
 MAX_GRID_POINTS = 10_000  # --rho-grid runs a search per point; the default has 99
 
 
@@ -267,14 +262,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _effect_report(mm, plan, kind: str, s: NaturalSensitivity) -> EffectReport:
-    """The effect at ``s`` and its bootstrap SE, both from the coefficient
-    form of ``mediation``; the SE is the robustness values' t denominator."""
-    phis = _phis_at(kind, s)
-    return EffectReport.from_estimate(_effect_values(_coeffs(kind, mm[None]), *phis)[0, 0],
-                                      _effect_se(_effect_cov(_coeffs(kind, plan.moments)),
-                                                 *phis)[0],
-                                      kind, "product")
+def _effect_report(obj, s: NaturalSensitivity) -> EffectReport:
+    """The effect of ``obj`` at ``s`` and its bootstrap SE, the robustness
+    values' t denominator."""
+    phis = _phis_at(obj.kind, s)
+    return EffectReport.from_estimate(obj.point_estimates(*phis)[0], obj.std_errs(*phis)[0],
+                                      obj.kind, "product")
 
 
 def cmd_effects(args) -> int:
@@ -282,13 +275,13 @@ def cmd_effects(args) -> int:
     s = _sensitivity_from_args(args, data.q)
     mm = fit_observed(data)
     plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
+    objs = {kind: _objective(kind, mm, plan) for kind in ("direct", "indirect")}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "effects",
         "config": _config_echo(args),
-        "observed": {"direct": mm.theta1_obs, "indirect": observed_indirect(mm)},
-        "direct": _report_dict(_effect_report(mm, plan, "direct", s)),
-        "indirect": _report_dict(_effect_report(mm, plan, "indirect", s)),
+        "observed": {kind: obj.observed for kind, obj in objs.items()},
+        **{kind: _report_dict(_effect_report(obj, s)) for kind, obj in objs.items()},
     }
     _emit_json(payload, args.out)
     return 0
@@ -310,7 +303,8 @@ def cmd_rv(args) -> int:
         reports[kind] = robustness_value(mm, plan, kind, rho_grid=grid,
                                          confounder_mode=mode, randomized=args.randomized,
                                          full_curve=True)
-        summaries[kind] = _effect_report(mm, plan, kind, NaturalSensitivity.zeros(data.q))
+        summaries[kind] = _effect_report(_objective(kind, mm, plan),
+                                         NaturalSensitivity.zeros(data.q))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "rv",
@@ -505,9 +499,14 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise InputError(f"--seed must be nonnegative, got {args.seed}")
+        if args.out and not (parent := Path(args.out).parent).is_dir():
+            raise InputError(f"--out: {parent} is not an existing directory")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a read error is an InputError already: a failed write
+        print(f"error: cannot write: {exc}", file=sys.stderr)
         return 2
     except BkSensError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

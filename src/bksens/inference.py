@@ -57,6 +57,7 @@ from .mediation import (
 )
 
 DEFAULT_RESAMPLES = 1000
+MIN_BOOTSTRAP = 2   # a standard error over the resamples needs two
 MAX_REDRAWS = 10
 CHUNK = 32          # resamples per Gram product
 ROW_BLOCK = 4096    # rows of column products formed at once
@@ -202,8 +203,8 @@ def _draw_one(data: MediationData, seed: int, i: int):
 def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
                       seed: int = 0, n_workers: int = 1) -> BootstrapPlan:
     """Draw resamples and fit their moments."""
-    if n_resamples < 1:
-        raise ValueError("n_resamples must be >= 1")
+    if n_resamples < MIN_BOOTSTRAP:
+        raise ValueError(f"n_resamples must be >= {MIN_BOOTSTRAP}")
     basis = GramBasis.of(data)
     p, q = data.p_user, data.q
     d = p + q + 2
@@ -259,7 +260,7 @@ def bootstrap_se(plan: BootstrapPlan, estimator) -> BootstrapSummary:
             values[i] = estimator(mm)
         except Exception as exc:  # noqa: BLE001 - rewrapped with the index
             raise EstimatorFailed(i, exc) from exc
-    std_err = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    std_err = float(values.std(ddof=1))
     lo, hi = np.quantile(values, [0.025, 0.975])
     return BootstrapSummary(std_err=std_err, ci_percentile=(float(lo), float(hi)),
                             values=values)

@@ -14,11 +14,12 @@ moments the adjustment formulas are exact, so appending a confounder column
 that realizes the stated parameters reproduces them to rounding error.
 
 The product-method effects are written once, as a coefficient form in the
-phi pairs that ``_phis`` builds from the natural parameters. The public
-effect functions evaluate it on one fit; the robustness values, formal
-benchmarking and the CLI evaluate it in batches. An effect is linear in the
-coefficient rows, so its bootstrap SE at a phi pair is a quadratic form in
-their covariance over the resamples (``_effect_cov``, ``_effect_se``).
+phi pairs that ``_phis`` builds from the natural parameters.
+:class:`EffectObjective` is its one evaluator: the public effect functions
+and every other module read estimates, bootstrap SEs, t statistics and the
+effect's flip from it (``_objective`` builds one). An effect is linear in
+the coefficient rows, so its bootstrap SE at a phi pair is a quadratic form
+in their covariance over the resamples (``_effect_se``).
 """
 
 from __future__ import annotations
@@ -318,11 +319,6 @@ def _indirect_coeffs(m: MediationMoments) -> tuple:
             np.sqrt(m.var_y_res_amc / m.var_a_res_c))
 
 
-def _coeffs(kind: str, m: MediationMoments) -> tuple:
-    """``kind``'s coefficient form: ``_direct_coeffs`` or ``_indirect_coeffs``."""
-    return (_direct_coeffs if kind == "direct" else _indirect_coeffs)(m)
-
-
 def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
     """(k, B) effects against B resamples' coefficients, at phi pairs of
     shapes (k, .), one pair for every resample."""
@@ -333,22 +329,84 @@ def _effect_values(coeffs, phi_a, phi_b) -> np.ndarray:
     return vals
 
 
-def _effect_cov(coeffs) -> np.ndarray:
-    """The ddof=1 covariance over B resamples of the stacked coefficient
-    rows (s0, w_a, w_b[, cross]): at most (2q+2)^2, whatever B is."""
-    return np.cov(np.vstack([c for c in coeffs if c is not None]))
-
-
-def _effect_se(cov, phi_a, phi_b) -> np.ndarray:
+def _effect_se(kind: str, cov, phi_a, phi_b) -> np.ndarray:
     """(k,) bootstrap SEs at phi pairs of shapes (k, .): a resample's effect
-    is c.f with f = (1, phi_a, phi_b[, phi_a . phi_b]) in ``_effect_cov``'s
-    rows (the cross term when C has a row more), so its SD over the
-    resamples is sqrt(f'Cf), clipped at zero against rounding."""
+    is c.f, c its coefficient rows (s0, w_a, w_b[, cross]) and f = (1, phi_a,
+    phi_b[, phi_a . phi_b]), the cross term for the indirect effect, so its
+    SD is sqrt(f'Cf), C the rows' covariance, clipped at zero."""
     f = [np.ones((len(phi_a), 1)), phi_a, phi_b]
-    if len(cov) > 1 + phi_a.shape[1] + phi_b.shape[1]:
+    if kind == "indirect":
         f.append(np.einsum("ki,ki->k", phi_a, phi_b)[:, None])
     f = np.hstack(f)
     return np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", f, cov, f), 0.0))
+
+
+@dataclass
+class EffectObjective:
+    """One effect's coefficient form: estimates, bootstrap SEs and flipped t
+    statistics at (k, .) batches of phi pairs.
+
+    ``full`` holds the full-sample coefficients, with a trailing axis of 1,
+    and ``boot``, given a plan, every resample's, with a trailing axis of B;
+    ``cov`` is the ddof=1 covariance of the stacked ``boot`` rows, at most
+    (2q+2) square whatever B is. ``flip`` is the sign of the observed
+    effect, the form's s0, so a worst case is a minimum of flip * value.
+    """
+
+    kind: str                      # "direct" | "indirect"
+    q: int
+    flip: float
+    full: tuple
+    cov: np.ndarray | None
+    boot: tuple | None = None
+
+    @classmethod
+    def for_direct(cls, mm: MediationMoments, plan) -> "EffectObjective":
+        return cls._build("direct", _direct_coeffs, mm, plan)
+
+    @classmethod
+    def for_indirect(cls, mm: MediationMoments, plan) -> "EffectObjective":
+        return cls._build("indirect", _indirect_coeffs, mm, plan)
+
+    @classmethod
+    def _build(cls, kind, coeffs, mm, plan) -> "EffectObjective":
+        full = coeffs(mm[None])
+        boot = None if plan is None else coeffs(plan.moments)
+        cov = None if boot is None else np.cov(np.vstack([c for c in boot if c is not None]))
+        return cls(kind=kind, q=mm.q, flip=-1.0 if full[0][0] < 0 else 1.0,
+                   full=full, cov=cov, boot=boot)
+
+    def point_estimates(self, phi_a, phi_b) -> np.ndarray:
+        return _effect_values(self.full, phi_a, phi_b)[:, 0]
+
+    def std_errs(self, phi_a, phi_b) -> np.ndarray:
+        if self.cov is None:
+            raise DimensionMismatch("standard errors need a bootstrap plan")
+        return _effect_se(self.kind, self.cov, phi_a, phi_b)
+
+    def t_values(self, phi_a, phi_b) -> np.ndarray:
+        return self.flip * self.point_estimates(phi_a, phi_b) / self.std_errs(phi_a, phi_b)
+
+    @property
+    def observed(self) -> float:
+        """The full-sample estimate with no confounding, not flipped."""
+        return float(self.full[0][0])
+
+    @property
+    def zero(self) -> tuple:
+        """The phi pair of no confounding, as a batch of one."""
+        return (np.zeros((1, 1 if self.kind == "direct" else self.q)),
+                np.zeros((1, self.q)))
+
+    def observed_t(self) -> float:
+        """The full-sample t with no confounding, times flip."""
+        return float(self.t_values(*self.zero)[0])
+
+
+def _objective(kind: str, mm: MediationMoments, plan=None) -> EffectObjective:
+    """``kind``'s objective on ``mm`` and, if given, the bootstrap ``plan``."""
+    return (EffectObjective.for_direct if kind == "direct"
+            else EffectObjective.for_indirect)(mm, plan)
 
 
 def _check_sensitivity(mm: MediationMoments, s: NaturalSensitivity) -> None:
@@ -368,12 +426,12 @@ def _adjusted(kind: str, mm: MediationMoments, s: NaturalSensitivity) -> float:
     _check_sensitivity(mm, s)
     if kind == "direct":
         _observed_r2(mm)
-    return float(_effect_values(_coeffs(kind, mm[None]), *_phis_at(kind, s))[0, 0])
+    return float(_objective(kind, mm).point_estimates(*_phis_at(kind, s))[0])
 
 
 def observed_indirect(mm: MediationMoments) -> float:
     """Observed product-method indirect effect: the coefficient form's s0."""
-    return float(_indirect_coeffs(mm[None])[0][0])
+    return _objective("indirect", mm).observed
 
 
 def r_aumc_from_natural(mm: MediationMoments, s: NaturalSensitivity) -> float:
@@ -539,7 +597,7 @@ def direct_sample_classical(data: MediationData, r2_y: float, r2_m: float,
 
     s1_options = (s1,) if s1 is not None else (-1, 1)
     s2_options = (s2,) if s2 is not None else (-1, 1)
-    flip = -1.0 if mm.theta1_obs < 0 else 1.0
+    flip = _objective("direct", mm).flip
 
     best = None
     for s2v in s2_options:
@@ -596,7 +654,7 @@ def indirect_sample_classical(data: MediationData, r2_y: float, r2_m: float,
     if data.n < data.p_user + data.q + 4:
         raise InsufficientSamples("need n >= p + q + 4 for the df adjustment")
     mm = fit_observed(data)
-    flip = -1.0 if observed_indirect(mm) < 0 else 1.0
+    flip = _objective("indirect", mm).flip
 
     s3_options = (s3,) if s3 is not None else (-1, 1)
     s4_options = (s4,) if s4 is not None else (-1, 1)

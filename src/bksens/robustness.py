@@ -7,19 +7,17 @@ form minimizers too (in vector mode, the minimum of one convex 1-D function,
 found by golden-section search), which every search box carries among its
 candidates, so the estimate-only robustness value needs no search and loads
 no scipy. Minimizing the t statistic over the ranges is a
-small box-constrained global optimization. At a phi pair every resample's
-effect is its coefficient row times one vector f, so the bootstrap standard
-error is sqrt(f'Cf) with C the covariance of the coefficient rows over the
-resamples (``mediation._effect_se``): C is formed once per objective, and a
-t evaluation costs a few small matrix products per candidate, whatever the
-number of resamples.
+small box-constrained global optimization.
 
-The form is ``mediation``'s. Its coefficients are read from the plan's
-stacked moments with one column per resample (the full sample is
-``mm[None]``), and one function evaluates them at phi pairs shared by every
-resample; the CLI's effect reports and the public adjusted effects evaluate
-through it too, and formal benchmarking reads the same coefficients in its
-leave-one-out kernel.
+Every estimate and t statistic here comes from ``mediation.EffectObjective``,
+the one evaluator of the effects' coefficient form, built once per effect
+and plan (``_build_objective``). At a phi pair every resample's effect is its
+coefficient row times one vector f, so the bootstrap standard error is
+sqrt(f'Cf), with C the covariance of the coefficient rows over the
+resamples, formed when the objective is built: a t evaluation costs a few
+small matrix products per candidate, whatever the number of resamples.
+``robustness.EffectObjective`` names the same class, the name under which
+``perfbench/tracer.py`` times its builds.
 
 One minimizer, ``_minimize_over_boxes``, runs every search that remains:
 the t searches and formal benchmarking's. A search (``_Search``) has a
@@ -57,16 +55,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .inference import BootstrapPlan
 from .mediation import (
     DEFAULT_CI_MULTIPLIER,
+    EffectObjective,
     MediationMoments,
-    _direct_coeffs,
-    _effect_cov,
-    _effect_se,
-    _effect_values,
-    _indirect_coeffs,
+    _objective,
 )
 
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(1, 100) / 100.0, 2))
@@ -152,60 +146,6 @@ class _Box:
                 direction = _sphere_from_angles(x[:, first:first + q - 1])
                 out.append(direction if kind == "sphere" else (x[:, col], direction))
         return out
-
-
-@dataclass
-class EffectObjective:
-    """Worst-case t (or estimate) evaluator for one effect on one plan.
-
-    ``phis`` arguments are (k, .) candidate batches; estimates come from the
-    full-sample coefficients and standard errors from the covariance of the
-    per-resample ones (``mediation._effect_se``).
-    """
-
-    kind: str                      # "direct" | "indirect"
-    q: int
-    flip: float
-    full: tuple
-    cov: np.ndarray | None
-
-    @classmethod
-    def for_direct(cls, mm: MediationMoments, plan: BootstrapPlan | None):
-        flip = -1.0 if mm.theta1_obs < 0 else 1.0
-        cov = None if plan is None else _effect_cov(_direct_coeffs(plan.moments))
-        return cls(kind="direct", q=mm.q, flip=flip, full=_direct_coeffs(mm[None]),
-                   cov=cov)
-
-    @classmethod
-    def for_indirect(cls, mm: MediationMoments, plan: BootstrapPlan | None):
-        full = _indirect_coeffs(mm[None])
-        flip = -1.0 if full[0][0] < 0 else 1.0   # s0 is observed_indirect(mm)
-        cov = None if plan is None else _effect_cov(_indirect_coeffs(plan.moments))
-        return cls(kind="indirect", q=mm.q, flip=flip, full=full, cov=cov)
-
-    def point_estimates(self, phi_a, phi_b) -> np.ndarray:
-        return _effect_values(self.full, phi_a, phi_b)[:, 0]
-
-    def t_values(self, phi_a, phi_b) -> np.ndarray:
-        if self.cov is None:
-            raise DimensionMismatch("t statistics need a bootstrap plan")
-        est = self.point_estimates(phi_a, phi_b)
-        return self.flip * est / _effect_se(self.cov, phi_a, phi_b)
-
-    @property
-    def observed(self) -> float:
-        """The full-sample estimate with no confounding, not flipped."""
-        return float(self.full[0][0])
-
-    @property
-    def zero(self) -> tuple:
-        """The phi pair of no confounding, as a batch of one."""
-        return (np.zeros((1, 1 if self.kind == "direct" else self.q)),
-                np.zeros((1, self.q)))
-
-    def observed_t(self) -> float:
-        """The full-sample t with no confounding, times flip."""
-        return float(self.t_values(*self.zero)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +460,7 @@ def _build_objective(mm, plan, effect_kind, confounder_mode) -> EffectObjective:
     if confounder_mode not in ("scalar_u", "vector_u"):
         raise ValueError(f"unknown confounder_mode {confounder_mode!r}")
     _check_kind(effect_kind)
-    if effect_kind == "direct":
-        return EffectObjective.for_direct(mm, plan)
-    return EffectObjective.for_indirect(mm, plan)
+    return _objective(effect_kind, mm, plan)
 
 
 def _box_for(obj, confounder_mode, rho, randomized) -> _SearchBox:

@@ -368,6 +368,37 @@ def test_unknown_benchmark_covariate_rejected_before_bootstrap(csv_file, monkeyp
     assert capsys.readouterr().err == "error: --j 'nope' is not one of the covariates\n"
 
 
+@pytest.mark.parametrize("command", ["effects", "rv", "benchmark", "simulate"])
+def test_out_in_missing_directory_rejected_before_any_work(csv_file, tmp_path,
+                                                           monkeypatch, capsys, command):
+    # the job would run in full and then fail to write its report
+    path, _ = csv_file
+    from bksens import simulation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "bootstrap_moments", refuse)
+    monkeypatch.setattr(simulation, "rv_ratio_study", refuse)
+    out = tmp_path / "nodir" / "report.json"
+    argv = [command, "--out", str(out)]
+    if command != "simulate":
+        argv += base_args(path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"error: --out: {out.parent} is not an existing directory\n"
+
+
+def test_unwritable_out_exits_2(csv_file, tmp_path, capsys):
+    # a directory as --out passes the parent check; the write itself fails
+    path, _ = csv_file
+    assert main(["effects", *base_args(path), "--bootstrap", "20",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write: ") and str(tmp_path) in err
+
+
 @pytest.mark.parametrize("flag", ["--ka", "--km", "--ky"])
 @pytest.mark.parametrize("value", ["inf", "1e400", "-inf", "nan"])
 def test_non_finite_benchmark_cap_rejected_before_reading_data(csv_file, monkeypatch,
@@ -466,7 +497,7 @@ def test_non_finite_report_exits_3(csv_file, monkeypatch, capsys):
     import bksens.cli as cli
 
     path, _ = csv_file
-    monkeypatch.setattr(cli, "observed_indirect", lambda mm: float("inf"))
+    monkeypatch.setattr(EffectObjective, "observed", property(lambda self: float("inf")))
     code = main(["effects", *base_args(path), "--bootstrap", "20"])
     assert code == 3
     captured = capsys.readouterr()

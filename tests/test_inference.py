@@ -40,6 +40,15 @@ def test_thread_count_does_not_change_results(rng):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n_resamples", [0, 1])
+def test_fewer_than_two_resamples_rejected(rng, n_resamples):
+    # one resample has no spread: its SE would be 0 (t infinite) or, as a
+    # covariance, NaN, which reads as a never-attained robustness value
+    data = make_data(rng, n=60, p=1, q=1)
+    with pytest.raises(ValueError, match="n_resamples must be >= 2"):
+        bootstrap_moments(data, n_resamples)
+
+
 def test_constant_estimator_zero_se(rng):
     data = make_data(rng, n=60, p=1, q=1)
     plan = bootstrap_moments(data, n_resamples=30, seed=0)
@@ -120,7 +129,7 @@ def test_singular_resample_redraw_and_exhaustion(rng):
     y = a + rng.normal(size=n)
     broken = MediationData(y=y, a=a, m=a[:, None], c=np.ones((n, 1)))
     with pytest.raises(TooManySingularResamples):
-        bootstrap_moments(broken, n_resamples=1, seed=0)
+        bootstrap_moments(broken, n_resamples=2, seed=0)
 
     # a dataset where collinearity breaks only through one special row:
     # resamples that miss it get redrawn and counted

@@ -9,7 +9,6 @@ from bksens.mediation import (
     MediationData,
     NaturalSensitivity,
     _direct_coeffs,
-    _effect_se,
     _effect_values,
     _indirect_coeffs,
     direct_adjusted,
@@ -523,7 +522,7 @@ def test_effect_se_matches_sd_over_resamples(seed, p, q, n_resamples, rho, kind,
         f.append(np.einsum("ki,ki->k", *phis)[:, None])
     f = np.abs(np.hstack(f))
     scale = np.sqrt((f @ np.abs(obj.cov) * f).sum(axis=1))
-    got = _effect_se(obj.cov, *phis)
+    got = obj.std_errs(*phis)
     want = _effect_values(coeffs, *phis).std(axis=1, ddof=1)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
