@@ -51,17 +51,21 @@ q = 1, otherwise a radius and q-1 angles) and spheres (angles alone).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .inference import BootstrapPlan
 from .mediation import (
     DEFAULT_CI_MULTIPLIER,
     EffectObjective,
     MediationMoments,
     _objective,
 )
+
+if TYPE_CHECKING:  # a simulate job, which never bootstraps, loads no inference
+    from .inference import BootstrapPlan
 
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(1, 100) / 100.0, 2))
 DEFAULT_BUDGET = 4000
@@ -165,7 +169,8 @@ def _distinct(rows) -> tuple:
     row once, at its first position."""
     args = [np.concatenate(col) for col in zip(*rows)]
     flat = np.column_stack([a.reshape(len(a), -1) for a in args])
-    keep = [i for i, row in enumerate(flat) if not (flat[:i] == row).all(1).any()]
+    same = (flat[:, None, :] == flat[None, :, :]).all(2)
+    keep = ~np.tril(same, -1).any(1)   # no equal row before it
     return tuple(a[keep] for a in args)
 
 
@@ -198,7 +203,7 @@ def _direct_box(rho: float, rho_a: float, obj) -> _SearchBox:
 
 def _golden_section(g, lo: float, hi: float, xatol: float) -> float:
     """The minimizer of a unimodal g on [lo, hi], to within xatol."""
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
     gc, gd = g(c), g(d)
     while hi - lo > xatol:
@@ -220,19 +225,21 @@ def _vector_minimizers(a, b, kappa: float, r3: float, r4: float) -> list:
     The best phi_b is -r4 unit(b + kappa phi_a); what is left is concave in
     phi_a, so phi_a lies on its sphere, where only x = phi_a.b/|b| matters.
     The value g(x) is convex on [-r3, r3]: a golden-section search finds its
-    minimum to 1e-12 r3, and both ends are returned too."""
+    minimum to 1e-12 r3, and both ends are returned too. It runs on Python
+    floats, whose IEEE results are numpy's at a fraction of the call cost."""
     # signed QR: b = |b| bhat, a = (a.bhat) bhat + |a_perp| perp
     basis, tri = np.linalg.qr(np.column_stack([b, a]))
     signs = np.where(np.diag(tri) < 0.0, -1.0, 1.0)
     (bhat, perp), tri = (basis * signs).T, tri * signs[:, None]
-    nb, ab, na_perp = tri[0, 0], tri[0, 1], tri[1, 1]
+    nb, ab, na_perp = (float(v) for v in (tri[0, 0], tri[0, 1], tri[1, 1]))
+    kappa, r3, r4 = float(kappa), float(r3), float(r4)
 
     def g(x):
-        return (ab * x - na_perp * np.sqrt(r3 * r3 - x * x) - r4 * np.sqrt(
+        return (ab * x - na_perp * math.sqrt(r3 * r3 - x * x) - r4 * math.sqrt(
             max(nb * nb + 2.0 * kappa * nb * x + kappa * kappa * r3 * r3, 0.0)))
 
     best = _golden_section(g, -r3, r3, 1e-12 * r3)
-    phis_a = [x * bhat - np.sqrt(r3 * r3 - x * x) * perp for x in (best, -r3, r3)]
+    phis_a = [x * bhat - math.sqrt(r3 * r3 - x * x) * perp for x in (best, -r3, r3)]
     return [(p[None, :], -r4 * _unit(b + kappa * p)[None, :]) for p in phis_a]
 
 

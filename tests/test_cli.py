@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bksens
-from bksens import cli
+from bksens import cli, inference, robustness, simulation
 from bksens.cli import _parse_grid, main
 from bksens.inference import bootstrap_moments
 from bksens.mediation import (
@@ -307,15 +307,21 @@ def test_malformed_numeric_flags_exit_2(csv_file, capsys):
     assert code == 2
 
 
-def _run_cli(args, **kwargs):
-    """Run the CLI in a fresh interpreter, as a user would; ``kwargs`` go to
-    ``subprocess.run``."""
+def _python(args, **kwargs):
+    """Run a fresh interpreter that imports this bksens, with ``args`` after
+    the executable; ``kwargs`` go to ``subprocess.run``."""
     env = dict(os.environ)
     src = str(Path(bksens.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block-buffered, as a user's is
     kwargs.setdefault("timeout", 120)
-    return subprocess.run([sys.executable, "-m", "bksens.cli", *args],
-                          capture_output=True, text=True, env=env, **kwargs)
+    kwargs.setdefault("capture_output", True)
+    return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)
+
+
+def _run_cli(args, **kwargs):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    return _python(["-m", "bksens.cli", *args], **kwargs)
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -346,6 +352,12 @@ def _run_cli(args, **kwargs):
     ("effects", ["--ra", "nan"]),
     ("benchmark", ["--j", "c1", "--delta-grid", "0.5:10000.5:1"]),  # 10,001 points
     ("rv", ["--rho-grid=-1.7e308:1.7e308:1"]),  # hi - lo overflows to inf
+    # sizes numpy cannot allocate or cannot even express as an array
+    ("simulate", ["--dim-m", "2", "--reps", "1", "--n", "10000000000000000"]),
+    ("simulate", ["--dim-m", "2", "--reps", "1", "--n", "100000000000000000000"]),
+    ("effects", ["--bootstrap", "100000000000000000"]),
+    ("simulate", ["--dim-m", "2", "--reps", "1", "--n", str(cli.MAX_COUNT + 1)]),
+    ("rv", ["--bootstrap", str(cli.MAX_COUNT + 1)]),
 ])
 def test_invalid_option_values_exit_2(csv_file, tmp_path, command, flags):
     path, _ = csv_file
@@ -363,7 +375,7 @@ def test_unknown_benchmark_covariate_rejected_before_bootstrap(csv_file, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("bootstrap drawn before --j was checked")
 
-    monkeypatch.setattr(cli, "bootstrap_moments", refuse)
+    monkeypatch.setattr(inference, "bootstrap_moments", refuse)
     assert main(["benchmark", *base_args(path), "--j", "nope"]) == 2
     assert capsys.readouterr().err == "error: --j 'nope' is not one of the covariates\n"
 
@@ -373,12 +385,11 @@ def test_out_in_missing_directory_rejected_before_any_work(csv_file, tmp_path,
                                                            monkeypatch, capsys, command):
     # the job would run in full and then fail to write its report
     path, _ = csv_file
-    from bksens import simulation
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    monkeypatch.setattr(cli, "bootstrap_moments", refuse)
+    monkeypatch.setattr(inference, "bootstrap_moments", refuse)
     monkeypatch.setattr(simulation, "rv_ratio_study", refuse)
     out = tmp_path / "nodir" / "report.json"
     argv = [command, "--out", str(out)]
@@ -503,3 +514,73 @@ def test_non_finite_report_exits_3(csv_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite" in captured.err
+
+
+SIDECAR_JOBS = {
+    "rv": ["--bootstrap", "20", "--rho-grid", "0.1:0.2:0.1"],
+    "benchmark": ["--bootstrap", "20", "--j", "c1", "--delta-grid", "0.5:1:0.5"],
+    "simulate": ["--dim-m", "2", "--reps", "1", "--n", "60"],
+}
+
+
+def _sidecar_argv(command, data_path, out):
+    data_args = [] if command == "simulate" else base_args(data_path)
+    return [command, *data_args, *SIDECAR_JOBS[command], "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", sorted(SIDECAR_JOBS))
+def test_unwritable_report_leaves_no_sidecar(csv_file, tmp_path, capsys, command):
+    # the report is written first, so a report that cannot be written
+    # stops the job before any sidecar CSV exists
+    out_dir = tmp_path / "out"
+    (out_dir / "d.json").mkdir(parents=True)
+    assert main(_sidecar_argv(command, csv_file[0], out_dir / "d.json")) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write: ")
+    assert [p.name for p in out_dir.iterdir()] == ["d.json"]
+
+
+def _non_finite_rv(mm, plan, kind, rho_grid, **kwargs):
+    return robustness.RVReport(
+        rv_estimate=0.5, rv_ci=0.5, curve=[(r, float("nan")) for r in rho_grid],
+        confounder_mode="scalar_u", effect_kind=kind, sign_flip=False,
+        observed_t=3.0)
+
+
+def _non_finite_study(designs, replications, base_seed):
+    return [simulation.RVStudyRow(
+        dim_m=2, r2_am=0.3, r2_ym=0.3, replications=replications,
+        rv_scalar=0.0, rv_vector=0.0, ratio=float("nan"))]
+
+
+@pytest.mark.parametrize("command, module, name, fake", [
+    ("rv", robustness, "robustness_value", _non_finite_rv),
+    ("simulate", simulation, "rv_ratio_study", _non_finite_study),
+])
+def test_non_finite_report_leaves_no_file(csv_file, tmp_path, monkeypatch, capsys,
+                                          command, module, name, fake):
+    monkeypatch.setattr(module, name, fake)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(_sidecar_argv(command, csv_file[0], out_dir / "r.json")) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("effects", inference, "bootstrap_moments"),
+    ("simulate", simulation, "rv_ratio_study"),
+])
+def test_out_of_memory_exits_2(csv_file, tmp_path, monkeypatch, capsys,
+                               command, module, name):
+    # a stage that cannot allocate its arrays; nothing here allocates them
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 PiB for an array")
+
+    monkeypatch.setattr(module, name, exhausted)
+    argv = [command, "--out", str(tmp_path / "r.json")]
+    if command != "simulate":
+        argv += [*base_args(csv_file[0]), "--bootstrap", "20"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 72.8 PiB for an array\n")
+    assert not (tmp_path / "r.json").exists()

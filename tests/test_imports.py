@@ -6,8 +6,10 @@ scipy when they first run; no other CLI job loads it. ``import bksens``
 loads no submodule until one of its names is looked up, and the CLI loads
 ``benchmarking``, ``simulation`` and ``robustness`` only in the commands that
 use them. ``robustness`` loads ``optimize`` when it runs its first search,
-so a ``simulate`` job, which runs none, never loads it. Only a multi-worker
-bootstrap loads the thread pool. Each check runs in a fresh interpreter, as a CLI job does.
+so a ``simulate`` job, which runs none, never loads it; nor does it load the
+bootstrap code of ``inference``, which only the data commands import. Only
+a multi-worker bootstrap loads the thread pool. Each check runs in a fresh
+interpreter, as a CLI job does.
 
 Importing the library changes no environment variable; importing
 ``bksens.cli`` sets ``OPENBLAS_NUM_THREADS=1`` when no BLAS thread variable
@@ -105,6 +107,16 @@ def test_simulate_job_loads_no_search_code(tmp_path):
     assert "bksens.optimize" not in loaded
 
 
+def test_simulate_job_loads_no_bootstrap_code(tmp_path):
+    argv = ["simulate", "--dim-m", "2,3", "--reps", "1",
+            "--out", str(tmp_path / "s.json")]
+    assert "bksens.inference" not in _fresh(_main(argv), "bksens")
+
+
+def test_import_cli_loads_no_bootstrap_code():
+    assert "bksens.inference" not in _fresh("import bksens.cli", "bksens")
+
+
 def test_import_bksens_loads_no_submodule():
     assert _fresh("import bksens", "bksens") == ["bksens"]
 
@@ -177,15 +189,13 @@ def test_cli_keeps_a_thread_count_the_user_set(name):
     assert _run(ENV_CHANGES, thread_vars={name: "3"}) == [{}, {}]
 
 
-# ``python -m bksens.cli`` on an effects job; the threads of the process
-# after it, counted in /proc
+# an effects job through ``main``; the threads of the process after it,
+# counted in /proc. Importing ``bksens.cli`` runs the same thread policy as
+# ``python -m bksens.cli``, whose process ends before it could count.
 THREADS_AFTER_JOB = """
-import os, runpy, sys
-sys.argv = ["bksens", *{argv!r}]
-try:
-    runpy.run_module("bksens.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
+import os
+from bksens.cli import main
+assert main({argv!r}) == 0
 print(len(os.listdir("/proc/self/task")))
 """
 

@@ -226,6 +226,28 @@ def test_every_candidate_batch_has_one_zero_row(q):
         assert len(np.unique(flat, axis=0)) == len(flat)
 
 
+def _distinct_by_loop(rows):
+    """The row-by-row reference for ``robustness._distinct``."""
+    args = [np.concatenate(col) for col in zip(*rows)]
+    flat = np.column_stack([a.reshape(len(a), -1) for a in args])
+    keep = [i for i, row in enumerate(flat) if not (flat[:i] == row).all(1).any()]
+    return tuple(a[keep] for a in args)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distinct_keeps_first_rows_as_the_loop_does(seed):
+    # repeats, -0.0 against 0.0 (equal) and NaN rows (never equal, so kept)
+    rng = np.random.default_rng(seed)
+    pool = [(np.zeros((1, 1)), np.zeros((1, 2))),
+            (np.zeros((1, 1)), np.array([[-0.0, 0.0]])),
+            (np.full((1, 1), np.nan), np.ones((1, 2)))]
+    pool += [(rng.integers(-1, 2, (1, 1)).astype(float),
+              rng.integers(-1, 2, (1, 2)).astype(float)) for _ in range(6)]
+    rows = [pool[i] for i in rng.integers(0, len(pool), 30)]
+    got, expected = robustness._distinct(rows), _distinct_by_loop(rows)
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
+
+
 def test_rv_ratio_study_runs_no_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rv_ratio_study started a numerical search")
