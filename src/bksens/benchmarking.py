@@ -20,23 +20,30 @@ so a resample raises exactly when ``benchmark_moments`` would. Both give a
 ``BenchmarkMoments``, with a leading resample axis for the plan.
 
 The effects' coefficient form, its flip and its per-resample coefficient
-rows come from ``mediation.EffectObjective``, built once per effect with
-the plan. The search is batched, each optimizer sweep costing one objective
-call, and both search objectives evaluate that form through one kernel,
-``_leave_j_kernel``: an effect over k leave-j candidates on any number of
-anchor rows, built from no natural parameters. The effect reads the natural
-r_m only through r_m . w_a (indirect), r_m . w_b and |r_m|^2, and with
-r_m = M (r_m_lj - c r_m_cj) / sqrt(1 - c^2) these are projections of r_m_lj on
-per-row vectors and one quadratic form, so a call is (k, q) by (q, R) and
-(k, q^2) by (q^2, R) products, einsums rather than BLAS so that values are
-point-pure (``robustness``), plus elementwise work on (k, R) arrays. The
-estimate runs it on the full sample's row and coefficients; the t statistic
-on the full sample as row 0 stacked over the resamples, against the
-objective's full coefficients stacked over its per-resample rows. The
-scalar part of the conversion (c, r_a, r_cj_u_amc, r_y) and its feasibility
-tests are ``_leave_j_chain``, shared by the kernel and the
-natural-parameter witnesses (``natural_from_benchmark``); only r_m has two
-forms, projected for the searches and explicit for the witnesses.
+rows come from ``mediation.EffectObjective``, built once per effect with the
+plan. The search is batched, each optimizer sweep costing one objective
+call, and both search objectives evaluate that form through one kernel
+function, ``_leave_j_kernel``: both effects over k leave-j candidates on any
+number of anchor rows, built from no natural parameters. A candidate carries
+its effect, its index in EFFECTS, in a column beside its triple, and a call
+runs the scalar conversion once over all its candidates and each effect's
+projections and tail on that effect's rows only. The effect reads the
+natural r_m only through r_m . w_a (indirect), r_m . w_b and |r_m|^2, and
+with r_m = M (r_m_lj - c r_m_cj) / sqrt(1 - c^2) these are projections of
+r_m_lj on per-row vectors and one quadratic form, so a call is (k, q) by
+(q, R) and (k, q^2) by (q^2, R) products, einsums rather than BLAS so that
+values are point-pure (``robustness``), plus elementwise work on (k, R)
+arrays. ``prepare_benchmark_stacks`` builds two kernels, each serving both
+effects: the estimate on the full sample's row and coefficients; the t
+statistic on the full sample as row 0 stacked over the resamples, against
+each objective's full coefficients stacked over its per-resample rows. So a
+lockstep pass calls each once, whichever effects its searches belong to;
+what that saves is the fixed numpy cost of a call, which shrinks beside the
+t kernel's work per point as B grows. The scalar part of the conversion
+(c, r_a, r_cj_u_amc, r_y) and its feasibility tests are ``_leave_j_chain``,
+shared by the kernel and the natural-parameter witnesses
+(``natural_from_benchmark``); only r_m has two forms, projected for the
+searches and explicit for the witnesses.
 
 The searches run through ``robustness._run``, the robustness values' sweep
 driver, without the Nelder-Mead polish. The full-sample
@@ -45,9 +52,12 @@ and their search objectives are built once per covariate by
 ``prepare_benchmark_stacks``. ``_worst_plan`` and ``_delta_plan`` list the
 searches of one worst case or one critical-delta sweep, and ``_run`` runs
 any number of such plans as one batch, in which searches over boxes of the
-same number of columns advance in lockstep with one objective call per
-search objective per sweep; since each value is a function of its
-candidate alone, each search's result is the one it has run alone.
+same number of columns advance in lockstep with one call per search
+objective per sweep. Every box of one layout and effect shares its map
+from box points to candidates (``_leave_j_box``), kept in the stacks, so a
+sweep also unpacks their points in one call. Since each value is a
+function of its candidate alone, each search's result is the one it has
+run alone.
 ``benchmark_worst`` and ``critical_delta`` run one plan;
 ``benchmark_covariate``, which the CLI calls, runs all of one covariate's
 searches together. Each of the three builds its own stacks. A
@@ -61,7 +71,7 @@ decision with a stop value at the threshold (see ``critical_delta``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,6 +98,7 @@ R_CLAMP = 1.0 - 1e-9
 WORST_BUDGET = 1500   # DIRECT evaluations per worst-case search
 DELTA_BUDGET = 1200   # DIRECT evaluations per critical-delta grid point
 _ANCHOR_FIELDS = ("r_a_cj", "r_m_cj", "r_y_cj", "mix_leave_j")
+EFFECTS = ("direct", "indirect")   # a leave-j point's effect column holds its index here
 
 
 @dataclass(frozen=True)
@@ -188,20 +199,37 @@ def _leave_j_chain(anc: BenchmarkMoments):
     r_a_cj, r_y_cj, r_m_cj = anc.r_a_cj, anc.r_y_cj, anc.r_m_cj.T.copy()
     den_a2, den_y2 = 1.0 - r_a_cj ** 2, 1.0 - r_y_cj ** 2
     den_m = 1.0 - np.einsum("ir,ir->r", r_m_cj, r_m_cj)
+    neg_a_cj, root_den_a = -r_a_cj, np.sqrt(den_a2)
 
     def chain(r_a_lj, r_m_lj, r_y_lj, natural_r_m):
+        # each (k, R) quantity is built in place, one operation at a time in
+        # the order its formula (the comment below it) evaluates, so the
+        # values are the formula's to the bit
         nm_lj2 = np.einsum("ki,ki->k", r_m_lj, r_m_lj)
         ra = r_a_lj[:, None]
-        c = -(r_a_cj * ra) / np.sqrt((1.0 - ra ** 2) * den_a2)
-        r_a = ra / np.sqrt(den_a2)
+        c = (1.0 - ra ** 2) * den_a2
+        c = np.divide(neg_a_cj * ra, np.sqrt(c, out=c), out=c)
+        # c = -(r_a_cj r_a_lj) / sqrt((1 - r_a_lj^2) den_a2)
+        r_a = ra / root_den_a
         r_m, nm2 = natural_r_m(c)
-        amc = (c - np.einsum("ki,ij->kj", r_m_lj, r_m_cj)) / np.sqrt(
-            den_m * (1.0 - nm_lj2[:, None]))
-        r_y = (r_y_lj[:, None] - r_y_cj * amc) / np.sqrt(den_y2 * (1.0 - amc * amc))
+        amc = np.einsum("ki,ij->kj", r_m_lj, r_m_cj)
+        np.subtract(c, amc, out=amc)
+        den = den_m * (1.0 - nm_lj2[:, None])
+        amc /= np.sqrt(den, out=den)
+        # amc = (c - r_m_lj . r_m_cj) / sqrt(den_m (1 - |r_m_lj|^2))
+        den = amc * amc
+        np.subtract(1.0, den, out=den)
+        den *= den_y2
+        r_y = r_y_cj * amc
+        np.subtract(r_y_lj[:, None], r_y, out=r_y)
+        r_y /= np.sqrt(den, out=den)
+        # r_y = (r_y_lj - r_y_cj amc) / sqrt(den_y2 (1 - amc^2))
         # no |c| test: with u = r_a_lj^2, v = r_a_cj^2, c^2 >= R^2 means
         # u >= R^2 (1-v) / (v + R^2 (1-v)) >= R^2 (1-v), i.e. r_a^2 >= R^2
-        outside = ((np.abs(r_a) >= R_CLAMP) | (nm2 >= R_CLAMP ** 2)
-                   | (np.abs(amc) >= R_CLAMP) | (np.abs(r_y) >= R_CLAMP))
+        outside = np.abs(r_a) >= R_CLAMP
+        outside |= nm2 >= R_CLAMP ** 2
+        outside |= np.abs(amc, out=den) >= R_CLAMP
+        outside |= np.abs(r_y, out=den) >= R_CLAMP
         ok = ~(outside.any(axis=-1) | (np.abs(r_a_lj) >= 1.0)
                | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
         return c, r_a, r_m, nm2, r_y, ok
@@ -213,6 +241,11 @@ def _as_batch(triples):
     return (np.array([t[0] for t in triples], dtype=float),
             np.stack([np.atleast_1d(np.asarray(t[1], dtype=float)) for t in triples]),
             np.array([t[2] for t in triples], dtype=float))
+
+
+def _leave_j_args(effect: int, r_a_lj, r_m_lj, r_y_lj) -> tuple:
+    """A leave-j argument batch: the batch's effect column, then its triple."""
+    return np.full(len(r_a_lj), effect), r_a_lj, r_m_lj, r_y_lj
 
 
 def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
@@ -239,54 +272,129 @@ def natural_from_benchmark(bm: BenchmarkMoments, r_a_leave_j: float,
 # ``mediation``, batched over candidates and anchor rows.
 # ---------------------------------------------------------------------------
 
-def _leave_j_kernel(anc: BenchmarkMoments, coeffs: tuple, kind: str, value):
-    """One effect's batched search objective over k leave-j candidates.
+def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
+    """Both effects' batched search objective over k leave-j candidates.
 
-    The effect is evaluated on every row of ``anc`` (a leading axis of R)
-    against ``coeffs``, its coefficient form with a trailing axis of R (an
+    ``values(effect, r_a_lj, r_m_lj, r_y_lj)`` takes each candidate's
+    effect, its index in EFFECTS, beside its leave-j triple. Each effect is
+    evaluated on every row of ``anc`` (a leading axis of R) against
+    ``coeffs[effect]``, its coefficient form with a trailing axis of R (an
     ``EffectObjective``'s ``full``, stacked over its ``boot`` for the t
-    rows); ``value`` reduces the (k, R) effects to the (k,) search values,
-    which are ``inf`` where ``_leave_j_chain`` marks a candidate infeasible.
+    rows); ``value(est, flip)`` reduces the (k, R) effects, with each
+    candidate's ``flips[effect]`` in the (k,) ``flip``, to the (k,) search
+    values, which are ``inf`` where ``_leave_j_chain`` marks a candidate
+    infeasible.
 
     Each row keeps M'w_a, M'w_b, G = M'M, G r_m_cj and their products with
     r_m_cj, from which a call forms r_m . w_a, r_m . w_b and |r_m|^2 for
-    every (candidate, row), building no natural r_m (module docstring).
+    every (candidate, row), building no natural r_m (module docstring). The
+    chain and ``value`` run once over all k candidates; each effect's
+    projections and tail run on its own candidates only, sorted by effect
+    into contiguous slices, and the values are scattered back into the
+    call's order. As in the chain, each (k, R) quantity is built in place in
+    the order its formula, the comment below it, evaluates.
     """
-    s0, w_a, w_b, cross = coeffs
-    direct = kind == "direct"
     chain = _leave_j_chain(anc)
     r_m_cj, mix = anc.r_m_cj, anc.mix_leave_j
     gram = np.einsum("rji,rjk->rik", mix, mix)
     g_cj = np.einsum("rij,rj->ir", gram, r_m_cj)
-    # M'w per row; the direct effect's w_a multiplies phi_1, not r_m
-    v_b = np.einsum("rji,jr->ir", mix, w_b)
-    v_a = np.zeros_like(v_b) if direct else np.einsum("rji,jr->ir", mix, w_a)
-    proj = np.concatenate([g_cj, v_b, v_a], axis=1)
+    cj_g_cj = np.einsum("ri,ir->r", r_m_cj, g_cj)
     gram = gram.reshape(len(mix), -1).T.copy()
-    cj_g_cj, cj_v_b, cj_v_a = (np.einsum("ri,ir->r", r_m_cj, v)
-                               for v in (g_cj, v_b, v_a))
+    n_rows = len(mix)
+    flips = np.asarray(flips, dtype=float)
+    # per effect: its projection vectors, their products with r_m_cj, s0, w_a, cross
+    forms = []
+    for kind, (s0, w_a, w_b, cross) in zip(EFFECTS, coeffs):
+        # M'w per row; the direct effect's w_a multiplies phi_1, not r_m
+        v_b = np.einsum("rji,jr->ir", mix, w_b)
+        v_a = np.zeros_like(v_b) if kind == "direct" else np.einsum("rji,jr->ir", mix, w_a)
+        proj = np.concatenate([g_cj, v_b, v_a], axis=1)   # Fortran-ordered
+        if r_m_cj.shape[1] <= 2:
+            # A projection sums q products. The C order puts the (q, 3R)
+            # matrix's columns innermost, einsum's fast loop (about 5x for
+            # this product), and sums them in index order; the Fortran order
+            # sums even and odd terms apart. At most two terms round alike in
+            # either order, so only then is the fast layout taken: with more,
+            # it would move every value, and the reports, in the last bits.
+            proj = np.ascontiguousarray(proj)
+        forms.append((proj, np.einsum("ri,ir->r", r_m_cj, v_b),
+                      np.einsum("ri,ir->r", r_m_cj, v_a), s0, w_a, cross))
 
-    def values(r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
+    def values(effect, r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
         k, q = r_m_lj.shape
-        g_lj, vb_lj, va_lj = np.split(np.einsum("ki,ij->kj", r_m_lj, proj), 3, axis=1)
+        counts = np.bincount(effect, minlength=len(EFFECTS))
+        order = None
+        if counts.max() < k:   # both effects: sort them into contiguous slices
+            order = np.argsort(effect, kind="stable")
+            effect, r_a_lj, r_m_lj, r_y_lj = (
+                effect[order], r_a_lj[order], r_m_lj[order], r_y_lj[order])
+        ends = np.cumsum(counts).tolist()
+        slices = [(e, slice(end - n, end))
+                  for e, (n, end) in enumerate(zip(counts.tolist(), ends)) if n]
+        proj_lj = np.empty((k, 3 * n_rows))
+        for e, rows in slices:
+            np.einsum("ki,ij->kj", r_m_lj[rows], forms[e][0], out=proj_lj[rows])
+        g_lj = proj_lj[:, :n_rows]
+        vb_lj, va_lj = proj_lj[:, n_rows:2 * n_rows], proj_lj[:, 2 * n_rows:]
         outer = (r_m_lj[:, :, None] * r_m_lj[:, None, :]).reshape(k, q * q)
 
         def projected_r_m(c):   # the form: sqrt(1 - c^2), dividing each r_m . w
-            s2 = 1.0 - c * c
-            return np.sqrt(s2), (np.einsum("ki,ij->kj", outer, gram) - 2.0 * c * g_lj
-                                 + c * c * cj_g_cj) / s2
+            cc = c * c
+            s2 = 1.0 - cc
+            nm2 = np.einsum("ki,ij->kj", outer, gram)
+            two_c_g = 2.0 * c
+            two_c_g *= g_lj
+            nm2 -= two_c_g
+            cc *= cj_g_cj
+            nm2 += cc
+            nm2 /= s2
+            # nm2 = (|M r_m_lj|^2 - 2 c g_lj + c^2 cj_g_cj) / (1 - c^2)
+            return np.sqrt(s2, out=s2), nm2
 
+        est = np.empty((k, n_rows))
         with np.errstate(invalid="ignore", divide="ignore"):
             c, r_a, root_s, nm2, r_y, ok = chain(r_a_lj, r_m_lj, r_y_lj, projected_r_m)
-            root_m = np.sqrt(1.0 - nm2)
+            root_m = 1.0 - nm2
+            np.sqrt(root_m, out=root_m)
             y_m = r_y / root_m                      # phi_b = y_m r_m
-            est = s0 + y_m * (vb_lj - c * cj_v_b) / root_s
-            if direct:
-                est += r_y * r_a / (np.sqrt(1.0 - r_a ** 2) * root_m) * w_a[0]
-            else:
-                a_m = r_a / np.sqrt(1.0 - r_a ** 2)   # phi_a = a_m r_m
-                est += a_m * (va_lj - c * cj_v_a) / root_s + cross * a_m * y_m * nm2
-            return np.where(ok, value(est), np.inf)
+            for e, rows in slices:
+                _, cj_v_b, cj_v_a, s0, w_a, cross = forms[e]
+                c_e, r_a_e, root_s_e, y_m_e = c[rows], r_a[rows], root_s[rows], y_m[rows]
+                est_e = np.multiply(c_e, cj_v_b, out=est[rows])
+                np.subtract(vb_lj[rows], est_e, out=est_e)
+                est_e *= y_m_e
+                est_e /= root_s_e
+                est_e += s0
+                # est = s0 + y_m (vb_lj - c cj_v_b) / root_s
+                root_ra = r_a_e ** 2
+                np.subtract(1.0, root_ra, out=root_ra)
+                np.sqrt(root_ra, out=root_ra)
+                # root_ra = sqrt(1 - r_a^2)
+                if EFFECTS[e] == "direct":
+                    root_ra *= root_m[rows]
+                    term = r_y[rows] * r_a_e
+                    term /= root_ra
+                    term *= w_a[0]
+                    # term = r_y r_a / (root_ra root_m) w_a
+                else:
+                    a_m = np.divide(r_a_e, root_ra, out=root_ra)   # phi_a = a_m r_m
+                    term = c_e * cj_v_a
+                    np.subtract(va_lj[rows], term, out=term)
+                    term *= a_m
+                    term /= root_s_e
+                    cross_term = cross * a_m
+                    cross_term *= y_m_e
+                    cross_term *= nm2[rows]
+                    term += cross_term
+                    # term = a_m (va_lj - c cj_v_a) / root_s + cross a_m y_m nm2
+                est_e += term
+            out = value(est, flips[effect])
+        out[~ok] = np.inf
+        if order is None:
+            return out
+        scattered = np.empty(k)
+        scattered[order] = out
+        return scattered
     return values
 
 
@@ -294,15 +402,37 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs: tuple, kind: str, value):
 class _Stacks:
     """What the worst-case searches for one covariate read: the full-sample
     anchors, each effect's ``EffectObjective`` (its coefficient form and
-    flip, with the per-resample coefficient rows when there is a plan) and
-    its two search objectives, flip * estimate and, with a plan, flip * t
-    (else None), plus the per-resample anchors the t objective stacks."""
+    flip, with the per-resample coefficient rows when there is a plan), the
+    two search objectives both effects share, flip * estimate and, with a
+    plan, flip * t (else None), the per-resample anchors the t objective
+    stacks, and the box unpacks its searches share (``_leave_j_box``)."""
 
     bm: BenchmarkMoments
     anchors: BenchmarkMoments | None
     objectives: dict          # effect kind -> EffectObjective
-    estimates: dict           # effect kind -> batched flip * estimate
-    t_stats: dict | None      # effect kind -> batched flip * t
+    estimate: callable        # batched flip * estimate, both effects
+    t_stat: callable | None   # batched flip * t, both effects
+    unpacks: dict = field(default_factory=dict)   # (layout, effect) -> unpack
+
+    def box(self, spec: BenchmarkSpec, effect_kind: str) -> _SearchBox:
+        """``effect_kind``'s leave-j box under ``spec``, its map shared."""
+        return _leave_j_box(self.bm, spec, self.objectives[effect_kind].q,
+                            EFFECTS.index(effect_kind), self.unpacks)
+
+    @property
+    def estimates(self) -> dict:
+        return _one_effect(self.estimate)
+
+    @property
+    def t_stats(self) -> dict | None:
+        return None if self.t_stat is None else _one_effect(self.t_stat)
+
+
+def _one_effect(values) -> dict:
+    """Effect kind -> ``values`` on leave-j triples of that effect alone."""
+    return {kind: lambda r_a_lj, r_m_lj, r_y_lj, e=e: values(
+                *_leave_j_args(e, r_a_lj, r_m_lj, r_y_lj))
+            for e, kind in enumerate(EFFECTS)}
 
 
 @dataclass(frozen=True)
@@ -330,18 +460,26 @@ def _radii(bm: BenchmarkMoments, spec: BenchmarkSpec) -> tuple[float, float, flo
     return ra, rm, ry
 
 
-def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int) -> _SearchBox:
-    """The capped leave-one-out box, its map to (r_a (k,), r_m (k, q),
-    r_y (k,)) leave-j candidates, and its candidates: zero, then a
-    deterministic corner sweep over the scalar channels, each row once."""
+def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int, effect: int,
+                 unpacks: dict) -> _SearchBox:
+    """The capped leave-one-out box of the effect ``effect`` (its index in
+    EFFECTS), its map to (effect (k,), r_a (k,), r_m (k, q), r_y (k,))
+    leave-j candidates, and its candidates: zero, then a deterministic
+    corner sweep over the scalar channels, each row once.
+
+    The map reads only the box's layout, which of its blocks are present,
+    and the effect, so every box of one layout and effect shares the map
+    kept for them in ``unpacks``, and a lockstep pass unpacks all their
+    points in one call (``robustness._minimize_over_boxes``)."""
     ra_rad, rm_rad, ry_rad = _radii(bm, spec)
-    box = _Box().interval(-ra_rad, ra_rad, present=ra_rad > 0) \
-        .ball(q, rm_rad, present=rm_rad > 0) \
-        .interval(-ry_rad, ry_rad, present=ry_rad > 0)
+    layout = (q, ra_rad > 0, rm_rad > 0, ry_rad > 0)
+    box = _Box().interval(-ra_rad, ra_rad, present=layout[1]) \
+        .ball(q, rm_rad, present=layout[2]) \
+        .interval(-ry_rad, ry_rad, present=layout[3])
 
     def unpack(x):
         r_a_lj, (radius, direction), r_y_lj = box.split(x)
-        return r_a_lj, radius[:, None] * direction, r_y_lj
+        return np.full(len(r_a_lj), effect), r_a_lj, radius[:, None] * direction, r_y_lj
 
     cands = [(0.0, np.zeros(q), 0.0)]
     m_dirs = [np.zeros(q)]
@@ -352,7 +490,8 @@ def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int) -> _SearchBo
         for sy in ((-ry_rad, 0.0, ry_rad) if ry_rad > 0 else (0.0,)):
             for dm in m_dirs:
                 cands.append((sa, dm, sy))
-    return _SearchBox(box, unpack, _distinct([_as_batch(cands)]))
+    return _SearchBox(box, unpacks.setdefault((layout, effect), unpack),
+                      _leave_j_args(effect, *_distinct([_as_batch(cands)])))
 
 
 def _k_ratios(bm: BenchmarkMoments, params) -> dict:
@@ -395,25 +534,24 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
                 getattr(anchors, name)[i] = getattr(exact, name)
         anchors = _anchors(anchors)
     full_anchors = _anchors(bm)
-    objectives = {kind: _objective(kind, mm, plan) for kind in ("direct", "indirect")}
-    estimates, t_stats = {}, None if plan is None else {}
-    # the t rows: row 0 the full sample, rows 1.. the resamples
-    rows = None if plan is None else replace(full_anchors, **{
-        name: np.concatenate([getattr(full_anchors, name), getattr(anchors, name)])
-        for name in _ANCHOR_FIELDS})
-    for kind, obj in objectives.items():
-        estimates[kind] = _leave_j_kernel(full_anchors, obj.full, kind,
-                                          lambda est, flip=obj.flip: flip * est[:, 0])
-        if plan is not None:
-            # the leave-j conversion differs per resample, so the t kernel
-            # takes its SE as an SD over the resamples' own coefficient rows
-            coeffs = tuple(None if f is None else np.concatenate([f, b], axis=-1)
-                           for f, b in zip(obj.full, obj.boot))
-            t_stats[kind] = _leave_j_kernel(
-                rows, coeffs, kind, lambda est, flip=obj.flip:
-                flip * est[:, 0] / est[:, 1:].std(axis=-1, ddof=1))
-    return _Stacks(bm=bm, anchors=anchors,
-                   objectives=objectives, estimates=estimates, t_stats=t_stats)
+    objs = [_objective(kind, mm, plan) for kind in EFFECTS]
+    flips = [obj.flip for obj in objs]
+    estimate = _leave_j_kernel(full_anchors, [obj.full for obj in objs], flips,
+                               lambda est, flip: flip * est[:, 0])
+    t_stat = None
+    if plan is not None:
+        # the t rows: row 0 the full sample, rows 1.. the resamples. The
+        # leave-j conversion differs per resample, so the t kernel takes its
+        # SE as an SD over the resamples' own coefficient rows
+        rows = replace(full_anchors, **{
+            name: np.concatenate([getattr(full_anchors, name), getattr(anchors, name)])
+            for name in _ANCHOR_FIELDS})
+        coeffs = [tuple(None if f is None else np.concatenate([f, b], axis=-1)
+                        for f, b in zip(obj.full, obj.boot)) for obj in objs]
+        t_stat = _leave_j_kernel(rows, coeffs, flips, lambda est, flip: flip * est[:, 0]
+                                 / est[:, 1:].std(axis=-1, ddof=1))
+    return _Stacks(bm=bm, anchors=anchors, objectives=dict(zip(EFFECTS, objs)),
+                   estimate=estimate, t_stat=t_stat)
 
 
 def _observed_t(stacks: _Stacks, effect_kind: str) -> float:
@@ -429,11 +567,10 @@ def _worst_plan(stacks: _Stacks, spec: BenchmarkSpec, effect_kind: str,
     ``with_t``, the t statistic, both over the same box. Returns them, no
     sweep threshold, and the map from their results to a BenchmarkResult."""
     obj = stacks.objectives[effect_kind]
-    box = _leave_j_box(stacks.bm, spec, obj.q)
-    values_e = stacks.estimates[effect_kind]
-    searches = [_Search(box, values_e, budget)]
+    box = stacks.box(spec, effect_kind)
+    searches = [_Search(box, stacks.estimate, budget)]
     if with_t:
-        searches.append(_Search(box, stacks.t_stats[effect_kind], budget))
+        searches.append(_Search(box, stacks.t_stat, budget))
 
     def worst_case(params, value, t_stat):
         return WorstCase(
@@ -445,13 +582,14 @@ def _worst_plan(stacks: _Stacks, spec: BenchmarkSpec, effect_kind: str,
     def finish(results):
         (val_e, params_e), *t_found = [
             (val, (float(r_a[0]), r_m[0], float(r_y[0])))
-            for val, (r_a, r_m, r_y) in results]
+            for val, (_, r_a, r_m, r_y) in results]
         worst_est = worst_case(params_e, obj.flip * val_e, None)
         worst_t = observed_t = None
         if t_found:
             observed_t = obj.flip * _observed_t(stacks, effect_kind)
             val_t, params_t = t_found[0]
-            est_at_t = obj.flip * float(values_e(*_as_batch([params_t]))[0])
+            est_at_t = obj.flip * float(
+                stacks.estimates[effect_kind](*_as_batch([params_t]))[0])
             worst_t = worst_case(params_t, est_at_t, obj.flip * val_t)
         return BenchmarkResult(worst_estimate=worst_est, worst_t=worst_t,
                                observed_estimate=obj.observed, observed_t=observed_t,
@@ -468,14 +606,14 @@ def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
     the threshold has no searches."""
     obj = stacks.objectives[effect_kind]
     use_t = threshold > 0
-    values = (stacks.t_stats if use_t else stacks.estimates)[effect_kind]
+    values = stacks.t_stat if use_t else stacks.estimate
     # flip * the observed t or estimate, as the search values are
     observed = _observed_t(stacks, effect_kind) if use_t else obj.flip * obj.observed
     if observed <= threshold:
         return [], None, lambda results: (0.0, [(0.0, obj.flip * observed)])
     searches = [
-        _Search(_leave_j_box(stacks.bm, BenchmarkSpec(
-                    j=j, k_a_bound=k_a_bound, k_m_bound=delta, k_y_bound=delta), obj.q),
+        _Search(stacks.box(BenchmarkSpec(j=j, k_a_bound=k_a_bound, k_m_bound=delta,
+                                         k_y_bound=delta), effect_kind),
                 values, budget, stop=threshold if use_t else None)
         for delta in grid]
 
@@ -557,13 +695,12 @@ def benchmark_covariate(data: MediationData, spec: BenchmarkSpec,
     """
     grid = None if delta_grid is None else _delta_grid(delta_grid)
     stacks = prepare_benchmark_stacks(data, spec.j, plan)
-    kinds = ("direct", "indirect")
-    plans = [_worst_plan(stacks, spec, kind, WORST_BUDGET, True) for kind in kinds]
+    plans = [_worst_plan(stacks, spec, kind, WORST_BUDGET, True) for kind in EFFECTS]
     if grid is not None:
         plans += [_delta_plan(stacks, spec.j, kind, threshold, grid,
                               spec.k_a_bound, DELTA_BUDGET)
-                  for kind in kinds for threshold in (0.0, DEFAULT_CI_MULTIPLIER)]
+                  for kind in EFFECTS for threshold in (0.0, DEFAULT_CI_MULTIPLIER)]
     outcomes = _run(plans)
     sweeps = {} if grid is None else {
-        kind: tuple(outcomes[2 + 2 * n: 4 + 2 * n]) for n, kind in enumerate(kinds)}
-    return dict(zip(kinds, outcomes[:2])), sweeps
+        kind: tuple(outcomes[2 + 2 * n: 4 + 2 * n]) for n, kind in enumerate(EFFECTS)}
+    return dict(zip(EFFECTS, outcomes[:2])), sweeps

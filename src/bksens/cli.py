@@ -452,8 +452,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a failed write of its help, usage or
+    error text raises: argparse drops the OSError, so with unbuffered stdout
+    ``--help`` into a closed pipe would exit 0 having written nothing.
+    Subparsers are made of the same class."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:
+            file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bksens",
         description="Sensitivity analysis for Baron-Kenny mediation under "
                     "unmeasured confounding")
@@ -548,7 +560,8 @@ def run() -> None:
     """The process entry of ``bksens`` and ``python -m bksens.cli``: ``main``,
     the ``atexit`` handlers and a flush of stdout and stderr, then
     ``os._exit`` with no interpreter teardown (see the module docstring). A
-    failed flush, such as a closed pipe, exits 2."""
+    failed write, such as to a closed pipe, exits 2, whether it fails in the
+    flush or, with unbuffered streams, in argparse's own output."""
     if _watched():
         sys.exit(main())
     try:
@@ -557,17 +570,25 @@ def run() -> None:
         if not isinstance(exc.code, int):
             raise
         code = exc.code
+    except OSError as exc:  # argparse's text could not be written (``_Parser``)
+        code = _cannot_write(exc)
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
     except OSError as exc:
-        code = 2
-        try:
-            print(f"error: cannot write: {exc}", file=sys.stderr, flush=True)
-        except OSError:
-            pass
+        code = _cannot_write(exc)
     os._exit(code)
+
+
+def _cannot_write(exc: OSError) -> int:
+    """Report a failed write on stderr, if it can still be written; the
+    exit code 2."""
+    try:
+        print(f"error: cannot write: {exc}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
+    return 2
 
 
 if __name__ == "__main__":

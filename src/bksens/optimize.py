@@ -22,10 +22,12 @@ entered into its own search's groups (so groups are keyed by (search, level
 sum)), the hull test runs per search on (S, G) arrays padded on the left,
 and budget, stop and best point are kept per search. A pass sweeps every
 live search once, with one objective call for all their new points, so the
-fixed cost of a sweep is paid once per pass. Each search visits exactly the
-points, in the same order, that it visits run alone, provided a point's
-value does not depend on the other points of its call, as no search
-objective's does (``robustness`` module docstring). ``direct_optimize`` is
+fixed cost of a sweep is paid once per pass; mapping the pass's points to
+their boxes and finding each search's first minimum are array operations
+over the whole pass, not a numpy call per search. Each search visits
+exactly the points, in the same order, that it visits run alone, provided
+a point's value does not depend on the other points of its call, as no
+search objective's does (``robustness`` module docstring). ``direct_optimize`` is
 the call with S = 1: its objective takes a (k, d) array of points and
 returns (k,) values, the centre first and then one sweep's new points per
 call.
@@ -209,19 +211,20 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
         raise BudgetTooSmall(f"budget {min(budgets)} < 2*d+1 = {2 * d + 1}")
     span = uppers - lowers
 
-    def evaluate(points: np.ndarray, segments) -> np.ndarray:
-        """Values of the unit-box ``points``, each search's rows from its
-        start in ``segments`` to the next; NaN becomes +inf."""
-        ends = [lo for _, lo in segments[1:]] + [len(points)]
-        parts = objective([(s, lowers[s] + points[lo:hi] * span[s])
-                           for (s, lo), hi in zip(segments, ends)])
+    def evaluate(points: np.ndarray, owners: list, starts: list, counts):
+        """Values of the unit-box ``points``: the search ``owners[i]``'s
+        ``counts[i]`` rows from ``starts[i]``, mapped to its box in one pass;
+        NaN becomes +inf."""
+        of_point = np.repeat(owners, counts)
+        x = lowers[of_point] + points * span[of_point]
+        parts = objective([(s, x[lo:lo + n]) for s, lo, n in zip(owners, starts, counts)])
         vals = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return np.where(np.isnan(vals), np.inf, vals)
+        return np.where(np.isnan(vals), np.inf, vals), of_point
 
     searches = list(range(n_search))
     pile = _Pile(d, sum(budgets), n_search)
     best_x = np.full((n_search, d), 0.5)
-    best_f = evaluate(best_x, [(s, s) for s in searches]).tolist()
+    best_f = evaluate(best_x, searches, searches, [1] * n_search)[0].tolist()
     n_evals = [1] * n_search
     pile.add(best_x, np.zeros((n_search, d), dtype=np.int16), np.array(best_f),
              searches)
@@ -275,16 +278,18 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
         pts = pile.centers.take(chosen, axis=0).repeat(2 * n_cuts, axis=0)
         pts[plus, side] += delta
         pts[plus + 1, side] -= delta
-        vals = evaluate(pts, segments)
+        starts = [lo for _, lo in segments]
+        counts = np.diff(starts + [n_points])
+        vals, point_owners = evaluate(pts, searches, starts, counts)
 
-        # each search's first minimum of the pass
-        ends = [lo for _, lo in segments[1:]] + [n_points]
-        point_owners = []
-        for (owner, lo), hi in zip(segments, ends):
-            point_owners += [owner] * (hi - lo)
-            imin = lo + int(np.argmin(vals[lo:hi]))
-            if vals[imin] < best_f[owner]:
-                best_f[owner] = float(vals[imin])
+        # each search's first minimum of the pass: the first of its points
+        # equal to its least value (no value is NaN here)
+        mins = np.minimum.reduceat(vals, starts)
+        hits = np.flatnonzero(vals == mins.repeat(counts))
+        for owner, f, imin in zip(searches, mins.tolist(),
+                                  hits[np.searchsorted(hits, starts)].tolist()):
+            if f < best_f[owner]:
+                best_f[owner] = f
                 best_x[owner] = pts[imin]
 
         # Order each rectangle's cuts by their better value (stable); pos is
@@ -306,7 +311,7 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
         # rank), so this orders every group as inserting each parent and then
         # its children by rank would; a search's rows keep their order
         # whatever other searches share the pass.
-        start = pile.add(pts, child_levels.repeat(2, axis=0), vals, point_owners)
+        start = pile.add(pts, child_levels.repeat(2, axis=0), vals, point_owners.tolist())
         parent_levels = levels + cut
         pile.levels[chosen] = parent_levels
         for idx in chosen.tolist():

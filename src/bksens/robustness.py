@@ -27,7 +27,11 @@ benchmarking) and one batch of candidates, zero first, evaluated with the
 optimizer's optimum; the box builders list each row once. A box that bounds
 no confounding has no columns and zero as its only candidate. The minimizer
 takes any number of searches, and those whose boxes have the same number of
-columns advance in lockstep (``optimize.direct_lockstep``). The sweep driver
+columns advance in lockstep (``optimize.direct_lockstep``): a pass calls
+each box map once, on the new points of all the searches whose boxes share
+it (benchmarking's boxes of one layout and effect do), and each value
+function once, on the points of all the searches that read it, grouped by
+``_shared_calls``, which ``_evaluate`` uses too. The sweep driver
 ``_run`` calls it for the robustness values, a search per rho, and for
 formal benchmarking. The optimizer is imported on the first search, so
 ``rv_estimate_only`` and the ``simulate`` study never load it. The
@@ -307,20 +311,34 @@ class _Search:
     stop: float | None = None
 
 
+def _shared_calls(calls) -> list:
+    """``fn(*args)`` for each (fn, args) of ``calls``, args arrays with a
+    leading batch axis, made as one call per distinct ``fn`` over the args
+    of all the calls that share it, concatenated; each call gets its rows of
+    the result, an array or a tuple of arrays."""
+    shared = {}
+    for i, (fn, _) in enumerate(calls):
+        shared.setdefault(fn, []).append(i)
+    out = [None] * len(calls)
+    for fn, idx in shared.items():
+        if len(idx) == 1:
+            out[idx[0]] = fn(*calls[idx[0]][1])
+            continue
+        batches = [calls[i][1] for i in idx]
+        result = fn(*(np.concatenate(col) for col in zip(*batches)))
+        ends = np.cumsum([len(args[0]) for args in batches]).tolist()
+        for i, lo, hi in zip(idx, [0] + ends, ends):
+            out[i] = (tuple(part[lo:hi] for part in result) if isinstance(result, tuple)
+                      else result[lo:hi])
+    return out
+
+
 def _evaluate(pairs) -> list:
     """The values of (search, argument batch) pairs, with one call per
     distinct value function over the batches of all the pairs that share
     it."""
-    shared = {}
-    for i, (search, _) in enumerate(pairs):
-        shared.setdefault(search.value_fn, []).append(i)
-    out = [None] * len(pairs)
-    for value_fn, idx in shared.items():
-        args = [np.concatenate(col) for col in zip(*(pairs[i][1] for i in idx))]
-        ends = np.cumsum([len(pairs[i][1][0]) for i in idx])[:-1]
-        for i, vals in zip(idx, np.split(np.asarray(value_fn(*args)), ends)):
-            out[i] = vals
-    return out
+    return [np.asarray(vals) for vals in
+            _shared_calls([(search.value_fn, args) for search, args in pairs])]
 
 
 def _first_min(args, vals):
@@ -343,12 +361,14 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
     minimum. Otherwise DIRECT searches the box when it has columns, ending
     after its first sweep at or below ``stop``. Searches whose boxes have the
     same number of columns advance in lockstep (``optimize.direct_lockstep``),
-    LOCKSTEP_SEARCHES at a time: each pass calls every value function once,
-    on the new points of all the searches that share it. Each optimum is
-    then optionally polished by Nelder-Mead, the optima are evaluated in one
-    more call per value function, and the first minimum over each search's
-    optimum and candidates wins; a NaN ranks as +inf, behind a real +inf, so
-    it is returned only when every value is NaN.
+    LOCKSTEP_SEARCHES at a time: each pass calls every box unpack once, on the
+    new points of all the searches whose boxes share it, and every value
+    function once, on the unpacked points of all the searches that share it
+    (``_shared_calls``). Each optimum is then optionally polished by
+    Nelder-Mead, the optima are evaluated in one more call per value function,
+    and the first minimum over each search's optimum and candidates wins; a
+    NaN ranks as +inf, behind a real +inf, so it is returned only when every
+    value is NaN.
 
     ``drop(bounds)``, if given, is called before each pass with every
     search's best value so far, which its result can only undercut (+inf
@@ -370,7 +390,8 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
         group = [searches[i] for i in idx]
 
         def objective(batches, group=group):
-            return _evaluate([(group[s], group[s].box.unpack(x)) for s, x in batches])
+            args = _shared_calls([(group[s].box.unpack, (x,)) for s, x in batches])
+            return _evaluate([(group[s], a) for (s, _), a in zip(batches, args)])
 
         def abandon(best, idx=idx):
             mine = bounds.copy()

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from bksens import benchmarking, cli, optimize, robustness
 from bksens.benchmarking import (
+    EFFECTS,
     BenchmarkMoments,
     BenchmarkSpec,
-    _leave_j_box,
+    _leave_j_args,
     benchmark_covariate,
     benchmark_moments,
     benchmark_worst,
@@ -394,11 +395,11 @@ def test_critical_delta_searches_only_where_candidates_stay_above(monkeypatch):
                               k_a_bound=1.0, plan=plan)
     assert curve[0][0] == 0.5
     stacks = prepare_benchmark_stacks(data, 0, plan)
-    values = stacks.t_stats["direct"]
+    values = stacks.t_stat
     above = []
     for delta, _ in curve:
         spec = BenchmarkSpec(j=0, k_a_bound=1.0, k_m_bound=delta, k_y_bound=delta)
-        box = _leave_j_box(stacks.bm, spec, 1)
+        box = stacks.box(spec, "direct")
         if np.min(values(*box.candidates)) > 1.96:
             above.append(box.space.upper)
     assert started == above
@@ -418,19 +419,21 @@ def test_mediator_ball_alone_can_make_a_candidate_infeasible():
                                 r_y_cj=np.zeros(rows),
                                 mix_leave_j=np.tile(2.0 * np.eye(2), (rows, 1, 1)))
 
-    def t_value(est):
+    def t_value(est, flip):
         return est[:, 0] / est[:, 1:].std(axis=-1, ddof=1)
 
     r_a, r_y = np.array([0.2, 0.2]), np.array([0.3, 0.3])
     r_m = np.array([[0.6, 0.0], [0.3, 0.0]])
-    for kind, obj in stacks.objectives.items():
-        coeffs = tuple(None if f is None else np.concatenate([f, b], axis=-1)
-                       for f, b in zip(obj.full, _boot_coeffs(kind, plan)))
-        kernels = [benchmarking._leave_j_kernel(anchors(1), obj.full, kind,
-                                                lambda est: est[:, 0]),
-                   benchmarking._leave_j_kernel(anchors(21), coeffs, kind, t_value)]
+    objs = [stacks.objectives[kind] for kind in EFFECTS]
+    coeffs = [tuple(None if f is None else np.concatenate([f, b], axis=-1)
+                    for f, b in zip(obj.full, _boot_coeffs(kind, plan)))
+              for kind, obj in zip(EFFECTS, objs)]
+    kernels = [benchmarking._leave_j_kernel(anchors(1), [obj.full for obj in objs],
+                                            [1.0, 1.0], lambda est, flip: est[:, 0]),
+               benchmarking._leave_j_kernel(anchors(21), coeffs, [1.0, 1.0], t_value)]
+    for effect in range(len(EFFECTS)):
         for values in kernels:
-            got = values(r_a, r_m, r_y)
+            got = values(*_leave_j_args(effect, r_a, r_m, r_y))
             assert got[0] == np.inf
             assert np.isfinite(got[1])
     bm = anchors(1)

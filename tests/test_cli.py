@@ -307,13 +307,17 @@ def test_malformed_numeric_flags_exit_2(csv_file, capsys):
     assert code == 2
 
 
-def _python(args, **kwargs):
+def _python(args, unbuffered=False, **kwargs):
     """Run a fresh interpreter that imports this bksens, with ``args`` after
-    the executable; ``kwargs`` go to ``subprocess.run``."""
+    the executable; ``kwargs`` go to ``subprocess.run``. Its stdout on a
+    pipe is block-buffered, as a user's is, unless ``unbuffered`` sets
+    PYTHONUNBUFFERED."""
     env = dict(os.environ)
     src = str(Path(bksens.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("PYTHONUNBUFFERED", None)  # stdout on a pipe is block-buffered, as a user's is
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     kwargs.setdefault("timeout", 120)
     kwargs.setdefault("capture_output", True)
     return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)

@@ -95,13 +95,18 @@ def test_exit_codes_are_kept(degenerate_csv, tmp_path, case, code, stream, start
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [SIMULATE, ["--help"]], ids=["report", "help"])
-def test_closed_stdout_exits_2(tmp_path, argv):
-    # the reader is gone before the buffered output is flushed
+@pytest.mark.parametrize("argv, unbuffered", [
+    (SIMULATE, False), (["--help"], False),
+    (SIMULATE, True), (["--help"], True), (["rv", "--help"], True),
+], ids=["report", "help", "report-unbuffered", "help-unbuffered", "rv-help-unbuffered"])
+def test_closed_stdout_exits_2(tmp_path, argv, unbuffered):
+    # the reader is gone before the buffered output is flushed or, with
+    # PYTHONUNBUFFERED, before the first write, which argparse would let fail
+    # in silence
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _run_cli(argv, cwd=tmp_path, capture_output=False,
+        proc = _run_cli(argv, cwd=tmp_path, unbuffered=unbuffered, capture_output=False,
                         stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)

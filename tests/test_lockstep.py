@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bksens import robustness
+from bksens import benchmarking, optimize, robustness
 from bksens.benchmarking import (
     BenchmarkSpec,
-    _leave_j_box,
     benchmark_covariate,
     benchmark_worst,
     critical_delta,
@@ -148,13 +147,13 @@ def _sweep_alone(stacks, kind, threshold, grid, k_a_bound, budget=1200):
     with one search, smallest delta first, stopping at the first crossing."""
     obj = stacks.objectives[kind]
     use_t = threshold > 0
-    values = (stacks.t_stats if use_t else stacks.estimates)[kind]
+    values = stacks.t_stat if use_t else stacks.estimate
     curve = []
     for delta in grid:
         spec = BenchmarkSpec(j=0, k_a_bound=k_a_bound, k_m_bound=delta,
                              k_y_bound=delta)
         (val, _), = _minimize_over_boxes([_Search(
-            _leave_j_box(stacks.bm, spec, obj.q), values, budget,
+            stacks.box(spec, kind), values, budget,
             stop=threshold if use_t else None)])
         curve.append((delta, obj.flip * val))
         if val <= threshold:
@@ -181,10 +180,9 @@ def test_critical_delta_equals_one_search_per_grid_point(study, kind, threshold)
 
 
 def _worst_alone(stacks, spec, kind, budget=1500):
-    obj = stacks.objectives[kind]
-    box = _leave_j_box(stacks.bm, spec, obj.q)
-    return [_minimize_over_boxes([_Search(box, values[kind], budget)])[0]
-            for values in (stacks.estimates, stacks.t_stats)]
+    box = stacks.box(spec, kind)
+    return [_minimize_over_boxes([_Search(box, values, budget)])[0]
+            for values in (stacks.estimate, stacks.t_stat)]
 
 
 @pytest.mark.parametrize("caps", [(1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
@@ -199,7 +197,7 @@ def test_covariate_batch_groups_boxes_by_layout(study, caps):
     worst, sweeps = benchmark_covariate(data, spec, plan, delta_grid=grid)
     for kind in ("direct", "indirect"):
         flip = stacks.objectives[kind].flip
-        (val_e, (r_a, r_m, r_y)), (val_t, _) = _worst_alone(stacks, spec, kind)
+        (val_e, (_, r_a, r_m, r_y)), (val_t, _) = _worst_alone(stacks, spec, kind)
         res = worst[kind]
         assert res.worst_estimate.value == flip * val_e
         assert res.worst_estimate.leave_j == {"r_a": float(r_a[0]),
@@ -239,3 +237,44 @@ def test_no_sweep_walk_reaches_a_dropped_search(study, monkeypatch):
     for found, n in zip(runs, walked):
         assert None not in found[:n]
         assert None in found[n:]   # the sweep did drop its later points
+
+
+def test_lockstep_pass_calls_each_leave_j_kernel_once(study, monkeypatch):
+    # both effects share the estimate kernel (the full sample's anchors) and
+    # the t kernel (the full sample stacked over the resamples), so a pass
+    # of a covariate's batch calls each at most once, on the points of every
+    # search that reads it, whichever effects they belong to
+    data, plan, _ = study
+    calls = []   # (the kernel's anchors, the call's first argument)
+    kernel = benchmarking._leave_j_kernel
+
+    def counting_kernel(anc, *args):
+        values = kernel(anc, *args)
+
+        def counted(*points):
+            calls.append((id(anc), points[0]))
+            return values(*points)
+        return counted
+
+    passes = []
+    lockstep = optimize.direct_lockstep
+
+    def counting_lockstep(objective, *args, **kwargs):
+        def counted(batches):
+            before = len(calls)
+            found = objective(batches)
+            passes.append(calls[before:])
+            return found
+        return lockstep(counted, *args, **kwargs)
+
+    monkeypatch.setattr(benchmarking, "_leave_j_kernel", counting_kernel)
+    monkeypatch.setattr(optimize, "direct_lockstep", counting_lockstep)
+    benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=[0.5, 1.0, 2.0, 4.0])
+    assert len(passes) > 10
+    for made in passes:
+        kernels = [anc for anc, _ in made]
+        assert len(kernels) == len(set(kernels))
+    # passes that mix both effects' points in one call
+    mixed = [first for made in passes for _, first in made
+             if set(first.tolist()) == {0, 1}]
+    assert len(mixed) > 10

@@ -6,13 +6,16 @@ below that bound. So no per-point value may depend on the other rows
 evaluated beside it: each row's value in a batch must equal, bit for bit,
 its value in any contiguous sub-batch. A BLAS product breaks this, since
 its blocking, and with it the rounding of a row, follows the batch's shape.
+The leave-one-out objectives serve both effects in one call, so a row's
+value must not depend on the other effect's rows either, nor on where they
+fall in the batch.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bksens.benchmarking import BenchmarkSpec, _leave_j_box, prepare_benchmark_stacks
+from bksens.benchmarking import EFFECTS, BenchmarkSpec, prepare_benchmark_stacks
 from bksens.inference import bootstrap_moments
 from bksens.mediation import fit_observed
 from bksens.robustness import _box_for, _build_objective
@@ -38,16 +41,19 @@ def _batch(box, local, k=300):
     return tuple(np.concatenate(col) for col in zip(box.candidates, box.unpack(x)))
 
 
-def _assert_rows_pure(value_fn, args, local):
+def _assert_rows_pure(value_fn, args, local, singles=True):
+    """Each row's bits in the batch ``args`` equal its bits in 12 random
+    contiguous slices of 2-64 rows and, with ``singles``, alone."""
     whole = _bits(value_fn(*args))
     k = len(whole)
-    cuts = [(i, i + 1) for i in range(k)]
+    cuts = [(i, i + 1) for i in range(k)] if singles else []
     for _ in range(12):
         lo = int(local.integers(0, k))
         cuts.append((lo, min(k, lo + int(local.integers(2, 65)))))
     for lo, hi in cuts:
         part = _bits(value_fn(*(a[lo:hi] for a in args)))
         assert np.array_equal(part, whole[lo:hi]), (lo, hi)
+    return whole
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
@@ -71,7 +77,16 @@ def test_every_row_value_is_its_value_alone(p, q, kind, mode, randomized, seed):
     for delta in DELTAS:
         spec = BenchmarkSpec(j=j, k_a_bound=0.0 if randomized else delta,
                              k_m_bound=delta, k_y_bound=delta)
-        args = _batch(_leave_j_box(stacks.bm, spec, q), local)
-        _assert_rows_pure(stacks.estimates[kind], args, local)
-        _assert_rows_pure(stacks.t_stats[kind], args, local)
+        # one batch per effect, then both effects' rows shuffled together:
+        # each row keeps the bits it has alone and in its one-effect batch
+        batches = [_batch(stacks.box(spec, effect_kind), local) for effect_kind in EFFECTS]
+        mixed = tuple(np.concatenate(col) for col in zip(*batches))
+        order = local.permutation(len(mixed[0]))
+        mixed = tuple(a[order] for a in mixed)
+        assert len(np.unique(mixed[0][:64])) == len(EFFECTS)   # the first slices mix
+        for values in (stacks.estimate, stacks.t_stat):
+            alone = np.concatenate([_assert_rows_pure(values, args, local)
+                                    for args in batches])
+            together = _assert_rows_pure(values, mixed, local, singles=False)
+            assert np.array_equal(together, alone[order])
 

@@ -217,7 +217,7 @@ def test_every_candidate_batch_has_one_zero_row(q):
              for rho in (0.0, 0.2)]
     bm = benchmark_moments(data, 0)
     boxes += [_leave_j_box(bm, BenchmarkSpec(j=0, k_a_bound=ka, k_m_bound=km,
-                                             k_y_bound=1.0), q)
+                                             k_y_bound=1.0), q, 0, {})
               for ka in (0.0, 1.0) for km in (0.0, 1.0)]
     for box in boxes:
         flat = np.column_stack([c.reshape(len(c), -1) for c in box.candidates])
