@@ -308,15 +308,8 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
         # M'w per row; the direct effect's w_a multiplies phi_1, not r_m
         v_b = np.einsum("rji,jr->ir", mix, w_b)
         v_a = np.zeros_like(v_b) if kind == "direct" else np.einsum("rji,jr->ir", mix, w_a)
-        proj = np.concatenate([g_cj, v_b, v_a], axis=1)   # Fortran-ordered
-        if r_m_cj.shape[1] <= 2:
-            # A projection sums q products. The C order puts the (q, 3R)
-            # matrix's columns innermost, einsum's fast loop (about 5x for
-            # this product), and sums them in index order; the Fortran order
-            # sums even and odd terms apart. At most two terms round alike in
-            # either order, so only then is the fast layout taken: with more,
-            # it would move every value, and the reports, in the last bits.
-            proj = np.ascontiguousarray(proj)
+        # C order puts the (q, 3R) matrix's columns innermost, einsum's fast loop
+        proj = np.ascontiguousarray(np.concatenate([g_cj, v_b, v_a], axis=1))
         forms.append((proj, np.einsum("ri,ir->r", r_m_cj, v_b),
                       np.einsum("ri,ir->r", r_m_cj, v_a), s0, w_a, cross))
 

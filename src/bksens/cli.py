@@ -367,6 +367,8 @@ def cmd_benchmark(args) -> int:
     data, covariates = build_data(args)
     if not covariates:
         raise InputError("benchmarking needs at least one covariate")
+    # a singular full sample is reported as such, not as a singular resample
+    fit_observed(data)
     plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
     k_a = 0.0 if args.randomized else args.ka
     rows = []

@@ -9,12 +9,16 @@ insertion order.
 A rectangle's trisection levels are always some ``l`` and ``l + 1``, so the
 integer sum of its levels identifies their multiset: rectangles are grouped
 by that sum, a larger sum being a smaller diameter, and each group keeps a
-heap of its values. The pile holds centres, levels and values in
-preallocated arrays, one row per evaluated point, and a sweep costs a fixed
-number of array passes whatever the number of rectangles it picks: one hull
-test over the group minima and one pass that trisects every picked
-rectangle. A NaN value ranks as +inf everywhere (best point, groups, hull),
-so a search that finds nothing else reports +inf.
+heap of its rectangles' values. DIRECT picks only group minima, so a group
+only ever loses its head: a pass pops each rectangle it trisects off its
+group's heap, before the pass's new points enter, and pushes it into the
+group of its deeper levels after them, so a heap holds live rectangles
+only. The pile holds centres, levels and values in preallocated arrays,
+one row per evaluated point, and a sweep costs a fixed number of array
+passes whatever the number of rectangles it picks: one hull test over the
+group minima and one pass that trisects every picked rectangle. A NaN
+value ranks as +inf everywhere (best point, groups, hull), so a search
+that finds nothing else reports +inf.
 
 Searches run in lockstep. ``direct_lockstep`` advances S searches over boxes
 of one dimension together: the searches share the pile's rows, each row is
@@ -36,7 +40,6 @@ call.
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +47,7 @@ import numpy as np
 from .errors import BudgetTooSmall, DimensionMismatch
 
 HULL_EPS = 1e-4
-_LOW = (1 << 32) - 1           # a heap entry's row, and its tick above it
+_LOW = (1 << 32) - 1           # a heap entry's row
 _SIGN = np.uint64(1 << 63)
 
 
@@ -60,11 +63,13 @@ class _Pile:
     their trisection levels. Each group is a heap of entries ordered as
     (f, tick), each one int: f's bits mapped to an integer of the same order
     (``_ordered``), above the tick and then the row, 64, 32 and 32 bits
-    wide. Ticks follow the insertion order and break ties, and an entry is
-    dead once its row carries another tick. Every search's rows are live at
-    once in a lockstep, so a row is kept small: one int per heap entry
-    (a third of the memory of an (f, tick, row) tuple), its tick in an
-    array, its levels in int16 (far below 2**15 within any budget)."""
+    wide. Ticks follow the insertion order and break ties. A heap holds
+    live rectangles only, one entry per row: a trisected rectangle is
+    popped off its group's head (``pop``) before it is pushed into its
+    next group, and a group is deleted once its heap is empty. Every
+    search's rows are live at once in a lockstep, so a row is kept small:
+    one int per heap entry (a third of the memory of an (f, tick, row)
+    tuple), its levels in int16 (far below 2**15 within any budget)."""
 
     def __init__(self, dim: int, capacity: int, searches: int):
         self.centers = np.empty((capacity, dim))
@@ -72,7 +77,7 @@ class _Pile:
         self.fvals = np.empty(capacity + 1)
         self.fvals[capacity] = np.inf
         self.pad = capacity  # the row group_minima pads with, of value +inf
-        self.ticks = array("q")  # each row's live tick, -1 if none
+        self.n_rows = 0
         # per search: level sum -> heap of entries
         self.groups: list[dict[int, list]] = [{} for _ in range(searches)]
         self.diams: dict[int, float] = {}  # level sum -> diameter
@@ -83,12 +88,11 @@ class _Pile:
         """Store rectangles of the searches ``owners`` in the next rows, with
         tick 2 * row, and enter them into their groups; returns the first
         row."""
-        start = len(self.ticks)
-        stop = start + len(fvals)
+        start = self.n_rows
+        stop = self.n_rows = start + len(fvals)
         self.centers[start:stop] = centers
         self.levels[start:stop] = levels
         self.fvals[start:stop] = fvals
-        self.ticks.extend([-1] * len(fvals))
         self.push(range(start, stop), range(2 * start, 2 * stop, 2), owners,
                   np.add.reduce(levels, axis=1).tolist(), fvals)
         return start
@@ -98,7 +102,6 @@ class _Pile:
         of level sum ``key``."""
         for row, tick, owner, key, high in zip(rows, ticks, owners, keys,
                                                _ordered(fvals)):
-            self.ticks[row] = tick
             groups = self.groups[owner]
             heap = groups.get(key)
             if heap is None:
@@ -107,8 +110,15 @@ class _Pile:
                     self.diams[key] = self._diameter(key)
             heapq.heappush(heap, high << 64 | tick << 32 | row)
 
-    def kill(self, idx: int) -> None:
-        self.ticks[idx] = -1
+    def pop(self, owners, keys) -> None:
+        """Pop the head of each search's group of level sum ``key``, deleting
+        the group once it is empty."""
+        for owner, key in zip(owners, keys):
+            groups = self.groups[owner]
+            heap = groups[key]
+            heapq.heappop(heap)
+            if not heap:
+                del groups[key]
 
     def _diameter(self, key: int) -> float:
         """Half the diagonal of a rectangle whose levels sum to ``key``: they
@@ -119,23 +129,16 @@ class _Pile:
         return 0.5 * float(np.sqrt(np.sum(sides * sides)))
 
     def group_minima(self, searches: list[int]):
-        """(len(searches), G) diameters, best values and best rows of each
-        search's nonempty groups in ascending diameter, padded on the left
-        with a NaN diameter and the row ``pad``, of value +inf."""
-        ticks = self.ticks
+        """(len(searches), G) diameters, best values and best rows (the
+        heads) of each search's groups in ascending diameter, padded on the
+        left with a NaN diameter and the row ``pad``, of value +inf."""
         diams, rows, starts = [], [], []
         for owner in searches:
             starts.append(len(rows))
             groups = self.groups[owner]
             for key in sorted(groups, reverse=True):
-                heap = groups[key]
-                while heap and ticks[heap[0] & _LOW] != heap[0] >> 32 & _LOW:
-                    heapq.heappop(heap)
-                if not heap:
-                    del groups[key]
-                    continue
                 diams.append(self.diams[key])
-                rows.append(heap[0] & _LOW)
+                rows.append(groups[key][0] & _LOW)
         counts = [b - a for a, b in zip(starts, starts[1:] + [len(rows)])]
         width = max(counts)
         for start, count in zip(reversed(starts), reversed(counts)):
@@ -269,6 +272,8 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
             chosen, levels, low, cut, n_cuts = (
                 chosen[take], levels[take], low[take], cut[take], n_cuts[take])
             owners = [owners[i] for i in take]
+        # every taken pick is its group's head until the pass adds points
+        pile.pop(owners, np.add.reduce(levels, axis=1).tolist())
         # one cut per (rectangle, side), rectangles in order, sides ascending;
         # cut i gives the points 2i (centre + delta) and 2i + 1 (- delta)
         rect, side = cut.nonzero()
@@ -314,8 +319,6 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
         start = pile.add(pts, child_levels.repeat(2, axis=0), vals, point_owners.tolist())
         parent_levels = levels + cut
         pile.levels[chosen] = parent_levels
-        for idx in chosen.tolist():
-            pile.kill(idx)
         first = n_cuts.cumsum() - n_cuts  # each rectangle's first cut
         pile.push(chosen.tolist(), (4 * first + (2 * start - 1)).tolist(), owners,
                   np.add.reduce(parent_levels, axis=1).tolist(), pile.fvals[chosen])
@@ -340,8 +343,6 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    if lower.shape != upper.shape or lower.ndim != 1:
-        raise DimensionMismatch("lower and upper must be 1-D arrays of equal length")
 
     def evaluate(batches) -> list:
         (_, points), = batches

@@ -191,6 +191,33 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("defect", ["constant mediator", "covariate collinear with a"])
+def test_singular_full_sample_reported_by_every_command(tmp_path, capsys, defect):
+    # benchmark fits the full sample before it bootstraps, as effects and rv
+    # do, so all three name the full sample's collapse, not a resample's
+    rng = np.random.default_rng(3)
+    data = make_data(rng, n=60, p=2, q=2)
+    path = tmp_path / "singular.csv"
+    column = {"constant mediator": "m2", "covariate collinear with a": "c2"}[defect]
+    write_csv(path, data)
+    with open(path) as handle:
+        rows = list(csv.reader(handle))
+    at = rows[0].index(column)
+    for row in rows[1:]:
+        row[at] = "1.5" if column == "m2" else repr(2.0 * float(row[1]))
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    errs = []
+    for command in ("effects", "rv", "benchmark"):
+        code = main([command, *base_args(path), "--bootstrap", "20",
+                     "--out", str(tmp_path / f"{command}.json")])
+        errs.append(capsys.readouterr().err)
+        assert code == 3
+        assert not (tmp_path / f"{command}.json").exists()
+    assert errs[0].startswith("numerical error: ") and "resample" not in errs[0]
+    assert errs[1] == errs[2] == errs[0]
+
+
 def test_rv_command(tmp_path, rng):
     data = make_data(rng, n=100, p=1, q=1)
     path = tmp_path / "data.csv"

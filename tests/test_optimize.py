@@ -56,8 +56,11 @@ def test_budget_too_small():
 
 
 def test_bad_bounds():
-    with pytest.raises(DimensionMismatch):
-        direct_optimize(lambda x: np.zeros(len(x)), [0.0, 1.0], [1.0, 1.0], budget=50)
+    for lower, upper in [([0.0, 1.0], [1.0, 1.0]),        # not lower < upper
+                         ([0.0, 0.0], [1.0, 1.0, 1.0]),   # lengths differ
+                         ([[0.0, 0.0]], [[1.0, 1.0]])]:   # not 1-D
+        with pytest.raises(DimensionMismatch):
+            direct_optimize(lambda x: np.zeros(len(x)), lower, upper, budget=50)
 
 
 def test_corner_minimum_reachable():
@@ -71,19 +74,48 @@ def test_corner_minimum_reachable():
 
 def test_budget_respected_moderate_dim(monkeypatch):
     sizes, trisected = [], {"n": 0}
-    kill = optimize._Pile.kill
+    pop = optimize._Pile.pop
 
-    def counting_kill(self, idx):
-        trisected["n"] += 1
-        kill(self, idx)
+    def counting_pop(self, owners, keys):
+        trisected["n"] += len(owners)
+        pop(self, owners, keys)
 
     def f(x):
         sizes.append(len(x))
         return np.sum(x ** 2, axis=1)
 
-    monkeypatch.setattr(optimize._Pile, "kill", counting_kill)
+    monkeypatch.setattr(optimize._Pile, "pop", counting_pop)
     res = direct_optimize(f, [-1] * 5, [1] * 5, budget=400)
     assert sum(sizes) <= 400
     assert res.n_evals == sum(sizes)
     # one call for the centre, then one per sweep, not one per rectangle
     assert sizes[0] == 1 and len(sizes) - 1 < trisected["n"]
+
+
+def test_pile_holds_one_entry_per_row(monkeypatch):
+    # a group only ever loses its head, so the heaps hold every stored row
+    # once, in its own search's group of its level sum, and nothing else
+    piles = []
+
+    class RecordedPile(optimize._Pile):
+        def __init__(self, *args):
+            super().__init__(*args)
+            piles.append(self)
+
+    def objective(batches):
+        return [np.cos(3 * x[:, 0]) * np.sin(5 * x[:, 1]) + 0.1 * s * x[:, 0]
+                for s, x in batches]
+
+    monkeypatch.setattr(optimize, "_Pile", RecordedPile)
+    results = optimize.direct_lockstep(objective, [[-1, -1], [0, 0], [-2, 1]],
+                                       [[1, 1], [1, 2], [2, 3]], [300, 450, 200],
+                                       [None, None, -0.5])
+    pile, = piles
+    for search, res in enumerate(results):
+        entries = [(key, e & optimize._LOW)
+                   for key, heap in pile.groups[search].items() for e in heap]
+        assert all(pile.levels[row].sum() == key for key, row in entries)
+        assert len(entries) == res.n_evals
+    every = sorted(e & optimize._LOW for groups in pile.groups
+                   for heap in groups.values() for e in heap)
+    assert every == list(range(sum(res.n_evals for res in results)))
