@@ -86,6 +86,7 @@ from .mediation import (
     BOUNDARY_TOL,
     DEFAULT_CI_MULTIPLIER,
     MediationData,
+    MediationMoments,
     NaturalSensitivity,
     _ls_residual_cov,
     _objective,
@@ -501,10 +502,12 @@ def _k_ratios(bm: BenchmarkMoments, params) -> dict:
 
 
 def prepare_benchmark_stacks(data: MediationData, j: int,
-                             plan: BootstrapPlan | None) -> _Stacks:
+                             plan: BootstrapPlan | None,
+                             mm: MediationMoments | None = None) -> _Stacks:
     """The full-sample anchors for covariate ``j``, its anchors on every
     resample of ``plan`` (if given) and both effects' objectives, built
-    with the plan, which every search of one call reads.
+    with the plan and ``mm``, the full sample's ``fit_observed`` (fitted
+    here when not given), which every search of one call reads.
 
     Each resample's residual covariances are Schur complements of its
     certified covariance in ``plan.cov``, all resamples in one batch.
@@ -512,7 +515,8 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
     clear their thresholds by GRAM_MARGIN, take ``benchmark_moments`` on
     their rows instead.
     """
-    mm = fit_observed(data)
+    if mm is None:
+        mm = fit_observed(data)
     bm = benchmark_moments(data, j)
     anchors = None
     if plan is not None:
@@ -674,7 +678,8 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
 
 
 def benchmark_covariate(data: MediationData, spec: BenchmarkSpec,
-                        plan: BootstrapPlan, delta_grid=None):
+                        plan: BootstrapPlan, delta_grid=None,
+                        mm: MediationMoments | None = None):
     """Every search of one covariate in one batch: both effects'
     ``benchmark_worst`` under ``spec`` and, with a ``delta_grid``, their
     ``critical_delta`` sweeps for the estimate (threshold 0) and the CI
@@ -685,9 +690,10 @@ def benchmark_covariate(data: MediationData, spec: BenchmarkSpec,
 
     Returns ({kind: BenchmarkResult}, {kind: (estimate sweep, CI sweep)}),
     each sweep a (delta, curve) pair; the second is empty without a grid.
+    ``mm``, the full sample's ``fit_observed``, is fitted when not given.
     """
     grid = None if delta_grid is None else _delta_grid(delta_grid)
-    stacks = prepare_benchmark_stacks(data, spec.j, plan)
+    stacks = prepare_benchmark_stacks(data, spec.j, plan, mm)
     plans = [_worst_plan(stacks, spec, kind, WORST_BUDGET, True) for kind in EFFECTS]
     if grid is not None:
         plans += [_delta_plan(stacks, spec.j, kind, threshold, grid,

@@ -367,8 +367,9 @@ def cmd_benchmark(args) -> int:
     data, covariates = build_data(args)
     if not covariates:
         raise InputError("benchmarking needs at least one covariate")
-    # a singular full sample is reported as such, not as a singular resample
-    fit_observed(data)
+    # a singular full sample is reported as such, not as a singular resample;
+    # every covariate's searches share this fit
+    mm = fit_observed(data)
     plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
     k_a = 0.0 if args.randomized else args.ka
     rows = []
@@ -376,7 +377,7 @@ def cmd_benchmark(args) -> int:
     for name in covariates if args.j is None else [args.j]:
         spec = BenchmarkSpec(j=covariates.index(name), k_a_bound=k_a,
                              k_m_bound=args.km, k_y_bound=args.ky)
-        worst, sweeps = benchmark_covariate(data, spec, plan, delta_grid=grid)
+        worst, sweeps = benchmark_covariate(data, spec, plan, delta_grid=grid, mm=mm)
         for kind, res in worst.items():
             rows.append({
                 "covariate": name,

@@ -348,6 +348,30 @@ def test_cli_delta_grid_builds_stacks_once(tmp_path, monkeypatch):
     assert calls["n"] == 1
 
 
+def test_cli_benchmark_fits_the_full_sample_once(tmp_path, monkeypatch):
+    # every covariate's stacks take the CLI's one full-sample fit
+    from test_cli import write_csv
+
+    data = make_data(np.random.default_rng(9501), n=90, p=3, q=1)
+    path = tmp_path / "data.csv"
+    write_csv(path, data)
+    calls = {"n": 0}
+    fit = benchmarking.fit_observed
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(benchmarking, "fit_observed", counting)
+    monkeypatch.setattr(cli, "fit_observed", counting)
+    code = cli.main(["benchmark", "--data", str(path), "--outcome", "y",
+                     "--exposure", "a", "--mediators", "m1",
+                     "--covariates", "c1,c2,c3", "--bootstrap", "30",
+                     "--out", str(tmp_path / "b.json")])
+    assert code == 0
+    assert calls["n"] == 1
+
+
 def _mirror_study(sign):
     local = np.random.default_rng(7)
     n = 300

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _direct_reference import reference_direct, reference_potentially_optimal
-from bksens.optimize import _potentially_optimal, direct_optimize
+from bksens.optimize import _gaps, _potentially_optimal, direct_optimize
 
 KINDS = ("quadratic", "multimodal", "rounded", "constant", "corner", "inf_region",
          "nan_region")
@@ -90,15 +90,28 @@ def test_all_nan_objective_reports_inf():
     assert res.x[0] == 0.5
 
 
+def _select_rows(diams, rows, f_mins):
+    """The groups the hull test picks in each row of one window, as the
+    search does: ``rows`` holds each search's best value per group (NaN
+    where it has none) over groups of ascending ``diams``, and a row's
+    largest group is its last nonempty one."""
+    diams = np.array(diams, dtype=float)
+    rows = np.array(rows, dtype=float)
+    largest = np.array([np.flatnonzero(~np.isnan(row))[-1] for row in rows])
+    mask = _potentially_optimal(rows, diams, _gaps(diams),
+                                np.array(f_mins, dtype=float), largest)
+    return [np.flatnonzero(picked).tolist() for picked in mask]
+
+
 def _select(diams, fmins, f_min):
-    mask = _potentially_optimal(np.array(diams, dtype=float),
-                                np.array(fmins, dtype=float), f_min)
-    return [i for i, keep in enumerate(mask) if keep]
+    return _select_rows(diams, [fmins], [f_min])[0]
 
 
 def _reference_select(diams, fmins, f_min):
+    """The reference's picks among the nonempty groups, by column."""
     return reference_potentially_optimal(
-        [(float(d), float(f), i) for i, (d, f) in enumerate(zip(diams, fmins))], f_min)
+        [(float(d), float(f), i) for i, (d, f) in enumerate(zip(diams, fmins))
+         if not np.isnan(f)], f_min)
 
 
 INF = np.inf
@@ -120,10 +133,38 @@ HULL_CASES = {
 }
 
 
+NAN = np.nan
+# rows of one shared window, as a lockstep's searches see it: empty groups
+# (NaN) between nonempty ones, and rows whose largest group is not the last
+# column
+WINDOW_CASES = {
+    "holes": ([0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+              [[1.0, NAN, 0.5, NAN, 2.0, 1.5],
+               [NAN, 0.3, NAN, 0.2, 0.9, NAN],
+               [0.7, 0.6, 0.5, NAN, NAN, NAN],
+               [NAN, NAN, NAN, NAN, NAN, 4.0]]),
+    "holes_infinite": ([0.05, 0.1, 0.2, 0.4, 0.8],
+                       [[INF, NAN, INF, 0.0, NAN],
+                        [NAN, -1.0, NAN, INF, -0.5],
+                        [-INF, NAN, 2.0, NAN, NAN]]),
+    "holes_f_min_zero": ([0.1, 0.2, 0.3, 0.4, 0.5],
+                         [[0.0, NAN, -0.0, 0.3, NAN],
+                          [NAN, 0.0, 0.0, NAN, 0.2]]),
+}
+
+
 @pytest.mark.parametrize("case", sorted(HULL_CASES))
 def test_hull_selection_matches_reference(case):
     diams, fmins, f_min = HULL_CASES[case]
     assert _select(diams, fmins, f_min) == _reference_select(diams, fmins, f_min)
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_hull_window_rows_match_reference(case):
+    diams, rows = WINDOW_CASES[case]
+    f_mins = [min(f for f in row if not np.isnan(f)) for row in rows]
+    assert _select_rows(diams, rows, f_mins) == [
+        _reference_select(diams, row, f_min) for row, f_min in zip(rows, f_mins)]
 
 
 def test_hull_tolerance_decides_the_collinear_cases():
@@ -139,6 +180,20 @@ def test_hull_random_minima_match_reference(fmins):
     diams = list(np.linspace(0.1, 1.0, len(fmins)) ** 2)
     f_min = min(fmins)
     assert _select(diams, fmins, f_min) == _reference_select(diams, fmins, f_min)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from([NAN, NAN, -INF, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0,
+                              3.0, INF]),
+             min_size=width, max_size=width).filter(
+        lambda row: not all(np.isnan(row))),
+    min_size=1, max_size=5)))
+def test_hull_random_window_rows_match_reference(rows):
+    diams = list(np.linspace(0.1, 1.0, len(rows[0])) ** 2)
+    f_mins = [min(f for f in row if not np.isnan(f)) for row in rows]
+    assert _select_rows(diams, rows, f_mins) == [
+        _reference_select(diams, row, f_min) for row, f_min in zip(rows, f_mins)]
 
 
 def _sweeps(f, d, budget, stop=None):

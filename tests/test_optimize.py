@@ -74,17 +74,17 @@ def test_corner_minimum_reachable():
 
 def test_budget_respected_moderate_dim(monkeypatch):
     sizes, trisected = [], {"n": 0}
-    pop = optimize._Pile.pop
+    move = optimize._Pile.move
 
-    def counting_pop(self, owners, keys):
-        trisected["n"] += len(owners)
-        pop(self, owners, keys)
+    def counting_move(self, rows, *args):
+        trisected["n"] += len(rows)
+        return move(self, rows, *args)
 
     def f(x):
         sizes.append(len(x))
         return np.sum(x ** 2, axis=1)
 
-    monkeypatch.setattr(optimize._Pile, "pop", counting_pop)
+    monkeypatch.setattr(optimize._Pile, "move", counting_move)
     res = direct_optimize(f, [-1] * 5, [1] * 5, budget=400)
     assert sum(sizes) <= 400
     assert res.n_evals == sum(sizes)
@@ -92,30 +92,112 @@ def test_budget_respected_moderate_dim(monkeypatch):
     assert sizes[0] == 1 and len(sizes) - 1 < trisected["n"]
 
 
-def test_pile_holds_one_entry_per_row(monkeypatch):
-    # a group only ever loses its head, so the heaps hold every stored row
-    # once, in its own search's group of its level sum, and nothing else
-    piles = []
+class _RecordedPile(optimize._Pile):
+    """The pile of the last lockstep, and at each window the pile's rows and
+    what the window showed the hull."""
+    piles, windows = [], []
 
-    class RecordedPile(optimize._Pile):
-        def __init__(self, *args):
-            super().__init__(*args)
-            piles.append(self)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.piles.append(self)
+
+    def window(self, searches):
+        found = super().window(searches)
+        n = self.n_rows
+        rows = (self.levels[:n].sum(axis=1), self.fvals[:n], self.keys[:n] >> 32)
+        self.windows.append(tuple(np.copy(a) for a in (searches, *rows, *found)))
+        return found
+
+
+def _row_owners(calls):
+    """Each row's search: rows are stored in the order points are evaluated."""
+    return [s for batches in calls for s, x in batches for _ in range(len(x))]
+
+
+def _reference_heads(owners, sums, fvals, ticks):
+    """Each (search, level sum) group's least (f, tick, row) over every row,
+    in Python (-0.0 == +0.0, so those values tie on the tick), and the
+    groups whose head value 0.0 ties values of both signs."""
+    heads, signs = {}, {}
+    for row, group in enumerate(zip(owners, sums.tolist())):
+        entry = (float(fvals[row]), int(ticks[row]), row)
+        if group not in heads or entry < heads[group]:
+            heads[group] = entry
+        if entry[0] == 0.0:
+            signs.setdefault(group, set()).add(np.signbit(entry[0]))
+    return heads, {group for group, seen in signs.items()
+                   if len(seen) == 2 and heads[group][0] == 0.0}
+
+
+def test_pile_holds_one_entry_per_row(monkeypatch):
+    # every row is a live rectangle in exactly one group: its own search's
+    # group of its level sum
+    calls = []
 
     def objective(batches):
+        calls.append(batches)
         return [np.cos(3 * x[:, 0]) * np.sin(5 * x[:, 1]) + 0.1 * s * x[:, 0]
                 for s, x in batches]
 
-    monkeypatch.setattr(optimize, "_Pile", RecordedPile)
+    monkeypatch.setattr(_RecordedPile, "piles", [])
+    monkeypatch.setattr(_RecordedPile, "windows", [])
+    monkeypatch.setattr(optimize, "_Pile", _RecordedPile)
     results = optimize.direct_lockstep(objective, [[-1, -1], [0, 0], [-2, 1]],
                                        [[1, 1], [1, 2], [2, 3]], [300, 450, 200],
                                        [None, None, -0.5])
-    pile, = piles
-    for search, res in enumerate(results):
-        entries = [(key, e & optimize._LOW)
-                   for key, heap in pile.groups[search].items() for e in heap]
-        assert all(pile.levels[row].sum() == key for key, row in entries)
-        assert len(entries) == res.n_evals
-    every = sorted(e & optimize._LOW for groups in pile.groups
-                   for heap in groups.values() for e in heap)
-    assert every == list(range(sum(res.n_evals for res in results)))
+    pile, = _RecordedPile.piles
+    n = pile.n_rows
+    owners = np.array(_row_owners(calls))
+    assert n == owners.size == sum(res.n_evals for res in results)
+    groups = pile.groups[:n]
+    assert np.array_equal(groups, owners * pile.width + pile.levels[:n].sum(axis=1))
+    assert np.bincount(groups // pile.width).tolist() == [res.n_evals for res in results]
+    # keys hold the row under a unique tick
+    assert np.array_equal(pile.keys[:n] & optimize._LOW, np.arange(n))
+    assert np.unique(pile.keys[:n] >> 32).size == n
+
+
+def test_hull_sees_each_groups_least_value_and_tick(monkeypatch):
+    # ties (a rounded objective, whose values near its floor are -0.0 and
+    # +0.0), an infinite region and a NaN region (+inf), in one lockstep
+    def rounded(x):
+        return np.round(np.sum((x - 0.3) ** 2, axis=1) - 0.05, 1)
+
+    def infinite(x):
+        return np.where(x[:, 0] > 0.6, np.inf, np.sum(x ** 2, axis=1))
+
+    def missing(x):
+        return np.where(x[:, 1] < 0.2, np.nan, np.abs(x[:, 0] - 0.4))
+
+    fs, calls = (rounded, infinite, missing), []
+
+    def objective(batches):
+        calls.append(batches)
+        return [fs[s](x) for s, x in batches]
+
+    monkeypatch.setattr(_RecordedPile, "piles", [])
+    monkeypatch.setattr(_RecordedPile, "windows", [])
+    monkeypatch.setattr(optimize, "_Pile", _RecordedPile)
+    optimize.direct_lockstep(objective, [[0.0, 0.0]] * 3, [[1.0, 1.0]] * 3,
+                             [500, 400, 300], [None] * 3)
+    pile, = _RecordedPile.piles
+    owners = _row_owners(calls)
+    zero_ties = 0
+    for searches, sums, fvals, ticks, fmins, keys, diams, gaps, largest \
+            in _RecordedPile.windows:
+        heads, mixed = _reference_heads(owners[:sums.size], sums, fvals, ticks)
+        live = [group for group in heads if group[0] in searches]
+        lo, hi = min(level for _, level in live), max(level for _, level in live)
+        assert fmins.shape == keys.shape == (searches.size, hi - lo + 1)
+        assert np.array_equal(diams, pile.diam_of[pile.n_diams - 1 - hi:pile.n_diams - lo])
+        for i, s in enumerate(searches.tolist()):
+            assert largest[i] == hi - min(level for owner, level in live if owner == s)
+            for col, level in enumerate(range(hi, lo - 1, -1)):
+                if (s, level) not in heads:
+                    assert np.isnan(fmins[i, col])
+                    continue
+                f, tick, row = heads[s, level]
+                assert keys[i, col] == tick << 32 | row
+                assert fmins[i, col] == f and np.signbit(fmins[i, col]) == np.signbit(f)
+                zero_ties += (s, level) in mixed
+    assert zero_ties
