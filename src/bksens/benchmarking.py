@@ -26,8 +26,9 @@ call, and both search objectives evaluate that form through one kernel
 function, ``_leave_j_kernel``: both effects over k leave-j candidates on any
 number of anchor rows, built from no natural parameters. A candidate carries
 its effect, its index in EFFECTS, in a column beside its triple, and a call
-runs the scalar conversion once over all its candidates and each effect's
-projections and tail on that effect's rows only. The effect reads the
+runs the scalar conversion once over all its candidates and the projections
+and tail once per run of one effect's candidates; a lockstep pass hands it
+one run per effect, so it sorts nothing. The effect reads the
 natural r_m only through r_m . w_a (indirect), r_m . w_b and |r_m|^2, and
 with r_m = M (r_m_lj - c r_m_cj) / sqrt(1 - c^2) these are projections of
 r_m_lj on per-row vectors and one quadratic form, so a call is (k, q) by
@@ -201,6 +202,9 @@ def _leave_j_chain(anc: BenchmarkMoments):
     den_a2, den_y2 = 1.0 - r_a_cj ** 2, 1.0 - r_y_cj ** 2
     den_m = 1.0 - np.einsum("ir,ir->r", r_m_cj, r_m_cj)
     neg_a_cj, root_den_a = -r_a_cj, np.sqrt(den_a2)
+    # division rounds monotonically, so |r_a| reaches R_CLAMP on some row
+    # exactly when it does on the row of the least root
+    least_root_a = np.fmin.reduce(root_den_a)
 
     def chain(r_a_lj, r_m_lj, r_y_lj, natural_r_m):
         # each (k, R) quantity is built in place, one operation at a time in
@@ -227,12 +231,13 @@ def _leave_j_chain(anc: BenchmarkMoments):
         # r_y = (r_y_lj - r_y_cj amc) / sqrt(den_y2 (1 - amc^2))
         # no |c| test: with u = r_a_lj^2, v = r_a_cj^2, c^2 >= R^2 means
         # u >= R^2 (1-v) / (v + R^2 (1-v)) >= R^2 (1-v), i.e. r_a^2 >= R^2
-        outside = np.abs(r_a) >= R_CLAMP
-        outside |= nm2 >= R_CLAMP ** 2
-        outside |= np.abs(amc, out=den) >= R_CLAMP
-        outside |= np.abs(r_y, out=den) >= R_CLAMP
-        ok = ~(outside.any(axis=-1) | (np.abs(r_a_lj) >= 1.0)
-               | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
+        outside = nm2 >= R_CLAMP ** 2
+        # fmax skips a NaN, as the two tests it stands for each would
+        big = np.fmax(np.abs(amc, out=den), np.abs(r_y), out=den)
+        outside |= big >= R_CLAMP
+        abs_ra = np.abs(r_a_lj)
+        ok = ~(outside.any(axis=-1) | (abs_ra / least_root_a >= R_CLAMP)
+               | (abs_ra >= 1.0) | (np.abs(r_y_lj) >= 1.0) | (np.sqrt(nm_lj2) >= 1.0))
         return c, r_a, r_m, nm2, r_y, ok
     return chain
 
@@ -277,23 +282,23 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
     """Both effects' batched search objective over k leave-j candidates.
 
     ``values(effect, r_a_lj, r_m_lj, r_y_lj)`` takes each candidate's
-    effect, its index in EFFECTS, beside its leave-j triple. Each effect is
-    evaluated on every row of ``anc`` (a leading axis of R) against
-    ``coeffs[effect]``, its coefficient form with a trailing axis of R (an
-    ``EffectObjective``'s ``full``, stacked over its ``boot`` for the t
-    rows); ``value(est, flip)`` reduces the (k, R) effects, with each
-    candidate's ``flips[effect]`` in the (k,) ``flip``, to the (k,) search
-    values, which are ``inf`` where ``_leave_j_chain`` marks a candidate
-    infeasible.
+    effect, its index in EFFECTS, beside its leave-j triple, each effect's
+    candidates in contiguous runs (a lockstep pass gives it one run per
+    effect, ``robustness._lockstep_objective``). Each effect is evaluated on
+    every row of ``anc`` (a leading axis of R) against ``coeffs[effect]``,
+    its coefficient form with a trailing axis of R (an ``EffectObjective``'s
+    ``full``, stacked over its ``boot`` for the t rows); ``value(est,
+    flip)`` reduces the (k, R) effects, with each candidate's
+    ``flips[effect]`` in the (k,) ``flip``, to the (k,) search values, which
+    are ``inf`` where ``_leave_j_chain`` marks a candidate infeasible.
 
-    Each row keeps M'w_a, M'w_b, G = M'M, G r_m_cj and their products with
+    Each row keeps M'w_a, M'w_b, G = M'M, 2 G r_m_cj and their products with
     r_m_cj, from which a call forms r_m . w_a, r_m . w_b and |r_m|^2 for
     every (candidate, row), building no natural r_m (module docstring). The
-    chain and ``value`` run once over all k candidates; each effect's
-    projections and tail run on its own candidates only, sorted by effect
-    into contiguous slices, and the values are scattered back into the
-    call's order. As in the chain, each (k, R) quantity is built in place in
-    the order its formula, the comment below it, evaluates.
+    chain and ``value`` run once over all k candidates, and each run's
+    projections and tail on its own slice. As in the chain, each (k, R)
+    quantity is built in place in the order its formula, the comment below
+    it, evaluates.
     """
     chain = _leave_j_chain(anc)
     r_m_cj, mix = anc.r_m_cj, anc.mix_leave_j
@@ -309,26 +314,21 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
         # M'w per row; the direct effect's w_a multiplies phi_1, not r_m
         v_b = np.einsum("rji,jr->ir", mix, w_b)
         v_a = np.zeros_like(v_b) if kind == "direct" else np.einsum("rji,jr->ir", mix, w_a)
-        # C order puts the (q, 3R) matrix's columns innermost, einsum's fast loop
-        proj = np.ascontiguousarray(np.concatenate([g_cj, v_b, v_a], axis=1))
+        # C order puts the (q, 3R) matrix's columns innermost, einsum's fast
+        # loop; doubling g_cj doubles its projections exactly
+        proj = np.ascontiguousarray(np.concatenate([2.0 * g_cj, v_b, v_a], axis=1))
         forms.append((proj, np.einsum("ri,ir->r", r_m_cj, v_b),
                       np.einsum("ri,ir->r", r_m_cj, v_a), s0, w_a, cross))
 
     def values(effect, r_a_lj, r_m_lj, r_y_lj) -> np.ndarray:
         k, q = r_m_lj.shape
-        counts = np.bincount(effect, minlength=len(EFFECTS))
-        order = None
-        if counts.max() < k:   # both effects: sort them into contiguous slices
-            order = np.argsort(effect, kind="stable")
-            effect, r_a_lj, r_m_lj, r_y_lj = (
-                effect[order], r_a_lj[order], r_m_lj[order], r_y_lj[order])
-        ends = np.cumsum(counts).tolist()
-        slices = [(e, slice(end - n, end))
-                  for e, (n, end) in enumerate(zip(counts.tolist(), ends)) if n]
+        starts = [0, *((effect[1:] != effect[:-1]).nonzero()[0] + 1).tolist()]
+        runs = [(e, slice(lo, hi)) for e, lo, hi
+                in zip(effect[starts].tolist(), starts, starts[1:] + [k])]
         proj_lj = np.empty((k, 3 * n_rows))
-        for e, rows in slices:
+        for e, rows in runs:
             np.einsum("ki,ij->kj", r_m_lj[rows], forms[e][0], out=proj_lj[rows])
-        g_lj = proj_lj[:, :n_rows]
+        g2_lj = proj_lj[:, :n_rows]
         vb_lj, va_lj = proj_lj[:, n_rows:2 * n_rows], proj_lj[:, 2 * n_rows:]
         outer = (r_m_lj[:, :, None] * r_m_lj[:, None, :]).reshape(k, q * q)
 
@@ -336,13 +336,11 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
             cc = c * c
             s2 = 1.0 - cc
             nm2 = np.einsum("ki,ij->kj", outer, gram)
-            two_c_g = 2.0 * c
-            two_c_g *= g_lj
-            nm2 -= two_c_g
+            nm2 -= np.multiply(c, g2_lj)
             cc *= cj_g_cj
             nm2 += cc
             nm2 /= s2
-            # nm2 = (|M r_m_lj|^2 - 2 c g_lj + c^2 cj_g_cj) / (1 - c^2)
+            # nm2 = (|M r_m_lj|^2 - c (2 g_lj) + c^2 cj_g_cj) / (1 - c^2)
             return np.sqrt(s2, out=s2), nm2
 
         est = np.empty((k, n_rows))
@@ -351,7 +349,11 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
             root_m = 1.0 - nm2
             np.sqrt(root_m, out=root_m)
             y_m = r_y / root_m                      # phi_b = y_m r_m
-            for e, rows in slices:
+            root_ra = r_a ** 2
+            np.subtract(1.0, root_ra, out=root_ra)
+            np.sqrt(root_ra, out=root_ra)
+            # root_ra = sqrt(1 - r_a^2)
+            for e, rows in runs:
                 _, cj_v_b, cj_v_a, s0, w_a, cross = forms[e]
                 c_e, r_a_e, root_s_e, y_m_e = c[rows], r_a[rows], root_s[rows], y_m[rows]
                 est_e = np.multiply(c_e, cj_v_b, out=est[rows])
@@ -360,18 +362,15 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
                 est_e /= root_s_e
                 est_e += s0
                 # est = s0 + y_m (vb_lj - c cj_v_b) / root_s
-                root_ra = r_a_e ** 2
-                np.subtract(1.0, root_ra, out=root_ra)
-                np.sqrt(root_ra, out=root_ra)
-                # root_ra = sqrt(1 - r_a^2)
+                root_ra_e = root_ra[rows]
                 if EFFECTS[e] == "direct":
-                    root_ra *= root_m[rows]
+                    root_ra_e *= root_m[rows]
                     term = r_y[rows] * r_a_e
-                    term /= root_ra
+                    term /= root_ra_e
                     term *= w_a[0]
                     # term = r_y r_a / (root_ra root_m) w_a
                 else:
-                    a_m = np.divide(r_a_e, root_ra, out=root_ra)   # phi_a = a_m r_m
+                    a_m = np.divide(r_a_e, root_ra_e, out=root_ra_e)   # phi_a = a_m r_m
                     term = c_e * cj_v_a
                     np.subtract(va_lj[rows], term, out=term)
                     term *= a_m
@@ -384,12 +383,23 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
                 est_e += term
             out = value(est, flips[effect])
         out[~ok] = np.inf
-        if order is None:
-            return out
-        scattered = np.empty(k)
-        scattered[order] = out
-        return scattered
+        return out
     return values
+
+
+def _t_ratio(est, flip):
+    """flip * each candidate's effect on row 0 over the SD of its effects on
+    the other rows: ``np.std(ddof=1)``'s own steps, bit for bit, without its
+    argument handling."""
+    boot = est[:, 1:]
+    mean = np.add.reduce(boot, axis=1, keepdims=True)
+    mean /= boot.shape[1]
+    dev = np.subtract(boot, mean)
+    np.square(dev, out=dev)
+    sd = np.add.reduce(dev, axis=1)
+    sd /= boot.shape[1] - 1
+    np.sqrt(sd, out=sd)
+    return flip * est[:, 0] / sd
 
 
 @dataclass(frozen=True)
@@ -464,7 +474,7 @@ def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int, effect: int,
     The map reads only the box's layout, which of its blocks are present,
     and the effect, so every box of one layout and effect shares the map
     kept for them in ``unpacks``, and a lockstep pass unpacks all their
-    points in one call (``robustness._minimize_over_boxes``)."""
+    points in one call (``robustness._lockstep_objective``)."""
     ra_rad, rm_rad, ry_rad = _radii(bm, spec)
     layout = (q, ra_rad > 0, rm_rad > 0, ry_rad > 0)
     box = _Box().interval(-ra_rad, ra_rad, present=layout[1]) \
@@ -545,8 +555,7 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
             for name in _ANCHOR_FIELDS})
         coeffs = [tuple(None if f is None else np.concatenate([f, b], axis=-1)
                         for f, b in zip(obj.full, obj.boot)) for obj in objs]
-        t_stat = _leave_j_kernel(rows, coeffs, flips, lambda est, flip: flip * est[:, 0]
-                                 / est[:, 1:].std(axis=-1, ddof=1))
+        t_stat = _leave_j_kernel(rows, coeffs, flips, _t_ratio)
     return _Stacks(bm=bm, anchors=anchors, objectives=dict(zip(EFFECTS, objs)),
                    estimate=estimate, t_stat=t_stat)
 

@@ -9,15 +9,17 @@ replays them.
 A resample is its vector of row counts w, and everything the estimators
 read from it is a Schur complement of its joint Gram matrix Z' diag(w) Z,
 where Z = (1, c, a, m, y) is centred and scaled once with full-sample
-statistics. Per fixed-size chunk of resamples, one matrix product gives the
-Grams (a chunk keeps its row counts as int32 and forms the product a block
-of ROW_BLOCK rows at a time in reused buffers, so its working set grows
-with n only through those counts), ``GramBasis.covariances`` their
-certified (c, a, m, y) covariances,
-and one ``moments_from_cov`` call (the algebra ``fit_observed`` runs after
-its least squares) the moments of their Schur complements. The plan keeps
-the covariances, from which formal benchmarking takes its resample anchors,
-and the moments, one ``MediationMoments`` with a leading resample axis.
+statistics. Two stages build the plan. Per fixed-size chunk of resamples,
+one matrix product gives the Grams (a chunk keeps its row counts as int32
+and forms the product a block of ROW_BLOCK rows at a time in reused
+buffers, so its working set grows with n only through those counts). Then
+``GramBasis.covariances`` certifies the (c, a, m, y) covariances of the
+whole stack, and one ``moments_from_cov`` call (the algebra
+``fit_observed`` runs after its least squares) gives the moments of their
+Schur complements; each resample's bits are the same on any split of the
+stack. The plan keeps the covariances, from which formal benchmarking
+takes its resample anchors, and the moments, one ``MediationMoments`` with
+a leading resample axis.
 
 The Gram path is used only where it is certified to agree with the exact
 per-resample fit: every column keeps at least GRAM_COND of its Gram
@@ -30,12 +32,12 @@ clears its threshold by GRAM_MARGIN times the largest eigenvalue involved.
 Any other resample goes through ``fit_observed`` on its rows, so errors,
 redraws of singular resamples and ``TooManySingularResamples`` happen
 exactly as there; ``n_exact`` counts those resamples. ``n_workers`` only
-spreads the fixed chunks across threads, so results do not depend on it.
+spreads the chunks' Grams across threads, so results do not depend on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,7 +84,7 @@ class GramBasis:
     """The columns (1, c, a, m, y) of one dataset, centred and scaled with
     full-sample statistics (the intercept stays a column of ones)."""
 
-    z: np.ndarray = field(repr=False)  # (n, d)
+    z: np.ndarray = field(repr=False)  # (n, d), column-major
     center: np.ndarray                 # (d-1,) means of (c, a, m, y)
     scale: np.ndarray                  # (d-1,) standard deviations, 1 if zero
     p: int
@@ -93,8 +95,8 @@ class GramBasis:
         center = x.mean(axis=0)
         scale = x.std(axis=0, ddof=1)
         scale = np.where(scale > 0, scale, 1.0)
-        return cls(z=np.column_stack([np.ones(data.n), (x - center) / scale]),
-                   center=center, scale=scale, p=data.p_user)
+        z = np.column_stack([np.ones(data.n), (x - center) / scale])
+        return cls(z=np.asfortranarray(z), center=center, scale=scale, p=data.p_user)
 
     def grams(self, counts: np.ndarray) -> np.ndarray:
         """(b, d, d) Grams Z' diag(w) Z for the (b, n) row counts.
@@ -208,38 +210,36 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
     basis = GramBasis.of(data)
     p, q = data.p_user, data.q
     d = p + q + 2
-    cov = np.empty((n_resamples, d, d))
-    exact = np.zeros(n_resamples, dtype=bool)
-    redraws = np.zeros(n_resamples, dtype=np.int64)
+    grams = np.empty((n_resamples, d + 1, d + 1))
 
-    def run_chunk(start: int) -> MediationMoments:
+    def run_chunk(start: int) -> None:
         stop = min(start + CHUNK, n_resamples)
         counts = np.empty((stop - start, data.n), dtype=np.int32)  # holds any count
         for k, i in enumerate(range(start, stop)):
-            counts[k] = np.bincount(resample_rng(seed, i).integers(0, data.n, size=data.n),
-                                    minlength=data.n)
-        cov[start:stop], ok = basis.covariances(basis.grams(counts))
-        bad = ~ok
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mm = moments_from_cov(schur(cov[start:stop], _response(p, q), range(p)),
-                                  data.n, p, q, margin=GRAM_MARGIN, bad=bad)
-        exact[start:stop] = bad
-        for k in np.flatnonzero(bad):
-            redraws[start + k], fit = _draw_one(data, seed, start + k)
-            for name in _RESAMPLED:
-                getattr(mm, name)[k] = getattr(fit, name)
-        return mm
+            # int32 draws below 2**32 are the int64 ones: one 32-bit stream
+            rows = resample_rng(seed, i).integers(0, data.n, size=data.n, dtype=np.int32)
+            counts[k] = np.bincount(rows, minlength=data.n)
+        grams[start:stop] = basis.grams(counts)
 
     starts = range(0, n_resamples, CHUNK)
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging too
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            chunks = list(pool.map(run_chunk, starts))
+            list(pool.map(run_chunk, starts))
     else:
-        chunks = [run_chunk(start) for start in starts]
-    moments = replace(chunks[0], **{name: np.concatenate([getattr(mm, name) for mm in chunks])
-                                    for name in _RESAMPLED})
+        for start in starts:
+            run_chunk(start)
+    cov, ok = basis.covariances(grams)
+    exact = ~ok
+    with np.errstate(invalid="ignore", divide="ignore"):
+        moments = moments_from_cov(schur(cov, _response(p, q), range(p)),
+                                   data.n, p, q, margin=GRAM_MARGIN, bad=exact)
+    redraws = np.zeros(n_resamples, dtype=np.int64)
+    for i in np.flatnonzero(exact):
+        redraws[i], fit = _draw_one(data, seed, i)
+        for name in _RESAMPLED:
+            getattr(moments, name)[i] = getattr(fit, name)
     return BootstrapPlan(data=data, n_resamples=n_resamples, seed=seed,
                          moments=moments, redraws=redraws, exact=exact, cov=cov)
 

@@ -26,15 +26,17 @@ the hull test runs on the (S, G) heads of the level sums the live searches
 hold, NaN where a search has no such group, and budget, stop and best point
 are kept per search. A pass sweeps every live search once, with one
 objective call for all their new points, so the fixed cost of a sweep is
-paid once per pass; mapping the pass's points to their boxes, the budget
-check (unless a budget binds) and finding each search's first minimum are
-array operations over the whole pass, not a numpy call per search. Each
-search visits exactly the points, in the same order, that it visits run
-alone, provided a point's value does not depend on the other points of its
-call, as no search objective's does (``robustness`` module docstring).
-``direct_optimize`` is the call with S = 1: its objective takes a (k, d)
-array of points and returns (k,) values, the centre first and then one
-sweep's new points per call.
+paid once per pass: the objective takes the pass's points, mapped to their
+boxes, as one (P, d) array beside the (P,) searches that own them, in
+ascending search order, and returns (P,) values. Mapping the points, the
+budget check (unless a budget binds) and finding each search's first
+minimum are array operations over the whole pass, not a numpy call per
+search. Each search visits exactly the points, in the same order, that it
+visits run alone, provided a point's value does not depend on the other
+points of its call, as no search objective's does (``robustness`` module
+docstring). ``direct_optimize`` is the call with S = 1: its objective takes
+a (k, d) array of points and returns (k,) values, the centre first and
+then one sweep's new points per call.
 """
 
 from __future__ import annotations
@@ -220,13 +222,13 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
     after its first sweep at or below ``stops[s]`` (None for no stop), as
     ``direct_optimize`` does; every box has the same dimension d.
 
-    ``objective(batches)`` takes a list of (search, points) pairs, each
-    search's (k, d) points in its box, in ascending search order, and
-    returns their (k,) values in a list in the same order. It is called
-    once for every search's centre and then once per pass. ``drop``, if
-    given, is called before each pass with the (S,) best values so far and
-    returns a mask of searches to abandon. Returns each search's
-    OptimizeResult, None for an abandoned one.
+    ``objective(x, owners)`` takes the (P, d) points of a pass, each in its
+    search's box, and the (P,) searches that own them, ascending, and
+    returns their (P,) values. It is called once for every search's centre
+    and then once per pass. ``drop``, if given, is called before each pass
+    with the (S,) best values so far and returns a mask of searches to
+    abandon. Returns each search's OptimizeResult, None for an abandoned
+    one.
     """
     lowers = np.asarray(lowers, dtype=float)
     uppers = np.asarray(uppers, dtype=float)
@@ -248,11 +250,7 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
         of_point = owners.repeat(counts)
         x = points * span[of_point]
         x += lowers[of_point]
-        ends = counts.cumsum().tolist()
-        parts = objective([(s, x[hi - n:hi]) for s, hi, n
-                           in zip(owners.tolist(), ends, counts.tolist())])
-        vals = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return np.fmin(vals, np.inf), of_point
+        return np.fmin(objective(x, of_point), np.inf), of_point
 
     searches = np.arange(n_search)
     # a row's level sum never exceeds half its search's evaluations
@@ -379,8 +377,7 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
 
-    def evaluate(batches) -> list:
-        (_, points), = batches
-        return [np.asarray(objective(points), dtype=float).reshape(-1)]
+    def evaluate(x: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        return np.asarray(objective(x), dtype=float).reshape(-1)
 
     return direct_lockstep(evaluate, lower[None], upper[None], [budget], [stop])[0]

@@ -27,13 +27,16 @@ benchmarking) and one batch of candidates, zero first, evaluated with the
 optimizer's optimum; the box builders list each row once. A box that bounds
 no confounding has no columns and zero as its only candidate. The minimizer
 takes any number of searches, and those whose boxes have the same number of
-columns advance in lockstep (``optimize.direct_lockstep``): a pass calls
-each box map once, on the new points of all the searches whose boxes share
-it (benchmarking's boxes of one layout and effect do), and each value
-function once, on the points of all the searches that read it, grouped by
-``_shared_calls``, which ``_evaluate`` uses too. The sweep driver
-``_run`` calls it for the robustness values, a search per rho, and for
-formal benchmarking. The optimizer is imported on the first search, so
+columns advance in lockstep (``optimize.direct_lockstep``), whose passes
+arrive as one array of points beside their owning searches. A lockstep
+gives each search integer ids for its box map and value function once, and
+a pass sorts its points by them: it calls each box map once, on the new
+points of all the searches whose boxes share it (benchmarking's boxes of
+one layout and effect do), and each value function once, on its runs of
+the maps' outputs (``_lockstep_objective``, ``_shared_calls``). The sweep
+driver ``_run`` calls it for the robustness values, a search per rho, and
+for formal benchmarking; its drop rule is array operations over the
+batch's searches. The optimizer is imported on the first search, so
 ``rv_estimate_only`` and the ``simulate`` study never load it. The
 Nelder-Mead polish calls ``minimize``, which imports scipy on its first
 call; no other code here needs scipy.
@@ -311,34 +314,72 @@ class _Search:
     stop: float | None = None
 
 
-def _shared_calls(calls) -> list:
-    """``fn(*args)`` for each (fn, args) of ``calls``, args arrays with a
-    leading batch axis, made as one call per distinct ``fn`` over the args
-    of all the calls that share it, concatenated; each call gets its rows of
-    the result, an array or a tuple of arrays."""
-    shared = {}
-    for i, (fn, _) in enumerate(calls):
-        shared.setdefault(fn, []).append(i)
-    out = [None] * len(calls)
-    for fn, idx in shared.items():
-        if len(idx) == 1:
-            out[idx[0]] = fn(*calls[idx[0]][1])
-            continue
-        batches = [calls[i][1] for i in idx]
-        result = fn(*(np.concatenate(col) for col in zip(*batches)))
-        ends = np.cumsum([len(args[0]) for args in batches]).tolist()
-        for i, lo, hi in zip(idx, [0] + ends, ends):
-            out[i] = (tuple(part[lo:hi] for part in result) if isinstance(result, tuple)
-                      else result[lo:hi])
+def _ids(objects) -> tuple[list, np.ndarray]:
+    """The distinct ``objects`` in order of first appearance, and each
+    object's index among them."""
+    ids = {}
+    index = np.array([ids.setdefault(o, len(ids)) for o in objects], dtype=np.int64)
+    return list(ids), index
+
+
+def _shared_calls(fns, batches) -> np.ndarray:
+    """The values ``fns[i](*batches[i])`` of every argument batch, each
+    batch arrays with a leading axis, made as one call per distinct function
+    on the concatenation of its batches and returned concatenated in batch
+    order."""
+    if not batches:
+        return np.empty(0)
+    distinct, fn_of = _ids(fns)
+    vals = []
+    for f, fn in enumerate(distinct):
+        mine = [args for args, g in zip(batches, fn_of.tolist()) if g == f]
+        vals.append(fn(*(mine[0] if len(mine) == 1 else map(np.concatenate, zip(*mine)))))
+    if len(distinct) == 1:
+        return np.asarray(vals[0], dtype=float)
+    sizes = [len(args[0]) for args in batches]
+    out = np.empty(sum(sizes))
+    out[np.argsort(fn_of.repeat(sizes), kind="stable")] = np.concatenate(vals)
     return out
 
 
-def _evaluate(pairs) -> list:
-    """The values of (search, argument batch) pairs, with one call per
-    distinct value function over the batches of all the pairs that share
-    it."""
-    return [np.asarray(vals) for vals in
-            _shared_calls([(search.value_fn, args) for search, args in pairs])]
+def _lockstep_objective(group):
+    """``optimize.direct_lockstep``'s objective for the searches ``group``:
+    the values of a pass's (P, d) points ``x``, each owned by the search
+    ``owners[i]``.
+
+    Each search's box map and value function get an integer id once. A pass
+    sorts its points by (map, function) with one stable argsort, calls
+    each distinct map once on its contiguous slice, and each function once
+    on its runs of the maps' outputs, in map order (``_shared_calls``), so a
+    value function meets the points of one map as one run; one fancy
+    assignment puts the values back in the pass's order."""
+    maps, map_of = _ids([s.box.unpack for s in group])
+    fns, fn_of = _ids([s.value_fn for s in group])
+    run_of = map_of * len(fns) + fn_of
+    n_runs = len(maps) * len(fns)
+
+    def objective(x: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        key = run_of[owners]
+        order = np.argsort(key, kind="stable")
+        x = x[order]
+        counts = np.bincount(key, minlength=n_runs).reshape(len(maps), len(fns)).tolist()
+        run_fns, runs, at = [], [], 0
+        for unpack, row in zip(maps, counts):
+            n = sum(row)
+            if not n:
+                continue
+            args = unpack(x[at:at + n])
+            lo = 0
+            for fn, c in zip(fns, row):
+                if c:
+                    run_fns.append(fn)
+                    runs.append(args if c == n else tuple(a[lo:lo + c] for a in args))
+                    lo += c
+            at += n
+        vals = np.empty(len(order))
+        vals[order] = _shared_calls(run_fns, runs)
+        return vals
+    return objective
 
 
 def _first_min(args, vals):
@@ -355,7 +396,7 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
     length 1) per search, None for one ``drop`` abandoned.
 
     All candidates are evaluated first, one call per value function
-    (``_evaluate``). A search with a ``stop`` value whose best of them is at
+    (``_shared_calls``). A search with a ``stop`` value whose best of them is at
     or below it returns that best and runs no DIRECT: the search is a
     decision, and its value is then a witness at or below ``stop``, not the
     minimum. Otherwise DIRECT searches the box when it has columns, ending
@@ -364,7 +405,7 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
     LOCKSTEP_SEARCHES at a time: each pass calls every box unpack once, on the
     new points of all the searches whose boxes share it, and every value
     function once, on the unpacked points of all the searches that share it
-    (``_shared_calls``). Each optimum is then optionally polished by
+    (``_lockstep_objective``). Each optimum is then optionally polished by
     Nelder-Mead, the optima are evaluated in one more call per value function,
     and the first minimum over each search's optimum and candidates wins; a
     NaN ranks as +inf, behind a real +inf, so it is returned only when every
@@ -377,21 +418,19 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
     from .optimize import direct_lockstep
 
     given = [s.box.candidates for s in searches]
-    given_vals = _evaluate(list(zip(searches, given)))
-    bounds = np.array([np.min(np.where(np.isnan(v), np.inf, v)) for v in given_vals])
+    sizes = np.array([len(args[0]) for args in given])
+    flat = _shared_calls([s.value_fn for s in searches], given)
+    given_vals = np.split(flat, sizes.cumsum()[:-1])
+    bounds = np.minimum.reduceat(np.fmin(flat, np.inf), sizes.cumsum() - sizes)
     optima = [None] * len(searches)
     dropped = [False] * len(searches)
     layouts = {}
     for i, s in enumerate(searches):
         if s.box.space.lower and not (s.stop is not None and bounds[i] <= s.stop):
             layouts.setdefault(len(s.box.space.lower), []).append(i)
-    for idx in [group[at:at + LOCKSTEP_SEARCHES] for group in layouts.values()
+    for idx in [np.array(group[at:at + LOCKSTEP_SEARCHES]) for group in layouts.values()
                 for at in range(0, len(group), LOCKSTEP_SEARCHES)]:
-        group = [searches[i] for i in idx]
-
-        def objective(batches, group=group):
-            args = _shared_calls([(group[s].box.unpack, (x,)) for s, x in batches])
-            return _evaluate([(group[s], a) for (s, _), a in zip(batches, args)])
+        group = [searches[i] for i in idx.tolist()]
 
         def abandon(best, idx=idx):
             mine = bounds.copy()
@@ -399,10 +438,10 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
             return drop(mine)[idx]
 
         found = direct_lockstep(
-            objective, [s.box.space.lower for s in group],
+            _lockstep_objective(group), [s.box.space.lower for s in group],
             [s.box.space.upper for s in group], [s.budget for s in group],
             [s.stop for s in group], drop=None if drop is None else abandon)
-        for i, s, res in zip(idx, group, found):
+        for i, s, res in zip(idx.tolist(), group, found):
             if res is None:
                 dropped[i] = True
                 continue
@@ -412,9 +451,10 @@ def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
                 x_best = _polish(s, res)
             optima[i] = s.box.unpack(x_best[None, :])
     ran = [i for i, opt in enumerate(optima) if opt is not None]
-    for i, vals in zip(ran, _evaluate([(searches[i], optima[i]) for i in ran])):
+    vals = _shared_calls([searches[i].value_fn for i in ran], [optima[i] for i in ran])
+    for k, i in enumerate(ran):
         given[i] = [np.concatenate(col) for col in zip(optima[i], given[i])]
-        given_vals[i] = np.concatenate([vals, given_vals[i]])
+        given_vals[i] = np.concatenate([vals[k:k + 1], given_vals[i]])
     return [None if gone else _first_min(args, vals)
             for args, vals, gone in zip(given, given_vals, dropped)]
 
@@ -455,13 +495,17 @@ def _run(plans, polish: bool = False) -> list:
             sweeps.append((len(searches), len(searches) + len(plan_searches), threshold))
         searches += plan_searches
 
+    # each search's sweep threshold (NaN outside a sweep) and its sweep's first search
+    thresholds = np.full(len(searches), np.nan)
+    firsts = np.arange(len(searches))
+    for first, end, threshold in sweeps:
+        thresholds[first:end] = threshold
+        firsts[first:end] = first
+
     def drop(bounds):
-        mask = np.zeros(len(bounds), dtype=bool)
-        for first, end, threshold in sweeps:
-            crossed = np.flatnonzero(bounds[first:end] <= threshold)
-            if crossed.size:
-                mask[first + crossed[0] + 1:end] = True
-        return mask
+        crossed = bounds <= thresholds
+        before = crossed.cumsum() - crossed   # crossings before each search
+        return before > before[firsts]
 
     results = _minimize_over_boxes(searches, polish=polish,
                                    drop=drop if sweeps else None)

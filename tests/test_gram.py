@@ -20,8 +20,10 @@ from bksens.inference import (GRAM_MARGIN, ROW_BLOCK, GramBasis, bootstrap_momen
                               resample_rng)
 from bksens.linalg import add_intercept, r_matrix, schur
 from bksens.mediation import (
+    _RESAMPLED,
     MediationData,
     MediationMoments,
+    _response,
     fit_observed,
     moments_from_cov,
     observed_indirect,
@@ -259,3 +261,37 @@ def test_grams_match_the_per_block_product_bitwise(b):
     expected[:, iu, ju] = flat
     expected[:, ju, iu] = flat
     assert basis.grams(counts).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(0, 3), q=st.integers(1, 3),
+       n=st.integers(30, 150), few=st.lists(st.booleans(), min_size=2, max_size=40),
+       cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_whole_plan_stages_match_any_split_of_the_stack(seed, p, q, n, few, cuts):
+    # the bootstrap certifies and fits every resample's Gram in one call
+    # over the plan; each resample's bits must be those of the same calls
+    # on any split of the stack. A resample drawn from fewer distinct rows
+    # than columns (``few``) is singular, so stacks mix certified and
+    # uncertified rows
+    data = make_data(np.random.default_rng(seed), n=n, p=p, q=q)
+    basis = GramBasis.of(data)
+    d = basis.z.shape[1]
+    counts = np.stack([np.bincount(resample_rng(seed % 1000, i).integers(0, d - 1 if f else n,
+                                                                         size=n),
+                                   minlength=n) for i, f in enumerate(few)]).astype(np.int32)
+    grams = basis.grams(counts)
+
+    def stages(stack):
+        cov, ok = basis.covariances(stack)
+        bad = ~ok
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mm = moments_from_cov(schur(cov, _response(p, q), range(p)), n, p, q,
+                                  margin=GRAM_MARGIN, bad=bad)
+        return [cov, ok, bad] + [np.asarray(getattr(mm, name)) for name in _RESAMPLED]
+
+    whole = stages(grams)
+    assert whole[1].tolist() == [not f for f in few]
+    edges = sorted({0, len(few), *(int(c * len(few)) for c in cuts)})
+    parts = [stages(grams[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    for k, got in enumerate(whole):
+        assert got.tobytes() == np.concatenate([part[k] for part in parts]).tobytes(), k

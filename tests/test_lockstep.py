@@ -72,11 +72,15 @@ def test_lockstep_matches_each_search_alone(d, seed, searches, drop_after):
     seen = [[] for _ in fs]
     passes = {"n": 0}
 
-    def objective(batches):
-        assert [s for s, _ in batches] == sorted({s for s, _ in batches})
-        for s, x in batches:
-            seen[s].extend(x.copy())
-        return [fs[s](x) for s, x in batches]
+    def objective(x, owners):
+        assert x.shape == (owners.size, d)
+        assert np.all(owners[1:] >= owners[:-1])   # ascending search order
+        vals = np.empty(owners.size)
+        for s in np.unique(owners).tolist():
+            mine = owners == s
+            seen[s].extend(x[mine].copy())
+            vals[mine] = fs[s](x[mine])
+        return vals
 
     def drop(best):
         # abandon the last search before pass ``drop_after``
@@ -104,9 +108,9 @@ def test_lockstep_abandons_only_what_drop_names():
     f = _objective("quadratic", 2, np.random.default_rng(5))
     calls = []
 
-    def objective(batches):
-        calls.append([s for s, _ in batches])
-        return [f(x) for _, x in batches]
+    def objective(x, owners):
+        calls.append(np.unique(owners).tolist())
+        return f(x)
 
     res = direct_lockstep(objective, [[-1.0, -1.0]] * 3, [[2.0, 2.0]] * 3,
                           [200, 200, 200], [None, None, None],
@@ -243,7 +247,8 @@ def test_lockstep_pass_calls_each_leave_j_kernel_once(study, monkeypatch):
     # both effects share the estimate kernel (the full sample's anchors) and
     # the t kernel (the full sample stacked over the resamples), so a pass
     # of a covariate's batch calls each at most once, on the points of every
-    # search that reads it, whichever effects they belong to
+    # search that reads it, whichever effects they belong to, each effect's
+    # points in one run
     data, plan, _ = study
     calls = []   # (the kernel's anchors, the call's first argument)
     kernel = benchmarking._leave_j_kernel
@@ -260,9 +265,9 @@ def test_lockstep_pass_calls_each_leave_j_kernel_once(study, monkeypatch):
     lockstep = optimize.direct_lockstep
 
     def counting_lockstep(objective, *args, **kwargs):
-        def counted(batches):
+        def counted(x, owners):
             before = len(calls)
-            found = objective(batches)
+            found = objective(x, owners)
             passes.append(calls[before:])
             return found
         return lockstep(counted, *args, **kwargs)
@@ -274,7 +279,60 @@ def test_lockstep_pass_calls_each_leave_j_kernel_once(study, monkeypatch):
     for made in passes:
         kernels = [anc for anc, _ in made]
         assert len(kernels) == len(set(kernels))
+        for _, first in made:
+            assert np.count_nonzero(first[1:] != first[:-1]) == np.unique(first).size - 1
     # passes that mix both effects' points in one call
     mixed = [first for made in passes for _, first in made
              if set(first.tolist()) == {0, 1}]
     assert len(mixed) > 10
+
+
+def test_lockstep_pass_calls_each_map_and_value_function_once(monkeypatch):
+    # eight searches over boxes of two columns share three box maps and two
+    # value functions in an interleaved order; each pass calls every map and
+    # every function at most once, a function meets each map's points as one
+    # run, and every search finds what it finds alone
+    made = []
+
+    def shifted(k):
+        def unpack(x):
+            made.append(("map", k))
+            return np.full(len(x), k), x + 0.1 * k
+        return unpack
+
+    def valued(k):
+        def values(tag, x):
+            made.append(("fn", k))
+            runs.append(np.count_nonzero(tag[1:] != tag[:-1]) + 1 - np.unique(tag).size)
+            return np.sin(3.0 * x[:, 0] + k) * np.cos(2.0 * x[:, 1]) + 0.01 * tag
+        return values
+
+    maps, fns = [shifted(k) for k in range(3)], [valued(k) for k in range(2)]
+    space = robustness._Box().interval(-1.0, 1.0).interval(0.0, 2.0)
+    searches = [_Search(robustness._SearchBox(space, maps[m], maps[m](np.zeros((1, 2)))),
+                        fns[f], budget)
+                for m, f, budget in [(0, 0, 120), (1, 1, 90), (0, 1, 150), (2, 0, 60),
+                                     (1, 0, 120), (2, 1, 100), (0, 0, 80), (1, 1, 130)]]
+    passes, runs = [], []   # a pass's calls; a call's runs beyond one per map
+    lockstep = optimize.direct_lockstep
+
+    def counting_lockstep(objective, *args, **kwargs):
+        def counted(x, owners):
+            made.clear()
+            runs.clear()
+            found = objective(x, owners)
+            passes.append(list(made))
+            assert runs and not any(runs)
+            return found
+        return lockstep(counted, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "direct_lockstep", counting_lockstep)
+    together = _minimize_over_boxes(searches)
+    assert len(passes) > 10
+    for calls in passes:
+        assert len(calls) == len(set(calls))
+    assert max(len(calls) for calls in passes) == len(maps) + len(fns)
+    for search, (val, args) in zip(searches, together):
+        (val_alone, args_alone), = _minimize_over_boxes([search])
+        assert val == val_alone
+        assert all(np.array_equal(a, b) for a, b in zip(args, args_alone))

@@ -111,7 +111,7 @@ class _RecordedPile(optimize._Pile):
 
 def _row_owners(calls):
     """Each row's search: rows are stored in the order points are evaluated."""
-    return [s for batches in calls for s, x in batches for _ in range(len(x))]
+    return np.concatenate(calls).tolist()
 
 
 def _reference_heads(owners, sums, fvals, ticks):
@@ -134,10 +134,9 @@ def test_pile_holds_one_entry_per_row(monkeypatch):
     # group of its level sum
     calls = []
 
-    def objective(batches):
-        calls.append(batches)
-        return [np.cos(3 * x[:, 0]) * np.sin(5 * x[:, 1]) + 0.1 * s * x[:, 0]
-                for s, x in batches]
+    def objective(x, owners):
+        calls.append(owners.copy())
+        return np.cos(3 * x[:, 0]) * np.sin(5 * x[:, 1]) + 0.1 * owners * x[:, 0]
 
     monkeypatch.setattr(_RecordedPile, "piles", [])
     monkeypatch.setattr(_RecordedPile, "windows", [])
@@ -171,9 +170,12 @@ def test_hull_sees_each_groups_least_value_and_tick(monkeypatch):
 
     fs, calls = (rounded, infinite, missing), []
 
-    def objective(batches):
-        calls.append(batches)
-        return [fs[s](x) for s, x in batches]
+    def objective(x, owners):
+        calls.append(owners.copy())
+        vals = np.empty(len(x))
+        for s, f in enumerate(fs):
+            vals[owners == s] = f(x[owners == s])
+        return vals
 
     monkeypatch.setattr(_RecordedPile, "piles", [])
     monkeypatch.setattr(_RecordedPile, "windows", [])
