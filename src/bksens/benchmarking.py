@@ -4,8 +4,9 @@ The confounder's strengths are capped at multiples (k ratios) of the observed
 strengths of one covariate, measured after leaving that covariate out. The
 leave-one-out parameters convert exactly to the natural sensitivity
 parameters given observed moments, so worst-case estimates and t statistics
-are global minimizations over a small box, sharing the optimizer and the
-common-random-numbers bootstrap with the robustness-value machinery.
+are global minimizations over a small box, sharing the search engine of
+``optimize`` and the common-random-numbers bootstrap with the robustness
+values; this module never loads ``robustness``.
 
 The anchors come from residual covariances of (c, a, m, y) on leave-j
 blocks, with the covariates standardized, so they do not depend on the
@@ -33,7 +34,7 @@ natural r_m only through r_m . w_a (indirect), r_m . w_b and |r_m|^2, and
 with r_m = M (r_m_lj - c r_m_cj) / sqrt(1 - c^2) these are projections of
 r_m_lj on per-row vectors and one quadratic form, so a call is (k, q) by
 (q, R) and (k, q^2) by (q^2, R) products, einsums rather than BLAS so that
-values are point-pure (``robustness``), plus elementwise work on (k, R)
+values are point-pure (``optimize``), plus elementwise work on (k, R)
 arrays. ``prepare_benchmark_stacks`` builds two kernels, each serving both
 effects: the estimate on the full sample's row and coefficients; the t
 statistic on the full sample as row 0 stacked over the resamples, against
@@ -46,17 +47,18 @@ shared by the kernel and the natural-parameter witnesses
 (``natural_from_benchmark``); only r_m has two forms, projected for the
 searches and explicit for the witnesses.
 
-The searches run through ``robustness._run``, the robustness values' sweep
-driver, without the Nelder-Mead polish. The full-sample
+The searches run through ``optimize._run``, the sweep driver the
+robustness values use too, without the Nelder-Mead polish. The full-sample
 fit and anchors, the per-resample anchors, both effects' ``EffectObjective``
 and their search objectives are built once per covariate by
 ``prepare_benchmark_stacks``. ``_worst_plan`` and ``_delta_plan`` list the
 searches of one worst case or one critical-delta sweep, and ``_run`` runs
 any number of such plans as one batch, in which searches over boxes of the
 same number of columns advance in lockstep with one call per search
-objective per sweep. Every box of one layout and effect shares its map
-from box points to candidates (``_leave_j_box``), kept in the stacks, so a
-sweep also unpacks their points in one call. Since each value is a
+objective per sweep. Both effects' boxes of one layout share one map from
+box points to candidates, which takes each box's effect as its parameter
+(``_leave_j_box``), so a sweep unpacks all their points in one call, and
+each objective meets each effect's points as one run. Since each value is a
 function of its candidate alone, each search's result is the one it has
 run alone.
 ``benchmark_worst`` and ``critical_delta`` run one plan;
@@ -82,19 +84,20 @@ from .errors import (
     DimensionMismatch,
 )
 from .inference import GRAM_MARGIN, BootstrapPlan
-from .linalg import r_from_cov, schur, standardized, sym_inv_sqrt, sym_sqrt
+from .linalg import _distinct, _unit, r_from_cov, schur, standardized, sym_inv_sqrt, sym_sqrt
 from .mediation import (
     BOUNDARY_TOL,
     DEFAULT_CI_MULTIPLIER,
     MediationData,
     MediationMoments,
     NaturalSensitivity,
+    _check_kind,
     _ls_residual_cov,
     _objective,
     _response,
     fit_observed,
 )
-from .robustness import _Box, _check_kind, _distinct, _run, _Search, _SearchBox, _unit
+from .optimize import _Box, _layout_map, _run, _Search, _SearchBox
 
 R_CLAMP = 1.0 - 1e-9
 WORST_BUDGET = 1500   # DIRECT evaluations per worst-case search
@@ -284,7 +287,7 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
     ``values(effect, r_a_lj, r_m_lj, r_y_lj)`` takes each candidate's
     effect, its index in EFFECTS, beside its leave-j triple, each effect's
     candidates in contiguous runs (a lockstep pass gives it one run per
-    effect, ``robustness._lockstep_objective``). Each effect is evaluated on
+    effect, ``optimize._lockstep_objective``). Each effect is evaluated on
     every row of ``anc`` (a leading axis of R) against ``coeffs[effect]``,
     its coefficient form with a trailing axis of R (an ``EffectObjective``'s
     ``full``, stacked over its ``boot`` for the t rows); ``value(est,
@@ -409,19 +412,25 @@ class _Stacks:
     flip, with the per-resample coefficient rows when there is a plan), the
     two search objectives both effects share, flip * estimate and, with a
     plan, flip * t (else None), the per-resample anchors the t objective
-    stacks, and the box unpacks its searches share (``_leave_j_box``)."""
+    stacks, and the leave-j boxes built so far."""
 
     bm: BenchmarkMoments
     anchors: BenchmarkMoments | None
     objectives: dict          # effect kind -> EffectObjective
     estimate: callable        # batched flip * estimate, both effects
     t_stat: callable | None   # batched flip * t, both effects
-    unpacks: dict = field(default_factory=dict)   # (layout, effect) -> unpack
+    boxes: dict = field(default_factory=dict)   # (radii, effect kind) -> box
 
     def box(self, spec: BenchmarkSpec, effect_kind: str) -> _SearchBox:
-        """``effect_kind``'s leave-j box under ``spec``, its map shared."""
-        return _leave_j_box(self.bm, spec, self.objectives[effect_kind].q,
-                            EFFECTS.index(effect_kind), self.unpacks)
+        """``effect_kind``'s leave-j box under ``spec``, built once per
+        radii: a critical-delta grid point's box serves both its sweeps, and
+        the worst case's box the grid point with the same caps."""
+        radii = _radii(self.bm, spec)
+        key = (radii, effect_kind)
+        if key not in self.boxes:
+            self.boxes[key] = _leave_j_box(self.bm, radii, self.objectives[effect_kind].q,
+                                           EFFECTS.index(effect_kind))
+        return self.boxes[key]
 
     @property
     def estimates(self) -> dict:
@@ -464,27 +473,29 @@ def _radii(bm: BenchmarkMoments, spec: BenchmarkSpec) -> tuple[float, float, flo
     return ra, rm, ry
 
 
-def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int, effect: int,
-                 unpacks: dict) -> _SearchBox:
-    """The capped leave-one-out box of the effect ``effect`` (its index in
-    EFFECTS), its map to (effect (k,), r_a (k,), r_m (k, q), r_y (k,))
-    leave-j candidates, and its candidates: zero, then a deterministic
-    corner sweep over the scalar channels, each row once.
-
-    The map reads only the box's layout, which of its blocks are present,
-    and the effect, so every box of one layout and effect shares the map
-    kept for them in ``unpacks``, and a lockstep pass unpacks all their
-    points in one call (``robustness._lockstep_objective``)."""
-    ra_rad, rm_rad, ry_rad = _radii(bm, spec)
-    layout = (q, ra_rad > 0, rm_rad > 0, ry_rad > 0)
-    box = _Box().interval(-ra_rad, ra_rad, present=layout[1]) \
-        .ball(q, rm_rad, present=layout[2]) \
-        .interval(-ry_rad, ry_rad, present=layout[3])
-
-    def unpack(x):
+def _leave_j_map(box):
+    def unpack(x, effect):
         r_a_lj, (radius, direction), r_y_lj = box.split(x)
         return np.full(len(r_a_lj), effect), r_a_lj, radius[:, None] * direction, r_y_lj
+    return unpack
 
+
+def _leave_j_box(bm: BenchmarkMoments, radii: tuple, q: int,
+                 effect: int) -> _SearchBox:
+    """The leave-one-out box of the effect ``effect`` (its index in
+    EFFECTS) with the caps ``radii`` (``_radii``), its map to (effect (k,),
+    r_a (k,), r_m (k, q), r_y (k,)) leave-j candidates, and its candidates:
+    zero, then a deterministic corner sweep over the scalar channels, each
+    row once.
+
+    The map reads only the box's layout, which of its blocks are present,
+    and takes the effect as the box's parameter, so both effects' boxes of
+    one layout share it (``optimize._layout_map``), and a lockstep pass
+    unpacks all their points in one call."""
+    ra_rad, rm_rad, ry_rad = radii
+    box = _Box().interval(-ra_rad, ra_rad, present=ra_rad > 0) \
+        .ball(q, rm_rad, present=rm_rad > 0) \
+        .interval(-ry_rad, ry_rad, present=ry_rad > 0)
     cands = [(0.0, np.zeros(q), 0.0)]
     m_dirs = [np.zeros(q)]
     if rm_rad > 0:
@@ -494,8 +505,8 @@ def _leave_j_box(bm: BenchmarkMoments, spec: BenchmarkSpec, q: int, effect: int,
         for sy in ((-ry_rad, 0.0, ry_rad) if ry_rad > 0 else (0.0,)):
             for dm in m_dirs:
                 cands.append((sa, dm, sy))
-    return _SearchBox(box, unpacks.setdefault((layout, effect), unpack),
-                      _leave_j_args(effect, *_distinct([_as_batch(cands)])))
+    return _SearchBox(box, _layout_map(_leave_j_map, box),
+                      _leave_j_args(effect, *_distinct([_as_batch(cands)])), (effect,))
 
 
 def _k_ratios(bm: BenchmarkMoments, params) -> dict:
@@ -608,8 +619,9 @@ def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
     """One critical-delta sweep: a search per grid point, of the t statistic
     with a stop value at a positive ``threshold`` and of the estimate
     otherwise. Returns them, the threshold, and the map from their results
-    up to the first crossing (``robustness._run``) to (delta, curve); a sweep whose observed value is already at or below
-    the threshold has no searches."""
+    up to the first crossing (``optimize._run``) to (delta, curve); a sweep
+    whose observed value is already at or below the threshold has no
+    searches."""
     obj = stacks.objectives[effect_kind]
     use_t = threshold > 0
     values = stacks.t_stat if use_t else stacks.estimate

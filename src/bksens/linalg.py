@@ -2,7 +2,8 @@
 
 All routines are pure functions of ndarray inputs. Vectors may be passed as
 1-D arrays; they are treated as single columns. Sample covariances use the
-n-1 divisor throughout.
+n-1 divisor throughout. ``_unit`` and ``_distinct`` serve the search boxes'
+candidates, in robustness values and formal benchmarking alike.
 """
 
 from __future__ import annotations
@@ -249,3 +250,19 @@ def partial_r2(y, x_cols, z_cols) -> float:
     ryxz = residualize(y, xz)
     var_yxz = float(sample_cov(ryxz)[0, 0])
     return float(np.clip(1.0 - var_yxz / var_yz, 0.0, 1.0))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v|, or the first axis when v is zero."""
+    nv = np.linalg.norm(v)
+    return v / nv if nv > 0 else np.eye(len(v))[0]
+
+
+def _distinct(rows) -> tuple:
+    """Argument tuples with a leading batch axis -> one batch holding each
+    row once, at its first position."""
+    args = [np.concatenate(col) for col in zip(*rows)]
+    flat = np.column_stack([a.reshape(len(a), -1) for a in args])
+    same = (flat[:, None, :] == flat[None, :, :]).all(2)
+    keep = ~np.tril(same, -1).any(1)   # no equal row before it
+    return tuple(a[keep] for a in args)

@@ -403,6 +403,11 @@ class EffectObjective:
         return float(self.t_values(*self.zero)[0])
 
 
+def _check_kind(effect_kind: str) -> None:
+    if effect_kind not in ("direct", "indirect"):
+        raise ValueError(f"unknown effect_kind {effect_kind!r}")
+
+
 def _objective(kind: str, mm: MediationMoments, plan=None) -> EffectObjective:
     """``kind``'s objective on ``mm`` and, if given, the bootstrap ``plan``."""
     return (EffectObjective.for_direct if kind == "direct"

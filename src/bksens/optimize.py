@@ -33,10 +33,37 @@ budget check (unless a budget binds) and finding each search's first
 minimum are array operations over the whole pass, not a numpy call per
 search. Each search visits exactly the points, in the same order, that it
 visits run alone, provided a point's value does not depend on the other
-points of its call, as no search objective's does (``robustness`` module
-docstring). ``direct_optimize`` is the call with S = 1: its objective takes
-a (k, d) array of points and returns (k,) values, the centre first and
-then one sweep's new points per call.
+points of its call, as no search objective's does (below).
+``direct_optimize`` is the call with S = 1: its objective takes a (k, d)
+array of points and returns (k,) values, the centre first and then one
+sweep's new points per call.
+
+The module also holds the search engine that the robustness values and
+formal benchmarking share. A search (``_Search``) has a ``_SearchBox``: a
+``_Box`` built from intervals, balls and spheres, the map from its points
+to the value function's arguments (phi pairs in ``robustness``,
+leave-one-out triples in ``benchmarking``), the box's search parameters,
+and one batch of candidates, zero first, evaluated with the optimizer's
+optimum. A map reads its box only through the layout, so every box of one
+layout shares one map (``_layout_map``), which takes each point's
+parameters: a leave-one-out box's effect, a robustness box's radii.
+``_minimize_over_boxes`` runs any number of searches. Those whose boxes
+have the same number of columns advance in lockstep, LOCKSTEP_SEARCHES at
+a time, each chunk ordered once by (map, value function, parameters)
+(``_lockstep_order``). A pass's points arrive in that order, so
+``_lockstep_objective`` calls each map once, on its contiguous slice, and
+each value function once, on its runs of the maps' outputs, with no sort
+and no scatter. The sweep driver ``_run`` runs plans of searches as one
+batch and drops a sweep's later points once its crossing is decided. A
+caller's ``polish`` refines each optimum (``robustness._polish``, scipy's
+Nelder-Mead), so this module loads no scipy, and ``benchmarking``, which
+does not polish, loads no ``robustness``.
+
+Every value function is point-pure: a row's value must not depend on the
+other rows of its batch, so per-point code uses ``np.einsum``, never a BLAS
+product, whose blocking (and with it a row's rounding) follows the batch.
+A search's values are then the same whichever searches share its calls,
+and in whatever order: its result in a batch is its result alone.
 """
 
 from __future__ import annotations
@@ -381,3 +408,337 @@ def direct_optimize(objective, lower, upper, budget: int = 2000,
         return np.asarray(objective(x), dtype=float).reshape(-1)
 
     return direct_lockstep(evaluate, lower[None], upper[None], [budget], [stop])[0]
+
+
+# ---------------------------------------------------------------------------
+# The search engine: boxes, the maps from their points to a value function's
+# arguments, and one minimizer that runs any number of searches in lockstep.
+# ---------------------------------------------------------------------------
+
+# searches per lockstep, whose piles are live together: 99 rho points run as three
+LOCKSTEP_SEARCHES = 33
+
+
+def _sphere_from_angles(angles: np.ndarray) -> np.ndarray:
+    """Map (k, q-1) spherical angles to (k, q) unit vectors."""
+    k, qm1 = angles.shape
+    out = np.ones((k, qm1 + 1))
+    if qm1:
+        sin_prod = np.sin(angles)
+        if qm1 > 1:
+            sin_prod = np.cumprod(sin_prod, axis=1)
+            out[:, 1:qm1] = sin_prod[:, :-1]
+        out[:, :qm1] *= np.cos(angles)
+        out[:, qm1] = sin_prod[:, -1]
+    return out
+
+
+class _Box:
+    """A search box built block by block, each block with its caller's bounds.
+
+    - ``interval(lo, hi)``: one column in [lo, hi];
+    - ``ball(q, r)``: a point of the radius-r ball of R^q, as a signed radius
+      in [-r, r] when q = 1 and otherwise a radius in [0, r] followed by q-1
+      spherical angles;
+    - ``sphere(q)``: a unit vector of R^q, as its q-1 angles.
+
+    ``split`` maps (k, dims) box points to each block's columns: an interval's
+    (k,) values, a ball's ((k,) radius, (k, q) direction), a sphere's (k, q)
+    direction. An absent block (``present=False``) takes no columns and
+    splits to zeros; an absent ball has radius 0 along the first axis.
+    ``split`` reads only the ``layout``, the blocks without their bounds.
+    """
+
+    def __init__(self):
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self._blocks: list[tuple] = []   # (kind, first column or None, q)
+
+    def _add(self, kind, q, present, lo, hi) -> "_Box":
+        self._blocks.append((kind, len(self.lower) if present else None, q))
+        if present:
+            self.lower += lo
+            self.upper += hi
+        return self
+
+    @staticmethod
+    def _angles(q: int) -> tuple[list[float], list[float]]:
+        lo = [0.0] * (q - 1)
+        hi = [np.pi] * max(q - 2, 0) + ([2.0 * np.pi] if q >= 2 else [])
+        return lo, hi
+
+    def interval(self, lo: float, hi: float, present: bool = True) -> "_Box":
+        return self._add("interval", 1, present, [lo], [hi])
+
+    def ball(self, q: int, r: float, present: bool = True) -> "_Box":
+        if q == 1:
+            return self._add("ball", q, present, [-r], [r])
+        alo, ahi = self._angles(q)
+        return self._add("ball", q, present, [0.0] + alo, [r] + ahi)
+
+    def sphere(self, q: int) -> "_Box":
+        return self._add("sphere", q, True, *self._angles(q))
+
+    @property
+    def layout(self) -> tuple:
+        return tuple(self._blocks)
+
+    def split(self, x: np.ndarray) -> list:
+        x = np.atleast_2d(x)
+        k = x.shape[0]
+        out = []
+        for kind, col, q in self._blocks:
+            if kind == "interval":
+                out.append(np.zeros(k) if col is None else x[:, col])
+            elif col is None:
+                direction = np.zeros((k, q))
+                direction[:, 0] = 1.0
+                out.append((np.zeros(k), direction))
+            else:
+                first = col + (kind == "ball" and q > 1)
+                direction = _sphere_from_angles(x[:, first:first + q - 1])
+                out.append(direction if kind == "sphere" else (x[:, col], direction))
+        return out
+
+
+_MAPS = {}   # (factory, layout) -> map
+
+
+def _layout_map(make, box: _Box):
+    """The map ``make(box)``, made once for every box of ``box``'s layout: a
+    map reads its box only through ``split``, so boxes of one layout share
+    it, and a lockstep pass calls it once on all their points."""
+    key = (make, box.layout)
+    if key not in _MAPS:
+        _MAPS[key] = make(box)
+    return _MAPS[key]
+
+
+@dataclass
+class _SearchBox:
+    """A box, the map ``unpack(x, *params)`` from its (k, dims) points to the
+    value function's arguments, one batch of candidates, zero first, and the
+    box's search parameters ``params``. A map takes each parameter as a
+    scalar or as one value per point, so boxes that differ only in their
+    parameters (a leave-one-out box's effect, a robustness box's radii)
+    share one map (``_layout_map``)."""
+
+    space: _Box
+    unpack: callable
+    candidates: tuple
+    params: tuple = ()
+
+    def args(self, x: np.ndarray) -> tuple:
+        """The value function's arguments at this box's (k, dims) points."""
+        return self.unpack(x, *self.params)
+
+
+@dataclass(frozen=True)
+class _Search:
+    """One minimization: a box, the batched value function its points go to,
+    DIRECT's budget and an optional stop value."""
+
+    box: _SearchBox
+    value_fn: callable
+    budget: int
+    stop: float | None = None
+
+
+def _ids(objects) -> tuple[list, list]:
+    """The distinct ``objects`` in order of first appearance, and each
+    object's index among them."""
+    ids = {}
+    index = [ids.setdefault(o, len(ids)) for o in objects]
+    return list(ids), index
+
+
+def _shared_calls(fns, batches) -> np.ndarray:
+    """The values ``fns[i](*batches[i])`` of every argument batch, each
+    batch arrays with a leading axis, made as one call per distinct function
+    on the concatenation of its batches and returned concatenated in batch
+    order."""
+    distinct, fn_of = _ids(fns)
+    sizes = [len(args[0]) for args in batches]
+    starts = np.cumsum([0] + sizes).tolist()
+    out = np.empty(starts[-1])
+    for f, fn in enumerate(distinct):
+        mine = [i for i, g in enumerate(fn_of) if g == f]
+        vals = fn(*(batches[mine[0]] if len(mine) == 1 else
+                    map(np.concatenate, zip(*(batches[i] for i in mine)))))
+        at = 0
+        for i in mine:
+            out[starts[i]:starts[i + 1]] = vals[at:at + sizes[i]]
+            at += sizes[i]
+    return out
+
+
+def _lockstep_order(group) -> list:
+    """The positions of the searches ``group`` ordered by (box map, value
+    function, search parameters), maps and functions in order of first
+    appearance; a tie keeps its order."""
+    _, map_of = _ids([s.box.unpack for s in group])
+    _, fn_of = _ids([s.value_fn for s in group])
+    return sorted(range(len(group)),
+                  key=lambda i: (map_of[i], fn_of[i], group[i].box.params))
+
+
+def _lockstep_objective(group):
+    """``direct_lockstep``'s objective for the searches ``group``, in
+    ``_lockstep_order``: the values of a pass's (P, d) points ``x``, each
+    owned by the search ``owners[i]``, ascending.
+
+    The owners ascend, so the points of each run of searches with one box
+    map, and within it of each run with one value function, are contiguous
+    slices of the pass: it calls each map once on its slice, with each
+    point's search parameters, and each function once on its runs of the
+    maps' outputs (``_shared_calls``), which hand back the values in the
+    pass's order. A function sharing one map meets one slice, and within it
+    each parameter's points as one run."""
+    maps, map_of = _ids([s.box.unpack for s in group])
+    fns, fn_of = _ids([s.value_fn for s in group])
+    run_first = [i for i in range(len(group))
+                 if not i or (map_of[i], fn_of[i]) != (map_of[i - 1], fn_of[i - 1])]
+    cuts = np.array(run_first + [len(group)])
+    # per map: its first search, its parameters per search, its runs
+    per_map = []
+    for m, unpack in enumerate(maps):
+        runs = [r for r, i in enumerate(run_first) if map_of[i] == m]
+        first, end = run_first[runs[0]], cuts[runs[-1] + 1]
+        params = [np.array(col) for col in zip(*(s.box.params for s in group[first:end]))]
+        per_map.append((unpack, first, params, [(r, fns[fn_of[run_first[r]]]) for r in runs]))
+
+    def objective(x: np.ndarray, owners: np.ndarray) -> np.ndarray:
+        edges = np.searchsorted(owners, cuts).tolist()
+        run_fns, run_args = [], []
+        for unpack, first, params, runs in per_map:
+            lo, hi = edges[runs[0][0]], edges[runs[-1][0] + 1]
+            if lo == hi:
+                continue
+            mine = owners[lo:hi] - first
+            args = unpack(x[lo:hi], *(col[mine] for col in params))
+            for r, fn in runs:
+                a, b = edges[r] - lo, edges[r + 1] - lo
+                if a < b:
+                    run_fns.append(fn)
+                    run_args.append(args if b - a == hi - lo else tuple(v[a:b] for v in args))
+        return _shared_calls(run_fns, run_args)
+    return objective
+
+
+def _first_min(args, vals):
+    """The first least of ``vals``, a NaN ranking behind +inf, and its
+    arguments with a batch axis of length 1."""
+    nan = np.isnan(vals)
+    best = int(np.lexsort((nan, np.where(nan, np.inf, vals)))[0])
+    return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
+
+
+def _minimize_over_boxes(searches, polish=None, drop=None) -> list:
+    """Minimum of each search's batched value function over its box and its
+    candidates; returns (value, the winner's arguments with a batch axis of
+    length 1) per search, None for one ``drop`` abandoned.
+
+    All candidates are evaluated first, one call per value function
+    (``_shared_calls``). A search with a ``stop`` value whose best of them is at
+    or below it returns that best and runs no DIRECT: the search is a
+    decision, and its value is then a witness at or below ``stop``, not the
+    minimum. Otherwise DIRECT searches the box when it has columns, ending
+    after its first sweep at or below ``stop``. Searches whose boxes have the
+    same number of columns advance in lockstep (``direct_lockstep``),
+    LOCKSTEP_SEARCHES at a time, each chunk in ``_lockstep_order``: each pass
+    calls every box map once, on the new points of all the searches whose
+    boxes share it, and every value function once, on the unpacked points of
+    all the searches that share it (``_lockstep_objective``). Each optimum
+    is then optionally polished, ``polish(search, result)`` returning the
+    point to keep, the optima are evaluated in one more call per value
+    function, and the first minimum over each search's optimum and
+    candidates wins; a NaN ranks as +inf, behind a real +inf, so it is
+    returned only when every value is NaN.
+
+    ``drop(bounds)``, if given, is called before each pass with every
+    search's best value so far, which its result can only undercut (+inf
+    where none is finite), and returns a mask of searches to abandon.
+    """
+    given = [s.box.candidates for s in searches]
+    sizes = np.array([len(args[0]) for args in given])
+    flat = _shared_calls([s.value_fn for s in searches], given)
+    given_vals = np.split(flat, sizes.cumsum()[:-1])
+    bounds = np.minimum.reduceat(np.fmin(flat, np.inf), sizes.cumsum() - sizes)
+    optima = [None] * len(searches)
+    dropped = [False] * len(searches)
+    layouts = {}
+    for i, s in enumerate(searches):
+        if s.box.space.lower and not (s.stop is not None and bounds[i] <= s.stop):
+            layouts.setdefault(len(s.box.space.lower), []).append(i)
+    for chunk in [group[at:at + LOCKSTEP_SEARCHES] for group in layouts.values()
+                  for at in range(0, len(group), LOCKSTEP_SEARCHES)]:
+        idx = np.array(chunk)[_lockstep_order([searches[i] for i in chunk])]
+        group = [searches[i] for i in idx.tolist()]
+
+        def abandon(best, idx=idx):
+            mine = bounds.copy()
+            mine[idx] = np.minimum(mine[idx], best)
+            return drop(mine)[idx]
+
+        found = direct_lockstep(
+            _lockstep_objective(group), [s.box.space.lower for s in group],
+            [s.box.space.upper for s in group], [s.budget for s in group],
+            [s.stop for s in group], drop=None if drop is None else abandon)
+        for i, s, res in zip(idx.tolist(), group, found):
+            if res is None:
+                dropped[i] = True
+                continue
+            bounds[i] = min(bounds[i], res.fun)
+            optima[i] = s.box.args((res.x if polish is None else polish(s, res))[None, :])
+    ran = [i for i, opt in enumerate(optima) if opt is not None]
+    vals = _shared_calls([searches[i].value_fn for i in ran], [optima[i] for i in ran])
+    for k, i in enumerate(ran):
+        given[i] = [np.concatenate(col) for col in zip(optima[i], given[i])]
+        given_vals[i] = np.concatenate([vals[k:k + 1], given_vals[i]])
+    return [None if gone else _first_min(args, vals)
+            for args, vals, gone in zip(given, given_vals, dropped)]
+
+
+def _run(plans, polish=None) -> list:
+    """Run the searches of ``plans``, each (searches, threshold, finish), as
+    one batch (``_minimize_over_boxes``, with ``polish``) and return each
+    plan's ``finish`` of its results.
+
+    A plan with a threshold is a sweep over a grid in increasing order, and
+    ``finish`` takes its results up to the first at or below the threshold.
+    A search's value can only undercut its best value so far, so once that
+    is at or below the threshold the sweep's later points are dropped. Values
+    are point-pure, so the crossing search's final value stays at or below
+    that bound, and the walk up to the first crossing never reaches a
+    dropped point.
+    """
+    searches, sweeps = [], []
+    for plan_searches, threshold, _ in plans:
+        if threshold is not None:
+            sweeps.append((len(searches), len(searches) + len(plan_searches), threshold))
+        searches += plan_searches
+
+    # each search's sweep threshold (NaN outside a sweep) and its sweep's first search
+    thresholds = np.full(len(searches), np.nan)
+    firsts = np.arange(len(searches))
+    for first, end, threshold in sweeps:
+        thresholds[first:end] = threshold
+        firsts[first:end] = first
+
+    def drop(bounds):
+        crossed = bounds <= thresholds
+        before = crossed.cumsum() - crossed   # crossings before each search
+        return before > before[firsts]
+
+    results = _minimize_over_boxes(searches, polish=polish,
+                                   drop=drop if sweeps else None)
+    outcomes, at = [], 0
+    for plan_searches, threshold, finish in plans:
+        walked = []
+        for found in results[at:at + len(plan_searches)]:
+            walked.append(found)
+            if threshold is not None and found[0] <= threshold:
+                break
+        outcomes.append(finish(walked))
+        at += len(plan_searches)
+    return outcomes

@@ -19,41 +19,30 @@ small matrix products per candidate, whatever the number of resamples.
 ``robustness.EffectObjective`` names the same class, the name under which
 ``perfbench/tracer.py`` times its builds.
 
-One minimizer, ``_minimize_over_boxes``, runs every search that remains:
-the t searches and formal benchmarking's. A search (``_Search``) has a
-``_SearchBox``: a ``_Box``, the map from the box's points to the value
-function's arguments (phi pairs here, leave-one-out triples in
-benchmarking) and one batch of candidates, zero first, evaluated with the
-optimizer's optimum; the box builders list each row once. A box that bounds
-no confounding has no columns and zero as its only candidate. The minimizer
-takes any number of searches, and those whose boxes have the same number of
-columns advance in lockstep (``optimize.direct_lockstep``), whose passes
-arrive as one array of points beside their owning searches. A lockstep
-gives each search integer ids for its box map and value function once, and
-a pass sorts its points by them: it calls each box map once, on the new
-points of all the searches whose boxes share it (benchmarking's boxes of
-one layout and effect do), and each value function once, on its runs of
-the maps' outputs (``_lockstep_objective``, ``_shared_calls``). The sweep
-driver ``_run`` calls it for the robustness values, a search per rho, and
-for formal benchmarking; its drop rule is array operations over the
-batch's searches. The optimizer is imported on the first search, so
-``rv_estimate_only`` and the ``simulate`` study never load it. The
-Nelder-Mead polish calls ``minimize``, which imports scipy on its first
-call; no other code here needs scipy.
-The minimum t-statistic functions and both RV drivers share one setup, which
-checks the effect, the confounder mode and the rho grid before any search.
-
-Every value function is point-pure: a row's value must not depend on the
-other rows of its batch, so per-point code uses ``np.einsum``, never a BLAS
-product, whose blocking (and with it a row's rounding) follows the batch.
-A search's values are then the same whichever searches share its calls.
+The searches run in the search engine of ``optimize``, which formal
+benchmarking shares; this module builds the robustness values' boxes and
+drives them. A box's candidates, zero first and each row once, hold the
+estimate's exact minimizers (``_candidates``) and need no engine, so
+``rv_estimate_only`` and the ``simulate`` study never load ``optimize``.
+``_box_for`` adds the ``optimize._Box`` and its map to phi pairs, imported
+on the first search. Every box of one layout shares one map, which takes the
+box's radii as parameters (``optimize._layout_map``), so a lockstep pass of
+a curve's searches unpacks all their points in one call. A curve is one
+sweep of ``optimize._run``, a search per rho, each optimum polished by
+Nelder-Mead (``_polish``, handed to the engine). The polish calls
+``minimize``, which imports scipy on its first call; no other code here
+needs scipy. The minimum t-statistic functions and both RV drivers share
+one setup, which checks the effect, the confounder mode and the rho grid
+before any search. The t objective is point-pure, as every value function of
+the engine must be (``optimize``).
 
 The direct-effect range does not depend on whether the confounder is scalar
 or vector, so both modes share one code path. The indirect-effect range does:
 scalar mode ties the two phi vectors to a shared direction, vector mode
 searches two independent balls. Every search box, the benchmarking one
-included, is built by ``_Box`` from intervals, balls (a signed radius when
-q = 1, otherwise a radius and q-1 angles) and spheres (angles alone).
+included, is built by ``optimize._Box`` from intervals, balls (a signed
+radius when q = 1, otherwise a radius and q-1 angles) and spheres (angles
+alone).
 """
 
 from __future__ import annotations
@@ -64,138 +53,50 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .linalg import _distinct, _unit
 from .mediation import (
     DEFAULT_CI_MULTIPLIER,
     EffectObjective,
     MediationMoments,
+    _check_kind,
     _objective,
 )
 
 if TYPE_CHECKING:  # a simulate job, which never bootstraps, loads no inference
     from .inference import BootstrapPlan
+    from .optimize import _SearchBox
 
 DEFAULT_RHO_GRID = tuple(np.round(np.arange(1, 100) / 100.0, 2))
 DEFAULT_BUDGET = 4000
 BALL_SHRINK = 1.0 - 1e-9
 RV_NOT_ATTAINED = 1.0
-# searches per lockstep, whose piles are live together: 99 rho points run as three
-LOCKSTEP_SEARCHES = 33
 
 
-def _sphere_from_angles(angles: np.ndarray) -> np.ndarray:
-    """Map (k, q-1) spherical angles to (k, q) unit vectors."""
-    k, qm1 = angles.shape
-    out = np.ones((k, qm1 + 1))
-    if qm1:
-        sin_prod = np.sin(angles)
-        if qm1 > 1:
-            sin_prod = np.cumprod(sin_prod, axis=1)
-            out[:, 1:qm1] = sin_prod[:, :-1]
-        out[:, :qm1] *= np.cos(angles)
-        out[:, qm1] = sin_prod[:, -1]
-    return out
-
-
-class _Box:
-    """A search box built block by block, each block with its caller's bounds.
-
-    - ``interval(lo, hi)``: one column in [lo, hi];
-    - ``ball(q, r)``: a point of the radius-r ball of R^q, as a signed radius
-      in [-r, r] when q = 1 and otherwise a radius in [0, r] followed by q-1
-      spherical angles;
-    - ``sphere(q)``: a unit vector of R^q, as its q-1 angles.
-
-    ``split`` maps (k, dims) box points to each block's columns: an interval's
-    (k,) values, a ball's ((k,) radius, (k, q) direction), a sphere's (k, q)
-    direction. An absent block (``present=False``) takes no columns and
-    splits to zeros; an absent ball has radius 0 along the first axis.
-    """
-
-    def __init__(self):
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self._blocks: list[tuple] = []   # (kind, first column or None, q)
-
-    def _add(self, kind, q, present, lo, hi) -> "_Box":
-        self._blocks.append((kind, len(self.lower) if present else None, q))
-        if present:
-            self.lower += lo
-            self.upper += hi
-        return self
-
-    @staticmethod
-    def _angles(q: int) -> tuple[list[float], list[float]]:
-        lo = [0.0] * (q - 1)
-        hi = [np.pi] * max(q - 2, 0) + ([2.0 * np.pi] if q >= 2 else [])
-        return lo, hi
-
-    def interval(self, lo: float, hi: float, present: bool = True) -> "_Box":
-        return self._add("interval", 1, present, [lo], [hi])
-
-    def ball(self, q: int, r: float, present: bool = True) -> "_Box":
-        if q == 1:
-            return self._add("ball", q, present, [-r], [r])
-        alo, ahi = self._angles(q)
-        return self._add("ball", q, present, [0.0] + alo, [r] + ahi)
-
-    def sphere(self, q: int) -> "_Box":
-        return self._add("sphere", q, True, *self._angles(q))
-
-    def split(self, x: np.ndarray) -> list:
-        x = np.atleast_2d(x)
-        k = x.shape[0]
-        out = []
-        for kind, col, q in self._blocks:
-            if kind == "interval":
-                out.append(np.zeros(k) if col is None else x[:, col])
-            elif col is None:
-                direction = np.zeros((k, q))
-                direction[:, 0] = 1.0
-                out.append((np.zeros(k), direction))
-            else:
-                first = col + (kind == "ball" and q > 1)
-                direction = _sphere_from_angles(x[:, first:first + q - 1])
-                out.append(direction if kind == "sphere" else (x[:, col], direction))
-        return out
+def __getattr__(name: str):
+    # the search engine's box and search types, under the names they had
+    # here, loaded on first use so that a job running no search never loads
+    # ``optimize``
+    if name in ("_Box", "_SearchBox", "_Search"):
+        from . import optimize
+        return getattr(optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# Search boxes: a _Box, the map from its points to the value function's
-# arguments and the candidates evaluated beside the optimizer's optimum.
+# Search boxes: the candidates evaluated beside the optimizer's optimum, which
+# hold the estimate's exact minimizers, and the maps from box points to phi
+# pairs, one per layout with each box's radii as its parameters.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _SearchBox:
-    space: _Box
-    unpack: callable              # X (k, dims) -> the value function's arguments
-    candidates: tuple             # one argument batch, zero first
-
-
-def _distinct(rows) -> tuple:
-    """Argument tuples with a leading batch axis -> one batch holding each
-    row once, at its first position."""
-    args = [np.concatenate(col) for col in zip(*rows)]
-    flat = np.column_stack([a.reshape(len(a), -1) for a in args])
-    same = (flat[:, None, :] == flat[None, :, :]).all(2)
-    keep = ~np.tril(same, -1).any(1)   # no equal row before it
-    return tuple(a[keep] for a in args)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    """v / |v|, or the first axis when v is zero."""
-    nv = np.linalg.norm(v)
-    return v / nv if nv > 0 else np.eye(len(v))[0]
-
-
-def _direct_box(rho: float, rho_a: float, obj) -> _SearchBox:
+def _direct_radii(rho: float, rho_a: float) -> tuple:
+    """The direct box's phi_1 scale r1 and the largest angle t3max of its
+    phi_2 ball."""
     r1 = np.sqrt(rho * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
-    t3max = np.arctan(np.sqrt(rho / (1.0 - rho)))
-    box = _Box().interval(-1.0, 1.0, present=rho_a > 0).ball(obj.q, t3max)
+    return r1, np.arctan(np.sqrt(rho / (1.0 - rho)))
 
-    def to_phi(x: np.ndarray):
-        t1, (t3, t2) = box.split(x)
-        return (r1 * t1 / np.cos(t3))[:, None], np.sqrt(rho) * np.tan(t3)[:, None] * t2
 
+def _direct_candidates(rho: float, rho_a: float, obj) -> tuple:
+    r1, t3max = _direct_radii(rho, rho_a)
     # corners; the estimate is affine in the phis and |phi_1| grows with t3, so
     # it is least at t3 = t3max, both phis opposing the flipped coefficients
     d2 = _unit(obj.full[2][:, 0])
@@ -205,7 +106,14 @@ def _direct_box(rho: float, rho_a: float, obj) -> _SearchBox:
             corners.append((np.array([[s1 * r1 / np.cos(t3max)]]),
                             s2 * np.sqrt(rho) * np.tan(t3max) * d2[None, :]))
         corners.append((np.array([[s1 * r1]]), np.zeros((1, obj.q))))
-    return _SearchBox(box, to_phi, _distinct(corners))
+    return _distinct(corners)
+
+
+def _direct_map(box):
+    def to_phi(x, r1, root_rho):
+        t1, (t3, t2) = box.split(x)
+        return (r1 * t1 / np.cos(t3))[:, None], (root_rho * np.tan(t3))[:, None] * t2
+    return to_phi
 
 
 def _golden_section(g, lo: float, hi: float, xatol: float) -> float:
@@ -250,28 +158,16 @@ def _vector_minimizers(a, b, kappa: float, r3: float, r4: float) -> list:
     return [(p[None, :], -r4 * _unit(b + kappa * p)[None, :]) for p in phis_a]
 
 
-def _indirect_box(rho: float, rho_a: float, confounder_mode: str,
-                  obj) -> _SearchBox:
-    q = obj.q
+def _indirect_radii(rho: float, rho_a: float) -> tuple:
+    """The scales r3 of phi_a and r4 of phi_b in an indirect box."""
     r3 = np.sqrt(rho * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
-    r4 = np.sqrt(rho * rho / (1.0 - rho))
+    return r3, np.sqrt(rho * rho / (1.0 - rho))
 
-    if confounder_mode == "scalar_u":
-        # one shared direction, a signed length along it for each phi
-        box = _Box().interval(-1.0, 1.0, present=r3 > 0) \
-            .interval(-1.0, 1.0).sphere(q)
 
-        def to_phi(x: np.ndarray):
-            t2, t3, t1 = box.split(x)
-            return r3 * t2[:, None] * t1, r4 * t3[:, None] * t1
-    else:
-        # two independent unit balls, scaled by r3 and r4
-        box = _Box().ball(q, 1.0, present=r3 > 0).ball(q, 1.0)
-
-        def to_phi(x: np.ndarray):
-            (rad3, dir3), (rad4, dir4) = box.split(x)
-            return r3 * rad3[:, None] * dir3, r4 * rad4[:, None] * dir4
-
+def _indirect_candidates(rho: float, rho_a: float, confounder_mode: str,
+                         obj) -> tuple:
+    q = obj.q
+    r3, r4 = _indirect_radii(rho, rho_a)
     # shared-direction corner candidates (feasible in both modes)
     _, w_a, w_b, cross = obj.full
     signs = (-1.0, 0.0, 1.0)
@@ -288,12 +184,24 @@ def _indirect_box(rho: float, rho_a: float, confounder_mode: str,
         corners.append((r3 * t1, sigma * r4 * t1))
     if confounder_mode == "vector_u" and q >= 2 and r3 > 0 and b.any():
         corners += _vector_minimizers(a, b, kappa, r3, r4)
-    return _SearchBox(box, to_phi, _distinct(corners))
+    return _distinct(corners)
 
 
-# ---------------------------------------------------------------------------
-# Minimization over a search box.
-# ---------------------------------------------------------------------------
+def _scalar_map(box):
+    # one shared direction, a signed length along it for each phi
+    def to_phi(x, r3, r4):
+        t2, t3, t1 = box.split(x)
+        return (r3 * t2)[:, None] * t1, (r4 * t3)[:, None] * t1
+    return to_phi
+
+
+def _vector_map(box):
+    # two independent unit balls, scaled by r3 and r4
+    def to_phi(x, r3, r4):
+        (rad3, dir3), (rad4, dir4) = box.split(x)
+        return (r3 * rad3)[:, None] * dir3, (r4 * rad4)[:, None] * dir4
+    return to_phi
+
 
 def minimize(fun, x0, **kwargs):
     """``scipy.optimize.minimize``, imported on the first polish: the CLI's
@@ -303,227 +211,23 @@ def minimize(fun, x0, **kwargs):
     return scipy_minimize(fun, x0, **kwargs)
 
 
-@dataclass(frozen=True)
-class _Search:
-    """One minimization: a box, the batched value function its points go to,
-    DIRECT's budget and an optional stop value."""
-
-    box: _SearchBox
-    value_fn: callable
-    budget: int
-    stop: float | None = None
-
-
-def _ids(objects) -> tuple[list, np.ndarray]:
-    """The distinct ``objects`` in order of first appearance, and each
-    object's index among them."""
-    ids = {}
-    index = np.array([ids.setdefault(o, len(ids)) for o in objects], dtype=np.int64)
-    return list(ids), index
-
-
-def _shared_calls(fns, batches) -> np.ndarray:
-    """The values ``fns[i](*batches[i])`` of every argument batch, each
-    batch arrays with a leading axis, made as one call per distinct function
-    on the concatenation of its batches and returned concatenated in batch
-    order."""
-    if not batches:
-        return np.empty(0)
-    distinct, fn_of = _ids(fns)
-    vals = []
-    for f, fn in enumerate(distinct):
-        mine = [args for args, g in zip(batches, fn_of.tolist()) if g == f]
-        vals.append(fn(*(mine[0] if len(mine) == 1 else map(np.concatenate, zip(*mine)))))
-    if len(distinct) == 1:
-        return np.asarray(vals[0], dtype=float)
-    sizes = [len(args[0]) for args in batches]
-    out = np.empty(sum(sizes))
-    out[np.argsort(fn_of.repeat(sizes), kind="stable")] = np.concatenate(vals)
-    return out
-
-
-def _lockstep_objective(group):
-    """``optimize.direct_lockstep``'s objective for the searches ``group``:
-    the values of a pass's (P, d) points ``x``, each owned by the search
-    ``owners[i]``.
-
-    Each search's box map and value function get an integer id once. A pass
-    sorts its points by (map, function) with one stable argsort, calls
-    each distinct map once on its contiguous slice, and each function once
-    on its runs of the maps' outputs, in map order (``_shared_calls``), so a
-    value function meets the points of one map as one run; one fancy
-    assignment puts the values back in the pass's order."""
-    maps, map_of = _ids([s.box.unpack for s in group])
-    fns, fn_of = _ids([s.value_fn for s in group])
-    run_of = map_of * len(fns) + fn_of
-    n_runs = len(maps) * len(fns)
-
-    def objective(x: np.ndarray, owners: np.ndarray) -> np.ndarray:
-        key = run_of[owners]
-        order = np.argsort(key, kind="stable")
-        x = x[order]
-        counts = np.bincount(key, minlength=n_runs).reshape(len(maps), len(fns)).tolist()
-        run_fns, runs, at = [], [], 0
-        for unpack, row in zip(maps, counts):
-            n = sum(row)
-            if not n:
-                continue
-            args = unpack(x[at:at + n])
-            lo = 0
-            for fn, c in zip(fns, row):
-                if c:
-                    run_fns.append(fn)
-                    runs.append(args if c == n else tuple(a[lo:lo + c] for a in args))
-                    lo += c
-            at += n
-        vals = np.empty(len(order))
-        vals[order] = _shared_calls(run_fns, runs)
-        return vals
-    return objective
-
-
-def _first_min(args, vals):
-    """The first least of ``vals``, a NaN ranking behind +inf, and its
-    arguments with a batch axis of length 1."""
-    nan = np.isnan(vals)
-    best = int(np.lexsort((nan, np.where(nan, np.inf, vals)))[0])
-    return float(vals[best]), tuple(arg[best:best + 1] for arg in args)
-
-
-def _minimize_over_boxes(searches, polish: bool = False, drop=None) -> list:
-    """Minimum of each search's batched value function over its box and its
-    candidates; returns (value, the winner's arguments with a batch axis of
-    length 1) per search, None for one ``drop`` abandoned.
-
-    All candidates are evaluated first, one call per value function
-    (``_shared_calls``). A search with a ``stop`` value whose best of them is at
-    or below it returns that best and runs no DIRECT: the search is a
-    decision, and its value is then a witness at or below ``stop``, not the
-    minimum. Otherwise DIRECT searches the box when it has columns, ending
-    after its first sweep at or below ``stop``. Searches whose boxes have the
-    same number of columns advance in lockstep (``optimize.direct_lockstep``),
-    LOCKSTEP_SEARCHES at a time: each pass calls every box unpack once, on the
-    new points of all the searches whose boxes share it, and every value
-    function once, on the unpacked points of all the searches that share it
-    (``_lockstep_objective``). Each optimum is then optionally polished by
-    Nelder-Mead, the optima are evaluated in one more call per value function,
-    and the first minimum over each search's optimum and candidates wins; a
-    NaN ranks as +inf, behind a real +inf, so it is returned only when every
-    value is NaN.
-
-    ``drop(bounds)``, if given, is called before each pass with every
-    search's best value so far, which its result can only undercut (+inf
-    where none is finite), and returns a mask of searches to abandon.
-    """
-    from .optimize import direct_lockstep
-
-    given = [s.box.candidates for s in searches]
-    sizes = np.array([len(args[0]) for args in given])
-    flat = _shared_calls([s.value_fn for s in searches], given)
-    given_vals = np.split(flat, sizes.cumsum()[:-1])
-    bounds = np.minimum.reduceat(np.fmin(flat, np.inf), sizes.cumsum() - sizes)
-    optima = [None] * len(searches)
-    dropped = [False] * len(searches)
-    layouts = {}
-    for i, s in enumerate(searches):
-        if s.box.space.lower and not (s.stop is not None and bounds[i] <= s.stop):
-            layouts.setdefault(len(s.box.space.lower), []).append(i)
-    for idx in [np.array(group[at:at + LOCKSTEP_SEARCHES]) for group in layouts.values()
-                for at in range(0, len(group), LOCKSTEP_SEARCHES)]:
-        group = [searches[i] for i in idx.tolist()]
-
-        def abandon(best, idx=idx):
-            mine = bounds.copy()
-            mine[idx] = np.minimum(mine[idx], best)
-            return drop(mine)[idx]
-
-        found = direct_lockstep(
-            _lockstep_objective(group), [s.box.space.lower for s in group],
-            [s.box.space.upper for s in group], [s.budget for s in group],
-            [s.stop for s in group], drop=None if drop is None else abandon)
-        for i, s, res in zip(idx.tolist(), group, found):
-            if res is None:
-                dropped[i] = True
-                continue
-            bounds[i] = min(bounds[i], res.fun)
-            x_best = res.x
-            if polish:
-                x_best = _polish(s, res)
-            optima[i] = s.box.unpack(x_best[None, :])
-    ran = [i for i, opt in enumerate(optima) if opt is not None]
-    vals = _shared_calls([searches[i].value_fn for i in ran], [optima[i] for i in ran])
-    for k, i in enumerate(ran):
-        given[i] = [np.concatenate(col) for col in zip(optima[i], given[i])]
-        given_vals[i] = np.concatenate([vals[k:k + 1], given_vals[i]])
-    return [None if gone else _first_min(args, vals)
-            for args, vals, gone in zip(given, given_vals, dropped)]
-
-
-def _polish(search: _Search, res):
+def _polish(search, res):
     """Nelder-Mead from DIRECT's optimum ``res``, inside the box; returns
-    the better of the two points."""
+    the better of the two points. The search engine calls it on each
+    optimum of the robustness values' searches."""
     from scipy.optimize import Bounds
 
     lower = np.array(search.box.space.lower)
     upper = np.array(search.box.space.upper)
 
     def scalar_obj(x):
-        return float(search.value_fn(*search.box.unpack(x[None, :]))[0])
+        return float(search.value_fn(*search.box.args(x[None, :]))[0])
 
     pol = minimize(scalar_obj, res.x, method="Nelder-Mead",
                    bounds=Bounds(lower, upper),
                    options={"maxfev": 150 * lower.size, "xatol": 1e-7,
                             "fatol": 1e-12})
     return np.clip(pol.x, lower, upper) if pol.fun < res.fun else res.x
-
-
-def _run(plans, polish: bool = False) -> list:
-    """Run the searches of ``plans``, each (searches, threshold, finish), as
-    one batch and return each plan's ``finish`` of its results.
-
-    A plan with a threshold is a sweep over a grid in increasing order, and
-    ``finish`` takes its results up to the first at or below the threshold.
-    A search's value can only undercut its best value so far, so once that
-    is at or below the threshold the sweep's later points are dropped. Values
-    are point-pure, so the crossing search's final value stays at or below
-    that bound, and the walk up to the first crossing never reaches a
-    dropped point.
-    """
-    searches, sweeps = [], []
-    for plan_searches, threshold, _ in plans:
-        if threshold is not None:
-            sweeps.append((len(searches), len(searches) + len(plan_searches), threshold))
-        searches += plan_searches
-
-    # each search's sweep threshold (NaN outside a sweep) and its sweep's first search
-    thresholds = np.full(len(searches), np.nan)
-    firsts = np.arange(len(searches))
-    for first, end, threshold in sweeps:
-        thresholds[first:end] = threshold
-        firsts[first:end] = first
-
-    def drop(bounds):
-        crossed = bounds <= thresholds
-        before = crossed.cumsum() - crossed   # crossings before each search
-        return before > before[firsts]
-
-    results = _minimize_over_boxes(searches, polish=polish,
-                                   drop=drop if sweeps else None)
-    outcomes, at = [], 0
-    for plan_searches, threshold, finish in plans:
-        walked = []
-        for found in results[at:at + len(plan_searches)]:
-            walked.append(found)
-            if threshold is not None and found[0] <= threshold:
-                break
-        outcomes.append(finish(walked))
-        at += len(plan_searches)
-    return outcomes
-
-
-def _check_kind(effect_kind: str) -> None:
-    if effect_kind not in ("direct", "indirect"):
-        raise ValueError(f"unknown effect_kind {effect_kind!r}")
 
 
 def _build_objective(mm, plan, effect_kind, confounder_mode) -> EffectObjective:
@@ -535,18 +239,48 @@ def _build_objective(mm, plan, effect_kind, confounder_mode) -> EffectObjective:
     return _objective(effect_kind, mm, plan)
 
 
-def _box_for(obj, confounder_mode, rho, randomized) -> _SearchBox:
-    """``obj``'s search box under the strength bound ``rho``, shrunk by
-    BALL_SHRINK; ``randomized`` pins the exposure channel at zero."""
+def _strengths(rho, randomized) -> tuple[float, float]:
+    """The bounds (rho, rho_a) of a box under the strength bound ``rho``,
+    shrunk by BALL_SHRINK; ``randomized`` pins the exposure channel at
+    zero."""
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
     rho *= BALL_SHRINK
-    rho_a = 0.0 if randomized else rho
+    return rho, 0.0 if randomized else rho
+
+
+def _candidates(obj, confounder_mode, rho, rho_a) -> tuple:
+    """``obj``'s box candidates under the bounds ``_strengths`` gives."""
     if rho == 0.0:
-        return _SearchBox(_Box(), None, obj.zero)
+        return obj.zero
     if obj.kind == "direct":
-        return _direct_box(rho, rho_a, obj)
-    return _indirect_box(rho, rho_a, confounder_mode, obj)
+        return _direct_candidates(rho, rho_a, obj)
+    return _indirect_candidates(rho, rho_a, confounder_mode, obj)
+
+
+def _box_for(obj, confounder_mode, rho, randomized) -> _SearchBox:
+    """``obj``'s search box under the strength bound ``rho``, shrunk by
+    BALL_SHRINK; ``randomized`` pins the exposure channel at zero. Boxes of
+    one layout share their map, each with its radii as parameters."""
+    from .optimize import _Box, _layout_map, _SearchBox
+
+    rho, rho_a = _strengths(rho, randomized)
+    candidates = _candidates(obj, confounder_mode, rho, rho_a)
+    if rho == 0.0:
+        return _SearchBox(_Box(), None, candidates)
+    if obj.kind == "direct":
+        r1, t3max = _direct_radii(rho, rho_a)
+        box = _Box().interval(-1.0, 1.0, present=rho_a > 0).ball(obj.q, t3max)
+        return _SearchBox(box, _layout_map(_direct_map, box), candidates,
+                          (r1, np.sqrt(rho)))
+    r3, r4 = _indirect_radii(rho, rho_a)
+    if confounder_mode == "scalar_u":
+        box = _Box().interval(-1.0, 1.0, present=r3 > 0).interval(-1.0, 1.0).sphere(obj.q)
+        make = _scalar_map
+    else:
+        box = _Box().ball(obj.q, 1.0, present=r3 > 0).ball(obj.q, 1.0)
+        make = _vector_map
+    return _SearchBox(box, _layout_map(make, box), candidates, (r3, r4))
 
 
 def _rho_grid(rho_grid) -> list[float]:
@@ -559,9 +293,11 @@ def _rho_grid(rho_grid) -> list[float]:
 
 
 def _min_t(mm, plan, effect_kind, rho, confounder_mode, randomized, budget) -> float:
+    from .optimize import _minimize_over_boxes, _Search
+
     obj = _build_objective(mm, plan, effect_kind, confounder_mode)
     box = _box_for(obj, confounder_mode, rho, randomized)
-    return _minimize_over_boxes([_Search(box, obj.t_values, budget)], polish=True)[0][0]
+    return _minimize_over_boxes([_Search(box, obj.t_values, budget)], polish=_polish)[0][0]
 
 
 def min_t_direct(mm: MediationMoments, plan: BootstrapPlan, rho: float,
@@ -615,6 +351,8 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
     estimate's exact minimizers, and t has the estimate's sign, so the
     estimate's robustness value equals ``rv_estimate_only``'s.
     """
+    from .optimize import _run, _Search
+
     grid = _rho_grid(rho_grid)
     obj = _build_objective(mm, plan, effect_kind, confounder_mode)
     t_obs = obj.observed_t()
@@ -626,7 +364,7 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
             seed = (np.atleast_2d(phi) for phi in seed_curve[rho])
             box = replace(box, candidates=tuple(map(np.concatenate, zip(box.candidates, seed))))
         searches.append(_Search(box, obj.t_values, budget))
-    found, = _run([(searches, None if full_curve else 0.0, list)], polish=True)
+    found, = _run([(searches, None if full_curve else 0.0, list)], polish=_polish)
 
     curve, argmins = [], {}
     last = (t_obs, obj.zero)
@@ -658,8 +396,8 @@ def rv_estimate_only(mm: MediationMoments, effect_kind: str, rho_grid=None,
         return 0.0
 
     def min_est(rho) -> float:
-        box = _box_for(obj, confounder_mode, rho, randomized)
-        return float(np.min(obj.flip * obj.point_estimates(*box.candidates)))
+        candidates = _candidates(obj, confounder_mode, *_strengths(rho, randomized))
+        return float(np.min(obj.flip * obj.point_estimates(*candidates)))
 
     lo, hi = 0, len(grid) - 1
     if min_est(grid[hi]) > 0.0:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bksens import benchmarking, cli, optimize, robustness
+from bksens import benchmarking, cli, optimize
 from bksens.benchmarking import (
     EFFECTS,
     BenchmarkMoments,
@@ -527,8 +527,8 @@ def test_critical_delta_stop_keeps_every_crossing(kind, monkeypatch):
                 for threshold in (1.0, 1.96, 3.0)]
 
     stopped = sweeps()
-    search = robustness._minimize_over_boxes
-    monkeypatch.setattr(robustness, "_minimize_over_boxes",
+    search = optimize._minimize_over_boxes
+    monkeypatch.setattr(optimize, "_minimize_over_boxes",
                         lambda searches, **kwargs: search(
                             [replace(s, stop=None) for s in searches], **kwargs))
     full = sweeps()

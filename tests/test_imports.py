@@ -5,11 +5,12 @@ The Nelder-Mead polish of ``rv`` and the confounder construction import
 scipy when they first run; no other CLI job loads it. ``import bksens``
 loads no submodule until one of its names is looked up, and the CLI loads
 ``benchmarking``, ``simulation`` and ``robustness`` only in the commands that
-use them. ``robustness`` loads ``optimize`` when it runs its first search,
-so a ``simulate`` job, which runs none, never loads it; nor does it load the
-bootstrap code of ``inference``, which only the data commands import. Only
-a multi-worker bootstrap loads the thread pool. Each check runs in a fresh
-interpreter, as a CLI job does.
+use them. The search engine lives in ``optimize``: ``benchmarking`` runs its
+searches there without loading ``robustness``, and ``robustness`` loads it
+when it runs its first search, so a ``simulate`` job, which runs none, never
+loads it; nor does it load the bootstrap code of ``inference``, which only
+the data commands import. Only a multi-worker bootstrap loads the thread
+pool. Each check runs in a fresh interpreter, as a CLI job does.
 
 Importing the library changes no environment variable; importing
 ``bksens.cli`` sets ``OPENBLAS_NUM_THREADS=1`` when no BLAS thread variable
@@ -49,11 +50,12 @@ def _run(code: str, thread_vars: dict | None = None):
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
-def _fresh(code: str, package: str = "scipy") -> list[str]:
-    """Run ``code`` in a fresh interpreter; the modules of ``package`` it
-    left loaded."""
+def _fresh(code: str, *packages: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the modules of ``packages``
+    (scipy if none is named) it left loaded."""
+    packages = packages or ("scipy",)
     return _run(code + ("\nimport sys\nprint(sorted(m for m in sys.modules"
-                        f" if m.split('.')[0] == {package!r}))"))
+                        f" if m.split('.')[0] in {packages!r}))"))
 
 
 def _main(argv) -> str:
@@ -105,6 +107,25 @@ def test_simulate_job_loads_no_search_code(tmp_path):
     loaded = set(_fresh(_main(argv), "bksens"))
     assert {"bksens.simulation", "bksens.robustness"} <= loaded
     assert "bksens.optimize" not in loaded
+
+
+@pytest.mark.parametrize("command, flags, loads, skips", [
+    # formal benchmarking runs its searches on the engine alone
+    ("benchmark", ["--bootstrap", "20", "--j", "c1", "--delta-grid", "0.5:1:0.5"],
+     {"bksens.optimize"}, {"bksens.robustness", "scipy"}),
+    # the study's robustness values come from box candidates, with no search
+    ("simulate", ["--dim-m", "2,3", "--reps", "1"],
+     {"bksens.robustness"}, {"bksens.optimize"}),
+    ("rv", ["--bootstrap", "20", "--rho-grid", "0.1:0.3:0.1"],
+     {"bksens.robustness", "bksens.optimize"}, set()),
+])
+def test_job_loads_the_search_code_it_runs(small_csv, tmp_path, command, flags,
+                                           loads, skips):
+    data = base_args(small_csv) if command != "simulate" else []
+    argv = [command, *data, *flags, "--out", str(tmp_path / "r.json")]
+    loaded = set(_fresh(_main(argv), "bksens", "scipy"))
+    assert loads <= loaded
+    assert not loaded & skips
 
 
 def test_simulate_job_loads_no_bootstrap_code(tmp_path):

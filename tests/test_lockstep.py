@@ -23,8 +23,8 @@ from bksens.benchmarking import (
 )
 from bksens.inference import bootstrap_moments
 from bksens.mediation import MediationData, fit_observed
-from bksens.optimize import direct_lockstep, direct_optimize
-from bksens.robustness import _minimize_over_boxes, _Search, robustness_value
+from bksens.optimize import _minimize_over_boxes, _Search, direct_lockstep, direct_optimize
+from bksens.robustness import robustness_value
 
 from test_direct_trace import KINDS, _objective
 
@@ -220,7 +220,7 @@ def test_no_sweep_walk_reaches_a_dropped_search(study, monkeypatch):
     # a point's final value is at or below every best value it reported, so
     # a sweep's walk ends at or before the point whose bound dropped the rest
     data, plan, _ = study
-    search = robustness._minimize_over_boxes
+    search = optimize._minimize_over_boxes
     runs = []
 
     def spy(searches, polish=False, drop=None):
@@ -228,7 +228,7 @@ def test_no_sweep_walk_reaches_a_dropped_search(study, monkeypatch):
         runs.append(found)
         return found
 
-    monkeypatch.setattr(robustness, "_minimize_over_boxes", spy)
+    monkeypatch.setattr(optimize, "_minimize_over_boxes", spy)
     walked = [len(critical_delta(data, 0, kind, threshold, WIDE, k_a_bound=1.0,
                                  plan=plan)[1])
               for kind in ("direct", "indirect") for threshold in (0.0, 1.96)]
@@ -334,5 +334,57 @@ def test_lockstep_pass_calls_each_map_and_value_function_once(monkeypatch):
     assert max(len(calls) for calls in passes) == len(maps) + len(fns)
     for search, (val, args) in zip(searches, together):
         (val_alone, args_alone), = _minimize_over_boxes([search])
+        assert val == val_alone
+        assert all(np.array_equal(a, b) for a, b in zip(args, args_alone))
+
+
+@pytest.mark.parametrize("case", ["benchmark", "rv_direct", "rv_indirect_vector"])
+def test_lockstep_pass_calls_each_layouts_map_once(study, monkeypatch, case):
+    # the boxes of one layout share one map, which takes each box's
+    # parameters (a leave-one-out box's effect, a robustness box's radii) per
+    # point, so a pass splits the points of each layout once, however many
+    # searches and effects it holds, and every search still finds what it
+    # finds alone
+    data, plan, _ = study
+    split = optimize._Box.split
+    made, passes, batches = [], [], []
+
+    def counting_split(box, x):
+        made.append(tuple(box._blocks))
+        return split(box, x)
+
+    lockstep = optimize.direct_lockstep
+
+    def counting_lockstep(objective, *args, **kwargs):
+        def counted(x, owners):
+            made.clear()
+            found = objective(x, owners)
+            passes.append((list(made), np.unique(owners).size))
+            return found
+        return lockstep(counted, *args, **kwargs)
+
+    search = optimize._minimize_over_boxes
+
+    def spy(searches, polish=None, drop=None):
+        found = search(searches, polish=polish, drop=drop)
+        batches.append((searches, polish, found))
+        return found
+
+    monkeypatch.setattr(optimize._Box, "split", counting_split)
+    monkeypatch.setattr(optimize, "direct_lockstep", counting_lockstep)
+    monkeypatch.setattr(optimize, "_minimize_over_boxes", spy)
+    if case == "benchmark":
+        benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=[0.5, 1.0, 2.0])
+    else:
+        kind, mode = ("direct", "scalar_u") if case == "rv_direct" else ("indirect", "vector_u")
+        robustness_value(fit_observed(data), plan, kind, rho_grid=[0.1, 0.2, 0.3, 0.4],
+                         confounder_mode=mode, budget=200, full_curve=True)
+    assert len(passes) > 10
+    assert max(searches for _, searches in passes) >= 3
+    for layouts, _ in passes:
+        assert len(layouts) == len(set(layouts)) == 1
+    (searches, polish, found), = batches
+    for s, (val, args) in zip(searches, found):
+        (val_alone, args_alone), = search([s], polish=polish)
         assert val == val_alone
         assert all(np.array_equal(a, b) for a, b in zip(args, args_alone))

@@ -38,7 +38,7 @@ def _batch(box, local, k=300):
     if not space.lower:
         return box.candidates
     x = local.uniform(space.lower, space.upper, size=(k, len(space.lower)))
-    return tuple(np.concatenate(col) for col in zip(box.candidates, box.unpack(x)))
+    return tuple(np.concatenate(col) for col in zip(box.candidates, box.args(x)))
 
 
 def _assert_rows_pure(value_fn, args, local, singles=True):

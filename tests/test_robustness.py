@@ -383,7 +383,7 @@ def test_vector_mode_indirect_region_is_attainable(rng):
 
 
 def test_box_blocks_bounds_and_split():
-    from bksens.robustness import _Box, _sphere_from_angles
+    from bksens.optimize import _Box, _sphere_from_angles
 
     def sphere_loop(angles):
         # reference: the running product of sines, one angle at a time
@@ -484,7 +484,7 @@ def test_robustness_values_are_invariant_to_affine_covariates():
 def test_box_minimum_ranks_nan_last():
     # every box point is NaN, so DIRECT's optimum comes first in the final
     # batch as a NaN; the candidate after it must still win
-    from bksens.robustness import _Box, _minimize_over_boxes, _Search, _SearchBox
+    from bksens.optimize import _Box, _minimize_over_boxes, _Search, _SearchBox
 
     box = _SearchBox(_Box().interval(-1.0, 1.0), lambda x: (x[:, 0],),
                      (np.array([0.5]),))
@@ -515,7 +515,7 @@ def test_effect_se_matches_sd_over_resamples(seed, p, q, n_resamples, rho, kind,
     phis = box.candidates
     if box.space.lower:
         x = rng.uniform(box.space.lower, box.space.upper, size=(50, len(box.space.lower)))
-        phis = tuple(np.concatenate(pair) for pair in zip(phis, box.unpack(x)))
+        phis = tuple(np.concatenate(pair) for pair in zip(phis, box.args(x)))
     coeffs = (_direct_coeffs if kind == "direct" else _indirect_coeffs)(plan.moments)
     f = [np.ones((len(phis[0]), 1)), *phis]
     if kind == "indirect":
@@ -570,4 +570,4 @@ def test_rv_sweep_runs_in_capped_locksteps(setup_q1, monkeypatch, grid):
     monkeypatch.setattr(optimize, "direct_lockstep", counted)
     robustness_value(mm, plan, "indirect", rho_grid=grid, budget=60, full_curve=True)
     assert sum(calls) == len(grid)
-    assert len(calls) == -(-len(grid) // robustness.LOCKSTEP_SEARCHES)
+    assert len(calls) == -(-len(grid) // optimize.LOCKSTEP_SEARCHES)

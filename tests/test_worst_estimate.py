@@ -13,18 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from bksens import optimize, robustness
+from bksens import linalg, optimize, robustness
 from bksens.benchmarking import BenchmarkSpec, _leave_j_box, benchmark_moments
+from bksens.benchmarking import _radii as leave_j_radii
 from bksens.confounders import ConfounderTarget, construct_confounder
 from bksens.mediation import fit_observed
-from bksens.robustness import (
-    BALL_SHRINK,
-    EffectObjective,
-    _box_for,
-    _minimize_over_boxes,
-    _Search,
-    _SearchBox,
-)
+from bksens.optimize import _minimize_over_boxes, _Search, _SearchBox
+from bksens.robustness import BALL_SHRINK, EffectObjective, _box_for
 from bksens.simulation import S4Design, rv_ratio_study
 
 from conftest import lstsq_coef, make_data
@@ -122,7 +117,7 @@ def test_worst_estimate_undercuts_random_box_points(kind, q, mode, randomized,
     worst = _worst(obj, box)
     lower, upper = np.array(box.space.lower), np.array(box.space.upper)
     x = np.random.default_rng(seed).uniform(lower, upper, size=(2000, lower.size))
-    assert worst <= _flipped(obj, *box.unpack(x)).min() + 1e-12 * (1 + abs(worst))
+    assert worst <= _flipped(obj, *box.args(x)).min() + 1e-12 * (1 + abs(worst))
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,8 +127,8 @@ def test_worst_estimate_undercuts_the_search(kind, q, mode, randomized, rho,
     obj = _objective(kind, q, seed)
     box = _box_for(obj, mode, rho, randomized)
     (searched, _), = _minimize_over_boxes(
-        [_Search(_SearchBox(box.space, box.unpack, obj.zero),
-                 lambda *phis: _flipped(obj, *phis), 1000)], polish=True)
+        [_Search(_SearchBox(box.space, box.unpack, obj.zero, box.params),
+                 lambda *phis: _flipped(obj, *phis), 1000)], polish=robustness._polish)
     worst = _worst(obj, box)
     assert worst <= searched + 1e-12 * (1 + abs(worst))
 
@@ -216,8 +211,8 @@ def test_every_candidate_batch_has_one_zero_row(q):
              for randomized in (False, True)
              for rho in (0.0, 0.2)]
     bm = benchmark_moments(data, 0)
-    boxes += [_leave_j_box(bm, BenchmarkSpec(j=0, k_a_bound=ka, k_m_bound=km,
-                                             k_y_bound=1.0), q, 0, {})
+    boxes += [_leave_j_box(bm, leave_j_radii(bm, BenchmarkSpec(
+                               j=0, k_a_bound=ka, k_m_bound=km, k_y_bound=1.0)), q, 0)
               for ka in (0.0, 1.0) for km in (0.0, 1.0)]
     for box in boxes:
         flat = np.column_stack([c.reshape(len(c), -1) for c in box.candidates])
@@ -227,7 +222,7 @@ def test_every_candidate_batch_has_one_zero_row(q):
 
 
 def _distinct_by_loop(rows):
-    """The row-by-row reference for ``robustness._distinct``."""
+    """The row-by-row reference for ``linalg._distinct``."""
     args = [np.concatenate(col) for col in zip(*rows)]
     flat = np.column_stack([a.reshape(len(a), -1) for a in args])
     keep = [i for i, row in enumerate(flat) if not (flat[:i] == row).all(1).any()]
@@ -244,7 +239,7 @@ def test_distinct_keeps_first_rows_as_the_loop_does(seed):
     pool += [(rng.integers(-1, 2, (1, 1)).astype(float),
               rng.integers(-1, 2, (1, 2)).astype(float)) for _ in range(6)]
     rows = [pool[i] for i in rng.integers(0, len(pool), 30)]
-    got, expected = robustness._distinct(rows), _distinct_by_loop(rows)
+    got, expected = linalg._distinct(rows), _distinct_by_loop(rows)
     assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
 
