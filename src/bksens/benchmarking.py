@@ -55,12 +55,11 @@ and their search objectives are built once per covariate by
 searches of one worst case or one critical-delta sweep, and ``_run`` runs
 any number of such plans as one batch, in which searches over boxes of the
 same number of columns advance in lockstep with one call per search
-objective per sweep. Both effects' boxes of one layout share one map from
-box points to candidates, which takes each box's effect as its parameter
-(``_leave_j_box``), so a sweep unpacks all their points in one call, and
-each objective meets each effect's points as one run. Since each value is a
-function of its candidate alone, each search's result is the one it has
-run alone.
+objective per sweep. Every box maps its points' blocks to candidates by
+``_leave_j_map``, which takes each box's effect as its parameter, so a sweep
+unpacks all the points of one layout in one call, and each objective meets
+each effect's points as one run. Since each value is a function of its
+candidate alone, each search's result is the one it has run alone.
 ``benchmark_worst`` and ``critical_delta`` run one plan;
 ``benchmark_covariate``, which the CLI calls, runs all of one covariate's
 searches together. Each of the three builds its own stacks. A
@@ -74,7 +73,7 @@ decision with a stop value at the threshold (see ``critical_delta``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,7 +96,7 @@ from .mediation import (
     _response,
     fit_observed,
 )
-from .optimize import _Box, _layout_map, _run, _Search, _SearchBox
+from .optimize import _Box, _run, _Search, _SearchBox
 
 R_CLAMP = 1.0 - 1e-9
 WORST_BUDGET = 1500   # DIRECT evaluations per worst-case search
@@ -116,8 +115,9 @@ class BenchmarkSpec:
     k_y_bound: float = 1.0
 
     def __post_init__(self):
-        if min(self.k_a_bound, self.k_m_bound, self.k_y_bound) < 0:
-            raise ValueError("k bounds must be nonnegative")
+        caps = (self.k_a_bound, self.k_m_bound, self.k_y_bound)
+        if not all(0 <= k < math.inf for k in caps):
+            raise ValueError("k bounds must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -411,41 +411,19 @@ class _Stacks:
     anchors, each effect's ``EffectObjective`` (its coefficient form and
     flip, with the per-resample coefficient rows when there is a plan), the
     two search objectives both effects share, flip * estimate and, with a
-    plan, flip * t (else None), the per-resample anchors the t objective
-    stacks, and the leave-j boxes built so far."""
+    plan, flip * t (else None), and the per-resample anchors the t objective
+    stacks."""
 
     bm: BenchmarkMoments
     anchors: BenchmarkMoments | None
     objectives: dict          # effect kind -> EffectObjective
     estimate: callable        # batched flip * estimate, both effects
     t_stat: callable | None   # batched flip * t, both effects
-    boxes: dict = field(default_factory=dict)   # (radii, effect kind) -> box
 
     def box(self, spec: BenchmarkSpec, effect_kind: str) -> _SearchBox:
-        """``effect_kind``'s leave-j box under ``spec``, built once per
-        radii: a critical-delta grid point's box serves both its sweeps, and
-        the worst case's box the grid point with the same caps."""
-        radii = _radii(self.bm, spec)
-        key = (radii, effect_kind)
-        if key not in self.boxes:
-            self.boxes[key] = _leave_j_box(self.bm, radii, self.objectives[effect_kind].q,
-                                           EFFECTS.index(effect_kind))
-        return self.boxes[key]
-
-    @property
-    def estimates(self) -> dict:
-        return _one_effect(self.estimate)
-
-    @property
-    def t_stats(self) -> dict | None:
-        return None if self.t_stat is None else _one_effect(self.t_stat)
-
-
-def _one_effect(values) -> dict:
-    """Effect kind -> ``values`` on leave-j triples of that effect alone."""
-    return {kind: lambda r_a_lj, r_m_lj, r_y_lj, e=e: values(
-                *_leave_j_args(e, r_a_lj, r_m_lj, r_y_lj))
-            for e, kind in enumerate(EFFECTS)}
+        """``effect_kind``'s leave-j box under ``spec``."""
+        return _leave_j_box(self.bm, _radii(self.bm, spec), self.objectives[effect_kind].q,
+                            EFFECTS.index(effect_kind))
 
 
 @dataclass(frozen=True)
@@ -473,11 +451,9 @@ def _radii(bm: BenchmarkMoments, spec: BenchmarkSpec) -> tuple[float, float, flo
     return ra, rm, ry
 
 
-def _leave_j_map(box):
-    def unpack(x, effect):
-        r_a_lj, (radius, direction), r_y_lj = box.split(x)
-        return np.full(len(r_a_lj), effect), r_a_lj, radius[:, None] * direction, r_y_lj
-    return unpack
+def _leave_j_map(blocks, effect):
+    r_a_lj, (radius, direction), r_y_lj = blocks
+    return np.full(len(r_a_lj), effect), r_a_lj, radius[:, None] * direction, r_y_lj
 
 
 def _leave_j_box(bm: BenchmarkMoments, radii: tuple, q: int,
@@ -488,10 +464,8 @@ def _leave_j_box(bm: BenchmarkMoments, radii: tuple, q: int,
     zero, then a deterministic corner sweep over the scalar channels, each
     row once.
 
-    The map reads only the box's layout, which of its blocks are present,
-    and takes the effect as the box's parameter, so both effects' boxes of
-    one layout share it (``optimize._layout_map``), and a lockstep pass
-    unpacks all their points in one call."""
+    The map takes the effect as the box's parameter, so a lockstep pass
+    unpacks both effects' points of one layout in one call."""
     ra_rad, rm_rad, ry_rad = radii
     box = _Box().interval(-ra_rad, ra_rad, present=ra_rad > 0) \
         .ball(q, rm_rad, present=rm_rad > 0) \
@@ -505,7 +479,7 @@ def _leave_j_box(bm: BenchmarkMoments, radii: tuple, q: int,
         for sy in ((-ry_rad, 0.0, ry_rad) if ry_rad > 0 else (0.0,)):
             for dm in m_dirs:
                 cands.append((sa, dm, sy))
-    return _SearchBox(box, _layout_map(_leave_j_map, box),
+    return _SearchBox(box, _leave_j_map,
                       _leave_j_args(effect, *_distinct([_as_batch(cands)])), (effect,))
 
 
@@ -575,7 +549,7 @@ def _observed_t(stacks: _Stacks, effect_kind: str) -> float:
     """flip * the t with no confounding, from the t objective the searches
     minimize, so that no worst t lies above it."""
     zero = _as_batch([(0.0, np.zeros(stacks.objectives[effect_kind].q), 0.0)])
-    return float(stacks.t_stats[effect_kind](*zero)[0])
+    return float(stacks.t_stat(*_leave_j_args(EFFECTS.index(effect_kind), *zero))[0])
 
 
 def _worst_plan(stacks: _Stacks, spec: BenchmarkSpec, effect_kind: str,
@@ -605,8 +579,8 @@ def _worst_plan(stacks: _Stacks, spec: BenchmarkSpec, effect_kind: str,
         if t_found:
             observed_t = obj.flip * _observed_t(stacks, effect_kind)
             val_t, params_t = t_found[0]
-            est_at_t = obj.flip * float(
-                stacks.estimates[effect_kind](*_as_batch([params_t]))[0])
+            est_at_t = obj.flip * float(stacks.estimate(
+                *_leave_j_args(EFFECTS.index(effect_kind), *_as_batch([params_t])))[0])
             worst_t = worst_case(params_t, est_at_t, obj.flip * val_t)
         return BenchmarkResult(worst_estimate=worst_est, worst_t=worst_t,
                                observed_estimate=obj.observed, observed_t=observed_t,
@@ -645,10 +619,10 @@ def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
 
 def _delta_grid(delta_grid) -> list[float]:
     grid = [float(d) for d in delta_grid]
-    if not grid or any(d <= 0 for d in grid) or any(
+    if not grid or any(not 0 < d < math.inf for d in grid) or any(
             b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("delta_grid must be nonempty, positive and strictly "
-                         "increasing")
+        raise ValueError("delta_grid must be nonempty, finite, positive and "
+                         "strictly increasing")
     return grid
 
 

@@ -44,20 +44,21 @@ formal benchmarking share. A search (``_Search``) has a ``_SearchBox``: a
 to the value function's arguments (phi pairs in ``robustness``,
 leave-one-out triples in ``benchmarking``), the box's search parameters,
 and one batch of candidates, zero first, evaluated with the optimizer's
-optimum. A map reads its box only through the layout, so every box of one
-layout shares one map (``_layout_map``), which takes each point's
-parameters: a leave-one-out box's effect, a robustness box's radii.
-``_minimize_over_boxes`` runs any number of searches. Those whose boxes
-have the same number of columns advance in lockstep, LOCKSTEP_SEARCHES at
-a time, each chunk ordered once by (map, value function, parameters)
-(``_lockstep_order``). A pass's points arrive in that order, so
-``_lockstep_objective`` calls each map once, on its contiguous slice, and
-each value function once, on its runs of the maps' outputs, with no sort
-and no scatter. The sweep driver ``_run`` runs plans of searches as one
-batch and drops a sweep's later points once its crossing is decided. A
-caller's ``polish`` refines each optimum (``robustness._polish``, scipy's
-Nelder-Mead), so this module loads no scipy, and ``benchmarking``, which
-does not polish, loads no ``robustness``.
+optimum. A map is a plain function of the blocks ``_Box.split`` gives and
+of each point's parameters (a leave-one-out box's effect, a robustness
+box's radii), and ``split`` reads only the box's layout, so every box of one
+layout and map is unpacked together. ``_minimize_over_boxes`` runs any
+number of searches. Those whose boxes have the same number of columns
+advance in lockstep, LOCKSTEP_SEARCHES at a time, each chunk ordered once
+by (layout and map, value function, parameters) (``_lockstep_order``). A
+pass's points arrive in that order, so ``_lockstep_objective`` splits and
+maps each layout's contiguous slice once, and calls each value function
+once, on its runs of the maps' outputs, with no sort and no scatter. The
+sweep driver ``_run`` runs plans of searches as one batch and drops a
+sweep's later points once its crossing is decided. A caller's ``polish``
+refines each optimum (``robustness._polish``, scipy's Nelder-Mead), so this
+module loads no scipy, and ``benchmarking``, which does not polish, loads
+no ``robustness``.
 
 Every value function is point-pure: a row's value must not depend on the
 other rows of its batch, so per-point code uses ``np.einsum``, never a BLAS
@@ -261,8 +262,8 @@ def direct_lockstep(objective, lowers, uppers, budgets, stops, drop=None) -> lis
     uppers = np.asarray(uppers, dtype=float)
     if lowers.shape != uppers.shape or lowers.ndim != 2:
         raise DimensionMismatch("lowers and uppers must be (S, d) arrays of equal shape")
-    if np.any(lowers >= uppers):
-        raise DimensionMismatch("need lower < upper componentwise")
+    if not np.all(np.isfinite(lowers) & np.isfinite(uppers) & (lowers < uppers)):
+        raise DimensionMismatch("need finite bounds with lower < upper componentwise")
     n_search, d = lowers.shape
     budgets = np.array([int(b) for b in budgets], dtype=np.int64)
     if budgets.min() < 2 * d + 1:
@@ -501,27 +502,15 @@ class _Box:
         return out
 
 
-_MAPS = {}   # (factory, layout) -> map
-
-
-def _layout_map(make, box: _Box):
-    """The map ``make(box)``, made once for every box of ``box``'s layout: a
-    map reads its box only through ``split``, so boxes of one layout share
-    it, and a lockstep pass calls it once on all their points."""
-    key = (make, box.layout)
-    if key not in _MAPS:
-        _MAPS[key] = make(box)
-    return _MAPS[key]
-
-
 @dataclass
 class _SearchBox:
-    """A box, the map ``unpack(x, *params)`` from its (k, dims) points to the
-    value function's arguments, one batch of candidates, zero first, and the
-    box's search parameters ``params``. A map takes each parameter as a
-    scalar or as one value per point, so boxes that differ only in their
-    parameters (a leave-one-out box's effect, a robustness box's radii)
-    share one map (``_layout_map``)."""
+    """A box, the map ``unpack(blocks, *params)`` from the blocks of its
+    (k, dims) points (``_Box.split``) to the value function's arguments, one
+    batch of candidates, zero first, and the box's search parameters
+    ``params``. A map takes each parameter as a scalar or as one value per
+    point, so boxes of one layout that differ only in their parameters (a
+    leave-one-out box's effect, a robustness box's radii) are unpacked in
+    one call."""
 
     space: _Box
     unpack: callable
@@ -530,7 +519,7 @@ class _SearchBox:
 
     def args(self, x: np.ndarray) -> tuple:
         """The value function's arguments at this box's (k, dims) points."""
-        return self.unpack(x, *self.params)
+        return self.unpack(self.space.split(x), *self.params)
 
 
 @dataclass(frozen=True)
@@ -573,10 +562,10 @@ def _shared_calls(fns, batches) -> np.ndarray:
 
 
 def _lockstep_order(group) -> list:
-    """The positions of the searches ``group`` ordered by (box map, value
-    function, search parameters), maps and functions in order of first
-    appearance; a tie keeps its order."""
-    _, map_of = _ids([s.box.unpack for s in group])
+    """The positions of the searches ``group`` ordered by (box layout and
+    map, value function, search parameters), maps and functions in order of
+    first appearance; a tie keeps its order."""
+    _, map_of = _ids([(s.box.space.layout, s.box.unpack) for s in group])
     _, fn_of = _ids([s.value_fn for s in group])
     return sorted(range(len(group)),
                   key=lambda i: (map_of[i], fn_of[i], group[i].box.params))
@@ -588,34 +577,36 @@ def _lockstep_objective(group):
     owned by the search ``owners[i]``, ascending.
 
     The owners ascend, so the points of each run of searches with one box
-    map, and within it of each run with one value function, are contiguous
-    slices of the pass: it calls each map once on its slice, with each
-    point's search parameters, and each function once on its runs of the
-    maps' outputs (``_shared_calls``), which hand back the values in the
-    pass's order. A function sharing one map meets one slice, and within it
-    each parameter's points as one run."""
-    maps, map_of = _ids([s.box.unpack for s in group])
+    layout and map, and within it of each run with one value function, are
+    contiguous slices of the pass: it splits each layout's slice once and
+    maps it once, with each point's search parameters, and calls each
+    function once on its runs of the maps' outputs (``_shared_calls``),
+    which hand back the values in the pass's order. A function sharing one
+    map meets one slice, and within it each parameter's points as one
+    run."""
+    maps, map_of = _ids([(s.box.space.layout, s.box.unpack) for s in group])
     fns, fn_of = _ids([s.value_fn for s in group])
     run_first = [i for i in range(len(group))
                  if not i or (map_of[i], fn_of[i]) != (map_of[i - 1], fn_of[i - 1])]
     cuts = np.array(run_first + [len(group)])
-    # per map: its first search, its parameters per search, its runs
+    # per map: its box, its first search, its parameters per search, its runs
     per_map = []
-    for m, unpack in enumerate(maps):
+    for m, (_, unpack) in enumerate(maps):
         runs = [r for r, i in enumerate(run_first) if map_of[i] == m]
         first, end = run_first[runs[0]], cuts[runs[-1] + 1]
         params = [np.array(col) for col in zip(*(s.box.params for s in group[first:end]))]
-        per_map.append((unpack, first, params, [(r, fns[fn_of[run_first[r]]]) for r in runs]))
+        per_map.append((group[first].box.space, unpack, first, params,
+                        [(r, fns[fn_of[run_first[r]]]) for r in runs]))
 
     def objective(x: np.ndarray, owners: np.ndarray) -> np.ndarray:
         edges = np.searchsorted(owners, cuts).tolist()
         run_fns, run_args = [], []
-        for unpack, first, params, runs in per_map:
+        for space, unpack, first, params, runs in per_map:
             lo, hi = edges[runs[0][0]], edges[runs[-1][0] + 1]
             if lo == hi:
                 continue
             mine = owners[lo:hi] - first
-            args = unpack(x[lo:hi], *(col[mine] for col in params))
+            args = unpack(space.split(x[lo:hi]), *(col[mine] for col in params))
             for r, fn in runs:
                 a, b = edges[r] - lo, edges[r + 1] - lo
                 if a < b:
@@ -646,14 +637,14 @@ def _minimize_over_boxes(searches, polish=None, drop=None) -> list:
     after its first sweep at or below ``stop``. Searches whose boxes have the
     same number of columns advance in lockstep (``direct_lockstep``),
     LOCKSTEP_SEARCHES at a time, each chunk in ``_lockstep_order``: each pass
-    calls every box map once, on the new points of all the searches whose
-    boxes share it, and every value function once, on the unpacked points of
-    all the searches that share it (``_lockstep_objective``). Each optimum
-    is then optionally polished, ``polish(search, result)`` returning the
-    point to keep, the optima are evaluated in one more call per value
-    function, and the first minimum over each search's optimum and
-    candidates wins; a NaN ranks as +inf, behind a real +inf, so it is
-    returned only when every value is NaN.
+    splits and maps the new points of all the searches whose boxes share a
+    layout and map once, and calls every value function once, on the
+    unpacked points of all the searches that share it
+    (``_lockstep_objective``). Each optimum is then optionally polished,
+    ``polish(search, result)`` returning the point to keep, the optima are
+    evaluated in one more call per value function, and the first minimum
+    over each search's optimum and candidates wins; a NaN ranks as +inf,
+    behind a real +inf, so it is returned only when every value is NaN.
 
     ``drop(bounds)``, if given, is called before each pass with every
     search's best value so far, which its result can only undercut (+inf

@@ -24,14 +24,13 @@ benchmarking shares; this module builds the robustness values' boxes and
 drives them. A box's candidates, zero first and each row once, hold the
 estimate's exact minimizers (``_candidates``) and need no engine, so
 ``rv_estimate_only`` and the ``simulate`` study never load ``optimize``.
-``_box_for`` adds the ``optimize._Box`` and its map to phi pairs, imported
-on the first search. Every box of one layout shares one map, which takes the
-box's radii as parameters (``optimize._layout_map``), so a lockstep pass of
-a curve's searches unpacks all their points in one call. A curve is one
-sweep of ``optimize._run``, a search per rho, each optimum polished by
-Nelder-Mead (``_polish``, handed to the engine). The polish calls
-``minimize``, which imports scipy on its first call; no other code here
-needs scipy. The minimum t-statistic functions and both RV drivers share
+``_box_for`` adds the ``optimize._Box``, imported on the first search, and
+its map to phi pairs, one function per layout that takes the box's radii as
+parameters, so a lockstep pass of a curve's searches unpacks all their
+points in one call. A curve is one sweep of ``optimize._run``, a search per
+rho, each optimum polished by Nelder-Mead (``_polish``, handed to the
+engine). The polish calls ``minimize``, which imports scipy on its first
+call; no other code here needs scipy. The minimum t-statistic functions and both RV drivers share
 one setup, which checks the effect, the confounder mode and the rho grid
 before any search. The t objective is point-pure, as every value function of
 the engine must be (``optimize``).
@@ -72,20 +71,10 @@ BALL_SHRINK = 1.0 - 1e-9
 RV_NOT_ATTAINED = 1.0
 
 
-def __getattr__(name: str):
-    # the search engine's box and search types, under the names they had
-    # here, loaded on first use so that a job running no search never loads
-    # ``optimize``
-    if name in ("_Box", "_SearchBox", "_Search"):
-        from . import optimize
-        return getattr(optimize, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Search boxes: the candidates evaluated beside the optimizer's optimum, which
-# hold the estimate's exact minimizers, and the maps from box points to phi
-# pairs, one per layout with each box's radii as its parameters.
+# hold the estimate's exact minimizers, and the maps from a box's blocks to
+# phi pairs, one per layout with each box's radii as its parameters.
 # ---------------------------------------------------------------------------
 
 def _direct_radii(rho: float, rho_a: float) -> tuple:
@@ -109,11 +98,9 @@ def _direct_candidates(rho: float, rho_a: float, obj) -> tuple:
     return _distinct(corners)
 
 
-def _direct_map(box):
-    def to_phi(x, r1, root_rho):
-        t1, (t3, t2) = box.split(x)
-        return (r1 * t1 / np.cos(t3))[:, None], (root_rho * np.tan(t3))[:, None] * t2
-    return to_phi
+def _direct_map(blocks, r1, root_rho):
+    t1, (t3, t2) = blocks
+    return (r1 * t1 / np.cos(t3))[:, None], (root_rho * np.tan(t3))[:, None] * t2
 
 
 def _golden_section(g, lo: float, hi: float, xatol: float) -> float:
@@ -187,20 +174,16 @@ def _indirect_candidates(rho: float, rho_a: float, confounder_mode: str,
     return _distinct(corners)
 
 
-def _scalar_map(box):
+def _scalar_map(blocks, r3, r4):
     # one shared direction, a signed length along it for each phi
-    def to_phi(x, r3, r4):
-        t2, t3, t1 = box.split(x)
-        return (r3 * t2)[:, None] * t1, (r4 * t3)[:, None] * t1
-    return to_phi
+    t2, t3, t1 = blocks
+    return (r3 * t2)[:, None] * t1, (r4 * t3)[:, None] * t1
 
 
-def _vector_map(box):
+def _vector_map(blocks, r3, r4):
     # two independent unit balls, scaled by r3 and r4
-    def to_phi(x, r3, r4):
-        (rad3, dir3), (rad4, dir4) = box.split(x)
-        return (r3 * rad3)[:, None] * dir3, (r4 * rad4)[:, None] * dir4
-    return to_phi
+    (rad3, dir3), (rad4, dir4) = blocks
+    return (r3 * rad3)[:, None] * dir3, (r4 * rad4)[:, None] * dir4
 
 
 def minimize(fun, x0, **kwargs):
@@ -262,7 +245,7 @@ def _box_for(obj, confounder_mode, rho, randomized) -> _SearchBox:
     """``obj``'s search box under the strength bound ``rho``, shrunk by
     BALL_SHRINK; ``randomized`` pins the exposure channel at zero. Boxes of
     one layout share their map, each with its radii as parameters."""
-    from .optimize import _Box, _layout_map, _SearchBox
+    from .optimize import _Box, _SearchBox
 
     rho, rho_a = _strengths(rho, randomized)
     candidates = _candidates(obj, confounder_mode, rho, rho_a)
@@ -271,16 +254,15 @@ def _box_for(obj, confounder_mode, rho, randomized) -> _SearchBox:
     if obj.kind == "direct":
         r1, t3max = _direct_radii(rho, rho_a)
         box = _Box().interval(-1.0, 1.0, present=rho_a > 0).ball(obj.q, t3max)
-        return _SearchBox(box, _layout_map(_direct_map, box), candidates,
-                          (r1, np.sqrt(rho)))
+        return _SearchBox(box, _direct_map, candidates, (r1, np.sqrt(rho)))
     r3, r4 = _indirect_radii(rho, rho_a)
     if confounder_mode == "scalar_u":
         box = _Box().interval(-1.0, 1.0, present=r3 > 0).interval(-1.0, 1.0).sphere(obj.q)
-        make = _scalar_map
+        unpack = _scalar_map
     else:
         box = _Box().ball(obj.q, 1.0, present=r3 > 0).ball(obj.q, 1.0)
-        make = _vector_map
-    return _SearchBox(box, _layout_map(make, box), candidates, (r3, r4))
+        unpack = _vector_map
+    return _SearchBox(box, unpack, candidates, (r3, r4))
 
 
 def _rho_grid(rho_grid) -> list[float]:

@@ -180,7 +180,8 @@ def test_worst_estimate_matches_leave_j_grid(rng):
             *_phis("direct", nat_y[:, 0], nat_m[:, 0], nat_a[:, 0]))
     # the points skipped are those where natural_from_benchmark raises: the
     # search objective is inf exactly there
-    assert np.array_equal(~ok, np.isinf(stacks.estimates["direct"](r_a, r_m, r_y)))
+    assert np.array_equal(~ok, np.isinf(
+        stacks.estimate(*_leave_j_args(EFFECTS.index("direct"), r_a, r_m, r_y))))
     best = np.min(flip * values[ok])
     assert flip * res.worst_estimate.value <= best + 1e-9
     assert abs(flip * res.worst_estimate.value - best) < 0.01
@@ -234,6 +235,22 @@ def test_empty_delta_grid_is_rejected(rng):
         benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=[])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_caps_and_deltas_are_rejected(rng, bad):
+    # a NaN cap would act as 0 in the worst case, and a NaN or infinite
+    # delta would report a curve point at that delta
+    for field in ("k_a_bound", "k_m_bound", "k_y_bound"):
+        with pytest.raises(ValueError, match="finite"):
+            BenchmarkSpec(j=0, **{field: bad})
+    data = make_data(rng, n=80, p=2, q=1)
+    plan = bootstrap_moments(data, n_resamples=20, seed=1)
+    for grid in ([0.5, bad], [bad], [bad, 0.5]):
+        with pytest.raises(ValueError, match="finite"):
+            critical_delta(data, 0, "direct", 0.0, grid)
+        with pytest.raises(ValueError, match="finite"):
+            benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=grid)
+
+
 def test_randomized_cap_pins_exposure_channel(rng):
     data = make_data(rng, n=120, p=2, q=1)
     spec = BenchmarkSpec(j=0, k_a_bound=0.0, k_m_bound=1.0, k_y_bound=1.0)
@@ -271,8 +288,8 @@ def test_batched_conversion_matches_scalar_adjusters():
             nat = (nat_y[:, 0], nat_m[:, 0], nat_a[:, 0])
             direct = obj_d.point_estimates(*_phis("direct", *nat))
             indirect = obj_i.point_estimates(*_phis("indirect", *nat))
-        values_d = full.estimates["direct"](r_a, r_m, r_y)
-        values_i = full.estimates["indirect"](r_a, r_m, r_y)
+        values_d = full.estimate(*_leave_j_args(EFFECTS.index("direct"), r_a, r_m, r_y))
+        values_i = full.estimate(*_leave_j_args(EFFECTS.index("indirect"), r_a, r_m, r_y))
         for i in range(len(r_a)):
             try:
                 s = natural_from_benchmark(bm, r_a[i], r_m[i], r_y[i])
@@ -308,7 +325,7 @@ def test_batched_t_objective_matches_per_resample_oracle():
     bms = [benchmark_moments(data.subset(idx), 1) for idx in plan.indices]
     obj = stacks.objectives["indirect"]
     r_a, r_m, r_y = _leave_j_candidates(local, 40, 2)
-    batch = stacks.t_stats["indirect"](r_a, r_m, r_y)
+    batch = stacks.t_stat(*_leave_j_args(EFFECTS.index("indirect"), r_a, r_m, r_y))
     n_inf = 0
     for i in range(len(r_a)):
         params = (r_a[i], r_m[i], r_y[i])
@@ -502,10 +519,10 @@ def test_t_kernel_matches_conversion_chain(q, p, kind, seed):
                            phi_a[:, b], phi_b[:, b])[:, 0]
             for b in range(phi_a.shape[1])])
         sd = boot.std(axis=1, ddof=1)
-        expected = {"estimates": (np.where(ok, est, np.inf), terms / gap),
-                    "t_stats": (np.where(ok & ok_b, est / sd, np.inf), terms / sd / gap_t)}
+        expected = {stacks.estimate: (np.where(ok, est, np.inf), terms / gap),
+                    stacks.t_stat: (np.where(ok & ok_b, est / sd, np.inf), terms / sd / gap_t)}
     for objective, (want, scale) in expected.items():
-        got = getattr(stacks, objective)[kind](r_a, r_m, r_y)
+        got = objective(*_leave_j_args(EFFECTS.index(kind), r_a, r_m, r_y))
         assert np.array_equal(got == np.inf, want == np.inf)
         finite = got < np.inf
         assert finite.any()

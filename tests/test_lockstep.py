@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bksens import benchmarking, optimize, robustness
+from bksens import benchmarking, optimize
 from bksens.benchmarking import (
     BenchmarkSpec,
     benchmark_covariate,
@@ -295,9 +295,9 @@ def test_lockstep_pass_calls_each_map_and_value_function_once(monkeypatch):
     made = []
 
     def shifted(k):
-        def unpack(x):
+        def unpack(blocks):
             made.append(("map", k))
-            return np.full(len(x), k), x + 0.1 * k
+            return np.full(len(blocks[0]), k), np.column_stack(blocks) + 0.1 * k
         return unpack
 
     def valued(k):
@@ -308,9 +308,9 @@ def test_lockstep_pass_calls_each_map_and_value_function_once(monkeypatch):
         return values
 
     maps, fns = [shifted(k) for k in range(3)], [valued(k) for k in range(2)]
-    space = robustness._Box().interval(-1.0, 1.0).interval(0.0, 2.0)
-    searches = [_Search(robustness._SearchBox(space, maps[m], maps[m](np.zeros((1, 2)))),
-                        fns[f], budget)
+    space = optimize._Box().interval(-1.0, 1.0).interval(0.0, 2.0)
+    zero = space.split(np.zeros((1, 2)))
+    searches = [_Search(optimize._SearchBox(space, maps[m], maps[m](zero)), fns[f], budget)
                 for m, f, budget in [(0, 0, 120), (1, 1, 90), (0, 1, 150), (2, 0, 60),
                                      (1, 0, 120), (2, 1, 100), (0, 0, 80), (1, 1, 130)]]
     passes, runs = [], []   # a pass's calls; a call's runs beyond one per map
@@ -338,13 +338,18 @@ def test_lockstep_pass_calls_each_map_and_value_function_once(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(args, args_alone))
 
 
-@pytest.mark.parametrize("case", ["benchmark", "rv_direct", "rv_indirect_vector"])
+RV_CASES = {"rv_direct": ("direct", "scalar_u", False),
+            "rv_indirect_vector": ("indirect", "vector_u", False),
+            "rv_randomized": ("indirect", "scalar_u", True)}
+
+
+@pytest.mark.parametrize("case", ["benchmark", *RV_CASES])
 def test_lockstep_pass_calls_each_layouts_map_once(study, monkeypatch, case):
     # the boxes of one layout share one map, which takes each box's
     # parameters (a leave-one-out box's effect, a robustness box's radii) per
     # point, so a pass splits the points of each layout once, however many
     # searches and effects it holds, and every search still finds what it
-    # finds alone
+    # finds alone; a randomized box has no exposure block
     data, plan, _ = study
     split = optimize._Box.split
     made, passes, batches = [], [], []
@@ -376,13 +381,16 @@ def test_lockstep_pass_calls_each_layouts_map_once(study, monkeypatch, case):
     if case == "benchmark":
         benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=[0.5, 1.0, 2.0])
     else:
-        kind, mode = ("direct", "scalar_u") if case == "rv_direct" else ("indirect", "vector_u")
+        kind, mode, randomized = RV_CASES[case]
         robustness_value(fit_observed(data), plan, kind, rho_grid=[0.1, 0.2, 0.3, 0.4],
-                         confounder_mode=mode, budget=200, full_curve=True)
+                         confounder_mode=mode, randomized=randomized, budget=200,
+                         full_curve=True)
     assert len(passes) > 10
     assert max(searches for _, searches in passes) >= 3
     for layouts, _ in passes:
         assert len(layouts) == len(set(layouts)) == 1
+        if case == "rv_randomized":   # the exposure interval takes no column
+            assert layouts[0][0] == ("interval", None, 1)
     (searches, polish, found), = batches
     for s, (val, args) in zip(searches, found):
         (val_alone, args_alone), = search([s], polish=polish)

@@ -58,7 +58,11 @@ def test_budget_too_small():
 def test_bad_bounds():
     for lower, upper in [([0.0, 1.0], [1.0, 1.0]),        # not lower < upper
                          ([0.0, 0.0], [1.0, 1.0, 1.0]),   # lengths differ
-                         ([[0.0, 0.0]], [[1.0, 1.0]])]:   # not 1-D
+                         ([[0.0, 0.0]], [[1.0, 1.0]]),    # not 1-D
+                         ([np.nan], [1.0]),               # NaN
+                         ([0.0], [np.nan]),
+                         ([-np.inf], [1.0]),              # infinite
+                         ([0.0, 0.0], [1.0, np.inf])]:
         with pytest.raises(DimensionMismatch):
             direct_optimize(lambda x: np.zeros(len(x)), lower, upper, budget=50)
 

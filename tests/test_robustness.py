@@ -486,7 +486,7 @@ def test_box_minimum_ranks_nan_last():
     # batch as a NaN; the candidate after it must still win
     from bksens.optimize import _Box, _minimize_over_boxes, _Search, _SearchBox
 
-    box = _SearchBox(_Box().interval(-1.0, 1.0), lambda x: (x[:, 0],),
+    box = _SearchBox(_Box().interval(-1.0, 1.0), lambda blocks: (blocks[0],),
                      (np.array([0.5]),))
     for at_candidate in (1.0, np.inf):
         def value_fn(x, v=at_candidate):
