@@ -19,7 +19,7 @@ _EXPORTS = {
                     "construct_confounder_blocks"),
     "errors": ("BkSensError",),
     "inference": ("BootstrapPlan", "bootstrap_moments", "bootstrap_se", "effect_report"),
-    "linalg": ("ols_fit", "partial_r2", "r_matrix", "residualize", "sym_sqrt"),
+    "linalg": ("partial_r2", "r_matrix"),
     "mediation": ("EffectReport", "MediationData", "MediationMoments",
                   "NaturalSensitivity", "direct_adjusted", "direct_randomized",
                   "direct_sample_classical", "fit_observed",

@@ -663,6 +663,8 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     (threshold 0) runs every search to its budget.
     """
     _check_kind(effect_kind)
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
     grid = _delta_grid(delta_grid)
     use_t = threshold > 0
     if use_t and plan is None:

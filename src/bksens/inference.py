@@ -56,7 +56,6 @@ from .errors import (
 )
 from .linalg import RANK_RTOL, schur
 from .mediation import (
-    DEFAULT_CI_MULTIPLIER,
     EffectReport,
     MediationData,
     MediationMoments,
@@ -275,10 +274,8 @@ def bootstrap_se(plan: BootstrapPlan, estimator) -> BootstrapSummary:
 
 
 def effect_report(mm_full: MediationMoments, plan: BootstrapPlan, estimator,
-                  effect_kind: str, method: str,
-                  ci_multiplier=DEFAULT_CI_MULTIPLIER) -> EffectReport:
+                  effect_kind: str, method: str) -> EffectReport:
     """Point estimate on the full sample plus bootstrap SE, normal CI and t."""
     estimate = estimator(mm_full)
     summary = bootstrap_se(plan, estimator)
-    return EffectReport.from_estimate(estimate, summary.std_err, effect_kind,
-                                      method, ci_multiplier=ci_multiplier)
+    return EffectReport.from_estimate(estimate, summary.std_err, effect_kind, method)

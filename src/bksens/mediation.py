@@ -49,7 +49,7 @@ from .linalg import (
 )
 
 BOUNDARY_TOL = 1e-12
-DEFAULT_CI_MULTIPLIER = 1.96
+DEFAULT_CI_MULTIPLIER = 1.96  # every report's interval, rv_ci and the CI critical delta
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,6 @@ class MediationMoments:
     var_a_res_c: float
     var_y_res_ac: float
     cov_m_res_ac: np.ndarray    # (q, q)
-    cov_m_res_c: np.ndarray     # (q, q)
     r_m_a_c: np.ndarray         # (q,) observed R of m ~ a given c
     r_y_m_ac: np.ndarray        # (q,) observed R of y ~ m given (a, c)
     # derived square roots, precomputed once per fit
@@ -270,8 +269,7 @@ def moments_from_cov(s: np.ndarray, n: int, p_user: int, q: int,
         gamma1_obs=gamma1[()],
         var_y_res_amc=var_y_amc[()], var_a_res_mc=var_a_mc[()],
         var_a_res_c=s_aa[()], var_y_res_ac=var_y_ac[()],
-        cov_m_res_ac=cov_m_ac, cov_m_res_c=s_mm,
-        r_m_a_c=r_m_a_c, r_y_m_ac=r_y_m_ac,
+        cov_m_res_ac=cov_m_ac, r_m_a_c=r_m_a_c, r_y_m_ac=r_y_m_ac,
         cov_m_res_ac_sqrt=cmac_sqrt, cov_m_res_ac_inv_sqrt=cmac_inv_sqrt,
         mix_c_ac=cmc_inv_sqrt @ cmac_sqrt,
     )
@@ -513,8 +511,7 @@ class EffectReport:
     signs: tuple | None = None
 
     @classmethod
-    def from_estimate(cls, estimate, std_err, effect_kind, method,
-                      ci_multiplier=DEFAULT_CI_MULTIPLIER, signs=None):
+    def from_estimate(cls, estimate, std_err, effect_kind, method, signs=None):
         estimate = float(estimate)
         std_err = float(std_err)
         if std_err > 0:
@@ -522,8 +519,8 @@ class EffectReport:
         else:
             t = 0.0 if estimate == 0.0 else np.inf * np.sign(estimate)
         return cls(estimate=estimate, std_err=std_err, t_stat=float(t),
-                   ci_lower=estimate - ci_multiplier * std_err,
-                   ci_upper=estimate + ci_multiplier * std_err,
+                   ci_lower=estimate - DEFAULT_CI_MULTIPLIER * std_err,
+                   ci_upper=estimate + DEFAULT_CI_MULTIPLIER * std_err,
                    effect_kind=effect_kind, method=method, signs=signs)
 
 
@@ -581,8 +578,7 @@ def _classical_se_direct(mm: MediationMoments) -> tuple[float, int]:
 
 def direct_sample_classical(data: MediationData, r2_y: float, r2_m: float,
                             r2_a: float, s1: int | None = None,
-                            s2: int | None = None,
-                            ci_multiplier=DEFAULT_CI_MULTIPLIER) -> EffectReport:
+                            s2: int | None = None) -> EffectReport:
     """Direct effect with classical standard errors at sample level.
 
     r2_y, r2_m, r2_a are the squared sample partial correlations of the
@@ -615,8 +611,7 @@ def direct_sample_classical(data: MediationData, r2_y: float, r2_m: float,
             if best is None or t < best[0]:
                 best = (t, est, se, (s1v, s2v))
     _, est, se, signs = best
-    return EffectReport.from_estimate(est, se, "direct", "sample-classical",
-                                      ci_multiplier=ci_multiplier, signs=signs)
+    return EffectReport.from_estimate(est, se, "direct", "sample-classical", signs=signs)
 
 
 def _indirect_sample_components(mm: MediationMoments, r2_y, r2_m, r2_a, s3, s4):
@@ -644,8 +639,7 @@ def _indirect_sample_components(mm: MediationMoments, r2_y, r2_m, r2_a, s3, s4):
 
 def indirect_sample_classical(data: MediationData, r2_y: float, r2_m: float,
                               r2_a: float, s3: int | None = None,
-                              s4: int | None = None,
-                              ci_multiplier=DEFAULT_CI_MULTIPLIER) -> EffectReport:
+                              s4: int | None = None) -> EffectReport:
     """Indirect effect (product method) with classical standard errors.
 
     s3 signs the bias of the mediator slope, s4 the bias of the outcome
@@ -674,5 +668,4 @@ def indirect_sample_classical(data: MediationData, r2_y: float, r2_m: float,
             if best is None or t < best[0]:
                 best = (t, est, se, (s3v, s4v))
     _, est, se, signs = best
-    return EffectReport.from_estimate(est, se, "indirect", "sample-classical",
-                                      ci_multiplier=ci_multiplier, signs=signs)
+    return EffectReport.from_estimate(est, se, "indirect", "sample-classical", signs=signs)

@@ -651,7 +651,7 @@ def _minimize_over_boxes(searches, polish=None, drop=None) -> list:
     where none is finite), and returns a mask of searches to abandon.
     """
     given = [s.box.candidates for s in searches]
-    sizes = np.array([len(args[0]) for args in given])
+    sizes = np.array([len(args[0]) for args in given], dtype=np.int64)
     flat = _shared_calls([s.value_fn for s in searches], given)
     given_vals = np.split(flat, sizes.cumsum()[:-1])
     bounds = np.minimum.reduceat(np.fmin(flat, np.inf), sizes.cumsum() - sizes)

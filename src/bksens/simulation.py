@@ -41,25 +41,6 @@ def outcome_loadings(dim_m: int) -> np.ndarray:
     return 1.0 - 1.5 * np.arange(dim_m) / (dim_m - 1)
 
 
-def population_r2_exposure_mediators(lam1: float, dim_m: int) -> float:
-    """Population R^2 of the exposure on the mediators, by matrix solve."""
-    w = exposure_loadings(dim_m)
-    alpha1 = lam1 * w
-    cov_m = np.outer(alpha1, alpha1) + mediator_noise_cov(dim_m)
-    return float(alpha1 @ np.linalg.solve(cov_m, alpha1))
-
-
-def population_r2_outcome_mediators(lam2: float, dim_m: int) -> float:
-    """Population partial R^2 of the outcome on the mediators given the
-    exposure, via the joint-covariance Schur complement."""
-    sigma = mediator_noise_cov(dim_m)
-    alpha2 = lam2 * outcome_loadings(dim_m)
-    # given the exposure, the mediators contribute alpha2' m with noise
-    # covariance sigma and the outcome keeps unit residual variance
-    var_y_given_a = alpha2 @ sigma @ alpha2 + 1.0
-    return float(1.0 - 1.0 / var_y_given_a)
-
-
 def _scale(target: float, s: float) -> float:
     """The scale lam at which lam^2 s / (1 + lam^2 s), the form both
     population R^2 take, equals ``target``."""
@@ -124,6 +105,8 @@ def rv_ratio_study(designs, replications: int = 20,
     candidates include the scalar-mode minimizers, so the vector value is
     never the larger.
     """
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
     rows = []
     for cell, design in enumerate(designs):
         scalars, vectors = [], []

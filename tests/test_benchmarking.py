@@ -215,6 +215,22 @@ def test_critical_delta_monotone_and_trivial(rng):
     assert d0 in (0.0, grid[0])
 
 
+@pytest.mark.parametrize("kind", EFFECTS)
+def test_ci_sweep_already_crossed_runs_no_search(kind):
+    # with the observed |t| below 1.96 the CI sweep has no searches, alone
+    # as in the covariate's batch beside the worst-case searches
+    local = np.random.default_rng(0)
+    data = make_data(local, n=120, p=2, q=1)
+    data = MediationData(y=local.normal(size=120), a=data.a, m=data.m, c=data.c)
+    plan = bootstrap_moments(data, n_resamples=20, seed=1)
+    grid = [0.5, 1.0, 2.0]
+    alone = critical_delta(data, 0, kind, 1.96, grid, k_a_bound=1.0, plan=plan)
+    delta, [(at, t_obs)] = alone
+    assert delta == at == 0.0 and abs(t_obs) < 1.96
+    _, sweeps = benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=grid)
+    assert sweeps[kind][1] == alone
+
+
 def test_benchmark_entry_points_reject_unknown_effect(rng):
     data = make_data(rng, n=80, p=2, q=1)
     with pytest.raises(ValueError, match="effect_kind"):
@@ -238,12 +254,15 @@ def test_empty_delta_grid_is_rejected(rng):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_caps_and_deltas_are_rejected(rng, bad):
     # a NaN cap would act as 0 in the worst case, and a NaN or infinite
-    # delta would report a curve point at that delta
+    # delta would report a curve point at that delta; a NaN threshold would
+    # run every search and report "never crossed"
     for field in ("k_a_bound", "k_m_bound", "k_y_bound"):
         with pytest.raises(ValueError, match="finite"):
             BenchmarkSpec(j=0, **{field: bad})
     data = make_data(rng, n=80, p=2, q=1)
     plan = bootstrap_moments(data, n_resamples=20, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        critical_delta(data, 0, "direct", bad, [0.5, 1.0], plan=plan)
     for grid in ([0.5, bad], [bad], [bad, 0.5]):
         with pytest.raises(ValueError, match="finite"):
             critical_delta(data, 0, "direct", 0.0, grid)

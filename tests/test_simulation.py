@@ -9,8 +9,6 @@ from bksens.simulation import (
     exposure_loadings,
     mediator_noise_cov,
     outcome_loadings,
-    population_r2_exposure_mediators,
-    population_r2_outcome_mediators,
     rv_ratio_study,
     simulate_design,
 )
@@ -52,8 +50,6 @@ def test_scales_hit_targets_closed_form():
 
 
 def test_zero_scale_gives_zero_r2_and_targets_validated():
-    assert population_r2_exposure_mediators(0.0, 3) == 0.0
-    assert population_r2_outcome_mediators(0.0, 3) == 0.0
     with pytest.raises(RootFindFailed):
         design_scales(S4Design(dim_m=2, r2_am=0.0, r2_ym=0.3))
     with pytest.raises(RootFindFailed):
@@ -85,6 +81,14 @@ def test_rv_ratio_study_small():
     assert row.ratio <= 1.0 + 1e-12
     assert 0.0 < row.rv_vector <= row.rv_scalar <= 1.0
     assert all(v <= s + 1e-12 for v, s in zip(row.rv_vector_all, row.rv_scalar_all))
+
+
+@pytest.mark.parametrize("replications", [0, -1])
+def test_rv_ratio_study_needs_a_replication(replications):
+    # with none the means are of empty lists: NaN RVs beside a ratio of 1
+    with pytest.raises(ValueError, match="at least 1"):
+        rv_ratio_study([S4Design(dim_m=2, r2_am=0.3, r2_ym=0.3)],
+                       replications=replications)
 
 
 def test_more_mediators_do_not_shrink_the_ratio():
