@@ -167,8 +167,8 @@ def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
     depend on the covariates' location or scale.
     """
     p, q = data.p_user, data.q
-    if not 0 <= j < p:
-        raise DimensionMismatch(f"covariate index {j} out of range (p={p})")
+    if not isinstance(j, (int, np.integer)) or not 0 <= j < p:
+        raise DimensionMismatch(f"covariate index {j!r} is not an integer in [0, {p})")
     z = standardized(np.column_stack([data.c_user, data.a, data.m]),
                      "the (covariates, exposure, mediators) design")
     return _leave_j_anchors(_ls_residual_cov(data, z, "a leave-j block"), j, p, q)
@@ -392,17 +392,8 @@ def _leave_j_kernel(anc: BenchmarkMoments, coeffs, flips, value):
 
 def _t_ratio(est, flip):
     """flip * each candidate's effect on row 0 over the SD of its effects on
-    the other rows: ``np.std(ddof=1)``'s own steps, bit for bit, without its
-    argument handling."""
-    boot = est[:, 1:]
-    mean = np.add.reduce(boot, axis=1, keepdims=True)
-    mean /= boot.shape[1]
-    dev = np.subtract(boot, mean)
-    np.square(dev, out=dev)
-    sd = np.add.reduce(dev, axis=1)
-    sd /= boot.shape[1] - 1
-    np.sqrt(sd, out=sd)
-    return flip * est[:, 0] / sd
+    the other rows."""
+    return flip * est[:, 0] / np.std(est[:, 1:], axis=1, ddof=1)
 
 
 @dataclass(frozen=True)
@@ -510,6 +501,9 @@ def prepare_benchmark_stacks(data: MediationData, j: int,
     clear their thresholds by GRAM_MARGIN, take ``benchmark_moments`` on
     their rows instead.
     """
+    if plan is not None and plan.data is not data and not all(
+            np.array_equal(getattr(plan.data, f), getattr(data, f)) for f in "yamc"):
+        raise DimensionMismatch("the bootstrap plan was drawn from other data")
     if mm is None:
         mm = fit_observed(data)
     bm = benchmark_moments(data, j)
@@ -665,6 +659,7 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     _check_kind(effect_kind)
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
+    BenchmarkSpec(j=j, k_a_bound=k_a_bound)   # checks the exposure cap before any early return
     grid = _delta_grid(delta_grid)
     use_t = threshold > 0
     if use_t and plan is None:

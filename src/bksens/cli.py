@@ -239,12 +239,22 @@ def _report_dict(rep: EffectReport) -> dict:
     return {k: v for k, v in vars(rep).items() if k != "signs"}
 
 
-def _config_echo(args, extra=None) -> dict:
-    skip = {"func"}
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    if extra:
-        config.update(extra)
-    return config
+def _fit(data: MediationData, args):
+    """The full sample's fit, then the ``--bootstrap`` resamples' plan at
+    ``--seed``: a singular full sample is reported as such, not as a
+    singular resample."""
+    from .inference import bootstrap_moments
+
+    return fit_observed(data), bootstrap_moments(data, n_resamples=args.bootstrap,
+                                                 seed=args.seed)
+
+
+def _report(args, **extra) -> dict:
+    """A report's head: the schema version, the command and its echoed
+    flags, with ``extra`` settings the command derived from them."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    return {"schema_version": SCHEMA_VERSION, "command": args.command,
+            "config": {**config, **extra}}
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -285,17 +295,12 @@ def _effect_report(obj, s: NaturalSensitivity) -> EffectReport:
 
 
 def cmd_effects(args) -> int:
-    from .inference import bootstrap_moments
-
     data, _ = build_data(args)
     s = _sensitivity_from_args(args, data.q)
-    mm = fit_observed(data)
-    plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
+    mm, plan = _fit(data, args)
     objs = {kind: _objective(kind, mm, plan) for kind in ("direct", "indirect")}
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "effects",
-        "config": _config_echo(args),
+        **_report(args),
         "observed": {kind: obj.observed for kind, obj in objs.items()},
         **{kind: _report_dict(_effect_report(obj, s)) for kind, obj in objs.items()},
     }
@@ -304,7 +309,6 @@ def cmd_effects(args) -> int:
 
 
 def cmd_rv(args) -> int:
-    from .inference import bootstrap_moments
     from .robustness import DEFAULT_RHO_GRID, robustness_value
 
     grid = _parse_grid(args.rho_grid, "--rho-grid") if args.rho_grid \
@@ -312,8 +316,7 @@ def cmd_rv(args) -> int:
     if not 0.0 < grid[0] <= grid[-1] < 1.0:
         raise InputError("--rho-grid must lie strictly inside (0, 1)")
     data, _ = build_data(args)
-    mm = fit_observed(data)
-    plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
+    mm, plan = _fit(data, args)
     mode = "vector_u" if args.vector_u else "scalar_u"
     reports, summaries = {}, {}
     for kind in ("direct", "indirect"):
@@ -323,9 +326,7 @@ def cmd_rv(args) -> int:
         summaries[kind] = _effect_report(_objective(kind, mm, plan),
                                          NaturalSensitivity.zeros(data.q))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rv",
-        "config": _config_echo(args, {"confounder_mode": mode}),
+        **_report(args, confounder_mode=mode),
         "sign_flip": {k: reports[k].sign_flip for k in reports},
         "curve": [
             {"rho": rho, "min_t_direct": t_direct, "min_t_indirect": t_indirect}
@@ -352,7 +353,6 @@ def cmd_rv(args) -> int:
 
 def cmd_benchmark(args) -> int:
     from .benchmarking import BenchmarkSpec, benchmark_covariate
-    from .inference import bootstrap_moments
 
     for flag, value in (("--ka", args.ka), ("--km", args.km), ("--ky", args.ky)):
         if not 0.0 <= value < math.inf:
@@ -367,10 +367,7 @@ def cmd_benchmark(args) -> int:
     data, covariates = build_data(args)
     if not covariates:
         raise InputError("benchmarking needs at least one covariate")
-    # a singular full sample is reported as such, not as a singular resample;
-    # every covariate's searches share this fit
-    mm = fit_observed(data)
-    plan = bootstrap_moments(data, n_resamples=args.bootstrap, seed=args.seed)
+    mm, plan = _fit(data, args)   # every covariate's searches share this fit
     k_a = 0.0 if args.randomized else args.ka
     rows = []
     sweeps = {}
@@ -389,9 +386,7 @@ def cmd_benchmark(args) -> int:
                 "k_ratios": res.worst_t.k_ratios,
             })
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "benchmark",
-        "config": _config_echo(args, {"k_a_effective": k_a}),
+        **_report(args, k_a_effective=k_a),
         "worst_cases": rows,
     }
     delta_curves = {}
@@ -438,9 +433,7 @@ def cmd_simulate(args) -> int:
                for d in dims for ram in r2_ams for rym in r2_yms]
     rows = rv_ratio_study(designs, replications=args.reps, base_seed=args.seed)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "simulate",
-        "config": _config_echo(args),
+        **_report(args),
         "cells": [{
             "dim_m": r.dim_m, "r2_am": r.r2_am, "r2_ym": r.r2_ym,
             "rv_scalar": r.rv_scalar, "rv_vector": r.rv_vector, "ratio": r.ratio,

@@ -46,9 +46,6 @@ def construct_confounder_blocks(c, blocks, cov_u=None) -> np.ndarray:
     (n, d_u) array U. The achieved sample R-measures equal the prescribed
     ones up to floating-point error.
     """
-    # imported here: no CLI job builds a confounder, so none has to load scipy
-    from scipy.linalg import null_space
-
     if not blocks:
         raise InfeasibleTarget("need at least one block")
     n = as_matrix(blocks[0][0]).shape[0]
@@ -85,8 +82,10 @@ def construct_confounder_blocks(c, blocks, cov_u=None) -> np.ndarray:
         raise InfeasibleTarget("no variance left for the orthogonal completion")
 
     # Deterministic orthogonal completion: first null-space basis vectors of
-    # the observed column span under a fixed SVD factorization order.
-    basis = null_space(design.T)
+    # the observed column span under a fixed SVD factorization order, its
+    # rank by scipy's null_space rule: singular values above s_max eps max(shape)
+    _, sv, vh = np.linalg.svd(design.T)
+    basis = vh[int(np.sum(sv > sv.max() * np.finfo(float).eps * max(design.shape))):].T
     if basis.shape[1] < d_u:
         raise InsufficientSamples("observed columns leave no orthogonal completion")
     v = basis[:, :d_u]

@@ -214,6 +214,8 @@ def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
     """Draw resamples and fit their moments."""
     if n_resamples < MIN_BOOTSTRAP:
         raise ValueError(f"n_resamples must be >= {MIN_BOOTSTRAP}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     basis = GramBasis.of(data)
     p, q = data.p_user, data.q
     d = p + q + 2

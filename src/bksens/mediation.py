@@ -82,6 +82,8 @@ class MediationData:
                 raise DimensionMismatch(f"{name} contains non-finite values")
         p_user = c_int.shape[1] - 1
         q = m.shape[1]
+        if q == 0:
+            raise DimensionMismatch("m must have at least one mediator column")
         if n < p_user + q + 4:
             raise InsufficientSamples(
                 f"need n >= p + q + 4 = {p_user + q + 4} rows, got {n}")
@@ -369,6 +371,9 @@ class EffectObjective:
     @classmethod
     def _build(cls, kind, coeffs, mm, plan) -> "EffectObjective":
         full = coeffs(mm[None])
+        if plan is not None and (plan.moments.n, plan.moments.p_user,
+                                 plan.moments.q) != (mm.n, mm.p_user, mm.q):
+            raise DimensionMismatch("the bootstrap plan's data do not match the fit's")
         boot = None if plan is None else coeffs(plan.moments)
         cov = None if boot is None else np.cov(np.vstack([c for c in boot if c is not None]))
         return cls(kind=kind, q=mm.q, flip=-1.0 if full[0][0] < 0 else 1.0,

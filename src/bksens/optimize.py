@@ -46,7 +46,7 @@ leave-one-out triples in ``benchmarking``), the box's search parameters,
 and one batch of candidates, zero first, evaluated with the optimizer's
 optimum. A map is a plain function of the blocks ``_Box.split`` gives and
 of each point's parameters (a leave-one-out box's effect, a robustness
-box's radii), and ``split`` reads only the box's layout, so every box of one
+box's radius), and ``split`` reads only the box's layout, so every box of one
 layout and map is unpacked together. ``_minimize_over_boxes`` runs any
 number of searches. Those whose boxes have the same number of columns
 advance in lockstep, LOCKSTEP_SEARCHES at a time, each chunk ordered once
@@ -509,7 +509,7 @@ class _SearchBox:
     batch of candidates, zero first, and the box's search parameters
     ``params``. A map takes each parameter as a scalar or as one value per
     point, so boxes of one layout that differ only in their parameters (a
-    leave-one-out box's effect, a robustness box's radii) are unpacked in
+    leave-one-out box's effect, a robustness box's radius) are unpacked in
     one call."""
 
     space: _Box

@@ -25,8 +25,8 @@ drives them. A box's candidates, zero first and each row once, hold the
 estimate's exact minimizers (``_candidates``) and need no engine, so
 ``rv_estimate_only`` and the ``simulate`` study never load ``optimize``.
 ``_box_for`` adds the ``optimize._Box``, imported on the first search, and
-its map to phi pairs, one function per layout that takes the box's radii as
-parameters, so a lockstep pass of a curve's searches unpacks all their
+its map to phi pairs, one function per layout that takes the box's radius
+as a parameter, so a lockstep pass of a curve's searches unpacks all their
 points in one call. A curve is one sweep of ``optimize._run``, a search per
 rho, each optimum polished by Nelder-Mead (``_polish``, handed to the
 engine). The polish calls ``minimize``, which imports scipy on its first
@@ -74,33 +74,25 @@ RV_NOT_ATTAINED = 1.0
 # ---------------------------------------------------------------------------
 # Search boxes: the candidates evaluated beside the optimizer's optimum, which
 # hold the estimate's exact minimizers, and the maps from a box's blocks to
-# phi pairs, one per layout with each box's radii as its parameters.
+# phi pairs, one per layout with each box's radius as its parameter.
 # ---------------------------------------------------------------------------
 
-def _direct_radii(rho: float, rho_a: float) -> tuple:
-    """The direct box's phi_1 scale r1 and the largest angle t3max of its
-    phi_2 ball."""
-    r1 = np.sqrt(rho * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
-    return r1, np.arctan(np.sqrt(rho / (1.0 - rho)))
-
-
-def _direct_candidates(rho: float, rho_a: float, obj) -> tuple:
-    r1, t3max = _direct_radii(rho, rho_a)
+def _direct_candidates(rho: float, r_a: float, t3max: float, obj) -> tuple:
     # corners; the estimate is affine in the phis and |phi_1| grows with t3, so
     # it is least at t3 = t3max, both phis opposing the flipped coefficients
     d2 = _unit(obj.full[2][:, 0])
     corners = [obj.zero]
     for s1 in (-1.0, 0.0, 1.0):
         for s2 in (-1.0, 1.0):
-            corners.append((np.array([[s1 * r1 / np.cos(t3max)]]),
+            corners.append((np.array([[s1 * r_a / np.cos(t3max)]]),
                             s2 * np.sqrt(rho) * np.tan(t3max) * d2[None, :]))
-        corners.append((np.array([[s1 * r1]]), np.zeros((1, obj.q))))
+        corners.append((np.array([[s1 * r_a]]), np.zeros((1, obj.q))))
     return _distinct(corners)
 
 
-def _direct_map(blocks, r1, root_rho):
+def _direct_map(blocks, r, root_rho):
     t1, (t3, t2) = blocks
-    return (r1 * t1 / np.cos(t3))[:, None], (root_rho * np.tan(t3))[:, None] * t2
+    return (r * t1 / np.cos(t3))[:, None], (root_rho * np.tan(t3))[:, None] * t2
 
 
 def _golden_section(g, lo: float, hi: float, xatol: float) -> float:
@@ -145,16 +137,8 @@ def _vector_minimizers(a, b, kappa: float, r3: float, r4: float) -> list:
     return [(p[None, :], -r4 * _unit(b + kappa * p)[None, :]) for p in phis_a]
 
 
-def _indirect_radii(rho: float, rho_a: float) -> tuple:
-    """The scales r3 of phi_a and r4 of phi_b in an indirect box."""
-    r3 = np.sqrt(rho * rho_a / (1.0 - rho_a)) if rho_a > 0 else 0.0
-    return r3, np.sqrt(rho * rho / (1.0 - rho))
-
-
-def _indirect_candidates(rho: float, rho_a: float, confounder_mode: str,
-                         obj) -> tuple:
+def _indirect_candidates(r3: float, r4: float, confounder_mode: str, obj) -> tuple:
     q = obj.q
-    r3, r4 = _indirect_radii(rho, rho_a)
     # shared-direction corner candidates (feasible in both modes)
     _, w_a, w_b, cross = obj.full
     signs = (-1.0, 0.0, 1.0)
@@ -174,16 +158,16 @@ def _indirect_candidates(rho: float, rho_a: float, confounder_mode: str,
     return _distinct(corners)
 
 
-def _scalar_map(blocks, r3, r4):
+def _scalar_map(blocks, r):
     # one shared direction, a signed length along it for each phi
     t2, t3, t1 = blocks
-    return (r3 * t2)[:, None] * t1, (r4 * t3)[:, None] * t1
+    return (r * t2)[:, None] * t1, (r * t3)[:, None] * t1
 
 
-def _vector_map(blocks, r3, r4):
-    # two independent unit balls, scaled by r3 and r4
+def _vector_map(blocks, r):
+    # two independent unit balls, both scaled by r
     (rad3, dir3), (rad4, dir4) = blocks
-    return (r3 * rad3)[:, None] * dir3, (r4 * rad4)[:, None] * dir4
+    return (r * rad3)[:, None] * dir3, (r * rad4)[:, None] * dir4
 
 
 def minimize(fun, x0, **kwargs):
@@ -222,47 +206,48 @@ def _build_objective(mm, plan, effect_kind, confounder_mode) -> EffectObjective:
     return _objective(effect_kind, mm, plan)
 
 
-def _strengths(rho, randomized) -> tuple[float, float]:
-    """The bounds (rho, rho_a) of a box under the strength bound ``rho``,
-    shrunk by BALL_SHRINK; ``randomized`` pins the exposure channel at
-    zero."""
+def _radii(rho, randomized) -> tuple:
+    """(rho shrunk by BALL_SHRINK, r_a, r, t3max): one rho caps every
+    partial R^2 of the confounder, so every phi ball has the radius r =
+    sqrt(rho^2 / (1 - rho)), the exposure channel's r_a = r unless
+    ``randomized`` pins it at 0; t3max bounds the direct phi_2 ball's angle."""
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
     rho *= BALL_SHRINK
-    return rho, 0.0 if randomized else rho
+    r = np.sqrt(rho * rho / (1.0 - rho))
+    return rho, 0.0 if randomized else r, r, np.arctan(np.sqrt(rho / (1.0 - rho)))
 
 
-def _candidates(obj, confounder_mode, rho, rho_a) -> tuple:
-    """``obj``'s box candidates under the bounds ``_strengths`` gives."""
+def _candidates(obj, confounder_mode, rho, r_a, r, t3max) -> tuple:
+    """``obj``'s box candidates under the bound and radii ``_radii`` gives."""
     if rho == 0.0:
         return obj.zero
     if obj.kind == "direct":
-        return _direct_candidates(rho, rho_a, obj)
-    return _indirect_candidates(rho, rho_a, confounder_mode, obj)
+        return _direct_candidates(rho, r_a, t3max, obj)
+    return _indirect_candidates(r_a, r, confounder_mode, obj)
 
 
 def _box_for(obj, confounder_mode, rho, randomized) -> _SearchBox:
     """``obj``'s search box under the strength bound ``rho``, shrunk by
     BALL_SHRINK; ``randomized`` pins the exposure channel at zero. Boxes of
-    one layout share their map, each with its radii as parameters."""
+    one layout share their map, each with its radius as its parameter (an
+    absent exposure block splits to zeros, which r leaves at zero)."""
     from .optimize import _Box, _SearchBox
 
-    rho, rho_a = _strengths(rho, randomized)
-    candidates = _candidates(obj, confounder_mode, rho, rho_a)
+    rho, r_a, r, t3max = radii = _radii(rho, randomized)
+    candidates = _candidates(obj, confounder_mode, *radii)
     if rho == 0.0:
         return _SearchBox(_Box(), None, candidates)
     if obj.kind == "direct":
-        r1, t3max = _direct_radii(rho, rho_a)
-        box = _Box().interval(-1.0, 1.0, present=rho_a > 0).ball(obj.q, t3max)
-        return _SearchBox(box, _direct_map, candidates, (r1, np.sqrt(rho)))
-    r3, r4 = _indirect_radii(rho, rho_a)
+        box = _Box().interval(-1.0, 1.0, present=r_a > 0).ball(obj.q, t3max)
+        return _SearchBox(box, _direct_map, candidates, (r, np.sqrt(rho)))
     if confounder_mode == "scalar_u":
-        box = _Box().interval(-1.0, 1.0, present=r3 > 0).interval(-1.0, 1.0).sphere(obj.q)
+        box = _Box().interval(-1.0, 1.0, present=r_a > 0).interval(-1.0, 1.0).sphere(obj.q)
         unpack = _scalar_map
     else:
-        box = _Box().ball(obj.q, 1.0, present=r3 > 0).ball(obj.q, 1.0)
+        box = _Box().ball(obj.q, 1.0, present=r_a > 0).ball(obj.q, 1.0)
         unpack = _vector_map
-    return _SearchBox(box, unpack, candidates, (r3, r4))
+    return _SearchBox(box, unpack, candidates, (r,))
 
 
 def _rho_grid(rho_grid) -> list[float]:
@@ -378,7 +363,7 @@ def rv_estimate_only(mm: MediationMoments, effect_kind: str, rho_grid=None,
         return 0.0
 
     def min_est(rho) -> float:
-        candidates = _candidates(obj, confounder_mode, *_strengths(rho, randomized))
+        candidates = _candidates(obj, confounder_mode, *_radii(rho, randomized))
         return float(np.min(obj.flip * obj.point_estimates(*candidates)))
 
     lo, hi = 0, len(grid) - 1

@@ -19,7 +19,7 @@ from bksens.benchmarking import (
     prepare_benchmark_stacks,
 )
 from bksens.confounders import ConfounderTarget, construct_confounder
-from bksens.errors import BoundaryR, RankDeficient
+from bksens.errors import BoundaryR, DimensionMismatch, RankDeficient
 from bksens.inference import bootstrap_moments
 from bksens.linalg import r_matrix
 from bksens.mediation import (
@@ -263,11 +263,36 @@ def test_non_finite_caps_and_deltas_are_rejected(rng, bad):
     plan = bootstrap_moments(data, n_resamples=20, seed=1)
     with pytest.raises(ValueError, match="finite"):
         critical_delta(data, 0, "direct", bad, [0.5, 1.0], plan=plan)
+    # a threshold above the observed t returns early: the cap is checked first
+    with pytest.raises(ValueError, match="finite"):
+        critical_delta(data, 0, "direct", 50.0, [0.5, 1.0], k_a_bound=bad, plan=plan)
     for grid in ([0.5, bad], [bad], [bad, 0.5]):
         with pytest.raises(ValueError, match="finite"):
             critical_delta(data, 0, "direct", 0.0, grid)
         with pytest.raises(ValueError, match="finite"):
             benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=grid)
+
+
+@pytest.mark.parametrize("j", [1.5, np.float64(0.0), -1, 2])
+def test_covariate_index_must_be_an_integer_in_range(j):
+    data = make_data(np.random.default_rng(0), n=120, p=2, q=1)
+    with pytest.raises(DimensionMismatch, match="covariate index"):
+        benchmark_worst(data, BenchmarkSpec(j=j))
+    assert benchmark_moments(data, np.int64(1)).j == 1
+
+
+def test_plan_from_other_data_is_rejected():
+    # a plan of the same shape would mix two datasets' anchors silently;
+    # one of another shape used to fail inside numpy
+    data = make_data(np.random.default_rng(0), n=120, p=2, q=1)
+    for n, p, q in ((120, 2, 1), (150, 2, 1), (120, 3, 1), (120, 2, 2)):
+        plan = bootstrap_moments(make_data(np.random.default_rng(1), n=n, p=p, q=q), 20,
+                                 seed=1)
+        with pytest.raises(DimensionMismatch, match="other data"):
+            benchmark_worst(data, BenchmarkSpec(j=0), plan=plan)
+    copy = MediationData(y=data.y.copy(), a=data.a.copy(), m=data.m.copy(), c=data.c.copy())
+    stacks = prepare_benchmark_stacks(data, 0, bootstrap_moments(copy, 20, seed=1))
+    assert stacks.t_stat is not None
 
 
 def test_randomized_cap_pins_exposure_channel(rng):

@@ -49,6 +49,13 @@ def test_fewer_than_two_resamples_rejected(rng, n_resamples):
         bootstrap_moments(data, n_resamples)
 
 
+@pytest.mark.parametrize("n_workers", [0, -3])
+def test_fewer_than_one_worker_rejected(rng, n_workers):
+    data = make_data(rng, n=60, p=1, q=1)
+    with pytest.raises(ValueError, match="n_workers must be >= 1"):
+        bootstrap_moments(data, 20, n_workers=n_workers)
+
+
 def test_constant_estimator_zero_se(rng):
     data = make_data(rng, n=60, p=1, q=1)
     plan = bootstrap_moments(data, n_resamples=30, seed=0)

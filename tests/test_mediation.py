@@ -234,6 +234,12 @@ def test_scalar_reduction_of_vector_formula(rng):
     assert mm.mix_c_ac[0, 0] == pytest.approx(np.sqrt(1 - r_hat2), abs=1e-12)
 
 
+def test_zero_mediators_are_rejected(rng):
+    y, a = rng.normal(size=(2, 50))
+    with pytest.raises(DimensionMismatch, match="mediator"):
+        MediationData.from_arrays(y, a, m=np.empty((50, 0)))
+
+
 def test_sensitivity_validation(rng):
     with pytest.raises(BoundaryR):
         NaturalSensitivity(r_y=1.0, r_m=np.zeros(2), r_a=0.0)

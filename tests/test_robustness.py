@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bksens import optimize, robustness
+from bksens.errors import DimensionMismatch
 from bksens.inference import bootstrap_moments
 from bksens.mediation import (
     MediationData,
@@ -425,6 +426,15 @@ def test_both_rv_drivers_reject_bad_grids(setup_q1, grid):
         robustness_value(mm, plan, "indirect", rho_grid=grid, budget=200)
     with pytest.raises(ValueError, match="rho_grid"):
         rv_estimate_only(mm, "indirect", rho_grid=grid)
+
+
+def test_plan_of_another_shape_is_rejected():
+    mm = fit_observed(make_data(np.random.default_rng(0), n=120, p=2, q=1))
+    for n, p, q in ((150, 2, 1), (120, 3, 1), (120, 2, 2)):
+        plan = bootstrap_moments(make_data(np.random.default_rng(1), n=n, p=p, q=q), 20,
+                                 seed=1)
+        with pytest.raises(DimensionMismatch, match="plan"):
+            robustness_value(mm, plan, "direct", rho_grid=[0.1])
 
 
 @pytest.mark.parametrize("kind", ["direct", "indirect"])

@@ -118,6 +118,20 @@ def test_worst_estimate_undercuts_random_box_points(kind, q, mode, randomized,
     lower, upper = np.array(box.space.lower), np.array(box.space.upper)
     x = np.random.default_rng(seed).uniform(lower, upper, size=(2000, lower.size))
     assert worst <= _flipped(obj, *box.args(x)).min() + 1e-12 * (1 + abs(worst))
+    # every mapped point and every candidate lies inside the strength bound,
+    # whose balls share the radius r; a randomized box has no exposure channel
+    rho = rho * BALL_SHRINK
+    r, root_rho, tol = rho / np.sqrt(1 - rho), np.sqrt(rho), 1 + 1e-12
+    for first, second in (box.args(x), box.candidates):
+        norm_1, norm_2 = (np.linalg.norm(phi, axis=1) for phi in (first, second))
+        if kind == "direct":
+            t3max = np.arctan(np.sqrt(rho / (1 - rho)))
+            assert np.all(norm_2 <= root_rho * np.tan(t3max) * tol)
+            assert np.all(norm_1 <= r / np.cos(np.arctan(norm_2 / root_rho)) * tol)
+        else:
+            assert np.all(norm_1 <= r * tol) and np.all(norm_2 <= r * tol)
+        if randomized:
+            assert not first.any()
 
 
 @settings(max_examples=25, deadline=None)
