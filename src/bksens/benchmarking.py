@@ -83,7 +83,7 @@ from .errors import (
     DimensionMismatch,
 )
 from .inference import GRAM_MARGIN, BootstrapPlan
-from .linalg import _distinct, _unit, r_from_cov, schur, standardized, sym_inv_sqrt, sym_sqrt
+from .linalg import _distinct, _grid, _unit, r_from_cov, schur, standardized, sym_inv_sqrt, sym_sqrt
 from .mediation import (
     BOUNDARY_TOL,
     DEFAULT_CI_MULTIPLIER,
@@ -167,7 +167,7 @@ def benchmark_moments(data: MediationData, j: int) -> BenchmarkMoments:
     depend on the covariates' location or scale.
     """
     p, q = data.p_user, data.q
-    if not isinstance(j, (int, np.integer)) or not 0 <= j < p:
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < p:
         raise DimensionMismatch(f"covariate index {j!r} is not an integer in [0, {p})")
     z = standardized(np.column_stack([data.c_user, data.a, data.m]),
                      "the (covariates, exposure, mediators) design")
@@ -611,15 +611,6 @@ def _delta_plan(stacks: _Stacks, j: int, effect_kind: str, threshold: float,
     return searches, threshold, finish
 
 
-def _delta_grid(delta_grid) -> list[float]:
-    grid = [float(d) for d in delta_grid]
-    if not grid or any(not 0 < d < math.inf for d in grid) or any(
-            b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("delta_grid must be nonempty, finite, positive and "
-                         "strictly increasing")
-    return grid
-
-
 def benchmark_worst(data: MediationData, spec: BenchmarkSpec,
                     plan: BootstrapPlan | None = None,
                     effect_kind: str = "direct",
@@ -660,7 +651,7 @@ def critical_delta(data: MediationData, j: int, effect_kind: str,
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
     BenchmarkSpec(j=j, k_a_bound=k_a_bound)   # checks the exposure cap before any early return
-    grid = _delta_grid(delta_grid)
+    grid = _grid(delta_grid, "delta_grid", math.inf)
     use_t = threshold > 0
     if use_t and plan is None:
         raise ValueError("a bootstrap plan is required for a t-based threshold")
@@ -684,7 +675,7 @@ def benchmark_covariate(data: MediationData, spec: BenchmarkSpec,
     each sweep a (delta, curve) pair; the second is empty without a grid.
     ``mm``, the full sample's ``fit_observed``, is fitted when not given.
     """
-    grid = None if delta_grid is None else _delta_grid(delta_grid)
+    grid = None if delta_grid is None else _grid(delta_grid, "delta_grid", math.inf)
     stacks = prepare_benchmark_stacks(data, spec.j, plan, mm)
     plans = [_worst_plan(stacks, spec, kind, WORST_BUDGET, True) for kind in EFFECTS]
     if grid is not None:

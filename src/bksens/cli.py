@@ -90,6 +90,7 @@ def load_csv_columns(path: str) -> dict[str, np.ndarray]:
             raw = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    raw = raw.removeprefix(b"\xef\xbb\xbf")  # the byte-order mark of Excel's "CSV UTF-8"
     if not raw.isascii():
         try:
             raw.decode("utf-8")  # validated only: the plain parse decodes by line

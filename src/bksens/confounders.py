@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BoundaryR, InfeasibleTarget, InsufficientSamples
 from .linalg import add_intercept, as_matrix, residualize, sample_cov, sym_inv_sqrt, sym_sqrt
+from .mediation import NaturalSensitivity
 from .ovb import cov_u_update
 
 
@@ -94,19 +95,15 @@ def construct_confounder_blocks(c, blocks, cov_u=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConfounderTarget:
-    """Prescribed natural sensitivity strengths for a scalar confounder."""
+class ConfounderTarget(NaturalSensitivity):
+    """Prescribed natural sensitivity strengths for a scalar confounder,
+    with its residual variance given the covariates."""
 
-    r_y: float
-    r_m: np.ndarray
-    r_a: float
     var_u_perp_c: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r_m", np.atleast_1d(np.asarray(self.r_m, dtype=float)))
-        if abs(self.r_y) >= 1.0 or abs(self.r_a) >= 1.0 or np.linalg.norm(self.r_m) >= 1.0:
-            raise BoundaryR("confounder targets must lie strictly inside the unit balls")
-        if self.var_u_perp_c <= 0.0:
+        super().__post_init__()
+        if not self.var_u_perp_c > 0.0:  # written so that a NaN fails it
             raise InfeasibleTarget("var_u_perp_c must be positive")
 
 

@@ -212,6 +212,9 @@ def _draw_one(data: MediationData, seed: int, i: int):
 def bootstrap_moments(data: MediationData, n_resamples: int = DEFAULT_RESAMPLES,
                       seed: int = 0, n_workers: int = 1) -> BootstrapPlan:
     """Draw resamples and fit their moments."""
+    for name, count in (("n_resamples", n_resamples), ("n_workers", n_workers)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n_resamples < MIN_BOOTSTRAP:
         raise ValueError(f"n_resamples must be >= {MIN_BOOTSTRAP}")
     if n_workers < 1:

@@ -3,7 +3,8 @@
 All routines are pure functions of ndarray inputs. Vectors may be passed as
 1-D arrays; they are treated as single columns. Sample covariances use the
 n-1 divisor throughout. ``_unit`` and ``_distinct`` serve the search boxes'
-candidates, in robustness values and formal benchmarking alike.
+candidates, and ``_grid`` checks the strength grids, in robustness values
+and formal benchmarking alike.
 """
 
 from __future__ import annotations
@@ -238,18 +239,26 @@ def r_matrix(y_cols, x_cols, z_cols) -> np.ndarray:
 
 
 def partial_r2(y, x_cols, z_cols) -> float:
-    """Sample partial R-squared of scalar ``y`` on ``x`` given ``z``."""
+    """Sample partial R-squared of scalar ``y`` on ``x`` given ``z``: the
+    squared norm of their R-measure (``r_matrix``)."""
     y = as_matrix(y)
     if y.shape[1] != 1:
         raise DimensionMismatch("partial_r2 expects a single response column")
-    ry = residualize(y, z_cols)
-    var_yz = float(sample_cov(ry)[0, 0])
-    if var_yz <= PSD_TOL:
+    var_y = np.var(y)  # rounding noise for a constant y: ``standardized``'s rule
+    if var_y <= RANK_RTOL ** 2 * np.mean(y * y) or np.var(residualize(y, z_cols)) <= 1e-12 * var_y:
         raise DegenerateResponse("response has no residual variance given z")
-    xz = np.column_stack([as_matrix(x_cols), as_matrix(z_cols)])
-    ryxz = residualize(y, xz)
-    var_yxz = float(sample_cov(ryxz)[0, 0])
-    return float(np.clip(1.0 - var_yxz / var_yz, 0.0, 1.0))
+    return float(np.clip(np.sum(r_matrix(y, x_cols, z_cols) ** 2), 0.0, 1.0))
+
+
+def _grid(values, name: str, hi: float) -> list[float]:
+    """``values`` as floats, which must be a nonempty, strictly increasing
+    grid inside (0, hi): rho's (hi = 1) or delta's (hi = inf)."""
+    grid = [float(v) for v in values]
+    if not grid or any(not 0.0 < v < hi for v in grid) or any(
+            b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be nonempty, finite, strictly increasing "
+                         f"and inside (0, {hi:g})")
+    return grid
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

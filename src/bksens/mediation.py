@@ -129,6 +129,8 @@ class NaturalSensitivity:
         object.__setattr__(self, "r_y", float(self.r_y))
         object.__setattr__(self, "r_a", float(self.r_a))
         object.__setattr__(self, "r_m", np.atleast_1d(np.asarray(self.r_m, dtype=float)))
+        if self.r_m.ndim != 1:
+            raise DimensionMismatch(f"r_m must be a vector, got shape {self.r_m.shape}")
         # written so that a NaN fails it
         if not (abs(self.r_y) < 1.0 and abs(self.r_a) < 1.0
                 and np.linalg.norm(self.r_m) < 1.0):
@@ -519,7 +521,7 @@ class EffectReport:
     def from_estimate(cls, estimate, std_err, effect_kind, method, signs=None):
         estimate = float(estimate)
         std_err = float(std_err)
-        if std_err > 0:
+        if std_err > 0 or np.isnan(std_err):
             t = estimate / std_err
         else:
             t = 0.0 if estimate == 0.0 else np.inf * np.sign(estimate)
@@ -581,6 +583,39 @@ def _classical_se_direct(mm: MediationMoments) -> tuple[float, int]:
     return float(np.sqrt(se2)), df
 
 
+def _worst_over_signs(kind: str, data: MediationData, r2s, pairs, at) -> EffectReport:
+    """The sample-classical report of the sign pair, among ``pairs`` in
+    order, whose t is least for the effect's sign (the first such pair on a
+    tie); ``at(mm, r2_y, r2_m, r2_a, signs)`` gives (estimate, SE) at one pair."""
+    r2s = [_validate_r2(v, name) for v, name in zip(r2s, ("r2_y", "r2_m", "r2_a"))]
+    if data.n < data.p_user + data.q + 4:
+        raise InsufficientSamples("need n >= p + q + 4 for the df adjustment")
+    mm = fit_observed(data)
+    flip = _objective(kind, mm).flip
+    best = None
+    for signs in pairs:
+        est, se = at(mm, *r2s, signs)
+        t = flip * est / se
+        if best is None or t < best[0]:
+            best = (t, est, se, signs)
+    _, est, se, signs = best
+    return EffectReport.from_estimate(est, se, kind, "sample-classical", signs=signs)
+
+
+def _sign_options(s: int | None) -> tuple:
+    return (s,) if s is not None else (-1, 1)
+
+
+def _direct_classical_at(mm: MediationMoments, r2_y, r2_m, r2_a, signs) -> tuple:
+    s1, s2 = signs
+    se_obs, df = _classical_se_direct(mm)
+    r2_aumc = r2_aumc_from_r2(r2_a, r2_m, float(mm.r_m_a_c @ mm.r_m_a_c), s2)
+    se = se_obs * np.sqrt(df / (df - 1) * (1.0 - r2_y) / (1.0 - r2_aumc))
+    bias_mag = np.sqrt(r2_y * r2_aumc / (1.0 - r2_aumc)) * np.sqrt(
+        mm.var_y_res_amc / mm.var_a_res_mc)
+    return mm.theta1_obs + s1 * bias_mag, se
+
+
 def direct_sample_classical(data: MediationData, r2_y: float, r2_m: float,
                             r2_a: float, s1: int | None = None,
                             s2: int | None = None) -> EffectReport:
@@ -591,37 +626,14 @@ def direct_sample_classical(data: MediationData, r2_y: float, r2_m: float,
     direct effect and s2 the mediator-channel interaction. When a sign is
     omitted the worst case over both values is reported.
     """
-    r2_y = _validate_r2(r2_y, "r2_y")
-    r2_m = _validate_r2(r2_m, "r2_m")
-    r2_a = _validate_r2(r2_a, "r2_a")
-    if data.n < data.p_user + data.q + 4:
-        raise InsufficientSamples("need n >= p + q + 4 for the df adjustment")
-    mm = fit_observed(data)
-    r2_ma_obs = float(mm.r_m_a_c @ mm.r_m_a_c)
-    se_obs, df = _classical_se_direct(mm)
-    scale = np.sqrt(mm.var_y_res_amc / mm.var_a_res_mc)
-
-    s1_options = (s1,) if s1 is not None else (-1, 1)
-    s2_options = (s2,) if s2 is not None else (-1, 1)
-    flip = _objective("direct", mm).flip
-
-    best = None
-    for s2v in s2_options:
-        r2_aumc = r2_aumc_from_r2(r2_a, r2_m, r2_ma_obs, s2v)
-        se = se_obs * np.sqrt(df / (df - 1) * (1.0 - r2_y) / (1.0 - r2_aumc))
-        bias_mag = np.sqrt(r2_y * r2_aumc / (1.0 - r2_aumc)) * scale
-        for s1v in s1_options:
-            est = mm.theta1_obs + s1v * bias_mag
-            t = flip * est / se
-            if best is None or t < best[0]:
-                best = (t, est, se, (s1v, s2v))
-    _, est, se, signs = best
-    return EffectReport.from_estimate(est, se, "direct", "sample-classical", signs=signs)
+    # s2 varies slowest, so a tie in t keeps the pair with s2 = -1
+    pairs = [(s1v, s2v) for s2v in _sign_options(s2) for s1v in _sign_options(s1)]
+    return _worst_over_signs("direct", data, (r2_y, r2_m, r2_a), pairs, _direct_classical_at)
 
 
-def _indirect_sample_components(mm: MediationMoments, r2_y, r2_m, r2_a, s3, s4):
-    """Adjusted path vectors and their classical covariances for the
-    sample-level product method."""
+def _indirect_classical_at(mm: MediationMoments, r2_y, r2_m, r2_a, signs) -> tuple:
+    """Estimate and classical SE of the sample-level product method."""
+    s3, s4 = signs
     n, q = mm.n, mm.q
     t_dir = canonical_mediator_direction(mm)
     r_m = np.sqrt(r2_m) * t_dir
@@ -637,9 +649,10 @@ def _indirect_sample_components(mm: MediationMoments, r2_y, r2_m, r2_a, s3, s4):
     var_a_cu = mm.var_a_res_c * (1.0 - r_a ** 2)
     var_y_u = mm.var_y_res_amc * (1.0 - r_y ** 2)
     # classical covariances of the adjusted coefficient vectors
-    cov_beta_u = (n - 1) * cov_m_acu / (df_m - 1) / ((n - 1) * var_a_cu)
-    cov_theta_u = (n - 1) * var_y_u / (df_y - 1) * np.linalg.inv((n - 1) * cov_m_acu)
-    return beta1_u, theta3_u, cov_beta_u, cov_theta_u
+    cov_b = (n - 1) * cov_m_acu / (df_m - 1) / ((n - 1) * var_a_cu)
+    cov_t = (n - 1) * var_y_u / (df_y - 1) * np.linalg.inv((n - 1) * cov_m_acu)
+    return (float(theta3_u @ beta1_u),
+            float(np.sqrt(beta1_u @ cov_t @ beta1_u + theta3_u @ cov_b @ theta3_u)))
 
 
 def indirect_sample_classical(data: MediationData, r2_y: float, r2_m: float,
@@ -652,25 +665,6 @@ def indirect_sample_classical(data: MediationData, r2_y: float, r2_m: float,
     combines the two classical covariances through the usual product rule,
     reducing to the familiar two-term formula for a single mediator.
     """
-    r2_y = _validate_r2(r2_y, "r2_y")
-    r2_m = _validate_r2(r2_m, "r2_m")
-    r2_a = _validate_r2(r2_a, "r2_a")
-    if data.n < data.p_user + data.q + 4:
-        raise InsufficientSamples("need n >= p + q + 4 for the df adjustment")
-    mm = fit_observed(data)
-    flip = _objective("indirect", mm).flip
-
-    s3_options = (s3,) if s3 is not None else (-1, 1)
-    s4_options = (s4,) if s4 is not None else (-1, 1)
-    best = None
-    for s3v in s3_options:
-        for s4v in s4_options:
-            beta1_u, theta3_u, cov_b, cov_t = _indirect_sample_components(
-                mm, r2_y, r2_m, r2_a, s3v, s4v)
-            est = float(theta3_u @ beta1_u)
-            se = float(np.sqrt(beta1_u @ cov_t @ beta1_u + theta3_u @ cov_b @ theta3_u))
-            t = flip * est / se
-            if best is None or t < best[0]:
-                best = (t, est, se, (s3v, s4v))
-    _, est, se, signs = best
-    return EffectReport.from_estimate(est, se, "indirect", "sample-classical", signs=signs)
+    pairs = [(s3v, s4v) for s3v in _sign_options(s3) for s4v in _sign_options(s4)]
+    return _worst_over_signs("indirect", data, (r2_y, r2_m, r2_a), pairs,
+                             _indirect_classical_at)

@@ -50,8 +50,8 @@ box's radius), and ``split`` reads only the box's layout, so every box of one
 layout and map is unpacked together. ``_minimize_over_boxes`` runs any
 number of searches. Those whose boxes have the same number of columns
 advance in lockstep, LOCKSTEP_SEARCHES at a time, each chunk ordered once
-by (layout and map, value function, parameters) (``_lockstep_order``). A
-pass's points arrive in that order, so ``_lockstep_objective`` splits and
+by (layout and map, value function, parameters) in ``_lockstep_objective``.
+A pass's points arrive in that order, so the objective it returns splits and
 maps each layout's contiguous slice once, and calls each value function
 once, on its runs of the maps' outputs, with no sort and no scatter. The
 sweep driver ``_run`` runs plans of searches as one batch and drops a
@@ -561,20 +561,13 @@ def _shared_calls(fns, batches) -> np.ndarray:
     return out
 
 
-def _lockstep_order(group) -> list:
-    """The positions of the searches ``group`` ordered by (box layout and
-    map, value function, search parameters), maps and functions in order of
-    first appearance; a tie keeps its order."""
-    _, map_of = _ids([(s.box.space.layout, s.box.unpack) for s in group])
-    _, fn_of = _ids([s.value_fn for s in group])
-    return sorted(range(len(group)),
-                  key=lambda i: (map_of[i], fn_of[i], group[i].box.params))
-
-
-def _lockstep_objective(group):
-    """``direct_lockstep``'s objective for the searches ``group``, in
-    ``_lockstep_order``: the values of a pass's (P, d) points ``x``, each
-    owned by the search ``owners[i]``, ascending.
+def _lockstep_objective(chunk):
+    """(order, objective): the positions of the searches ``chunk`` ordered
+    by (box layout and map, value function, search parameters), maps and
+    functions in order of first appearance and a tie keeping its order, and
+    ``direct_lockstep``'s objective for the searches in that order: the
+    values of a pass's (P, d) points ``x``, each owned by the search
+    ``owners[i]``, ascending.
 
     The owners ascend, so the points of each run of searches with one box
     layout and map, and within it of each run with one value function, are
@@ -584,8 +577,11 @@ def _lockstep_objective(group):
     which hand back the values in the pass's order. A function sharing one
     map meets one slice, and within it each parameter's points as one
     run."""
-    maps, map_of = _ids([(s.box.space.layout, s.box.unpack) for s in group])
-    fns, fn_of = _ids([s.value_fn for s in group])
+    maps, map_of = _ids([(s.box.space.layout, s.box.unpack) for s in chunk])
+    fns, fn_of = _ids([s.value_fn for s in chunk])
+    order = sorted(range(len(chunk)), key=lambda i: (map_of[i], fn_of[i], chunk[i].box.params))
+    group = [chunk[i] for i in order]
+    map_of, fn_of = [map_of[i] for i in order], [fn_of[i] for i in order]
     run_first = [i for i in range(len(group))
                  if not i or (map_of[i], fn_of[i]) != (map_of[i - 1], fn_of[i - 1])]
     cuts = np.array(run_first + [len(group)])
@@ -613,7 +609,7 @@ def _lockstep_objective(group):
                     run_fns.append(fn)
                     run_args.append(args if b - a == hi - lo else tuple(v[a:b] for v in args))
         return _shared_calls(run_fns, run_args)
-    return objective
+    return order, objective
 
 
 def _first_min(args, vals):
@@ -636,11 +632,11 @@ def _minimize_over_boxes(searches, polish=None, drop=None) -> list:
     minimum. Otherwise DIRECT searches the box when it has columns, ending
     after its first sweep at or below ``stop``. Searches whose boxes have the
     same number of columns advance in lockstep (``direct_lockstep``),
-    LOCKSTEP_SEARCHES at a time, each chunk in ``_lockstep_order``: each pass
-    splits and maps the new points of all the searches whose boxes share a
-    layout and map once, and calls every value function once, on the
-    unpacked points of all the searches that share it
-    (``_lockstep_objective``). Each optimum is then optionally polished,
+    LOCKSTEP_SEARCHES at a time, each chunk in ``_lockstep_objective``'s
+    order: each pass of its objective splits and maps the new points of all
+    the searches whose boxes share a layout and map once, and calls every
+    value function once, on the unpacked points of all the searches that
+    share it. Each optimum is then optionally polished,
     ``polish(search, result)`` returning the point to keep, the optima are
     evaluated in one more call per value function, and the first minimum
     over each search's optimum and candidates wins; a NaN ranks as +inf,
@@ -663,7 +659,8 @@ def _minimize_over_boxes(searches, polish=None, drop=None) -> list:
             layouts.setdefault(len(s.box.space.lower), []).append(i)
     for chunk in [group[at:at + LOCKSTEP_SEARCHES] for group in layouts.values()
                   for at in range(0, len(group), LOCKSTEP_SEARCHES)]:
-        idx = np.array(chunk)[_lockstep_order([searches[i] for i in chunk])]
+        order, objective = _lockstep_objective([searches[i] for i in chunk])
+        idx = np.array(chunk)[order]
         group = [searches[i] for i in idx.tolist()]
 
         def abandon(best, idx=idx):
@@ -672,7 +669,7 @@ def _minimize_over_boxes(searches, polish=None, drop=None) -> list:
             return drop(mine)[idx]
 
         found = direct_lockstep(
-            _lockstep_objective(group), [s.box.space.lower for s in group],
+            objective, [s.box.space.lower for s in group],
             [s.box.space.upper for s in group], [s.budget for s in group],
             [s.stop for s in group], drop=None if drop is None else abandon)
         for i, s, res in zip(idx.tolist(), group, found):

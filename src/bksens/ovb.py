@@ -60,27 +60,15 @@ def _check_open_ball(r: np.ndarray, name: str) -> None:
 
 
 def adjust_scalar_u(m: OvbMoments, r_y_u, r_a_u) -> np.ndarray:
-    """Long-regression coefficient under a scalar confounder.
+    """Long-regression coefficient under a scalar confounder: the d_u = 1
+    case of :func:`adjust_vector_u`.
 
     r_y_u : (d_y,) partial correlations of the outcome block with u given
         (exposure, controls)
     r_a_u : (d_a,) partial correlations of the exposure block with u given
         controls
     """
-    r_y_u = np.atleast_1d(np.asarray(r_y_u, dtype=float))
-    r_a_u = np.atleast_1d(np.asarray(r_a_u, dtype=float))
-    theta = np.asarray(m.theta_obs, dtype=float)
-    if theta.shape != (r_y_u.size, r_a_u.size):
-        raise DimensionMismatch(
-            f"theta_obs shape {theta.shape} does not match r_y_u/r_a_u sizes "
-            f"({r_y_u.size}, {r_a_u.size})")
-    _check_open_ball(r_a_u, "r_a_u")
-    _check_open_ball(r_y_u, "r_y_u")
-    if not r_y_u.any():
-        return theta.copy()
-    denom = np.sqrt(1.0 - r_a_u @ r_a_u)
-    bias = sym_sqrt(m.cov_y_res) @ np.outer(r_y_u, r_a_u) @ sym_inv_sqrt(m.cov_a_res) / denom
-    return theta - bias
+    return adjust_vector_u(m, np.reshape(r_y_u, (-1, 1)), np.reshape(r_a_u, (-1, 1)))
 
 
 def cov_u_update(cov_u, r) -> np.ndarray:

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import _distinct, _unit
+from .linalg import _distinct, _grid, _unit
 from .mediation import (
     DEFAULT_CI_MULTIPLIER,
     EffectObjective,
@@ -250,15 +250,6 @@ def _box_for(obj, confounder_mode, rho, randomized) -> _SearchBox:
     return _SearchBox(box, unpack, candidates, (r,))
 
 
-def _rho_grid(rho_grid) -> list[float]:
-    grid = [float(r) for r in (DEFAULT_RHO_GRID if rho_grid is None else rho_grid)]
-    if not grid or any(not 0.0 < r < 1.0 for r in grid) or any(
-            b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("rho_grid must be nonempty, strictly increasing and "
-                         "inside (0, 1)")
-    return grid
-
-
 def _min_t(mm, plan, effect_kind, rho, confounder_mode, randomized, budget) -> float:
     from .optimize import _minimize_over_boxes, _Search
 
@@ -320,7 +311,7 @@ def robustness_value(mm: MediationMoments, plan: BootstrapPlan,
     """
     from .optimize import _run, _Search
 
-    grid = _rho_grid(rho_grid)
+    grid = _grid(DEFAULT_RHO_GRID if rho_grid is None else rho_grid, "rho_grid", 1.0)
     obj = _build_objective(mm, plan, effect_kind, confounder_mode)
     t_obs = obj.observed_t()
 
@@ -357,7 +348,7 @@ def rv_estimate_only(mm: MediationMoments, effect_kind: str, rho_grid=None,
     a bootstrap plan and without a search: the worst estimate at each rho is
     the least over the box's candidates, which hold its exact minimizers,
     and bisection over the grid finds where that monotone curve reaches 0."""
-    grid = _rho_grid(rho_grid)
+    grid = _grid(DEFAULT_RHO_GRID if rho_grid is None else rho_grid, "rho_grid", 1.0)
     obj = _build_objective(mm, None, effect_kind, confounder_mode)
     if obj.flip * obj.observed <= 0.0:
         return 0.0

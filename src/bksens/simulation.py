@@ -11,7 +11,7 @@ whose worst case has a closed form, so a replication runs no numerical search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,10 +111,7 @@ def rv_ratio_study(designs, replications: int = 20,
     for cell, design in enumerate(designs):
         scalars, vectors = [], []
         for rep in range(replications):
-            seeded = S4Design(dim_m=design.dim_m, r2_am=design.r2_am,
-                              r2_ym=design.r2_ym, n=design.n,
-                              seed=base_seed + 1000 * cell + rep)
-            data = simulate_design(seeded)
+            data = simulate_design(replace(design, seed=base_seed + 1000 * cell + rep))
             mm = fit_observed(data)
             scalars.append(rv_estimate_only(mm, "indirect", confounder_mode="scalar_u"))
             vectors.append(rv_estimate_only(mm, "indirect", confounder_mode="vector_u"))

@@ -1,6 +1,7 @@
 """Reference CSV reader for the tests: ``bksens.cli.load_csv_columns`` as it
 was before plain files got a bulk ``np.loadtxt`` parse, kept as it was: the
-csv module's excel dialect, one ``float`` call per cell.
+csv module's excel dialect, one ``float`` call per cell. The one change since
+is its decoding, ``utf-8-sig``, which drops a leading byte-order mark.
 
 For every UTF-8 file, ``load_csv_columns`` must return the same column names
 in the same order with bitwise-equal arrays, or raise ``InputError`` with the
@@ -19,7 +20,7 @@ from bksens.cli import InputError
 def reference_load_csv_columns(path: str) -> dict[str, np.ndarray]:
     """Strict CSV reader: header row, UTF-8, '.' decimals, no missing cells."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:  # drops one BOM
             reader = csv.reader(handle)
             try:
                 header = next(reader)

@@ -273,11 +273,13 @@ def test_non_finite_caps_and_deltas_are_rejected(rng, bad):
             benchmark_covariate(data, BenchmarkSpec(j=0), plan, delta_grid=grid)
 
 
-@pytest.mark.parametrize("j", [1.5, np.float64(0.0), -1, 2])
+@pytest.mark.parametrize("j", [1.5, np.float64(0.0), -1, 2, True, False])
 def test_covariate_index_must_be_an_integer_in_range(j):
     data = make_data(np.random.default_rng(0), n=120, p=2, q=1)
     with pytest.raises(DimensionMismatch, match="covariate index"):
         benchmark_worst(data, BenchmarkSpec(j=j))
+    with pytest.raises(DimensionMismatch, match="covariate index"):
+        benchmark_moments(data, j)
     assert benchmark_moments(data, np.int64(1)).j == 1
 
 

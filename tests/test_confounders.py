@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bksens.confounders import ConfounderTarget, construct_confounder
-from bksens.errors import BoundaryR, InsufficientSamples
+from bksens.errors import BoundaryR, DimensionMismatch, InfeasibleTarget, InsufficientSamples
 from bksens.linalg import r_matrix, residualize, sample_cov
 from bksens.mediation import MediationData
 
@@ -78,6 +78,17 @@ def test_target_validation():
         ConfounderTarget(r_y=1.0, r_m=np.zeros(1), r_a=0.0)
     with pytest.raises(BoundaryR):
         ConfounderTarget(r_y=0.0, r_m=np.array([0.8, 0.7]), r_a=0.0)
+    with pytest.raises(DimensionMismatch, match="r_m must be a vector"):
+        ConfounderTarget(r_y=0.3, r_m=[[0.1], [0.2]], r_a=0.2)
+
+
+@pytest.mark.parametrize("field", ["r_y", "r_m", "r_a", "var_u_perp_c"])
+def test_nan_targets_are_rejected(field):
+    # a NaN strength would fail inside the SVD, a NaN variance give a NaN column
+    values = dict(r_y=0.3, r_m=np.array([0.2, -0.1]), r_a=-0.4, var_u_perp_c=1.0)
+    values[field] = np.nan * np.ones_like(values[field])
+    with pytest.raises(InfeasibleTarget if field == "var_u_perp_c" else BoundaryR):
+        ConfounderTarget(**values)
 
 
 def test_insufficient_samples(rng):

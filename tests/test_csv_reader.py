@@ -97,6 +97,16 @@ def test_reader_matches_reference(scratch, text):
         _outcome(reference_load_csv_columns, scratch)
 
 
+@pytest.mark.parametrize("text", ["y,a\n1,2\n", 'y,a\r\n"1",2\r\n', "\ufeffy,a\n1,2\n"])
+def test_leading_byte_order_mark_is_dropped(scratch, text):
+    # Excel's "CSV UTF-8" starts with EF BB BF; one mark is dropped on
+    # either path, so the first column keeps its name
+    scratch.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert list(load_csv_columns(scratch)) == [text[:text.index(",")], "a"]
+    assert _outcome(load_csv_columns, scratch) == \
+        _outcome(reference_load_csv_columns, scratch)
+
+
 @pytest.mark.parametrize("n, width", [(1, 1), (1, 3), (50, 7)])
 def test_plain_files_take_the_bulk_parse(scratch, n, width):
     values = np.random.default_rng(n + width).normal(size=(n, width))

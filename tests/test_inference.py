@@ -7,6 +7,7 @@ from bksens.errors import EstimatorFailed
 from bksens.inference import bootstrap_moments, bootstrap_se, effect_report
 from bksens.mediation import (
     _RESAMPLED,
+    EffectReport,
     MediationData,
     MediationMoments,
     NaturalSensitivity,
@@ -54,6 +55,31 @@ def test_fewer_than_one_worker_rejected(rng, n_workers):
     data = make_data(rng, n=60, p=1, q=1)
     with pytest.raises(ValueError, match="n_workers must be >= 1"):
         bootstrap_moments(data, 20, n_workers=n_workers)
+
+
+@pytest.mark.parametrize("counts", [dict(n_resamples=3.5), dict(n_resamples=np.float64(20)),
+                                    dict(n_resamples=True), dict(n_workers=1.5),
+                                    dict(n_workers=True)])
+def test_counts_must_be_integers(rng, counts):
+    data = make_data(rng, n=60, p=1, q=1)
+    with pytest.raises(ValueError, match=f"{next(iter(counts))} must be an integer"):
+        bootstrap_moments(data, **{"n_resamples": 20, **counts})
+
+
+def test_nan_standard_error_gives_nan_t(rng):
+    # a finite estimate over a NaN SE has no t; 1 / NaN is not +inf
+    rep = EffectReport.from_estimate(1.0, np.nan, "direct", "product")
+    assert np.isnan(rep.t_stat)
+    data = make_data(rng, n=60, p=1, q=1)
+    plan = bootstrap_moments(data, n_resamples=20, seed=0)
+    calls = []
+
+    def estimator(m):   # the full sample, then NaN on resample 2
+        calls.append(m)
+        return np.nan if len(calls) == 4 else m.theta1_obs
+
+    rep = effect_report(fit_observed(data), plan, estimator, "direct", "product")
+    assert np.isfinite(rep.estimate) and np.isnan(rep.std_err) and np.isnan(rep.t_stat)
 
 
 def test_constant_estimator_zero_se(rng):

@@ -154,6 +154,20 @@ def test_partial_r2_degenerate_response(rng):
         linalg.partial_r2(y, rng.normal(size=n), z)
 
 
+def test_partial_r2_does_not_depend_on_the_scale_of_y(rng):
+    # the degenerate-response check is relative to y's variance: an outcome
+    # in small units is not degenerate
+    n = 200
+    z = np.column_stack([np.ones(n), rng.normal(size=n)])
+    x = rng.normal(size=n)
+    y = 0.6 * x + z[:, 1] + rng.normal(size=n)
+    r2 = linalg.partial_r2(y, x, z)
+    for scale in (1e-6, 1e6):
+        assert linalg.partial_r2(scale * y, x, z) == pytest.approx(r2, rel=1e-12, abs=0.0)
+    with pytest.raises(DegenerateResponse):
+        linalg.partial_r2(np.full(n, 0.1), x, z)
+
+
 def test_partial_r2_equals_squared_r(rng):
     # identity between the R measure and the partial R-squared, scalar case
     for trial in range(20):

@@ -243,6 +243,8 @@ def test_zero_mediators_are_rejected(rng):
 def test_sensitivity_validation(rng):
     with pytest.raises(BoundaryR):
         NaturalSensitivity(r_y=1.0, r_m=np.zeros(2), r_a=0.0)
+    with pytest.raises(DimensionMismatch, match="r_m must be a vector"):
+        NaturalSensitivity(0.3, [[0.1], [0.2]], 0.2)
     data = make_data(rng, n=80, p=1, q=2)
     mm = fit_observed(data)
     with pytest.raises(DimensionMismatch):

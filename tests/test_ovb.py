@@ -44,6 +44,17 @@ def test_boundary_rejected(rng):
         adjust_scalar_u(m, np.array([1.0 - 1e-13]), np.array([0.5]))
 
 
+def test_scalar_u_shares_the_vector_degeneracy_check(rng):
+    # |r_a| just inside the ball leaves u no variance given the exposure:
+    # the scalar adjuster, the vector one with d_u = 1, raises as it does
+    y, a, c = _random_case(rng, d_y=1, d_a=1)
+    m = ovb_moments(y, a, c)
+    with pytest.raises(ConfounderCovarianceDegenerate):
+        adjust_scalar_u(m, np.array([0.5]), np.array([1.0 - 2e-11]))
+    with pytest.raises(ConfounderCovarianceDegenerate):
+        adjust_vector_u(m, np.array([[0.5]]), np.array([[1.0 - 2e-11]]))
+
+
 def test_scalar_u_long_regression_roundtrip(rng):
     for trial in range(25):
         local = np.random.default_rng(1000 + trial)
