@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryR, InfeasibleTarget, InsufficientSamples
-from .linalg import add_intercept, as_matrix, residualize, sample_cov, sym_inv_sqrt, sym_sqrt
+from .linalg import add_intercept, as_matrix, residual_cov, residualize, sym_inv_sqrt, sym_sqrt
 from .mediation import NaturalSensitivity
 from .ovb import cov_u_update
 
@@ -45,7 +45,8 @@ def construct_confounder_blocks(c, blocks, cov_u=None) -> np.ndarray:
     Returns
     -------
     (n, d_u) array U. The achieved sample R-measures equal the prescribed
-    ones up to floating-point error.
+    ones up to floating-point error. Raises SingularCovariance where a
+    block has no residual variance (``linalg.residual_cov``).
     """
     if not blocks:
         raise InfeasibleTarget("need at least one block")
@@ -68,13 +69,12 @@ def construct_confounder_blocks(c, blocks, cov_u=None) -> np.ndarray:
 
     u = np.zeros((n, d_u))
     q = cov_u.copy()
-    for x, r in zip(xs, rs):
-        resid = residualize(x, design)
+    for k, (x, r) in enumerate(zip(xs, rs)):
         w = np.linalg.eigvalsh(q)
         if w[0] <= 1e-12 * max(abs(w[-1]), 1.0):
             raise InfeasibleTarget("implied confounder covariance lost positive definiteness")
-        lam = sym_inv_sqrt(sample_cov(resid)) @ r @ sym_sqrt(q)
-        u = u + resid @ lam
+        cov_x = residual_cov(x, design, f"block {k} given c and the blocks before it")
+        u = u + residualize(x, design) @ (sym_inv_sqrt(cov_x) @ r @ sym_sqrt(q))
         q = cov_u_update(q, r)
         design = np.column_stack([design, x])
 

@@ -22,16 +22,17 @@ takes its resample anchors, and the moments, one ``MediationMoments`` with
 a leading resample axis.
 
 The Gram path is used only where it is certified to agree with the exact
-per-resample fit: every column keeps at least GRAM_COND of its Gram
-diagonal as within-resample variance (and clears the constant-column test by
-that much), the columns' correlation matrix has its smallest eigenvalue at
+per-resample fit, mirroring ``linalg.residual_cov``'s degeneracy rule with
+a wide margin: every column keeps at least GRAM_COND of its Gram diagonal
+as within-resample variance (and clears the constant-column test by that
+much), the columns' correlation matrix has its smallest eigenvalue at
 least GRAM_COND times its largest (so no column's variance given any
-others falls below GRAM_COND of its variance, far above the 1e-12 at which
-the exact path calls it collapsed), and every eigenvalue check of the fit
-clears its threshold by GRAM_MARGIN times the largest eigenvalue involved.
-Any other resample goes through ``fit_observed`` on its rows, so errors,
-redraws of singular resamples and ``TooManySingularResamples`` happen
-exactly as there; ``n_exact`` counts those resamples. ``n_workers`` only
+others falls below GRAM_COND of its variance, far above the rule's 1e-12),
+and every eigenvalue check of the fit clears its threshold by GRAM_MARGIN
+times the largest eigenvalue involved. Any other resample goes through
+``fit_observed`` on its rows, so errors, redraws of singular resamples (a
+constant column's too) and ``TooManySingularResamples`` happen exactly as
+there; ``n_exact`` counts those resamples. ``n_workers`` only
 spreads the chunks' Grams across threads, so results do not depend on it.
 
 The Gram product is a BLAS call, and its last bits depend on the number of
@@ -143,8 +144,8 @@ class GramBasis:
         ss = cross - sums[:, :, None] * sums[:, None, :] / n
         var = np.diagonal(ss, axis1=1, axis2=2)
         norm2 = np.diagonal(cross, axis1=1, axis2=2)
-        # the constant-column test of ``standardized``: squared raw column
-        # norms, in squared scale units
+        # the constant-column test of ``linalg.residual_cov`` (and of
+        # ``standardized``): squared raw column norms, in squared scale units
         loc = self.center / self.scale
         raw2 = norm2 + 2.0 * loc * sums + n[:, 0] * loc ** 2
         ok = np.all(var - RANK_RTOL ** 2 * raw2 > GRAM_COND * norm2, axis=1)

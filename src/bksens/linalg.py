@@ -2,14 +2,13 @@
 
 All routines are pure functions of ndarray inputs. Vectors may be passed as
 1-D arrays; they are treated as single columns. Sample covariances use the
-n-1 divisor throughout. ``_unit`` and ``_distinct`` serve the search boxes'
+n-1 divisor throughout; ``residual_cov`` holds the one degeneracy rule of
+residual covariances. ``_unit`` and ``_distinct`` serve the search boxes'
 candidates, and ``_grid`` checks the strength grids, in robustness values
 and formal benchmarking alike.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,37 +45,35 @@ def add_intercept(x: np.ndarray | None, n: int | None = None) -> np.ndarray:
     return np.column_stack([np.ones(x.shape[0]), x])
 
 
-@dataclass(frozen=True)
-class LsFit:
-    """Sample least-squares fit: response = design @ coefficients + residuals."""
-
-    coefficients: np.ndarray  # (d, k)
-    fitted: np.ndarray        # (n, k)
-    residuals: np.ndarray     # (n, k)
-
-
-def _check_full_rank(design: np.ndarray, what: str = "design") -> None:
-    sv = np.linalg.svd(design, compute_uv=False)
+def _check_rank(sv: np.ndarray, what: str) -> None:
+    """Raise RankDeficient unless singular values ``sv`` lie within RANK_RTOL."""
     if sv[0] == 0.0 or sv[-1] <= RANK_RTOL * sv[0]:
         raise RankDeficient(f"{what} is numerically rank deficient "
                             f"(smallest/largest singular value = {sv[-1]:.3e}/{sv[0]:.3e})")
+
+
+def _centred(x: np.ndarray):
+    """Columns of ``x`` centred, their squared norms, and which are
+    constant: a centred norm at most RANK_RTOL of the raw norm."""
+    xc = x - x.mean(axis=0)
+    ss_c = (xc * xc).sum(axis=0)
+    return xc, ss_c, ss_c <= RANK_RTOL ** 2 * (x * x).sum(axis=0)
 
 
 def standardized(x, what: str = "design") -> np.ndarray:
     """Columns of ``x`` centred and scaled to unit sample variance.
 
     This is the rank check that does not depend on column location or
-    scale: a column whose centred norm is at most RANK_RTOL of its raw norm
-    counts as constant, and the standardized columns must have singular
-    values within RANK_RTOL of each other. Raises RankDeficient otherwise.
+    scale: no column may be constant (``_centred``), and the standardized
+    columns must have singular values within RANK_RTOL of each other.
+    Raises RankDeficient otherwise.
     """
     x = as_matrix(x)
-    xc = x - x.mean(axis=0)
-    ss_c = (xc * xc).sum(axis=0)
-    if np.any(ss_c <= RANK_RTOL ** 2 * (x * x).sum(axis=0)):
+    xc, ss_c, constant = _centred(x)
+    if np.any(constant):
         raise RankDeficient(f"{what} has a constant column")
     z = xc / np.sqrt(ss_c / (x.shape[0] - 1))
-    _check_full_rank(z, what)
+    _check_rank(np.linalg.svd(z, compute_uv=False), what)
     return z
 
 
@@ -93,37 +90,52 @@ def schur(s: np.ndarray, keep, given) -> np.ndarray:
         s[..., given, :][..., given], cross)
 
 
-def ols_fit(response, design) -> LsFit:
-    """Least squares of ``response`` on ``design`` (no intercept added here).
+def ols_fit(response, design) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of ``response`` on ``design`` (no intercept added here):
+    the (d, k) coefficients and the (n, k) residuals.
 
-    Raises RankDeficient if the design is numerically singular and
-    DimensionMismatch if the row counts differ.
+    Raises RankDeficient if the design is numerically singular, judged on
+    the singular values the solve computes, and DimensionMismatch if the
+    row counts differ.
     """
     y = as_matrix(response)
     x = as_matrix(design)
     if y.shape[0] != x.shape[0]:
         raise DimensionMismatch(f"row counts differ: {y.shape[0]} vs {x.shape[0]}")
-    _check_full_rank(x)
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-    fitted = x @ coef
-    return LsFit(coefficients=coef, fitted=fitted, residuals=y - fitted)
+    coef, _, _, sv = np.linalg.lstsq(x, y, rcond=None)
+    _check_rank(sv, "design")
+    return coef, y - x @ coef
 
 
 def residualize(target, controls) -> np.ndarray:
     """Residuals of ``target`` after regressing out ``controls``."""
-    return ols_fit(target, controls).residuals
+    return ols_fit(target, controls)[1]
 
 
-def sample_cov(x, y=None) -> np.ndarray:
-    """Sample covariance (divisor n-1) of columns of ``x`` with columns of ``y``."""
+def sample_cov(x) -> np.ndarray:
+    """Sample covariance (divisor n-1) of the columns of ``x``. The product
+    is of two centred copies: numpy evaluates ``xc.T @ xc`` as a symmetric
+    rank-k update, which rounds differently."""
     x = as_matrix(x)
-    y = x if y is None else as_matrix(y)
-    if x.shape[0] != y.shape[0]:
-        raise DimensionMismatch("row counts differ in sample_cov")
-    n = x.shape[0]
     xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    return xc.T @ yc / (n - 1)
+    return xc.T @ (x - x.mean(axis=0)) / (x.shape[0] - 1)
+
+
+def residual_cov(x, design, what: str) -> np.ndarray:
+    """Sample covariance of the residuals of ``x`` after least squares on
+    ``design`` (with the intercept column), under the one degeneracy rule
+    that the bootstrap's Gram certificate mirrors: SingularCovariance where
+    a column of ``x`` is constant (``_centred``) or keeps at most 1e-12 of
+    its centred variance. Either leaves a residual of rounding noise, which
+    the unit-free tests of ``_require_pd`` would take for a variable."""
+    x = as_matrix(x)
+    s = sample_cov(residualize(x, design))
+    _, ss_c, constant = _centred(x)
+    if np.any(constant):
+        raise SingularCovariance(f"{what} has a constant column")
+    if np.any(np.diagonal(s) <= 1e-12 * ss_c / (x.shape[0] - 1)):
+        raise SingularCovariance(f"{what} has a residual variance that collapsed to zero")
+    return s
 
 
 def _check_symmetric(s: np.ndarray) -> np.ndarray:
@@ -195,16 +207,6 @@ def _require_pd(s: np.ndarray, rtol: float, what: str, bad=None) -> None:
         raise SingularCovariance(f"{what} is numerically singular")
 
 
-def _require_kept(s: np.ndarray, x, what: str) -> None:
-    """Raise SingularCovariance unless each diagonal entry of the residual
-    covariance ``s`` keeps more than 1e-12 of the centred variance of the
-    matching column of ``x``, the columns before regression. A column that
-    is numerically a linear combination of the regressors leaves rounding
-    noise, which the test of ``_require_pd`` would take for a variable."""
-    if np.any(np.diagonal(s) <= 1e-12 * np.var(as_matrix(x), axis=0, ddof=1)):
-        raise SingularCovariance(f"{what} has a residual variance that collapsed to zero")
-
-
 def r_from_cov(joint: np.ndarray, ny: int, margin: float = 0.0, bad=None) -> np.ndarray:
     """Partial-correlation matrix cov_yy^{-1/2} cov_yx cov_xx^{-1/2} from the
     joint residual covariance of (y, x), whose first ``ny`` columns are y.
@@ -212,8 +214,9 @@ def r_from_cov(joint: np.ndarray, ny: int, margin: float = 0.0, bad=None) -> np.
     Raises SingularCovariance unless the joint covariance, scaled to unit
     diagonal, is positive definite with smallest eigenvalue above
     (PSD_TOL + margin) times the largest. The scaling hides a residual that
-    is rounding noise, so the caller checks that no variance collapsed
-    (``_require_kept``).
+    is rounding noise, so the caller checks that no variance collapsed:
+    ``residual_cov`` on the exact path, the Gram certificate on the
+    bootstrap's.
     """
     _require_pd(0.5 * (joint + np.swapaxes(joint, -1, -2)), PSD_TOL + margin,
                 "joint residual covariance", bad)
@@ -224,29 +227,29 @@ def r_from_cov(joint: np.ndarray, ny: int, margin: float = 0.0, bad=None) -> np.
 def r_matrix(y_cols, x_cols, z_cols) -> np.ndarray:
     """Partial-correlation matrix of y and x given z.
 
-    Residualizes both blocks on ``z`` (which must include the intercept
-    column, so the residuals are centered) and returns
-    cov(y|z)^{-1/2} cov(y|z, x|z) cov(x|z)^{-1/2}. Scalar blocks give the
-    usual sample partial correlation coefficient.
+    Residualizes the stacked (y, x) block on ``z`` (which must include the
+    intercept column) and returns cov(y|z)^{-1/2} cov(y|z, x|z)
+    cov(x|z)^{-1/2}. Scalar blocks give the usual sample partial
+    correlation coefficient. Raises SingularCovariance where a column of
+    either block has no residual variance (``residual_cov``).
     """
-    ry = residualize(y_cols, z_cols)
-    rx = residualize(x_cols, z_cols)
-    cov_yx = sample_cov(ry, rx)
-    joint = np.block([[sample_cov(ry), cov_yx], [cov_yx.T, sample_cov(rx)]])
-    _require_kept(joint, np.column_stack([as_matrix(y_cols), as_matrix(x_cols)]),
-                  "the (y, x) block given z")
-    return r_from_cov(joint, ry.shape[1])
+    y = as_matrix(y_cols)
+    joint = residual_cov(np.column_stack([y, as_matrix(x_cols)]), z_cols,
+                         "the (y, x) block given z")
+    return r_from_cov(joint, y.shape[1])
 
 
 def partial_r2(y, x_cols, z_cols) -> float:
     """Sample partial R-squared of scalar ``y`` on ``x`` given ``z``: the
-    squared norm of their R-measure (``r_matrix``)."""
+    squared norm of their R-measure (``r_matrix``). Raises
+    DegenerateResponse where ``y`` has no residual variance given ``z``."""
     y = as_matrix(y)
     if y.shape[1] != 1:
         raise DimensionMismatch("partial_r2 expects a single response column")
-    var_y = np.var(y)  # rounding noise for a constant y: ``standardized``'s rule
-    if var_y <= RANK_RTOL ** 2 * np.mean(y * y) or np.var(residualize(y, z_cols)) <= 1e-12 * var_y:
-        raise DegenerateResponse("response has no residual variance given z")
+    try:
+        residual_cov(y, z_cols, "response given z")
+    except SingularCovariance as exc:
+        raise DegenerateResponse(str(exc)) from exc
     return float(np.clip(np.sum(r_matrix(y, x_cols, z_cols) ** 2), 0.0, 1.0))
 
 

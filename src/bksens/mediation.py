@@ -37,12 +37,10 @@ from .errors import (
 )
 from .linalg import (
     _flag,
-    _require_kept,
     _require_pd,
     add_intercept,
     as_matrix,
-    residualize,
-    sample_cov,
+    residual_cov,
     standardized,
     sym_inv_sqrt,
     sym_sqrt,
@@ -196,16 +194,13 @@ def _ls_residual_cov(data: MediationData, regressors: np.ndarray, what: str):
     standardized covariates, then any standardized (a, m) regressors.
 
     Raises RankDeficient where a design is singular and SingularCovariance
-    where a residual variance collapsed (``linalg._require_kept``).
+    where a kept column is constant or collapsed (``linalg.residual_cov``,
+    the rule the bootstrap's Gram certificate mirrors).
     """
     cols = np.column_stack([regressors[:, :data.p_user], data.a, data.m, data.y])
 
     def resid_cov(keep, given):
-        design = add_intercept(regressors[:, given], n=data.n) if given \
-            else np.ones((data.n, 1))
-        s = sample_cov(residualize(cols[:, keep], design))
-        _require_kept(s, cols[:, keep], what)
-        return s
+        return residual_cov(cols[:, keep], add_intercept(regressors[:, given]), what)
     return resid_cov
 
 
@@ -226,12 +221,12 @@ def moments_from_cov(s: np.ndarray, n: int, p_user: int, q: int,
     Raises SingularCovariance when ``s`` is numerically singular, judged on
     ``s`` scaled to unit diagonal so that the units of y, a and m do not
     matter; that test cannot tell a residual of rounding noise from a
-    variable, so the caller first checks that no variance collapsed
-    (``fit_observed`` with ``linalg._require_kept``, the bootstrap's Gram
-    path with its certificate). A positive ``margin`` raises every
-    eigenvalue threshold by ``margin`` times the largest eigenvalue
-    involved, which certifies that the unmargined checks pass on any matrix
-    within rounding of ``s``. A mask ``bad`` works as in ``linalg._flag``.
+    variable, so the caller first applies ``linalg.residual_cov``'s rule
+    (``fit_observed`` through it, the bootstrap's Gram path through its
+    certificate). A positive ``margin`` raises every eigenvalue threshold by
+    ``margin`` times the largest eigenvalue involved, which certifies that
+    the unmargined checks pass on any matrix within rounding of ``s``. A
+    mask ``bad`` works as in ``linalg._flag``.
     """
     _require_pd(s, 1e-12 + margin, "joint residual covariance of (y, a, m) given c", bad)
     if bad is not None:  # no solve below may meet a singular matrix

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryR, ConfounderCovarianceDegenerate, DimensionMismatch
-from .linalg import PSD_TOL, add_intercept, as_matrix, ols_fit, residualize, sample_cov, sym_inv_sqrt, sym_sqrt
+from .linalg import PSD_TOL, add_intercept, as_matrix, ols_fit, residual_cov, sym_inv_sqrt, sym_sqrt
 from .mediation import BOUNDARY_TOL
 
 
@@ -37,16 +37,16 @@ def ovb_moments(y, a, c=None) -> OvbMoments:
     """Compute :class:`OvbMoments` from raw columns.
 
     ``c`` is the covariate block without the intercept; the intercept is
-    always added internally.
+    always added internally. Raises SingularCovariance where the outcome or
+    exposure has no residual variance (``linalg.residual_cov``).
     """
     y = as_matrix(y)
     a = as_matrix(a)
     c_int = add_intercept(c, n=y.shape[0])
     ac = np.column_stack([a, c_int])
-    fit = ols_fit(y, ac)
-    theta_obs = fit.coefficients[: a.shape[1], :].T  # (d_y, d_a)
-    cov_y_res = sample_cov(fit.residuals)
-    cov_a_res = sample_cov(residualize(a, c_int))
+    theta_obs = ols_fit(y, ac)[0][: a.shape[1], :].T  # (d_y, d_a)
+    cov_y_res = residual_cov(y, ac, "outcome given exposure and controls")
+    cov_a_res = residual_cov(a, c_int, "exposure given controls")
     return OvbMoments(theta_obs=theta_obs, cov_y_res=cov_y_res, cov_a_res=cov_a_res)
 
 

@@ -28,6 +28,19 @@ def make_data(rng, n=120, p=2, q=2, confounded=True):
     return MediationData.from_arrays(y=y, a=a, m=m, c=c)
 
 
+def rare_exposure_data():
+    """A z-scored binary exposure with 3 of 60 rows exposed: about one
+    resample in twenty draws no exposed row, so its exposure is constant."""
+    rng = np.random.default_rng(3)
+    c = rng.normal(size=60)
+    b = np.zeros(60)
+    b[:3] = 1.0
+    a = (b - b.mean()) / b.std(ddof=1)
+    m = 0.5 * a + rng.normal(size=60)
+    y = 0.3 * a + 0.4 * m + rng.normal(size=60)
+    return MediationData.from_arrays(y=y, a=a, m=m[:, None], c=c[:, None])
+
+
 def random_sensitivity(rng, q, radius=0.9):
     r_y = radius * rng.uniform(-1, 1)
     r_a = radius * rng.uniform(-1, 1)

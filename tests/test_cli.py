@@ -22,7 +22,7 @@ from bksens.mediation import (
 )
 from bksens.robustness import EffectObjective
 
-from conftest import make_data
+from conftest import make_data, rare_exposure_data
 
 
 def write_csv(path, data, extra=None):
@@ -191,20 +191,24 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("defect", ["constant mediator", "covariate collinear with a"])
+@pytest.mark.parametrize("defect", ["constant mediator", "constant outcome",
+                                    "constant exposure", "covariate collinear with a"])
 def test_singular_full_sample_reported_by_every_command(tmp_path, capsys, defect):
     # benchmark fits the full sample before it bootstraps, as effects and rv
-    # do, so all three name the full sample's collapse, not a resample's
+    # do, so all three name the full sample's collapse, not a resample's; a
+    # constant column given c leaves rounding noise, which is no variable
     rng = np.random.default_rng(3)
     data = make_data(rng, n=60, p=2, q=2)
     path = tmp_path / "singular.csv"
-    column = {"constant mediator": "m2", "covariate collinear with a": "c2"}[defect]
+    column, value = {"constant mediator": ("m2", "1.5"), "constant outcome": ("y", "0.1"),
+                     "constant exposure": ("a", "0.1"),
+                     "covariate collinear with a": ("c2", None)}[defect]
     write_csv(path, data)
     with open(path) as handle:
         rows = list(csv.reader(handle))
     at = rows[0].index(column)
     for row in rows[1:]:
-        row[at] = "1.5" if column == "m2" else repr(2.0 * float(row[1]))
+        row[at] = value or repr(2.0 * float(row[1]))
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerows(rows)
     errs = []
@@ -214,8 +218,26 @@ def test_singular_full_sample_reported_by_every_command(tmp_path, capsys, defect
         errs.append(capsys.readouterr().err)
         assert code == 3
         assert not (tmp_path / f"{command}.json").exists()
-    assert errs[0].startswith("numerical error: ") and "resample" not in errs[0]
+    assert errs[0].startswith("numerical error: (y, a, m) given c ")
+    assert "resample" not in errs[0]
     assert errs[1] == errs[2] == errs[0]
+
+
+def test_rare_exposure_resamples_are_redrawn(tmp_path):
+    # resamples that draw none of the three exposed rows have a constant
+    # exposure; they are redrawn, so the SE and t are those of the data
+    path = tmp_path / "rare.csv"
+    write_csv(path, rare_exposure_data())
+    argv = ["--data", str(path), "--outcome", "y", "--exposure", "a",
+            "--mediators", "m1", "--covariates", "c1", "--bootstrap", "400", "--seed", "5"]
+    assert main(["effects", *argv, "--out", str(tmp_path / "effects.json")]) == 0
+    effects = json.loads((tmp_path / "effects.json").read_text())
+    assert 0.0 < effects["direct"]["std_err"] < 1.0
+    assert main(["rv", *argv, "--rho-grid", "0.1:0.9:0.4",
+                 "--out", str(tmp_path / "rv.json")]) == 0
+    rv = json.loads((tmp_path / "rv.json").read_text())
+    assert rv["direct"]["observed_t"] == pytest.approx(1.79, abs=0.01)
+    assert main(["benchmark", *argv, "--j", "c1", "--out", str(tmp_path / "b.json")]) == 0
 
 
 def test_rv_command(tmp_path, rng):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from bksens.confounders import ConfounderTarget, construct_confounder
-from bksens.errors import BoundaryR, DimensionMismatch, InfeasibleTarget, InsufficientSamples
+from bksens.errors import (
+    BoundaryR,
+    DimensionMismatch,
+    InfeasibleTarget,
+    InsufficientSamples,
+    SingularCovariance,
+)
 from bksens.linalg import r_matrix, residualize, sample_cov
 from bksens.mediation import MediationData
 
@@ -71,6 +77,15 @@ def test_construction_is_deterministic(rng):
     u1 = construct_confounder(data, target)
     u2 = construct_confounder(data, target)
     assert np.array_equal(u1, u2)
+
+
+def test_constant_block_is_rejected(rng):
+    # a constant outcome leaves a residual of rounding noise given (a, m, c),
+    # which the construction would scale up into a column of noise
+    data = make_data(rng, n=100, p=2, q=2)
+    flat = MediationData(y=np.full(100, 0.1), a=data.a, m=data.m, c=data.c)
+    with pytest.raises(SingularCovariance, match="block 2 .* constant column"):
+        construct_confounder(flat, ConfounderTarget(r_y=0.3, r_m=np.full(2, 0.1), r_a=0.2))
 
 
 def test_target_validation():

@@ -17,7 +17,7 @@ from bksens.mediation import (
     observed_indirect,
 )
 
-from conftest import classical_se, make_data
+from conftest import classical_se, make_data, rare_exposure_data
 
 
 def test_fixed_seed_reproducible(rng):
@@ -207,6 +207,27 @@ def test_singular_resample_redraw_and_exhaustion(rng):
     # a well-conditioned design never leaves the Gram path
     plan = bootstrap_moments(make_data(rng, n=80, p=2, q=2), n_resamples=64, seed=1)
     assert plan.n_exact == 0 and plan.n_redraws == 0
+
+
+def test_resamples_with_a_constant_exposure_are_redrawn():
+    # about one resample in twenty draws none of the three exposed rows; its
+    # exposure is constant, and a constant column is singular, not data
+    data = rare_exposure_data()
+    plan = bootstrap_moments(data, n_resamples=400, seed=5)
+    assert plan.n_redraws >= 1
+    for i in range(plan.n_resamples):
+        rows = plan.rows(i)
+        assert np.ptp(data.a[rows]) > 0.0
+        if plan.exact[i]:
+            ref = fit_observed(data.subset(rows))
+            assert plan.moments[i].theta1_obs == ref.theta1_obs
+    # every redrawn resample had drawn a constant exposure
+    for i in np.flatnonzero(plan.redraws):
+        gen = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(int(i),)))
+        for _ in range(plan.redraws[i]):
+            assert np.ptp(data.a[gen.integers(0, data.n, size=data.n)]) == 0.0
+    assert np.all(np.isfinite(plan.moments.theta1_obs))
+    assert np.std(plan.moments.theta1_obs, ddof=1) < 1.0
 
 
 def test_plan_holds_no_index_matrix(rng):

@@ -14,33 +14,33 @@ from bksens.errors import (
 
 def test_ols_identity_regression(rng):
     x = rng.normal(size=(30, 3))
-    fit = linalg.ols_fit(x, x)
-    assert np.allclose(fit.coefficients, np.eye(3), atol=1e-12)
-    assert np.allclose(fit.residuals, 0.0, atol=1e-12)
+    coef, resid = linalg.ols_fit(x, x)
+    assert np.allclose(coef, np.eye(3), atol=1e-12)
+    assert np.allclose(resid, 0.0, atol=1e-12)
 
 
 def test_ols_constant_on_constant():
     ones = np.ones(10)
-    fit = linalg.ols_fit(ones, ones)
-    assert fit.coefficients[0, 0] == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(fit.residuals, 0.0, atol=1e-14)
+    coef, resid = linalg.ols_fit(ones, ones)
+    assert coef[0, 0] == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(resid, 0.0, atol=1e-14)
 
 
 def test_ols_matches_normal_equations(rng):
     x = rng.normal(size=(50, 4))
     y = rng.normal(size=(50, 2))
-    fit = linalg.ols_fit(y, x)
+    coef, _ = linalg.ols_fit(y, x)
     oracle = np.linalg.inv(x.T @ x) @ x.T @ y
-    assert np.max(np.abs(fit.coefficients - oracle)) < 1e-10
+    assert np.max(np.abs(coef - oracle)) < 1e-10
 
 
 def test_ols_orthogonality_and_decomposition(rng):
     x = rng.normal(size=(80, 5))
     y = rng.normal(size=80)
-    fit = linalg.ols_fit(y, x)
-    scale = np.linalg.norm(x) * max(np.linalg.norm(fit.residuals), 1.0)
-    assert np.max(np.abs(x.T @ fit.residuals)) <= 1e-8 * scale
-    assert np.allclose(fit.fitted + fit.residuals, y[:, None])
+    coef, resid = linalg.ols_fit(y, x)
+    scale = np.linalg.norm(x) * max(np.linalg.norm(resid), 1.0)
+    assert np.max(np.abs(x.T @ resid)) <= 1e-8 * scale
+    assert np.allclose(x @ coef + resid, y[:, None])
 
 
 def test_ols_errors(rng):
@@ -70,9 +70,9 @@ def test_frisch_waugh(rng):
     c = np.column_stack([np.ones(100), rng.normal(size=(100, 2))])
     a = rng.normal(size=100) + c[:, 1]
     y = 2.0 * a + c @ np.array([1.0, -1.0, 0.5]) + rng.normal(size=100)
-    full = linalg.ols_fit(y, np.column_stack([a, c]))
-    partial = linalg.ols_fit(linalg.residualize(y, c), linalg.residualize(a, c))
-    assert abs(full.coefficients[0, 0] - partial.coefficients[0, 0]) < 1e-10
+    full, _ = linalg.ols_fit(y, np.column_stack([a, c]))
+    partial, _ = linalg.ols_fit(linalg.residualize(y, c), linalg.residualize(a, c))
+    assert abs(full[0, 0] - partial[0, 0]) < 1e-10
 
 
 def test_sym_sqrt_basic():
@@ -136,6 +136,21 @@ def test_r_matrix_symmetry(rng):
     r_xy = linalg.r_matrix(x, y, z)
     assert np.max(np.abs(r_yx - r_xy.T)) < 1e-12
     assert np.linalg.norm(r_yx, 2) < 1.0
+
+
+def test_r_matrix_rejects_a_constant_column(rng):
+    # a constant column leaves a residual of rounding noise given z, which
+    # the unit-free test of the joint covariance would take for a variable
+    n = 100
+    z = np.column_stack([np.ones(n), rng.normal(size=n)])
+    x = rng.normal(size=n)
+    for y in (np.full(n, 0.1), np.full(n, -3e5)):
+        with pytest.raises(SingularCovariance, match="constant column"):
+            linalg.r_matrix(y, x, z)
+        with pytest.raises(SingularCovariance, match="constant column"):
+            linalg.r_matrix(x, y, z)
+    with pytest.raises(SingularCovariance, match="collapsed"):
+        linalg.r_matrix(z @ np.array([1.0, 2.0]), x, z)
 
 
 def test_partial_r2_orthogonal_is_zero(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bksens.confounders import construct_confounder_blocks
-from bksens.errors import BoundaryR, ConfounderCovarianceDegenerate
+from bksens.errors import BoundaryR, ConfounderCovarianceDegenerate, SingularCovariance
 from bksens.ovb import adjust_scalar_u, adjust_vector_u, cov_u_update, ovb_moments
 
 from conftest import lstsq_coef
@@ -53,6 +53,13 @@ def test_scalar_u_shares_the_vector_degeneracy_check(rng):
         adjust_scalar_u(m, np.array([0.5]), np.array([1.0 - 2e-11]))
     with pytest.raises(ConfounderCovarianceDegenerate):
         adjust_vector_u(m, np.array([[0.5]]), np.array([[1.0 - 2e-11]]))
+
+
+def test_constant_outcome_is_rejected(rng):
+    # its residual given (a, c) is rounding noise, not a covariance
+    y, a, c = _random_case(rng, d_y=1, d_a=1)
+    with pytest.raises(SingularCovariance, match="outcome .* constant column"):
+        ovb_moments(np.full(len(y), 0.1), a, c)
 
 
 def test_scalar_u_long_regression_roundtrip(rng):
